@@ -52,7 +52,6 @@ void BM_Fig4_RowFamilyEval(benchmark::State& state) {
   state.counters["eval_iters"] = static_cast<double>(stats.iterations);
   state.counters["facts_derived"] = static_cast<double>(stats.facts_derived);
   state.counters["join_probes"] = static_cast<double>(stats.join_probes);
-  state.counters["stats_applies"] = static_cast<double>(stats.stats_applies);
   state.counters["stats_counted"] =
       static_cast<double>(stats.stats_facts_counted);
   state.counters["rules_pruned"] = static_cast<double>(stats.rules_pruned);
@@ -90,39 +89,6 @@ void BM_Fig4_RowFamilyEval_NoPrune(benchmark::State& state) {
                        : "UNEXPECTED: rewriting failed");
 }
 BENCHMARK(BM_Fig4_RowFamilyEval_NoPrune)
-    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-// The recount discipline on the same workload: live planning with
-// incremental maintenance disabled, so every stratum entry and mid-run
-// re-plan recounts its predicates in full (Stats::Refresh). The
-// stats_counted delta against BM_Fig4_RowFamilyEval is the
-// O(stratum facts) -> O(delta) drop of the merge-barrier Apply path.
-void BM_Fig4_RowFamilyEval_RecountStats(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Thm7Gadget gadget = BuildThm7();
-  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
-  CompiledProgram compiled(rewriting.program);
-  Instance image = gadget.views.Image(gadget.DiamondChain(n));
-  EvalOptions options;
-  options.stats_incremental = false;
-  EvalStats stats;
-  bool holds = false;
-  for (auto _ : state) {
-    stats = EvalStats{};
-    Instance fixpoint = compiled.Eval(image, &stats, options);
-    holds = fixpoint.NumRows(rewriting.goal) > 0;
-  }
-  state.counters["image_facts"] = static_cast<double>(image.num_facts());
-  state.counters["eval_iters"] = static_cast<double>(stats.iterations);
-  state.counters["facts_derived"] = static_cast<double>(stats.facts_derived);
-  state.counters["join_probes"] = static_cast<double>(stats.join_probes);
-  state.counters["stats_applies"] = static_cast<double>(stats.stats_applies);
-  state.counters["stats_counted"] =
-      static_cast<double>(stats.stats_facts_counted);
-  state.SetLabel(holds ? "rewriting holds on the row family (Figure 4)"
-                       : "UNEXPECTED: rewriting failed");
-}
-BENCHMARK(BM_Fig4_RowFamilyEval_RecountStats)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // Baseline for the statistics-driven planner: the same workload with the

@@ -206,9 +206,8 @@ BENCHMARK(BM_T2_MdlMdlCq_BoundedTests)->Arg(2)->Arg(3);
 
 // --- Thread sweep over the MDL/MDL+CQ family at a depth where the test
 // block is large (≥1000 canonical tests per check). range(0) = worker
-// count, range(1) = canonical-form test cache on/off. The verdict and
-// counters are identical across all six variants (mondet_parallel_test
-// proves this bit-for-bit); only wall time and cache traffic move.
+// count. The verdict and counters are identical across all three variants
+// (mondet_parallel_test proves this bit-for-bit); only wall time moves.
 void BM_T2_MdlMdlCq_Threads(benchmark::State& state) {
   auto vocab = MakeVocabulary();
   std::vector<Diagnostic> diags;
@@ -229,18 +228,13 @@ void BM_T2_MdlMdlCq_Threads(benchmark::State& state) {
   options.max_query_expansions = 100;
   options.max_tests_per_expansion = 2000;
   options.num_threads = static_cast<int>(state.range(0));
-  options.test_cache = state.range(1) == 1;
   MonDetResult result;
   for (auto _ : state) {
     result = CheckMonotonicDeterminacy(*q, views, options);
   }
   state.counters["tests"] = static_cast<double>(result.tests_run);
-  state.counters["cache_hits"] = static_cast<double>(result.cache_hits);
-  state.SetLabel(options.test_cache ? "cache on" : "cache off");
 }
-BENCHMARK(BM_T2_MdlMdlCq_Threads)
-    ->ArgNames({"threads", "cache"})
-    ->ArgsProduct({{1, 2, 4}, {0, 1}});
+BENCHMARK(BM_T2_MdlMdlCq_Threads)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
 // --- Cell: MDL / UCQ — undecidable (Thm 6). -------------------------------
 // The reduction's behaviour tracks the tiling problem exactly.
@@ -268,9 +262,7 @@ BENCHMARK(BM_T2_MdlUcq_Undecidable)->Arg(1)->Arg(0);
 
 // --- Thread sweep over the solvable Thm 6 gadget: the refuter has to walk
 // ~3500 canonical tests before the counterexample index, so this family
-// exposes the parallel block scan. range(0) = worker count, range(1) =
-// test cache on/off (the tiling D' instances are pairwise non-isomorphic,
-// so cache-on measures pure canonical-hash overhead here).
+// exposes the parallel block scan. range(0) = worker count.
 void BM_T2_MdlUcq_Threads(benchmark::State& state) {
   TilingProblem tp = SolvableTilingProblem();
   Thm6Gadget gadget = BuildThm6(tp);
@@ -280,21 +272,16 @@ void BM_T2_MdlUcq_Threads(benchmark::State& state) {
   options.max_query_expansions = 40;
   options.max_tests_per_expansion = 3000;
   options.num_threads = static_cast<int>(state.range(0));
-  options.test_cache = state.range(1) == 1;
   MonDetResult result;
   for (auto _ : state) {
     result = CheckMonotonicDeterminacy(gadget.query, gadget.views, options);
   }
   state.counters["tests"] = static_cast<double>(result.tests_run);
-  state.counters["cache_hits"] = static_cast<double>(result.cache_hits);
-  state.SetLabel(std::string(result.verdict == Verdict::kNotDetermined
-                                 ? "refuted"
-                                 : "NO COUNTEREXAMPLE") +
-                 (options.test_cache ? ", cache on" : ", cache off"));
+  state.SetLabel(result.verdict == Verdict::kNotDetermined
+                     ? "refuted"
+                     : "NO COUNTEREXAMPLE");
 }
-BENCHMARK(BM_T2_MdlUcq_Threads)
-    ->ArgNames({"threads", "cache"})
-    ->ArgsProduct({{1, 2, 4}, {0, 1}});
+BENCHMARK(BM_T2_MdlUcq_Threads)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
 // --- Cell: Datalog / fixed atomic view — undecidable (Prop. 9, Lemma 8). --
 void BM_T2_DatalogAtomic_Lemma8(benchmark::State& state) {

@@ -2,7 +2,10 @@
 # Perf trajectory snapshot: run the tier-1 bench smoke set, then capture
 # the Table 2 families (including the MONDET_THREADS sweeps) as JSON in
 # BENCH_table2.json at the repo root, so future PRs can diff wall times
-# and counters (tests, cache_hits, transition_visits) against this one.
+# and counters (tests, transition_visits) against this one. Every JSON
+# records where and how it ran in its "context" block: nproc,
+# MONDET_THREADS (or "unset"), the build type, the git revision (suffixed
+# "-dirty" when src/ or bench/ differ from it) and BENCH_MIN_TIME.
 #
 #   BENCH_MIN_TIME  per-benchmark min time in seconds (default 0.05; the
 #                   smoke pass always uses the tier-1 value of 0.01)
@@ -18,6 +21,15 @@ cmake --build build -j "$JOBS" --target \
   bench_fig3_diamonds bench_fig4_longrows bench_fig5_lemma3 \
   bench_maintenance bench_kernels bench_antichain
 
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+GIT_REV="$(git rev-parse HEAD 2> /dev/null || echo unknown)"
+if ! git diff --quiet HEAD -- src bench 2> /dev/null; then
+  GIT_REV="$GIT_REV-dirty"
+fi
+CONTEXT="nproc=$(nproc),mondet_threads=${MONDET_THREADS:-unset}"
+CONTEXT="$CONTEXT,build_type=${BUILD_TYPE:-unknown},git_rev=$GIT_REV"
+CONTEXT="$CONTEXT,min_time=$MIN_TIME"
+
 # Smoke pass: every bench binary once, same flags as the tier-1 ctests.
 for b in build/bench/bench_*; do
   [ -x "$b" ] || continue
@@ -27,17 +39,18 @@ done
 
 # Snapshot pass: Table 2 only, longer min_time, JSON committed at the root.
 ./build/bench/bench_table2 \
+  --benchmark_context="$CONTEXT" \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out=BENCH_table2.json \
   --benchmark_out_format=json
 
-# Figure 4 row-family evaluator sweep: the incremental-vs-recount
-# statistics comparison (BM_Fig4_RowFamilyEval vs ..._RecountStats vs
-# ..._StaticPlan; stats_applies / stats_counted expose the
-# O(stratum facts) -> O(delta) maintenance drop). Merged into
-# BENCH_table2.json when python3 is around, kept as a sibling file
-# otherwise.
+# Figure 4 row-family evaluator sweep: the live planner against dataflow
+# pruning off and static orders (BM_Fig4_RowFamilyEval vs ..._NoPrune vs
+# ..._StaticPlan; join_probes / stats_counted expose the join and
+# recount work). Merged into BENCH_table2.json when python3 is around,
+# kept as a sibling file otherwise.
 ./build/bench/bench_fig4_longrows \
+  --benchmark_context="$CONTEXT" \
   --benchmark_filter='BM_Fig4_RowFamilyEval' \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out=BENCH_fig4_rowfamily.json \
@@ -48,6 +61,7 @@ done
 # det_states counters expose the O(k)-vs-2^k gap; the explicit arm is
 # capped at k = 12 by design — see bench/bench_antichain.cc).
 ./build/bench/bench_antichain \
+  --benchmark_context="$CONTEXT" \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out=BENCH_antichain.json \
   --benchmark_out_format=json
@@ -86,6 +100,7 @@ fi
 # speedup gauge (counter `speedup`; the acceptance bar is >= 2x on these
 # small-delta steps — the SetLabel flags any run below it).
 ./build/bench/bench_maintenance \
+  --benchmark_context="$CONTEXT" \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out=BENCH_maintenance.json \
   --benchmark_out_format=json
@@ -97,6 +112,7 @@ echo "bench_snapshot: wrote BENCH_maintenance.json"
 # ratio per shape is the kernel plane's worth; the `facts` counters must
 # match pairwise (each bench self-checks in its label).
 ./build/bench/bench_kernels \
+  --benchmark_context="$CONTEXT" \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out=BENCH_kernels.json \
   --benchmark_out_format=json

@@ -47,19 +47,21 @@ else
 fi
 
 # Differential oracles under ASan/UBSan, single- and multi-threaded.
-# plan_differential_test exercises the statistics-driven planner (live
-# re-planning, seat observation buffers, the feedback-correction fold)
-# against the naive reference; stats_incremental_test is the
-# Apply-vs-Collect equivalence oracle for the merge-barrier statistics
-# maintenance (value-count maps under random delta partitions, now
-# including the retraction arm); maintenance_differential_test is the
+# base_test covers the thread pool, including an item's exception
+# reaching the caller from a pool worker, from the caller's own thread
+# and from the inline path; plan_differential_test exercises the
+# statistics-driven planner (live re-planning with per-stratum recounts,
+# seat observation buffers) against the naive reference;
+# stats_apply_test is the Apply-vs-Collect equivalence oracle for
+# Maintain's delta statistics (value-count maps under random insert and
+# retraction partitions); maintenance_differential_test is the
 # maintained-vs-recomputed materialization oracle for incremental view
 # maintenance (counting + DRed over randomized insert/delete schedules
 # — its from-scratch recomputations run at MONDET_THREADS, so both
 # parallel modes cross-check the maintained state);
 # mondet_parallel_test is the determinism oracle for the parallel
-# counterexample search (thread pool + canonical test cache), run at 4
-# workers so the sanitizers see real interleaving;
+# counterexample search (1 vs 4 workers over the shared thread pool), run
+# at 4 workers so the sanitizers see real interleaving;
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules
 # never fire, pruning bit-identical at 1/4 threads);
@@ -70,7 +72,8 @@ fi
 # Complement+Product route, the Thm 5 antichain-on/off byte-identity
 # regression, and the antichain-inclusion oracle seed sweep.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test stats_incremental_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet-fuzz
+MONDET_THREADS=4 ./build-asan/tests/base_test
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
@@ -78,7 +81,7 @@ MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=1 ./build-asan/tests/kernel_differential_test
 MONDET_THREADS=4 ./build-asan/tests/kernel_differential_test
 ./build-asan/tests/stats_test
-./build-asan/tests/stats_incremental_test
+./build-asan/tests/stats_apply_test
 MONDET_THREADS=1 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/mondet_parallel_test
@@ -109,11 +112,12 @@ fi
 # the shrinker reduces, not just that everything is green.
 ./scripts/check_fuzz_fault.sh ./build-asan/tools/mondet-fuzz
 
-# Race detection: the genuinely multi-threaded oracles — the parallel
+# Race detection: the thread pool's own tests (including the exception
+# paths) and the genuinely multi-threaded oracles — the parallel
 # counterexample search, the maintained-materialization differential,
 # and the kernel differential (whose 4T arms run compiled kernels over
-# shared column indexes) — under ThreadSanitizer at 4 workers (the `tsan` CMake preset builds the
-# same tree). TSan needs compiler runtime support (libtsan); minimal
+# shared column indexes) — under ThreadSanitizer at 4 workers (the
+# `tsan` CMake preset builds the same tree). TSan needs compiler runtime support (libtsan); minimal
 # images often lack it, so probe the compiler first and make any skip
 # loud rather than silent.
 CXX_BIN="${CXX:-c++}"
@@ -125,8 +129,9 @@ if printf 'int main(){return 0;}\n' \
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DMONDET_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
-        --target mondet_parallel_test maintenance_differential_test \
-        kernel_differential_test antichain_test
+        --target base_test mondet_parallel_test \
+        maintenance_differential_test kernel_differential_test antichain_test
+  MONDET_THREADS=4 ./build-tsan/tests/base_test
   MONDET_THREADS=4 ./build-tsan/tests/mondet_parallel_test
   MONDET_THREADS=4 ./build-tsan/tests/maintenance_differential_test
   MONDET_THREADS=4 ./build-tsan/tests/kernel_differential_test

@@ -23,11 +23,8 @@ std::vector<uint32_t> GreedyAtomOrder(
 
 /// Selectivity-scored join ordering, the statistics-driven sibling of
 /// GreedyAtomOrder (used by CompiledProgram when instance statistics are
-/// available). `est_matches` is typically Stats::EstimateMatches, which
-/// already folds in any feedback correction factors (Stats::Observe) — the
-/// order and the reported per-step rows are corrected estimates whenever
-/// the statistics carry corrections. At each step it picks,
-/// lexicographically:
+/// available). `est_matches` is typically Stats::EstimateMatches. At each
+/// step it picks, lexicographically:
 ///   1. an atom sharing at least one already-bound variable (so rules with
 ///      a connected join graph never plan a cross product; nullary atoms
 ///      count as sharing — they are pure filters),

@@ -1,22 +1,10 @@
 #include "base/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/check.h"
 
 namespace mondet {
-
-namespace {
-
-constexpr double kCorrectionMin = 1.0 / 16.0;
-constexpr double kCorrectionMax = 16.0;
-
-double ClampCorrection(double v) {
-  return std::min(kCorrectionMax, std::max(kCorrectionMin, v));
-}
-
-}  // namespace
 
 Stats Stats::Collect(const Instance& inst) {
   Stats s;
@@ -28,30 +16,6 @@ Stats Stats::Collect(const Instance& inst) {
 
 void Stats::Refresh(const Instance& inst, const std::vector<PredId>& preds) {
   for (PredId p : preds) CountPred(inst, p);
-}
-
-void Stats::Apply(const Instance& inst, std::span<const Fact> added) {
-  Apply(inst, added, {});
-}
-
-void Stats::Apply(const Instance& inst, std::span<const uint32_t> added_gids) {
-  MONDET_CHECK(counted_facts_ + added_gids.size() == inst.num_facts() &&
-               "Stats::Apply: delta does not extend the counted instance");
-  for (uint32_t g : added_gids) {
-    const FactView f = inst.ViewAt(g);
-    if (f.pred >= by_pred_.size()) by_pred_.resize(f.pred + 1);
-    PredicateStats& ps = by_pred_[f.pred];
-    EnsureMaps(ps);
-    if (ps.distinct.size() < f.args.size()) {
-      ps.distinct.resize(f.args.size(), 0);
-      ps.value_counts.resize(f.args.size());
-    }
-    ++ps.cardinality;
-    ++counted_facts_;
-    for (size_t pos = 0; pos < f.args.size(); ++pos) {
-      if (++ps.value_counts[pos][f.args[pos]] == 1) ++ps.distinct[pos];
-    }
-  }
 }
 
 void Stats::Apply(const Instance& inst, std::span<const Fact> added,
@@ -156,63 +120,6 @@ void Stats::EnsureMaps(PredicateStats& ps) {
   ps.maps_built = true;
 }
 
-void Stats::Observe(PredId p, double estimated, double actual) {
-  if (!(estimated > 0.0) || actual < 0.0) return;
-  if (p >= by_pred_.size()) by_pred_.resize(p + 1);
-  double ratio = ClampCorrection(actual / estimated);
-  PredicateStats& ps = by_pred_[p];
-  // Square-root damping: the factor moves half the observed error in log
-  // space, so alternating over/under observations settle instead of
-  // oscillating.
-  ps.correction = ClampCorrection(ps.correction * std::sqrt(ratio));
-}
-
-void Stats::Observe(PredId p, const std::vector<bool>& bound_pos,
-                    double estimated, double actual) {
-  if (!(estimated > 0.0) || actual < 0.0) return;
-  size_t k = 0;
-  for (bool b : bound_pos) k += b ? 1 : 0;
-  if (k == 0) {
-    // A full scan: no position to blame, fold into the scalar factor.
-    Observe(p, estimated, actual);
-    return;
-  }
-  if (p >= by_pred_.size()) by_pred_.resize(p + 1);
-  PredicateStats& ps = by_pred_[p];
-  if (ps.pos_correction.size() < bound_pos.size()) {
-    ps.pos_correction.resize(bound_pos.size(), 1.0);
-  }
-  const double ratio = ClampCorrection(actual / estimated);
-  // Split the sqrt-damped error evenly over the bound positions in log
-  // space: the product of the k per-position nudges is sqrt(ratio), the
-  // same total correction the scalar overload would have applied.
-  const double nudge = std::pow(ratio, 1.0 / (2.0 * static_cast<double>(k)));
-  for (size_t pos = 0; pos < bound_pos.size(); ++pos) {
-    if (!bound_pos[pos]) continue;
-    ps.pos_correction[pos] = ClampCorrection(ps.pos_correction[pos] * nudge);
-  }
-}
-
-size_t Stats::ActiveCorrections() const {
-  size_t n = 0;
-  for (const PredicateStats& ps : by_pred_) {
-    bool active = ps.correction != 1.0;
-    for (double c : ps.pos_correction) active = active || c != 1.0;
-    if (active) ++n;
-  }
-  return n;
-}
-
-void Stats::ImportCorrections(const Stats& from) {
-  if (by_pred_.size() < from.by_pred_.size()) {
-    by_pred_.resize(from.by_pred_.size());
-  }
-  for (size_t p = 0; p < from.by_pred_.size(); ++p) {
-    by_pred_[p].correction = from.by_pred_[p].correction;
-    by_pred_[p].pos_correction = from.by_pred_[p].pos_correction;
-  }
-}
-
 double Stats::EstimateMatches(PredId p,
                               const std::vector<bool>& bound_pos) const {
   if (p >= by_pred_.size()) return 0.0;
@@ -223,10 +130,9 @@ double Stats::EstimateMatches(PredId p,
   for (size_t i = 0; i < n; ++i) {
     if (bound_pos[i]) {
       est /= static_cast<double>(std::max<size_t>(1, ps.distinct[i]));
-      if (i < ps.pos_correction.size()) est *= ps.pos_correction[i];
     }
   }
-  return est * ps.correction;
+  return est;
 }
 
 double Stats::EstimateMatches(PredId p, const std::vector<ElemId>& args,
@@ -239,10 +145,9 @@ double Stats::EstimateMatches(PredId p, const std::vector<ElemId>& args,
   for (size_t i = 0; i < n; ++i) {
     if (args[i] < bound_var.size() && bound_var[args[i]]) {
       est /= static_cast<double>(std::max<size_t>(1, ps.distinct[i]));
-      if (i < ps.pos_correction.size()) est *= ps.pos_correction[i];
     }
   }
-  return est * ps.correction;
+  return est;
 }
 
 }  // namespace mondet

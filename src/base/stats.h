@@ -16,35 +16,23 @@ struct PredicateStats {
   size_t cardinality = 0;        // number of facts
   std::vector<size_t> distinct;  // distinct values at each position
   // Exact per-position value multiplicities, the state that makes
-  // Stats::Apply O(delta). Counts (not just a set) so the structure stays
-  // correct if a future caller ever retracts facts; today's callers are
-  // insert-only.
+  // Stats::Apply O(delta) for Maintain's deletion-aware folds.
   //
   // Materialized lazily: CountPred leaves the maps empty and keeps the
   // sorted column snapshot instead; the first Apply touching the
   // predicate rebuilds the maps from the snapshot (EnsureMaps), after
   // which distinct[pos] == value_counts[pos].size() holds and is
-  // maintained incrementally. Predicates that never see a delta — every
-  // EDB relation of a fixpoint run — never pay the per-value map nodes,
-  // which is most of Collect's cost on the µs-scale evals the checker's
-  // canonical-test loops issue.
+  // maintained incrementally. Only Maintain ever applies a delta, and
+  // only to the predicates a batch touches, so a fixpoint run's Collect
+  // and Refresh calls — and every untouched relation of a maintained
+  // materialization — never pay the per-value map nodes, which would
+  // otherwise be most of the counting cost.
   std::vector<std::unordered_map<ElemId, uint32_t>> value_counts;
   // Per-position sorted column snapshot backing the lazy maps; cleared
   // once EnsureMaps runs. maps_built is true for default-constructed
   // stats (empty maps match an empty relation).
   std::vector<std::vector<ElemId>> sorted_vals;
   bool maps_built = true;
-  // Feedback correction factor (see Stats::Observe), multiplied into
-  // EstimateMatches. 1.0 = no observations yet. Survives recounts:
-  // Refresh/Apply update the counts, not the learned selectivity error.
-  double correction = 1.0;
-  // Per-position correction factors (see the masked Stats::Observe):
-  // pos_correction[i] scales every estimate whose probe binds position i,
-  // encoding *which* position's uniformity assumption is off — a skewed
-  // join column no longer taxes probes on the relation's other columns.
-  // Empty means all 1.0; sized to the arity on first positional
-  // observation. Survives recounts, like `correction`.
-  std::vector<double> pos_correction;
 };
 
 /// Per-predicate cardinalities and per-(pred, pos) distinct-value counts
@@ -54,18 +42,10 @@ struct PredicateStats {
 /// Statistics are a snapshot: evaluating a program on an instance that has
 /// since grown (or on a different instance entirely) is still *correct* —
 /// stale stats can only produce slower join orders, never wrong results.
-/// During a fixpoint run the snapshot is kept exact at O(delta) cost by
-/// Apply, which folds the merge barrier's newly-added facts into the
-/// counts; Refresh (a full recount of chosen predicates) remains for
-/// callers without a delta stream (see docs/EVALUATION.md).
-///
-/// On top of the exact counts sits a feedback layer: Observe folds a
-/// measured-vs-estimated row ratio into a damped per-predicate correction
-/// factor, clamped to [1/16, 16], which EstimateMatches multiplies into
-/// every estimate for that predicate. Corrections encode how far the
-/// uniformity/independence assumptions are off for a relation, so repeated
-/// plan-observe rounds converge toward measured selectivities
-/// (EvalOptions::plan_feedback).
+/// During a fixpoint run the evaluator keeps the snapshot exact at every
+/// planning point by recounting the predicates that changed (Refresh);
+/// Maintain folds each batch's net membership changes in at O(delta) cost
+/// (Apply). See docs/EVALUATION.md.
 class Stats {
  public:
   Stats() = default;
@@ -74,31 +54,19 @@ class Stats {
   static Stats Collect(const Instance& inst);
 
   /// Recounts just the given predicates from `inst`, leaving the rest of
-  /// the snapshot (and all correction factors) untouched.
+  /// the snapshot untouched.
   void Refresh(const Instance& inst, const std::vector<PredId>& preds);
 
-  /// Folds newly-added facts into the counts in O(|added| · arity): the
-  /// exact-maintenance path of the evaluator's merge barrier. The contract
-  /// is insert-only growth of the *counted* instance: this snapshot covered
-  /// every fact of `inst` except exactly the facts of `added` (which
-  /// `Instance::AddFact` has already deduplicated). Feeding a delta from a
-  /// different instance — or one containing already-counted facts — is a
-  /// programming error, caught by a fact-count MONDET_CHECK.
-  void Apply(const Instance& inst, std::span<const Fact> added);
-
-  /// Same insert-only fold, but the delta is given as global fact ids into
-  /// `inst` (what the evaluator's merge barrier holds) — no Fact
-  /// materialization, the columnar rows are read in place.
-  void Apply(const Instance& inst, std::span<const uint32_t> added_gids);
-
-  /// Deletion-aware variant: folds `added` in and `removed` out, in
-  /// O((|added| + |removed|) · arity). The contract generalizes the
-  /// insert-only one: this snapshot covered exactly
-  /// (facts of `inst`) ∖ added ∪ removed, with `added` and `removed`
-  /// disjoint sets of genuinely applied mutations (Instance::AddFact /
-  /// RemoveFact both report whether they changed the instance). Removing
-  /// a fact this snapshot never counted — including a double-delete —
-  /// breaks the equation or a per-value multiplicity and aborts.
+  /// Folds `added` in and `removed` out, in O((|added| + |removed|) ·
+  /// arity): Maintain's per-batch statistics update. The contract: this
+  /// snapshot covered exactly (facts of `inst`) ∖ added ∪ removed, with
+  /// `added` and `removed` disjoint sets of genuinely applied mutations
+  /// (Instance::AddFact / RemoveFact both report whether they changed the
+  /// instance). Feeding a delta from a different instance, one containing
+  /// already-counted facts, or removing a fact this snapshot never counted
+  /// — including a double-delete — breaks the equation or a per-value
+  /// multiplicity and aborts. Pass an empty `removed` for an insert-only
+  /// delta.
   void Apply(const Instance& inst, std::span<const Fact> added,
              std::span<const Fact> removed);
 
@@ -116,57 +84,12 @@ class Stats {
     return pos < d.size() ? d[pos] : 0;
   }
 
-  /// Feedback: the planner estimated `estimated` rows for a join step on
-  /// predicate `p` and measured `actual`. Folds the ratio into the
-  /// predicate's correction factor with square-root damping (one
-  /// observation moves the factor at most half the error, in log space)
-  /// and clamps both the per-observation ratio and the running factor to
-  /// [1/16, 16] so one pathological step cannot poison the model.
-  /// Observations with a nonpositive estimate carry no signal and are
-  /// ignored; `actual == 0` is treated as the lower ratio clamp (a strong
-  /// overestimate).
-  void Observe(PredId p, double estimated, double actual);
-
-  /// Positional feedback: the same measurement, plus which positions of
-  /// `p` the estimated probe had bound. With k > 0 bound positions the
-  /// error is attributed to those positions' correction factors — each
-  /// moves by ratio^(1/(2k)) in log space, so the combined positional
-  /// nudge equals the scalar overload's sqrt(ratio) — and the scalar
-  /// factor is left alone. With no bound position (a full scan: nothing
-  /// positional to blame) this degrades to the scalar overload.
-  void Observe(PredId p, const std::vector<bool>& bound_pos, double estimated,
-               double actual);
-
-  /// The current correction factor for `p` (1.0 when never observed).
-  double correction(PredId p) const {
-    return p < by_pred_.size() ? by_pred_[p].correction : 1.0;
-  }
-
-  /// The correction factor for probes binding position `pos` of `p`.
-  double pos_correction(PredId p, size_t pos) const {
-    if (p >= by_pred_.size()) return 1.0;
-    const auto& pc = by_pred_[p].pos_correction;
-    return pos < pc.size() ? pc[pos] : 1.0;
-  }
-
-  /// Number of predicates with any correction factor (scalar or
-  /// positional) differing from 1.0.
-  size_t ActiveCorrections() const;
-
-  /// Copies every correction factor of `from` into this snapshot (counts
-  /// are untouched). Lets a caller carry learned corrections across
-  /// evaluations: EvalOptions::feedback imports before planning and
-  /// exports after the run.
-  void ImportCorrections(const Stats& from);
-
   /// System-R style estimate of how many facts of `p` match a probe with
   /// the positions flagged in `bound_pos` already bound:
-  ///   corr(p) · |p| · prod_{i bound} poscorr(p, i) / max(1, distinct(p, i))
-  /// assuming uniform values and independent positions, scaled by the
-  /// predicate's scalar correction factor and by the positional factor of
-  /// every bound position. Returns 0 for an empty (or never-counted)
-  /// relation; results are fractional on purpose — the planner compares
-  /// them, it never rounds.
+  ///   |p| · prod_{i bound} 1 / max(1, distinct(p, i))
+  /// assuming uniform values and independent positions. Returns 0 for an
+  /// empty (or never-counted) relation; results are fractional on purpose
+  /// — the planner compares them, it never rounds.
   double EstimateMatches(PredId p, const std::vector<bool>& bound_pos) const;
 
   /// Same estimate, phrased for the planner's inner loop: `args[pos]` is

@@ -1,6 +1,7 @@
 #include "base/thread_pool.h"
 
 #include <atomic>
+#include <exception>
 
 namespace mondet {
 
@@ -10,6 +11,19 @@ namespace {
 /// nested ParallelFor runs inline instead of re-entering the pool.
 thread_local bool tls_in_pool_worker = false;
 
+/// Sets tls_in_pool_worker for its lifetime and restores the previous
+/// value on exit, including an exit by exception.
+class InPoolScope {
+ public:
+  InPoolScope() : was_(tls_in_pool_worker) { tls_in_pool_worker = true; }
+  ~InPoolScope() { tls_in_pool_worker = was_; }
+  InPoolScope(const InPoolScope&) = delete;
+  InPoolScope& operator=(const InPoolScope&) = delete;
+
+ private:
+  bool was_;
+};
+
 }  // namespace
 
 /// One ParallelFor call: w shards over [0, n), each with an atomic claim
@@ -18,6 +32,13 @@ thread_local bool tls_in_pool_worker = false;
 /// shard. `active` counts threads still claiming; the caller waits for it
 /// to reach zero — at that point every item has been claimed *and*
 /// finished, because a worker only leaves after completing its claims.
+///
+/// The first item to throw sets `failed` and stores its exception in
+/// `error`; from then on no worker claims another item, so `active` still
+/// reaches zero once the running items return, and the caller rethrows
+/// `error`. A worker that joins after the caller saw `active == 0` sees
+/// `failed` through its acquiring increment of `active`, so it never calls
+/// `fn` once the caller has returned.
 struct ThreadPool::Job {
   const std::function<void(size_t, int)>* fn = nullptr;
   size_t n = 0;
@@ -26,6 +47,8 @@ struct ThreadPool::Job {
   std::vector<size_t> begin, end;               // shard bounds
   std::atomic<int> next_worker{1};  // worker ids handed to pool threads
   std::atomic<int> active{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written once, by the thread that set failed
   std::mutex done_mu;
   std::condition_variable done_cv;
 
@@ -45,6 +68,7 @@ struct ThreadPool::Job {
   }
 
   bool done() const {
+    if (failed.load()) return true;
     for (int i = 0; i < shards; ++i) {
       if (head[i].load(std::memory_order_relaxed) < end[i]) return false;
     }
@@ -53,30 +77,36 @@ struct ThreadPool::Job {
 };
 
 void ThreadPool::RunShards(Job& job, int worker) {
-  bool was_worker = tls_in_pool_worker;
-  tls_in_pool_worker = true;
-  // Own shard first.
-  for (;;) {
-    size_t i = job.head[worker].fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.end[worker]) break;
-    (*job.fn)(i, worker);
-  }
-  // Steal from the shard with the most remaining items until all drained.
-  for (;;) {
-    int victim = -1;
-    size_t most = 0;
-    for (int s = 0; s < job.shards; ++s) {
-      size_t h = job.head[s].load(std::memory_order_relaxed);
-      if (h < job.end[s] && job.end[s] - h > most) {
-        most = job.end[s] - h;
-        victim = s;
-      }
+  InPoolScope in_pool;
+  try {
+    // Own shard first.
+    while (!job.failed.load()) {
+      size_t i = job.head[worker].fetch_add(1, std::memory_order_relaxed);
+      if (i >= job.end[worker]) break;
+      (*job.fn)(i, worker);
     }
-    if (victim < 0) break;
-    size_t i = job.head[victim].fetch_add(1, std::memory_order_relaxed);
-    if (i < job.end[victim]) (*job.fn)(i, worker);
+    // Steal from the shard with the most remaining items until all
+    // drained.
+    while (!job.failed.load()) {
+      int victim = -1;
+      size_t most = 0;
+      for (int s = 0; s < job.shards; ++s) {
+        size_t h = job.head[s].load(std::memory_order_relaxed);
+        if (h < job.end[s] && job.end[s] - h > most) {
+          most = job.end[s] - h;
+          victim = s;
+        }
+      }
+      if (victim < 0) break;
+      size_t i = job.head[victim].fetch_add(1, std::memory_order_relaxed);
+      if (i < job.end[victim]) (*job.fn)(i, worker);
+    }
+  } catch (...) {
+    bool first = false;
+    if (job.failed.compare_exchange_strong(first, true)) {
+      job.error = std::current_exception();
+    }
   }
-  tls_in_pool_worker = was_worker;
 }
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -115,7 +145,7 @@ void ThreadPool::WorkerLoop() {
         }
         continue;
       }
-      job->active.fetch_add(1, std::memory_order_relaxed);
+      job->active.fetch_add(1, std::memory_order_acq_rel);
     }
     RunShards(*job, worker);
     if (job->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -135,10 +165,9 @@ void ThreadPool::ParallelFor(
   if (w <= 1 || tls_in_pool_worker) {
     // Inline: no pool interaction (and no deadlock when called from a
     // worker). The worker id is 0 for every item, matching the contract.
-    bool was_worker = tls_in_pool_worker;
-    tls_in_pool_worker = true;
+    // An exception propagates directly; the scope still restores the flag.
+    InPoolScope in_pool;
     for (size_t i = 0; i < n; ++i) fn(i, 0);
-    tls_in_pool_worker = was_worker;
     return;
   }
   auto job = std::make_shared<Job>(fn, n, w);
@@ -164,6 +193,13 @@ void ThreadPool::ParallelFor(
         break;
       }
     }
+  }
+  // Move the exception out of the job: a pool thread may drop the last
+  // reference to `job`, and the exception object's reference count lives
+  // in the uninstrumented C++ runtime, so a release there would look to
+  // ThreadSanitizer like a race with the caller's handler.
+  if (std::exception_ptr error = std::move(job->error)) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -47,6 +47,10 @@ class ThreadPool {
   /// threads); blocks until every item has finished. `worker` is a dense
   /// id in [0, max_workers) identifying which scratch slot the item may
   /// use; the same worker id is never active on two threads at once.
+  ///
+  /// If an item throws, no further item starts; ParallelFor waits for the
+  /// items already running and then rethrows the first exception on the
+  /// calling thread, whichever worker raised it.
   void ParallelFor(size_t n, int max_workers,
                    const std::function<void(size_t item, int worker)>& fn);
 
@@ -60,7 +64,8 @@ class ThreadPool {
 
   void WorkerLoop();
   /// Participates in `job` as the given worker id until no more items can
-  /// be claimed; returns when the worker's contribution is done.
+  /// be claimed; returns when the worker's contribution is done. Never
+  /// throws: an item's exception is recorded in `job` instead.
   static void RunShards(Job& job, int worker);
 
   std::mutex mu_;

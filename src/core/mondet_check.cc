@@ -5,9 +5,7 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 
-#include "base/canonical.h"
 #include "base/check.h"
 #include "base/stats.h"
 #include "base/thread_pool.h"
@@ -72,9 +70,9 @@ std::optional<Instance> BuildDPrime(
 }
 
 /// Orders facts by (pred, args): the per-expansion test enumeration walks
-/// the image facts in this order, so the test numbering is a function of
-/// the image's fact *set* — identical whether the image was evaluated
-/// directly or translated out of the isomorphism memo.
+/// the image facts in this order, so the test numbering — and with it
+/// tests_run and the reported counterexample — is a function of the
+/// image's fact *set*, not of the order the evaluator derived it in.
 bool FactLess(const Fact& a, const Fact& b) {
   if (a.pred != b.pred) return a.pred < b.pred;
   return a.args < b.args;
@@ -157,16 +155,6 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
 
   const int nthreads = std::max(1, ResolveEvalThreads(options.num_threads));
   ThreadPool& pool = ThreadPool::Shared();
-  CanonicalTestCache cache;
-  // Memo for ViewSet::Image keyed by the expansion's isomorphism type:
-  // Datalog is generic, so for an isomorphism m : rep -> qi the image of
-  // qi is exactly m applied to the image of rep.
-  struct ImageMemoEntry {
-    Instance inst;
-    std::vector<ElemId> frontier;
-    std::vector<Fact> image_facts;
-  };
-  std::unordered_map<uint64_t, std::vector<ImageMemoEntry>> image_memo;
 
   bool all_tests_built = true;
   size_t tests_before = 0;  // Σ block sizes of completed expansions
@@ -175,41 +163,13 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   for (size_t ei = 0; ei < expansions.size(); ++ei) {
     const Expansion& qi = expansions[ei];
 
-    std::vector<Fact> image_facts;
-    bool memo_hit = false;
-    uint64_t qi_hash = 0;
-    if (options.test_cache) {
-      qi_hash = CanonicalHash(qi.inst, qi.frontier);
-      auto it = image_memo.find(qi_hash);
-      if (it != image_memo.end()) {
-        for (const ImageMemoEntry& entry : it->second) {
-          auto m = FindIsomorphism(entry.inst, entry.frontier, qi.inst,
-                                   qi.frontier);
-          if (!m) continue;
-          for (const Fact& f : entry.image_facts) {
-            std::vector<ElemId> args;
-            args.reserve(f.args.size());
-            for (ElemId a : f.args) args.push_back((*m)[a]);
-            image_facts.emplace_back(f.pred, std::move(args));
-          }
-          memo_hit = true;
-          break;
-        }
-      }
-    }
-    if (!memo_hit) {
-      // One image per expansion, instances a few facts each: like the
-      // query evals below, too small to amortize per-instance dataflow
-      // analysis.
-      EvalOptions img_opts;
-      img_opts.dataflow_prune = false;
-      Instance raw = views.Image(qi.inst, nullptr, img_opts);
-      image_facts = raw.AllFacts();
-      if (options.test_cache) {
-        image_memo[qi_hash].push_back(
-            ImageMemoEntry{qi.inst, qi.frontier, image_facts});
-      }
-    }
+    // One image per expansion, instances a few facts each: like the
+    // query evals below, too small to amortize per-instance dataflow
+    // analysis.
+    EvalOptions img_opts;
+    img_opts.dataflow_prune = false;
+    std::vector<Fact> image_facts =
+        views.Image(qi.inst, nullptr, img_opts).AllFacts();
     std::sort(image_facts.begin(), image_facts.end(), FactLess);
     Instance image(vocab);
     image.EnsureElements(qi.inst.num_elements());
@@ -281,7 +241,6 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
 
     std::atomic<size_t> best{kNoTest};
     std::vector<std::vector<const Expansion*>> scratch(nthreads);
-    std::vector<size_t> hits(nthreads, 0), misses(nthreads, 0);
     pool.ParallelFor(block, nthreads, [&](size_t t, int w) {
       // Only skip tests above a known failure: `best` never increases, so
       // the minimum failing index is always evaluated.
@@ -294,36 +253,21 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
       // paper states the Boolean case; the tuple version is the natural
       // non-Boolean extension). Inner evaluations stay single-threaded —
       // the parallelism budget is spent on the test fan-out.
-      auto run = [&] {
-        EvalOptions eopts;
-        eopts.num_threads = 1;
-        if (block_stats) eopts.stats = &*block_stats;
-        // Thousands of µs-scale evals per check: the per-instance
-        // dataflow analysis can never amortize here, same reason the
-        // stats snapshot above bypasses live collection.
-        eopts.dataflow_prune = false;
-        return compiled_query.Eval(*dprime, nullptr, eopts)
-            .HasFact(query.goal, qi.frontier);
-      };
-      bool holds;
-      if (options.test_cache) {
-        bool hit = false;
-        holds = cache.GetOrCompute(*dprime, qi.frontier, run, &hit);
-        ++(hit ? hits : misses)[w];
-      } else {
-        holds = run();
-      }
-      if (!holds) {
+      EvalOptions eopts;
+      eopts.num_threads = 1;
+      if (block_stats) eopts.stats = &*block_stats;
+      // Thousands of µs-scale evals per check: the per-instance dataflow
+      // analysis can never amortize here, same reason the stats snapshot
+      // above bypasses live collection.
+      eopts.dataflow_prune = false;
+      if (!compiled_query.Eval(*dprime, nullptr, eopts)
+               .HasFact(query.goal, qi.frontier)) {
         size_t cur = best.load(std::memory_order_relaxed);
         while (t < cur && !best.compare_exchange_weak(
                               cur, t, std::memory_order_acq_rel)) {
         }
       }
     });
-    for (int w = 0; w < nthreads; ++w) {
-      result.cache_hits += hits[w];
-      result.cache_misses += misses[w];
-    }
 
     size_t t_fail = best.load(std::memory_order_acquire);
     if (t_fail != kNoTest) {

@@ -59,15 +59,6 @@ struct MonDetOptions {
   /// (ResolveEvalThreads). The result — verdict, counterexample,
   /// tests_run, expansions_tried — is identical for every thread count.
   int num_threads = 0;
-  /// Canonical-form deduplication: run each D' isomorphism type once
-  /// (CanonicalTestCache) and memoize ViewSet::Image per expansion type.
-  /// On or off, the result is bit-identical; only the work differs. Off by
-  /// default: the canonical hash costs ~O(|D'| log |D'|) per test, which
-  /// only pays off when per-test evaluation dominates it (deep recursive
-  /// queries, large D'). On the Table 2 gadget families evaluation is a
-  /// few µs per test and the hash is pure overhead — see
-  /// docs/EVALUATION.md for measured crossover numbers.
-  bool test_cache = false;
 };
 
 struct MonDetResult {
@@ -75,12 +66,6 @@ struct MonDetResult {
   std::optional<FailingTest> failure;
   size_t tests_run = 0;
   size_t expansions_tried = 0;
-  /// Canonical test-cache traffic (both 0 when MonDetOptions::test_cache
-  /// is off). Unlike the counters above these are NOT deterministic
-  /// across thread counts: concurrent misses on one isomorphism type may
-  /// each compute before either stores.
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
   /// Precondition violations when verdict == kInvalidInput.
   std::vector<Diagnostic> diagnostics;
 };

@@ -26,9 +26,7 @@ void EvalStats::Accumulate(const EvalStats& other) {
   join_probes += other.join_probes;
   replans += other.replans;
   rules_pruned += other.rules_pruned;
-  stats_applies += other.stats_applies;
   stats_facts_counted += other.stats_facts_counted;
-  corrections_active = std::max(corrections_active, other.corrections_active);
   wall_seconds += other.wall_seconds;
   strata.insert(strata.end(), other.strata.begin(), other.strata.end());
 }
@@ -42,10 +40,8 @@ std::string EvalStats::Summary() const {
   }
   os << " probes=" << join_probes << " replans=" << replans;
   if (rules_pruned > 0) os << " pruned=" << rules_pruned;
-  os << " stats_applies=" << stats_applies
-     << " stats_counted=" << stats_facts_counted
-     << " corrections=" << corrections_active
-     << " strata=" << strata.size() << " wall_ms=" << wall_seconds * 1000.0;
+  os << " stats_counted=" << stats_facts_counted << " strata=" << strata.size()
+     << " wall_ms=" << wall_seconds * 1000.0;
   return os.str();
 }
 
@@ -234,20 +230,6 @@ std::string CompiledProgram::DescribePlansText() const {
     }
     os << "\n";
   }
-  if (bound_stats_ && bound_stats_->ActiveCorrections() > 0) {
-    os << "corrections:";
-    for (PredId p = 0; p < vocab.size(); ++p) {
-      double c = bound_stats_->correction(p);
-      if (c != 1.0) os << " " << vocab.name(p) << " x" << FormatEst(c);
-      for (int pos = 0; pos < vocab.arity(p); ++pos) {
-        double pcv = bound_stats_->pos_correction(p, static_cast<size_t>(pos));
-        if (pcv != 1.0) {
-          os << " " << vocab.name(p) << "[" << pos << "] x" << FormatEst(pcv);
-        }
-      }
-    }
-    os << "\n";
-  }
   return os.str();
 }
 
@@ -317,7 +299,7 @@ void CompiledProgram::Join(const RulePlan& plan,
 void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
                               size_t* probes, DerivedBuffer* out) const {
   if (item.kernel != nullptr) {
-    KernelCounters c{0, item.step_rows, item.seedings};
+    KernelCounters c{0, item.step_rows};
     if (item.rec < 0) {
       RunKernelFull(*item.kernel, target, c, out);
     } else {
@@ -330,7 +312,6 @@ void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
   const std::vector<uint32_t>& order = *item.order;
   std::vector<ElemId> map(plan.num_vars, kNoElem);
   if (item.rec < 0) {
-    if (item.seedings) ++(*item.seedings);
     Join(plan, order, 0, map, target, probes, item.step_rows, out);
     return;
   }
@@ -350,10 +331,7 @@ void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
         break;
       }
     }
-    if (ok) {
-      if (item.seedings) ++(*item.seedings);
-      Join(plan, order, 0, map, target, probes, item.step_rows, out);
-    }
+    if (ok) Join(plan, order, 0, map, target, probes, item.step_rows, out);
     for (VarId v : bound_here) map[v] = kNoElem;
   }
 }
@@ -388,10 +366,10 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   // from the evolving result and re-plan as relations grow; a snapshot
   // plans every stratum once (stale-tolerant); with the planner off —
   // or on an input too small for planning to pay for itself — the
-  // compile-time orders run as-is. Live statistics are maintained
-  // incrementally by default: each merge barrier folds its added facts
-  // into the snapshot (Stats::Apply, O(delta)), so the counts are exact
-  // everywhere and no per-stratum recount runs.
+  // compile-time orders run as-is. Live statistics are exact at every
+  // planning point: a stratum only grows its own predicates, so
+  // recounting the previous stratum's on entry and the stratum's own at
+  // each re-plan (Stats::Refresh) covers every change since Collect.
   const bool use_stats =
       options.stats_planner &&
       (options.stats != nullptr ||
@@ -413,19 +391,8 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       (options.kernel_min_facts == 0 ||
        input.num_facts() >= plans_.size() * 4);
   const bool live_stats = use_stats && options.stats == nullptr;
-  const bool incremental = live_stats && options.stats_incremental;
-  // Feedback needs measurements (plan_stats) and a mutable model (live
-  // planning); with both, measured-vs-estimated row ratios fold into
-  // per-predicate correction factors at every re-plan and stratum close.
-  const bool feedback_on =
-      live_stats && options.plan_stats && options.plan_feedback;
   Stats live;
-  if (live_stats) {
-    live = Stats::Collect(result);
-    if (feedback_on && options.feedback) {
-      live.ImportCorrections(*options.feedback);
-    }
-  }
+  if (live_stats) live = Stats::Collect(result);
   const Stats* planning =
       use_stats ? (options.stats ? options.stats : &live) : nullptr;
 
@@ -465,20 +432,11 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       }
     }
     ss->facts_derived += added.size();
-    if (incremental) {
-      // The merge barrier is the one place facts enter `result`, so
-      // applying each round's delta keeps the live counts exact for the
-      // whole run at O(delta) cost.
-      live.Apply(result, added);
-      ++ss->stats_applies;
-      ss->stats_facts_counted += added.size();
-    }
     return added;
   };
 
   // Preds of the previous stratum, whose live counts go stale on entry to
-  // the next one — only on the recount path; incremental maintenance
-  // keeps every count exact at the merge barrier.
+  // the next one.
   std::vector<PredId> prev_preds;
 
   for (const Stratum& stratum : strata_) {
@@ -487,7 +445,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     std::vector<PredId> stratum_preds(stratum.preds.begin(),
                                       stratum.preds.end());
     std::sort(stratum_preds.begin(), stratum_preds.end());
-    if (live_stats && !incremental && !prev_preds.empty()) {
+    if (live_stats && !prev_preds.empty()) {
       for (PredId p : prev_preds) {
         ss.stats_facts_counted += result.NumRows(p);
       }
@@ -504,7 +462,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       std::vector<uint32_t> order;
       std::vector<double> est;
       std::vector<size_t> actual;
-      size_t seedings = 0;
       JoinKernel kernel;
       // Lazy lowering: 0 = not yet tried for the current order, 1 =
       // kernel valid, 2 = shape unsupported (interpreter). Reset to 0 on
@@ -530,10 +487,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           // The planned order invalidates any kernel lowered from the
           // previous one; kernel_for re-lowers on the seat's next run.
           sp[s].kernel_state = 0;
-          if (options.plan_stats) {
-            sp[s].actual.assign(sp[s].order.size(), 0);
-            sp[s].seedings = 0;
-          }
+          if (options.plan_stats) sp[s].actual.assign(sp[s].order.size(), 0);
         }
       }
     };
@@ -561,45 +515,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       return sp.kernel_state == 1 ? &sp.kernel : nullptr;
     };
 
-    // Feedback: compare each executed seat's per-step fanout against the
-    // estimate it was planned under and fold the ratio into the stepped
-    // atom's predicate correction (Stats::Observe). Estimates are per
-    // seeding while the measured counters sum over seedings, so step 0
-    // normalizes by the seeding count and later steps use the previous
-    // step's rows as the denominator (which cancels it). Runs before
-    // every re-plan (counters reset with the new order) and at stratum
-    // close, so later plans in this very run see the corrections.
-    auto fold_feedback = [&] {
-      if (!feedback_on) return;
-      for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const RulePlan& plan = plans_[stratum.plans[k]];
-        for (size_t s = 0; s < seats[k].size(); ++s) {
-          SeatPlan& sp = seats[k][s];
-          if (sp.seedings == 0 || sp.est.size() != sp.order.size()) continue;
-          // Replay which variables are bound on entry to each step, so the
-          // observed ratio lands on the stepped atom's *bound positions* —
-          // the per-(pred,pos) correction factors the planner divides by.
-          std::vector<bool> bound_var = plan.seats[s].bound0;
-          for (size_t step = 0; step < sp.order.size(); ++step) {
-            const QAtom& atom = plan.body[sp.order[step]];
-            double est_prev = step == 0 ? 1.0 : sp.est[step - 1];
-            double act_prev = step == 0
-                                  ? static_cast<double>(sp.seedings)
-                                  : static_cast<double>(sp.actual[step - 1]);
-            // Zero rows upstream: the step never executed, no signal.
-            if (!(est_prev > 0.0) || act_prev <= 0.0) break;
-            std::vector<bool> mask(atom.args.size(), false);
-            for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-              mask[pos] = bound_var[atom.args[pos]];
-            }
-            live.Observe(atom.pred, mask, sp.est[step] / est_prev,
-                         static_cast<double>(sp.actual[step]) / act_prev);
-            for (VarId v : atom.args) bound_var[v] = true;
-          }
-        }
-      }
-    };
-
     // Cardinalities the current orders were planned under; a stratum
     // relation doubling (or appearing) since then triggers a re-plan.
     std::vector<std::pair<PredId, size_t>> planned_card;
@@ -621,10 +536,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       w.plan = stratum.plans[k];
       w.order = &seats[k][0].order;
       w.kernel = kernel_for(k, 0);
-      if (options.plan_stats) {
-        w.step_rows = &seats[k][0].actual;
-        w.seedings = &seats[k][0].seedings;
-      }
+      if (options.plan_stats) w.step_rows = &seats[k][0].actual;
       round0.push_back(w);
     }
     ss.iterations = 1;
@@ -647,13 +559,10 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           }
         }
         if (replan) {
-          fold_feedback();
-          if (!incremental) {
-            for (PredId p : stratum_preds) {
-              ss.stats_facts_counted += result.NumRows(p);
-            }
-            live.Refresh(result, stratum_preds);
+          for (PredId p : stratum_preds) {
+            ss.stats_facts_counted += result.NumRows(p);
           }
+          live.Refresh(result, stratum_preds);
           plan_seats(false);
           for (auto& [p, card] : planned_card) {
             card = result.NumRows(p);
@@ -688,10 +597,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           w.delta_rows = &it->second;
           w.order = &seats[k][1 + r].order;
           w.kernel = kernel_for(k, 1 + r);
-          if (options.plan_stats) {
-            w.step_rows = &seats[k][1 + r].actual;
-            w.seedings = &seats[k][1 + r].seedings;
-          }
+          if (options.plan_stats) w.step_rows = &seats[k][1 + r].actual;
           items.push_back(w);
         }
       }
@@ -699,7 +605,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       ++ss.iterations;
       delta = run_round(items, &ss);
     }
-    fold_feedback();
     if (options.plan_stats) {
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
         const uint32_t pi = stratum.plans[k];
@@ -713,7 +618,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           j.order = std::move(seats[k][s].order);
           j.est_rows = std::move(seats[k][s].est);
           j.actual_rows = std::move(seats[k][s].actual);
-          j.seedings = seats[k][s].seedings;
           ss.seats.push_back(std::move(j));
         }
       }
@@ -723,14 +627,9 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     run.facts_derived += ss.facts_derived;
     run.join_probes += ss.join_probes;
     run.replans += ss.replans;
-    run.stats_applies += ss.stats_applies;
     run.stats_facts_counted += ss.stats_facts_counted;
     run.strata.push_back(std::move(ss));
     prev_preds = std::move(stratum_preds);
-  }
-  if (live_stats) run.corrections_active = live.ActiveCorrections();
-  if (feedback_on && options.feedback) {
-    options.feedback->ImportCorrections(live);
   }
   run.wall_seconds = SecondsSince(t_start);
   if (stats) stats->Accumulate(run);
@@ -971,7 +870,6 @@ MaintainResult CompiledProgram::Maintain(Materialization& m,
     run.facts_retracted = res.deletes.size();
     run.overdeleted = res.overdeleted;
     run.rederived = res.rederived;
-    run.stats_applies = 1;
     run.stats_facts_counted = res.inserts.size() + res.deletes.size();
     run.wall_seconds = SecondsSince(t_start);
     stats->Accumulate(run);

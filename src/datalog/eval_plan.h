@@ -26,50 +26,31 @@ struct EvalOptions {
   int num_threads = 0;
   /// Statistics-driven join planning (the default): score join orders by
   /// estimated selectivity from per-predicate statistics — `stats` when
-  /// set, otherwise statistics collected live from the evolving result,
-  /// re-planned per stratum as the relations grow (docs/EVALUATION.md
-  /// documents the cost model). When false, Eval runs the compile-time
-  /// orders: EDB-first greedy, or the orders fixed by BindStats.
+  /// set, otherwise exact statistics of the evolving result (collected at
+  /// the start of the run, the changed predicates recounted per stratum
+  /// and per re-plan), re-planned as the relations grow
+  /// (docs/EVALUATION.md documents the cost model). When false, Eval runs
+  /// the compile-time orders: EDB-first greedy, or the orders fixed by
+  /// BindStats.
   bool stats_planner = true;
   /// Plan from this (possibly stale) snapshot instead of collecting live
   /// statistics; suppresses in-run re-planning. Stale stats can only
   /// produce slower orders, never wrong results. Ignored when
   /// stats_planner is false. Not owned; must outlive the Eval call.
   const Stats* stats = nullptr;
-  /// Maintain the live statistics incrementally: every merge barrier folds
-  /// its newly-added facts into the snapshot via Stats::Apply (O(delta)),
-  /// so the counts are exact at every re-plan and no per-stratum recount
-  /// ever runs. When false, Eval falls back to the recount discipline
-  /// (Stats::Refresh of the stale predicates per stratum / re-plan) —
-  /// kept for the incremental-vs-recount bench comparison.
-  bool stats_incremental = true;
   /// The planner's own cost gate: below this many input facts, planning
-  /// cannot pay for itself, so Eval runs the compile-time orders. Even
-  /// with incremental maintenance the per-run cost — one Collect with a
-  /// sort per column plus a SelectivityAtomOrder pass per rule — takes
-  /// tens of µs, which dominates a µs-scale eval outright (the checker's
-  /// canonical-test loops issue thousands of those), so the gate sits at
-  /// 64 facts. Set to 0 to force live planning on any input (the
-  /// differential and convergence tests do); a caller-supplied `stats`
-  /// snapshot bypasses the gate.
+  /// cannot pay for itself, so Eval runs the compile-time orders. The
+  /// per-run cost — one Collect with a sort per column plus a
+  /// SelectivityAtomOrder pass per rule — takes tens of µs, which
+  /// dominates a µs-scale eval outright (the checker's canonical-test
+  /// loops issue thousands of those), so the gate sits at 64 facts. Set to
+  /// 0 to force live planning on any input (the differential tests do); a
+  /// caller-supplied `stats` snapshot bypasses the gate.
   size_t stats_min_facts = 64;
   /// Record the join order each (rule, delta seat) actually ran with,
   /// plus estimated vs. measured intermediate sizes, into
   /// StratumStats::seats. Small per-match cost; off by default.
   bool plan_stats = false;
-  /// Feedback: fold each seat's measured-vs-estimated per-step row counts
-  /// into per-predicate correction factors (Stats::Observe) at every
-  /// re-plan and stratum close, so later plans in the same run use
-  /// measured selectivities. Needs measurements, so it only engages when
-  /// plan_stats is on and planning is live (no `stats` snapshot).
-  bool plan_feedback = true;
-  /// Cross-run feedback accumulator (not owned, may be null): its
-  /// correction factors are imported into the live statistics before
-  /// planning, and the corrections learned during the run are exported
-  /// back after it — so repeated evaluations converge toward measured
-  /// selectivities (see the convergence test). Only consulted when
-  /// plan_feedback engages.
-  Stats* feedback = nullptr;
   /// Abstract-interpretation pruning (analysis/dataflow.h): before the
   /// stratum loop, run the emptiness/constant-set fixpoint seeded from
   /// the input and skip seating the provably-dead rules — their bodies
@@ -121,12 +102,9 @@ struct JoinSeatStats {
   int delta_atom = -1;               // -1 = the initial full join
   std::vector<uint32_t> order;       // body atom indices, join order
   std::vector<double> est_rows;      // planner estimate after each step
-  std::vector<size_t> actual_rows;   // measured rows after each step
-  // How many times this seat's join was seeded: 1 for the initial full
-  // join, one per successfully-bound delta fact otherwise. est_rows is a
-  // per-seeding estimate while actual_rows sums over seedings; dividing
-  // by this makes the two comparable (the feedback layer does).
-  size_t seedings = 0;
+  // Measured rows after each step, summed over every seeding of the join
+  // (one per bound delta fact), while est_rows is per seeding.
+  std::vector<size_t> actual_rows;
 };
 
 /// Counters for one stratum of a fixpoint run.
@@ -135,10 +113,9 @@ struct StratumStats {
   size_t facts_derived = 0;  // new facts this stratum added
   size_t join_probes = 0;    // candidate facts scanned by index joins
   size_t replans = 0;        // mid-stratum join-order recomputations
-  size_t stats_applies = 0;  // merge barriers folded in via Stats::Apply
-  // Facts the statistics machinery touched this stratum: delta sizes on
-  // the incremental path, full per-predicate row counts per recount on
-  // the Refresh path. The O(stratum facts) -> O(delta) drop shows here.
+  // Facts the statistics machinery recounted this stratum (Stats::Refresh
+  // of the previous stratum's predicates on entry and of this stratum's
+  // on every re-plan).
   size_t stats_facts_counted = 0;
   double wall_seconds = 0;
   std::vector<JoinSeatStats> seats;  // only with EvalOptions::plan_stats
@@ -158,17 +135,13 @@ struct EvalStats {
   size_t join_probes = 0;
   size_t replans = 0;
   size_t rules_pruned = 0;  // rules skipped by EvalOptions::dataflow_prune
-  size_t stats_applies = 0;        // sum over strata (see StratumStats)
-  size_t stats_facts_counted = 0;  // sum over strata (see StratumStats)
-  // Predicates whose feedback correction factor ended the run away from
-  // 1.0 (Stats::ActiveCorrections of the planning statistics). Accumulate
-  // keeps the max across runs, not the sum — it is a gauge, not a counter.
-  size_t corrections_active = 0;
+  // Sum over strata (see StratumStats); Maintain adds its batch's net
+  // membership changes, the facts its Stats::Apply folds in.
+  size_t stats_facts_counted = 0;
   double wall_seconds = 0;
   std::vector<StratumStats> strata;
 
-  /// Adds the scalar totals (max for corrections_active) and appends the
-  /// strata of `other`.
+  /// Adds the scalar totals and appends the strata of `other`.
   void Accumulate(const EvalStats& other);
 
   /// One-line rendering for bench labels / logs.
@@ -199,6 +172,9 @@ struct FactDelta {
 /// `inst` bit-identical (as a fact set, with counts and statistics) to a
 /// fresh Materialize of the current base — is the maintenance engine's
 /// headline correctness contract (tests/maintenance_differential_test.cc).
+/// `stats` is the only snapshot that ever takes a delta: Maintain folds
+/// each batch in with Stats::Apply, which builds the per-value maps
+/// (Stats::EnsureMaps) just for the predicates the batch touches.
 struct Materialization {
   Instance inst;
   Stats stats;
@@ -300,10 +276,7 @@ class CompiledProgram {
   /// seat), stable enough to pin in golden tests:
   ///   rule 0 (Head) full: R S(~4) T(~2.5)
   ///   rule 0 (Head) delta[1:S]: T R
-  /// The (~n) estimates appear only when stats are bound. When the bound
-  /// stats carry feedback corrections (Stats::Observe), a final line
-  /// renders the correction table:
-  ///   corrections: R x0.25 S x4
+  /// The (~n) estimates appear only when stats are bound.
   std::string DescribePlansText() const;
 
  private:
@@ -356,7 +329,6 @@ class CompiledProgram {
     const std::vector<uint32_t>* order = nullptr;
     const JoinKernel* kernel = nullptr;        // null = generic interpreter
     std::vector<size_t>* step_rows = nullptr;  // per-depth match counters
-    size_t* seedings = nullptr;                // successful join seedings
   };
 
   /// Computes the join order for seat `seat` of `plan` (0 = full join,

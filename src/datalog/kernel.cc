@@ -244,7 +244,6 @@ void RunKernelFull(const JoinKernel& k, const Instance& target,
     frame = frame_heap.data();
   }
   RunCtx ctx{k, target, frame, c, out, FaultSkipKernelRow()};
-  if (c.seedings) ++(*c.seedings);
   RunSteps(ctx, 0);
 }
 
@@ -275,7 +274,6 @@ void RunKernelDelta(const JoinKernel& k, const Instance& target,
       }
     }
     if (!ok) continue;
-    if (c.seedings) ++(*c.seedings);
     RunSteps(ctx, 0);
   }
 }

@@ -78,12 +78,10 @@ struct JoinKernel {
 
 /// Per-run counters, matching the generic interpreter's semantics:
 /// `probes` counts candidate rows scanned (bucket sizes; 1 per membership
-/// test), `step_rows[d]` counts rows surviving step d's checks, `seedings`
-/// successful seat bindings (1 for a full join).
+/// test), `step_rows[d]` counts rows surviving step d's checks.
 struct KernelCounters {
   size_t probes = 0;
   std::vector<size_t>* step_rows = nullptr;
-  size_t* seedings = nullptr;
 };
 
 /// Flat derived-head buffer: `count` heads of one rule, their arguments

@@ -94,8 +94,13 @@ class Parser {
   }
 
   bool Fail(const std::string& msg, const std::string& check = "parse") {
+    return FailAt(pos_, msg, check);
+  }
+
+  bool FailAt(size_t at, const std::string& msg,
+              const std::string& check = "parse") {
     SourceLoc loc;
-    LineColAt(text_, pos_, &loc.line, &loc.col);
+    LineColAt(text_, at, &loc.line, &loc.col);
     diags_.push_back(MakeDiagnostic(Severity::kError, check, msg, loc));
     return false;
   }
@@ -104,24 +109,32 @@ class Parser {
   /// predicate and returns the atom; nullopt on error.
   std::optional<QAtom> ParseAtom(RuleBuilder* builder,
                                  std::vector<std::string>* arg_names) {
+    SkipWs();
+    const size_t name_pos = pos_;
     auto name = Identifier();
     if (!name) {
       Fail("expected predicate name");
       return std::nullopt;
     }
+    // An argument list cut off by the end of input is reported at the
+    // atom it belongs to: the end-of-input position names no useful line.
+    auto fail_args = [&](const std::string& msg) {
+      if (pos_ < text_.size()) return Fail(msg);
+      return FailAt(name_pos, "unterminated atom " + *name + ": " + msg);
+    };
     arg_names->clear();
     if (Eat('(')) {
       if (!Eat(')')) {
         while (true) {
           auto var = Identifier();
           if (!var) {
-            Fail("expected variable name");
+            fail_args("expected variable name");
             return std::nullopt;
           }
           arg_names->push_back(*var);
           if (Eat(')')) break;
           if (!Eat(',')) {
-            Fail("expected ',' or ')'");
+            fail_args("expected ',' or ')'");
             return std::nullopt;
           }
         }
@@ -346,32 +359,44 @@ std::optional<Instance> ParseInstance(const std::string& text,
     }
     return false;
   };
-  auto fail = [&](const std::string& check, const std::string& msg) {
+  auto fail_at = [&](size_t at, const std::string& check,
+                     const std::string& msg) {
     if (diagnostics) {
       SourceLoc loc;
-      LineColAt(text, pos, &loc.line, &loc.col);
+      LineColAt(text, at, &loc.line, &loc.col);
       diagnostics->push_back(
           MakeDiagnostic(Severity::kError, check, msg, loc));
     }
     return std::optional<Instance>();
   };
+  auto fail = [&](const std::string& check, const std::string& msg) {
+    return fail_at(pos, check, msg);
+  };
   skip_ws();
   while (pos < text.size()) {
+    const size_t name_pos = pos;
     auto pred_name = ident();
     if (!pred_name) return fail("parse", "expected predicate name");
+    // As in the rule parser: a fact cut off by the end of input is
+    // reported at its predicate name.
+    auto fail_args = [&](const std::string& msg) {
+      if (pos < text.size()) return fail("parse", msg);
+      return fail_at(name_pos, "parse",
+                     "unterminated atom " + *pred_name + ": " + msg);
+    };
     std::vector<ElemId> args;
     if (eat('(')) {
       if (!eat(')')) {
         while (true) {
           auto elem_name = ident();
-          if (!elem_name) return fail("parse", "expected element name");
+          if (!elem_name) return fail_args("expected element name");
           auto it = elems.find(*elem_name);
           if (it == elems.end()) {
             it = elems.emplace(*elem_name, inst.AddElement(*elem_name)).first;
           }
           args.push_back(it->second);
           if (eat(')')) break;
-          if (!eat(',')) return fail("parse", "expected ',' or ')'");
+          if (!eat(',')) return fail_args("expected ',' or ')'");
         }
       }
     }

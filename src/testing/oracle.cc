@@ -126,8 +126,8 @@ class EvalOracle : public Oracle {
 // --- plan-differential ------------------------------------------------------
 // Port of tests/plan_differential_test.cc: the stats-driven planner
 // agrees with the naive oracle, is deterministic across threads,
-// invariant under planner/feedback/pruning toggles, and never executes a
-// cross product on a connected join graph.
+// invariant under planner/pruning toggles, and never executes a cross
+// product on a connected join graph.
 
 /// True when the rule's join graph — body atoms as nodes, edges between
 /// atoms sharing a variable — has a single component (nullary excluded).
@@ -242,15 +242,7 @@ class PlanOracle : public Oracle {
       return Fail(c, *d);
     }
 
-    // 4. Feedback corrections off: same fact set.
-    EvalOptions opt_nofb = opt1;
-    opt_nofb.plan_feedback = false;
-    Instance nofb = compiled.Eval(inst, nullptr, opt_nofb);
-    if (auto d = DiffSets(naive, nofb, "naive vs feedback-off")) {
-      return Fail(c, *d);
-    }
-
-    // 5. Executed-seat sanity + no cross products on connected graphs.
+    // 4. Executed-seat sanity + no cross products on connected graphs.
     bool saw_seat = false;
     for (const StratumStats& ss : stats1.strata) {
       for (const JoinSeatStats& seat : ss.seats) {
@@ -284,7 +276,7 @@ class PlanOracle : public Oracle {
                          " != dead-rule count " + std::to_string(n_dead));
     }
 
-    // 6. Dataflow pruning off: byte-identical sequences, both threads.
+    // 5. Dataflow pruning off: byte-identical sequences, both threads.
     EvalOptions opt_noprune1 = opt1;
     opt_noprune1.dataflow_prune = false;
     EvalOptions opt_noprune4 = opt4;
@@ -713,7 +705,7 @@ class DataflowOracle : public Oracle {
 
 // --- mondet-parallel --------------------------------------------------------
 // Port of tests/mondet_parallel_test.cc: CheckMonotonicDeterminacy is
-// bit-identical across thread counts and cache settings.
+// bit-identical across thread counts.
 
 std::optional<std::string> DiffMonDetInstances(const Instance& a,
                                                const Instance& b,
@@ -781,38 +773,12 @@ class ParallelOracle : public Oracle {
     base.max_query_expansions = 24;
     base.max_tests_per_expansion = 48;
 
-    MonDetOptions t1 = base, t4 = base, t1n = base, t4n = base;
+    MonDetOptions t1 = base, t4 = base;
     t1.num_threads = 1;
-    t1.test_cache = true;
     t4.num_threads = 4;
-    t4.test_cache = true;
-    t1n.num_threads = 1;
-    t1n.test_cache = false;
-    t4n.num_threads = 4;
-    t4n.test_cache = false;
-
     MonDetResult r1 = CheckMonotonicDeterminacy(query, views, t1);
     MonDetResult r4 = CheckMonotonicDeterminacy(query, views, t4);
-    MonDetResult r1n = CheckMonotonicDeterminacy(query, views, t1n);
-    MonDetResult r4n = CheckMonotonicDeterminacy(query, views, t4n);
-
-    if (auto d = DiffMonDetResults(r1, r4, "1T vs 4T (cache)")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffMonDetResults(r1, r1n, "cache vs no-cache (1T)")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffMonDetResults(r1, r4n, "1T cache vs 4T no-cache")) {
-      return Fail(c, *d);
-    }
-    if (r1n.cache_hits + r1n.cache_misses != 0 ||
-        r4n.cache_hits + r4n.cache_misses != 0) {
-      return Fail(c, "cache-off run touched the cache");
-    }
-    if (r1.verdict != Verdict::kInvalidInput &&
-        r1.cache_hits + r1.cache_misses > r1.tests_run) {
-      return Fail(c, "cache traffic exceeds tests_run");
-    }
+    if (auto d = DiffMonDetResults(r1, r4, "1T vs 4T")) return Fail(c, *d);
     return Pass();
   }
 };

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
-#include "base/canonical.h"
 #include "base/gaifman.h"
 #include "base/homomorphism.h"
 #include "base/instance.h"
@@ -325,54 +326,71 @@ TEST(ThreadPool, SharedPoolSupportsFourWayFanOut) {
   EXPECT_GE(ThreadPool::Shared().num_threads() + 1, 4);
 }
 
-// ---------------------------------------------------------------------------
-// Canonical forms (base/canonical.h): order-independent instance hashing,
-// isomorphism checking, and the D'-test cache built on them.
+// An exception type of its own, so a test can tell that the caller got the
+// item's exception and not some other failure.
+struct ItemError {
+  int worker = -1;
+};
 
-TEST(Canonical, HashInvariantUnderRenamingAndFactOrder) {
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  PredId u = vocab->AddPredicate("U", 1);
-  Instance a(vocab);
-  ElemId a0 = a.AddElement(), a1 = a.AddElement(), a2 = a.AddElement();
-  a.AddFact(r, {a0, a1});
-  a.AddFact(r, {a1, a2});
-  a.AddFact(u, {a2});
-  // Same shape, elements permuted and facts inserted in another order.
-  Instance b(vocab);
-  ElemId b0 = b.AddElement(), b1 = b.AddElement(), b2 = b.AddElement();
-  b.AddFact(u, {b0});
-  b.AddFact(r, {b1, b0});
-  b.AddFact(r, {b2, b1});
-  EXPECT_EQ(CanonicalHash(a, {a0}), CanonicalHash(b, {b2}));
-  // A different tuple anchor distinguishes them.
-  EXPECT_NE(CanonicalHash(a, {a0}), CanonicalHash(b, {b0}));
+void SleepAboutOneMs() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
-TEST(Canonical, FindIsomorphismOnPathsAndNonIso) {
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  Instance a(vocab);
-  ElemId a0 = a.AddElement(), a1 = a.AddElement(), a2 = a.AddElement();
-  a.AddFact(r, {a0, a1});
-  a.AddFact(r, {a1, a2});
-  Instance b(vocab);
-  ElemId b0 = b.AddElement(), b1 = b.AddElement(), b2 = b.AddElement();
-  b.AddFact(r, {b2, b0});
-  b.AddFact(r, {b0, b1});
-  auto iso = FindIsomorphism(a, {a0}, b, {b2});
-  ASSERT_TRUE(iso.has_value());
-  EXPECT_EQ((*iso)[a0], b2);
-  EXPECT_EQ((*iso)[a1], b0);
-  EXPECT_EQ((*iso)[a2], b1);
-  // Anchoring the tuple at the wrong end rules the isomorphism out.
-  EXPECT_FALSE(FindIsomorphism(a, {a0}, b, {b1}).has_value());
-  // A 2-cycle is not isomorphic to a path.
-  Instance c(vocab);
-  ElemId c0 = c.AddElement(), c1 = c.AddElement();
-  c.AddFact(r, {c0, c1});
-  c.AddFact(r, {c1, c0});
-  EXPECT_FALSE(FindIsomorphism(a, {}, c, {}).has_value());
+TEST(ThreadPool, ThrowOnAPoolWorkerReachesTheCaller) {
+  // Items on worker 0 sleep, so the pool workers claim items of their own
+  // shards; the first of those to run throws.
+  std::atomic<int> started{0};
+  try {
+    ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, int worker) {
+      started.fetch_add(1);
+      if (worker > 0) throw ItemError{worker};
+      SleepAboutOneMs();
+    });
+    ADD_FAILURE() << "no pool worker ran an item";
+  } catch (const ItemError& e) {
+    EXPECT_GT(e.worker, 0);
+  }
+  // Unclaimed items never start once an item has thrown.
+  EXPECT_LT(started.load(), 64);
+}
+
+TEST(ThreadPool, ThrowOnTheCallerWaitsForRunningItems) {
+  // The caller throws after its first item's sleep, while pool workers are
+  // mid-item. ParallelFor must let those items finish before it rethrows:
+  // they still read the caller's fn and its captured locals.
+  std::atomic<int> started{0}, finished{0};
+  try {
+    ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, int worker) {
+      started.fetch_add(1);
+      SleepAboutOneMs();
+      if (worker == 0) throw ItemError{worker};
+      finished.fetch_add(1);
+    });
+    ADD_FAILURE() << "the caller's item did not throw";
+  } catch (const ItemError& e) {
+    EXPECT_EQ(e.worker, 0);
+  }
+  // Every started item has returned: the thrower by exception, the rest
+  // normally.
+  EXPECT_EQ(started.load(), finished.load() + 1);
+  EXPECT_LT(started.load(), 64);
+}
+
+TEST(ThreadPool, ThrowOnTheInlinePathKeepsLaterFanOutParallel) {
+  // A 1-item loop runs inline on the caller; its exception must not leave
+  // the caller marked as a pool worker, or every later ParallelFor from
+  // this thread would run inline too.
+  EXPECT_THROW(ThreadPool::Shared().ParallelFor(
+                   1, 4, [](size_t, int) { throw ItemError{0}; }),
+               ItemError);
+  std::atomic<int> max_worker{0};
+  ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, int worker) {
+    int seen = max_worker.load();
+    while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
+    }
+    SleepAboutOneMs();
+  });
+  EXPECT_GT(max_worker.load(), 0);
 }
 
 TEST(FactHashTest, DenseConsecutiveFactsDoNotCollide) {
@@ -422,35 +440,6 @@ TEST(FactHashTest, ArgumentOrderAndPredicateChangeTheHash) {
   FactView v{0, std::span<const ElemId>(ab, 2)};
   EXPECT_EQ(FactHash{}(f), FactHash{}(v));
   EXPECT_TRUE(FactEq{}(f, v));
-}
-
-TEST(Canonical, TestCacheComputesEachTypeOnce) {
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  CanonicalTestCache cache;
-  int computes = 0;
-  auto run = [&](ElemId anchor, const Instance& inst, bool value) {
-    bool hit = false;
-    bool got = cache.GetOrCompute(inst, {anchor}, [&] {
-      ++computes;
-      return value;
-    }, &hit);
-    EXPECT_EQ(got, value);
-    return hit;
-  };
-  Instance a(vocab);
-  ElemId a0 = a.AddElement(), a1 = a.AddElement();
-  a.AddFact(r, {a0, a1});
-  EXPECT_FALSE(run(a0, a, true));
-  // An isomorphic copy hits and returns the cached value without compute.
-  Instance b(vocab);
-  ElemId b0 = b.AddElement(), b1 = b.AddElement();
-  b.AddFact(r, {b1, b0});
-  EXPECT_TRUE(run(b1, b, true));
-  // A different anchor is a different test.
-  EXPECT_FALSE(run(b0, b, false));
-  EXPECT_EQ(computes, 2);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

@@ -92,6 +92,42 @@ TEST(Parser, InstanceDiagnosticsCarryPositions) {
   EXPECT_EQ(syntax[0].check, "parse");
   EXPECT_EQ(syntax[0].loc.line, 2);
   EXPECT_GT(syntax[0].loc.col, 1);
+
+  // A fact cut off by the end of input is reported at its predicate
+  // name, not at the position after the trailing newline.
+  for (const char* text : {"R(a,b).\n  R(c,d\n", "R(a,b).\n  R(c,\n"}) {
+    std::vector<Diagnostic> cut;
+    EXPECT_FALSE(ParseInstance(text, vocab, &cut).has_value());
+    ASSERT_EQ(cut.size(), 1u) << text;
+    EXPECT_EQ(cut[0].check, "parse");
+    EXPECT_EQ(cut[0].loc.line, 2) << text;
+    EXPECT_EQ(cut[0].loc.col, 3) << text;
+  }
+}
+
+TEST(Parser, UnterminatedAtomReportedAtItsPredicate) {
+  auto vocab = MakeVocabulary();
+  ParseResult result = ParseProgram("Goal() :- R(x,y\n", vocab);
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(result.diagnostics[0].check, "parse");
+  EXPECT_EQ(result.diagnostics[0].loc.line, 1);
+  EXPECT_EQ(result.diagnostics[0].loc.col, 11);
+
+  // The same for a list cut off right after a comma.
+  std::vector<Diagnostic> diags;
+  EXPECT_FALSE(ParseQuery("Goal() :- U(x),\n  R(x,\n", "Goal", vocab,
+                          &diags)
+                   .has_value());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].loc.line, 2);
+  EXPECT_EQ(diags[0].loc.col, 3);
+
+  // A syntax error inside a complete atom still points at the offending
+  // token.
+  ParseResult inner = ParseProgram("Goal() :- R(x y).\n", vocab);
+  ASSERT_EQ(inner.diagnostics.size(), 1u);
+  EXPECT_EQ(inner.diagnostics[0].loc.line, 1);
+  EXPECT_EQ(inner.diagnostics[0].loc.col, 15);
 }
 
 TEST(Parser, QueryGoalResolutionFailureCarriesPosition) {

@@ -1,9 +1,9 @@
 // Plan-quality differential test for the statistics-driven join planner:
 // on randomized programs × random bound instances, the stats-driven run
 // must match the naive reference, 1- and 4-thread runs must be
-// byte-identical, planner-off and feedback-off runs must derive the same
-// set, no executed plan for a connected-join-graph rule may contain a
-// cross product, and dataflow pruning must stay invisible.
+// byte-identical, planner-off runs must derive the same set, no executed
+// plan for a connected-join-graph rule may contain a cross product, and
+// dataflow pruning must stay invisible.
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `plan-differential`); `mondet-fuzz`

@@ -1,8 +1,9 @@
-// Property oracle for incremental statistics maintenance (Stats::Apply):
-// folding the facts of an insert-only stream into a snapshot, over
-// arbitrary delta partitions, is exactly equal — cardinality and every
-// per-position distinct count — to Stats::Collect from scratch on the
-// final instance. Streams are drawn over small element pools so duplicate
+// Property oracle for delta statistics maintenance (Stats::Apply, the
+// fold Maintain runs per batch): folding the facts of a stream into a
+// snapshot, over arbitrary delta partitions, is exactly equal —
+// cardinality and every per-position distinct count — to Stats::Collect
+// from scratch on the final instance. Insert-only streams pass an empty
+// removal list. Streams are drawn over small element pools so duplicate
 // facts are frequent (AddFact rejects them; only genuinely new facts may
 // reach Apply), and empty deltas are interleaved as an explicit edge case.
 
@@ -52,7 +53,7 @@ void ExpectStatsEqual(const Stats& got, const Stats& want,
   }
 }
 
-TEST(StatsIncrementalTest, ApplyOverRandomPartitionsMatchesCollect) {
+TEST(StatsApplyTest, ApplyOverRandomPartitionsMatchesCollect) {
   for (unsigned seed = 0; seed < 250; ++seed) {
     auto vocab = StreamVocab();
     std::vector<PredId> preds = vocab->AllPredicates();
@@ -76,23 +77,23 @@ TEST(StatsIncrementalTest, ApplyOverRandomPartitionsMatchesCollect) {
     std::vector<Fact> delta;
     for (int i = 0; i < len; ++i) {
       Fact f = RandomFact(vocab, preds, elems, rng);
-      // Duplicates never reach Apply: the merge barrier's AddFact dedup
-      // is the contract that keeps the counts exact.
+      // Duplicates never reach Apply: AddFact's dedup is the contract
+      // that keeps the counts exact.
       if (inst.AddFact(f)) delta.push_back(std::move(f));
       if (cut_dist(rng) == 0) {
-        stats.Apply(inst, delta);
+        stats.Apply(inst, delta, {});
         delta.clear();
         // Empty deltas are legal whenever the snapshot is current.
-        if (cut_dist(rng) == 0) stats.Apply(inst, std::span<const Fact>());
+        if (cut_dist(rng) == 0) stats.Apply(inst, {}, {});
       }
     }
-    stats.Apply(inst, delta);
+    stats.Apply(inst, delta, {});
 
     ExpectStatsEqual(stats, Stats::Collect(inst), vocab, seed);
   }
 }
 
-TEST(StatsIncrementalTest, RepeatedDuplicatesLeaveCountsExact) {
+TEST(StatsApplyTest, RepeatedDuplicatesLeaveCountsExact) {
   auto vocab = StreamVocab();
   Instance inst(vocab);
   ElemId a = inst.AddElement("a"), b = inst.AddElement("b");
@@ -106,24 +107,24 @@ TEST(StatsIncrementalTest, RepeatedDuplicatesLeaveCountsExact) {
     if (inst.AddFact(f)) delta.push_back(std::move(f));
   }
   ASSERT_EQ(delta.size(), 1u);
-  stats.Apply(inst, delta);
+  stats.Apply(inst, delta, {});
   EXPECT_EQ(stats.cardinality(r), 1u);
   EXPECT_EQ(stats.distinct(r, 0), 1u);
   EXPECT_EQ(stats.distinct(r, 1), 1u);
   ExpectStatsEqual(stats, Stats::Collect(inst), vocab, 0);
 }
 
-TEST(StatsIncrementalTest, EmptyDeltaIsANoOp) {
+TEST(StatsApplyTest, EmptyDeltaIsANoOp) {
   auto vocab = StreamVocab();
   std::vector<PredId> preds = vocab->AllPredicates();
   Instance inst = RandomInstance(vocab, preds, 5, 15, 8000);
   Stats stats = Stats::Collect(inst);
-  stats.Apply(inst, std::span<const Fact>());
-  stats.Apply(inst, std::span<const Fact>());
+  stats.Apply(inst, {}, {});
+  stats.Apply(inst, {}, {});
   ExpectStatsEqual(stats, Stats::Collect(inst), vocab, 0);
 }
 
-TEST(StatsIncrementalTest, ApplySeesNewPositionsOfGrowingRelations) {
+TEST(StatsApplyTest, ApplySeesNewPositionsOfGrowingRelations) {
   // A relation that is empty at Collect time gains its first facts purely
   // through Apply; distinct counts must materialize from nothing.
   auto vocab = StreamVocab();
@@ -140,7 +141,7 @@ TEST(StatsIncrementalTest, ApplySeesNewPositionsOfGrowingRelations) {
   add(a, a, b);
   add(a, b, c);
   add(b, b, c);
-  stats.Apply(inst, delta);
+  stats.Apply(inst, delta, {});
   EXPECT_EQ(stats.cardinality(t), 3u);
   EXPECT_EQ(stats.distinct(t, 0), 2u);  // {a, b}
   EXPECT_EQ(stats.distinct(t, 1), 2u);  // {a, b}
@@ -148,7 +149,7 @@ TEST(StatsIncrementalTest, ApplySeesNewPositionsOfGrowingRelations) {
   ExpectStatsEqual(stats, Stats::Collect(inst), vocab, 0);
 }
 
-TEST(StatsIncrementalTest, MixedInsertDeleteStreamMatchesCollect) {
+TEST(StatsApplyTest, MixedInsertDeleteStreamMatchesCollect) {
   // The retraction arm of the oracle: interleaved genuine inserts and
   // deletes (RemoveFact dedups the same way AddFact does) folded in over
   // random partitions must land exactly on Collect of the final
@@ -210,7 +211,7 @@ TEST(StatsIncrementalTest, MixedInsertDeleteStreamMatchesCollect) {
   }
 }
 
-TEST(StatsIncrementalTest, DeleteDrainsRelationToEmpty) {
+TEST(StatsApplyTest, DeleteDrainsRelationToEmpty) {
   auto vocab = StreamVocab();
   Instance inst(vocab);
   ElemId a = inst.AddElement(), b = inst.AddElement();

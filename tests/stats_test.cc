@@ -2,11 +2,10 @@
 // exact on small instances (counts match a brute-force recount), Refresh
 // agrees with a fresh Collect, the selectivity estimates match hand
 // calculations, planning from stale statistics still yields correct
-// fixpoints (stale stats may cost time, never correctness), feedback
-// corrections damp/clamp as documented, and Apply aborts on the
-// stale-snapshot footgun — a delta that does not extend the counted
-// instance. (The Apply-vs-Collect equivalence oracle lives in
-// stats_incremental_test.cc.)
+// fixpoints (stale stats may cost time, never correctness), and Apply
+// aborts on the stale-snapshot footgun — a delta that does not extend the
+// counted instance. (The Apply-vs-Collect equivalence oracle lives in
+// stats_apply_test.cc.)
 
 #include <gtest/gtest.h>
 
@@ -113,48 +112,6 @@ TEST(StatsTest, EstimateMatchesHandComputed) {
   EXPECT_DOUBLE_EQ(stats.EstimateMatches(u, {false}), 0.0);
 }
 
-TEST(StatsTest, ObserveDampsAndClampsCorrections) {
-  auto vocab = SmallVocab();
-  Instance inst(vocab);
-  ElemId a = inst.AddElement(), b = inst.AddElement(), c = inst.AddElement();
-  PredId r = *vocab->FindPredicate("R");
-  inst.AddFact(r, {a, b});
-  inst.AddFact(r, {a, c});
-  inst.AddFact(r, {b, c});
-  Stats stats = Stats::Collect(inst);
-  EXPECT_EQ(stats.ActiveCorrections(), 0u);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 1.0);
-
-  // One 4x underestimate moves the factor half the error in log space:
-  // sqrt(4) = 2. Estimates scale accordingly.
-  stats.Observe(r, 1.0, 4.0);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 2.0);
-  EXPECT_EQ(stats.ActiveCorrections(), 1u);
-  EXPECT_DOUBLE_EQ(stats.EstimateMatches(r, {false, false}), 6.0);
-
-  // Repeated huge errors saturate at the 16x clamp, never beyond.
-  for (int i = 0; i < 20; ++i) stats.Observe(r, 1.0, 1e9);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 16.0);
-
-  // Nonpositive estimates carry no signal; actual == 0 is the strongest
-  // overestimate and pulls toward the lower clamp.
-  double before = stats.correction(r);
-  stats.Observe(r, 0.0, 100.0);
-  EXPECT_DOUBLE_EQ(stats.correction(r), before);
-  for (int i = 0; i < 20; ++i) stats.Observe(r, 100.0, 0.0);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 1.0 / 16.0);
-
-  // ImportCorrections copies factors without touching counts; Refresh
-  // recounts without touching factors.
-  Stats fresh = Stats::Collect(inst);
-  fresh.ImportCorrections(stats);
-  EXPECT_DOUBLE_EQ(fresh.correction(r), 1.0 / 16.0);
-  EXPECT_EQ(fresh.cardinality(r), 3u);
-  fresh.Refresh(inst, {r});
-  EXPECT_DOUBLE_EQ(fresh.correction(r), 1.0 / 16.0);
-  EXPECT_EQ(fresh.cardinality(r), 3u);
-}
-
 TEST(StatsDeathTest, ApplyRejectsDeltaFromADifferentInstance) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   auto vocab = SmallVocab();
@@ -168,7 +125,7 @@ TEST(StatsDeathTest, ApplyRejectsDeltaFromADifferentInstance) {
   // instead of silently corrupting the counts.
   const std::vector<Fact> other_facts = other.AllFacts();
   std::span<const Fact> delta(other_facts.data(), 1);
-  EXPECT_DEATH(stats.Apply(other, delta), "Stats::Apply");
+  EXPECT_DEATH(stats.Apply(other, delta, {}), "Stats::Apply");
 }
 
 TEST(StatsDeathTest, ApplyRejectsAlreadyCountedFacts) {
@@ -182,7 +139,7 @@ TEST(StatsDeathTest, ApplyRejectsAlreadyCountedFacts) {
   // overshoots inst.num_facts() and the contract check aborts.
   const std::vector<Fact> inst_facts = inst.AllFacts();
   std::span<const Fact> delta(inst_facts.data(), 1);
-  EXPECT_DEATH(stats.Apply(inst, delta), "Stats::Apply");
+  EXPECT_DEATH(stats.Apply(inst, delta, {}), "Stats::Apply");
 }
 
 TEST(StatsDeathTest, ApplyRejectsRemovalOfNeverCountedFact) {
