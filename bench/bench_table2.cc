@@ -129,8 +129,9 @@ void BM_T2_CqDatalog_Thm5(benchmark::State& state, bool antichain) {
                  " (paper: 2ExpTime-complete)");
 }
 // The antichain-on/off twins decide identically (verdicts and
-// counterexamples are bit-identical by contract); the wide n=4 rung is
-// where the pruned walk's smaller frontier starts to pay.
+// counterexamples are bit-identical by contract). The pruned walk interns
+// fewer pairs and DP states but is no faster at any rung; what it saves is
+// peak memory (docs/EVALUATION.md, "The Thm 5 path").
 void BM_T2_CqDatalog_Thm5_Antichain(benchmark::State& state) {
   BM_T2_CqDatalog_Thm5(state, /*antichain=*/true);
 }

@@ -14,10 +14,12 @@
 #   so the kernel plane diverges from the generic interpreter — caught
 #   by the kernel-differential oracle.
 #
-#   MONDET_FAULT=skip-antichain-prune makes NtaIncluded's subsumption
-#   prune bidirectional (src/automata/ops.cc): it also discards new
-#   macrostates that are *subsets* of visited ones, which is unsound —
-#   inclusion verdicts flip to "included" — and is caught by the
+#   MONDET_FAULT=skip-antichain-prune makes the subsumption prune of the
+#   lazy product walk bidirectional (src/automata/product_walk.h): it
+#   also discards new right states that are *subsets* of visited ones,
+#   which is unsound — inclusion verdicts flip to "included". The walk
+#   is the one NtaIncluded and Thm 5's DatalogContainedInUcq both run,
+#   so the fault reaches Thm 5 too; it is caught by the
 #   antichain-inclusion oracle's three-way agreement contract.
 #
 # For each (oracle, fault) pair this script asserts that mondet-fuzz

@@ -70,9 +70,13 @@ fi
 # identical sequences at 1 and 4 threads);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
 # Complement+Product route, the Thm 5 antichain-on/off byte-identity
-# regression, and the antichain-inclusion oracle seed sweep.
+# regression, the pinned walk counters, and the antichain-inclusion
+# oracle seed sweep; cq_automaton_test and mondet_check_test run the same
+# product walk (automata/product_walk.h) as Thm 5 does — contained and
+# not-contained DatalogContainedInUcq, Thm 5 vs the canonical tests, and
+# repeated decisions over one vocabulary.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test mondet-fuzz
 MONDET_THREADS=4 ./build-asan/tests/base_test
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
@@ -87,6 +91,8 @@ MONDET_THREADS=4 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/mondet_parallel_test
 MONDET_THREADS=1 ./build-asan/tests/antichain_test
 MONDET_THREADS=4 ./build-asan/tests/antichain_test
+./build-asan/tests/cq_automaton_test
+./build-asan/tests/mondet_check_test
 
 # Fuzz smoke arm: mondet-fuzz over every registered oracle at fixed
 # seeds under ASan/UBSan (~10s). Deterministic — the same seeds every
@@ -104,8 +110,9 @@ fi
 # Fault-injection gate: deliberately broken evaluators
 # (MONDET_FAULT=skip-delta-seat drops the last recursive delta seat;
 # MONDET_FAULT=skip-kernel-row trims the last row of every compiled
-# kernel enumeration; MONDET_FAULT=skip-antichain-prune makes the
-# NtaIncluded subsumption prune bidirectional, i.e. unsound) must be
+# kernel enumeration; MONDET_FAULT=skip-antichain-prune makes the product
+# walk's subsumption prune, shared by NtaIncluded and Thm 5,
+# bidirectional, i.e. unsound) must be
 # caught by the eval-differential, kernel-differential and
 # antichain-inclusion oracles within the smoke seed budget and shrunk
 # to <= 5 rules (<= 6 NTA transitions) — proof the harness detects and

@@ -1,14 +1,12 @@
 #include "automata/ops.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <map>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "automata/product_walk.h"
 #include "base/check.h"
 
 namespace mondet {
@@ -142,19 +140,15 @@ bool IsEmpty(const Nta& a) {
 }
 
 std::optional<TreeCode> EmptinessWitness(const Nta& a) {
-  // For each state, remember one minimal derivation: -1 = none,
-  // otherwise (kind, transition index).
-  struct Deriv {
-    int kind = -1;  // 0 leaf, 1 unary, 2 binary
-    size_t idx = 0;
-  };
-  std::vector<Deriv> deriv(a.num_states());
+  // Per inhabited state, the first derivation found, indexed by state;
+  // its child ids are the child states.
+  std::vector<Derivation> deriv(a.num_states());
   std::vector<bool> in(a.num_states(), false);
   for (size_t i = 0; i < a.leaf_transitions().size(); ++i) {
     State q = a.leaf_transitions()[i].to;
     if (!in[q]) {
       in[q] = true;
-      deriv[q] = {0, i};
+      deriv[q] = {0, i, -1, -1};
     }
   }
   bool changed = true;
@@ -164,7 +158,7 @@ std::optional<TreeCode> EmptinessWitness(const Nta& a) {
       const auto& t = a.unary_transitions()[i];
       if (!in[t.to] && in[t.child]) {
         in[t.to] = true;
-        deriv[t.to] = {1, i};
+        deriv[t.to] = {1, i, static_cast<int>(t.child), -1};
         changed = true;
       }
     }
@@ -172,51 +166,16 @@ std::optional<TreeCode> EmptinessWitness(const Nta& a) {
       const auto& t = a.binary_transitions()[i];
       if (!in[t.to] && in[t.child1] && in[t.child2]) {
         in[t.to] = true;
-        deriv[t.to] = {2, i};
+        deriv[t.to] = {2, i, static_cast<int>(t.child1),
+                       static_cast<int>(t.child2)};
         changed = true;
       }
     }
   }
-  State root = kNoElem;
   for (State q : a.finals()) {
-    if (in[q]) {
-      root = q;
-      break;
-    }
+    if (in[q]) return BuildDerivedCode(a, deriv, static_cast<int>(q));
   }
-  if (root == kNoElem) return std::nullopt;
-
-  TreeCode code;
-  code.width = a.width();
-  std::function<int(State, int)> build = [&](State q, int parent) -> int {
-    int id = static_cast<int>(code.nodes.size());
-    code.nodes.emplace_back();
-    code.nodes[id].parent = parent;
-    const Deriv& d = deriv[q];
-    MONDET_CHECK(d.kind >= 0);
-    if (d.kind == 0) {
-      const auto& t = a.leaf_transitions()[d.idx];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-    } else if (d.kind == 1) {
-      const auto& t = a.unary_transitions()[d.idx];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c = build(t.child, id);
-      code.nodes[id].children.push_back(c);
-      code.nodes[id].edge_labels.push_back(t.edge);
-    } else {
-      const auto& t = a.binary_transitions()[d.idx];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c1 = build(t.child1, id);
-      code.nodes[id].children.push_back(c1);
-      code.nodes[id].edge_labels.push_back(t.edge1);
-      int c2 = build(t.child2, id);
-      code.nodes[id].children.push_back(c2);
-      code.nodes[id].edge_labels.push_back(t.edge2);
-    }
-    return id;
-  };
-  build(root, -1);
-  return code;
+  return std::nullopt;
 }
 
 void SymbolUniverse::Merge(const SymbolUniverse& o) {
@@ -355,28 +314,130 @@ Nta Complement(const Nta& a, const SymbolUniverse& universe) {
 
 namespace {
 
-/// Self-test hook (scripts/check_fuzz_fault.sh): makes the antichain
-/// prune fire on ⊆-comparability in *either* direction, which wrongly
-/// discards strictly-smaller macrostates — exactly the unsound prune the
-/// antichain-inclusion oracle must catch.
-bool FaultSkipAntichainPrune() {
-  static const bool on = [] {
-    const char* env = std::getenv("MONDET_FAULT");
-    return env != nullptr && std::strcmp(env, "skip-antichain-prune") == 0;
-  }();
-  return on;
-}
-
 /// A b-macrostate: a sorted, duplicate-free set of b-states.
 using Macro = std::vector<State>;
-
-bool MacroSubset(const Macro& sub, const Macro& sup) {
-  return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
-}
 
 void SortUnique(Macro* m) {
   std::sort(m->begin(), m->end());
   m->erase(std::unique(m->begin(), m->end()), m->end());
+}
+
+/// The subset construction of `b`, built on demand as ProductWalk's right
+/// automaton: successor macrostates are computed against b's transitions
+/// bucketed by symbol, and each is interned on first use.
+class LazySubsets {
+ public:
+  explicit LazySubsets(const Nta& b) : b_(b) {
+    for (const auto& t : b.leaf_transitions()) leaf_[t.label].push_back(t.to);
+    for (auto& [sym, m] : leaf_) SortUnique(&m);
+    for (const auto& t : b.unary_transitions()) {
+      unary_[{t.label, t.edge}].push_back({t.child, t.to});
+    }
+    for (const auto& t : b.binary_transitions()) {
+      binary_[{t.label, t.edge1, t.edge2}].push_back(
+          {t.child1, t.child2, t.to});
+    }
+  }
+
+  uint32_t Leaf(const NodeLabel& label) {
+    auto it = leaf_.find(label);
+    return Intern(it == leaf_.end() ? Macro{} : it->second);
+  }
+  uint32_t Unary(uint32_t child, const NodeLabel& label,
+                 const EdgeLabel& edge) {
+    Macro out;
+    if (auto it = unary_.find({label, edge}); it != unary_.end()) {
+      const Macro& s = macros_[child];
+      for (const auto& [c, to] : it->second) {
+        if (std::binary_search(s.begin(), s.end(), c)) out.push_back(to);
+      }
+    }
+    return Intern(std::move(out));
+  }
+  uint32_t Binary(uint32_t child1, uint32_t child2, const NodeLabel& label,
+                  const EdgeLabel& edge1, const EdgeLabel& edge2) {
+    Macro out;
+    if (auto it = binary_.find({label, edge1, edge2}); it != binary_.end()) {
+      const Macro& s1 = macros_[child1];
+      const Macro& s2 = macros_[child2];
+      for (const auto& [c1, c2, to] : it->second) {
+        if (std::binary_search(s1.begin(), s1.end(), c1) &&
+            std::binary_search(s2.begin(), s2.end(), c2)) {
+          out.push_back(to);
+        }
+      }
+    }
+    return Intern(std::move(out));
+  }
+  bool Accepting(uint32_t s) const { return accepting_[s]; }
+  bool SubsetOf(uint32_t s, uint32_t t) const {
+    return std::includes(macros_[t].begin(), macros_[t].end(),
+                         macros_[s].begin(), macros_[s].end());
+  }
+
+ private:
+  uint32_t Intern(Macro m) {
+    SortUnique(&m);
+    if (auto it = id_.find(m); it != id_.end()) return it->second;
+    const uint32_t id = static_cast<uint32_t>(macros_.size());
+    bool fin = false;
+    for (State q : m) fin = fin || b_.finals().count(q) > 0;
+    id_.emplace(m, id);
+    accepting_.push_back(fin);
+    macros_.push_back(std::move(m));
+    return id;
+  }
+
+  const Nta& b_;
+  std::map<NodeLabel, Macro> leaf_;
+  std::map<SymbolUniverse::UnSym, std::vector<std::pair<State, State>>>
+      unary_;
+  std::map<SymbolUniverse::BinSym,
+           std::vector<std::tuple<State, State, State>>>
+      binary_;
+  std::map<Macro, uint32_t> id_;
+  std::vector<Macro> macros_;
+  std::vector<bool> accepting_;
+};
+
+/// `a` without the transitions whose symbols lie outside `universe`,
+/// order preserved: those cannot fire in Product(a, Complement(b,
+/// universe)). Nullopt when there are none to drop, so the common case
+/// does not copy `a`.
+std::optional<Nta> DropOutsideUniverse(const Nta& a,
+                                       const SymbolUniverse& universe) {
+  auto in_leaf = [&](const Nta::LeafTransition& t) {
+    return universe.leaves.count(t.label) > 0;
+  };
+  auto in_unary = [&](const Nta::UnaryTransition& t) {
+    return universe.unaries.count({t.label, t.edge}) > 0;
+  };
+  auto in_binary = [&](const Nta::BinaryTransition& t) {
+    return universe.binaries.count({t.label, t.edge1, t.edge2}) > 0;
+  };
+  if (std::all_of(a.leaf_transitions().begin(), a.leaf_transitions().end(),
+                  in_leaf) &&
+      std::all_of(a.unary_transitions().begin(),
+                  a.unary_transitions().end(), in_unary) &&
+      std::all_of(a.binary_transitions().begin(),
+                  a.binary_transitions().end(), in_binary)) {
+    return std::nullopt;
+  }
+  Nta out(a.width());
+  for (size_t i = 0; i < a.num_states(); ++i) out.AddState();
+  for (State q : a.finals()) out.AddFinal(q);
+  for (const auto& t : a.leaf_transitions()) {
+    if (in_leaf(t)) out.AddLeaf(t.label, t.to);
+  }
+  for (const auto& t : a.unary_transitions()) {
+    if (in_unary(t)) out.AddUnary(t.label, t.edge, t.child, t.to);
+  }
+  for (const auto& t : a.binary_transitions()) {
+    if (in_binary(t)) {
+      out.AddBinary(t.label, t.edge1, t.edge2, t.child1, t.child2, t.to);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -385,383 +446,22 @@ NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
                                const SymbolUniverse& universe,
                                const NtaInclusionOptions& options) {
   MONDET_CHECK(a.width() == b.width());
+  const std::optional<Nta> restricted = DropOutsideUniverse(a, universe);
+  const Nta& left = restricted ? *restricted : a;
+  LazySubsets subsets(b);
+  ProductWalkResult w = ProductWalk(left, subsets, options.antichain_prune,
+                                    /*early_exit=*/true);
   NtaInclusionResult result;
-  const bool fault = FaultSkipAntichainPrune();
-
-  // b's transitions bucketed by symbol: successor macrostates are
-  // computed on demand against these lists, never via Determinize.
-  std::map<NodeLabel, Macro> b_leaf;
-  for (const auto& t : b.leaf_transitions()) b_leaf[t.label].push_back(t.to);
-  for (auto& [sym, m] : b_leaf) SortUnique(&m);
-  std::map<SymbolUniverse::UnSym, std::vector<std::pair<State, State>>>
-      b_unary;
-  for (const auto& t : b.unary_transitions()) {
-    b_unary[{t.label, t.edge}].push_back({t.child, t.to});
+  result.pairs_explored = w.pairs.size();
+  result.transition_visits = w.transition_visits;
+  result.subsumption_prunes = w.subsumption_prunes;
+  std::set<uint32_t> kept;  // macrostates of kept pairs only
+  for (const auto& [q, m] : w.pairs) kept.insert(m);
+  result.macrostates_visited = kept.size();
+  result.included = w.first_bad < 0;
+  if (!result.included) {
+    result.witness = BuildDerivedCode(left, w.derivs, w.first_bad);
   }
-  std::map<SymbolUniverse::BinSym,
-           std::vector<std::tuple<State, State, State>>>
-      b_binary;
-  for (const auto& t : b.binary_transitions()) {
-    b_binary[{t.label, t.edge1, t.edge2}].push_back(
-        {t.child1, t.child2, t.to});
-  }
-  auto unary_succ = [&](const SymbolUniverse::UnSym& sym, const Macro& s) {
-    Macro out;
-    if (auto it = b_unary.find(sym); it != b_unary.end()) {
-      for (const auto& [child, to] : it->second) {
-        if (std::binary_search(s.begin(), s.end(), child)) out.push_back(to);
-      }
-    }
-    SortUnique(&out);
-    return out;
-  };
-  auto binary_succ = [&](const SymbolUniverse::BinSym& sym, const Macro& s1,
-                         const Macro& s2) {
-    Macro out;
-    if (auto it = b_binary.find(sym); it != b_binary.end()) {
-      for (const auto& [c1, c2, to] : it->second) {
-        if (std::binary_search(s1.begin(), s1.end(), c1) &&
-            std::binary_search(s2.begin(), s2.end(), c2)) {
-          out.push_back(to);
-        }
-      }
-    }
-    SortUnique(&out);
-    return out;
-  };
-
-  // Interned macrostates (kept pairs only, so macrostates_visited counts
-  // subsets actually materialized) and discovered pairs with their
-  // derivations, mirroring the DatalogContainedInUcq worklist.
-  std::map<Macro, int> macro_id;
-  std::vector<Macro> macros;
-  std::vector<bool> macro_final;
-  struct Deriv {
-    int kind = -1;  // 0 leaf, 1 unary, 2 binary
-    size_t trans = 0;
-    int child1 = -1;
-    int child2 = -1;
-  };
-  std::map<std::pair<State, int>, int> pair_id;
-  std::vector<std::pair<State, int>> pairs;
-  std::vector<Deriv> derivs;
-  std::map<State, std::vector<int>> pairs_by_state;
-  /// Per a-state antichain filter: pair ids whose macrostates are the
-  /// current ⊆-minimal ones. Dominated entries leave the filter but stay
-  /// in `pairs` (their derivations may already be referenced).
-  std::map<State, std::vector<int>> frontier;
-  std::vector<int> worklist;
-  int bad = -1;
-
-  auto intern = [&](State q, Macro m, Deriv deriv) {
-    if (bad >= 0) return;
-    auto mit = macro_id.find(m);
-    int mid = mit == macro_id.end() ? -1 : mit->second;
-    if (mid >= 0 && pair_id.count({q, mid})) return;
-    if (options.antichain_prune) {
-      for (int old : frontier[q]) {
-        const Macro& seen = macros[pairs[old].second];
-        if (MacroSubset(seen, m) || (fault && MacroSubset(m, seen))) {
-          ++result.subsumption_prunes;
-          return;
-        }
-      }
-    }
-    if (mid < 0) {
-      mid = static_cast<int>(macros.size());
-      macro_id.emplace(m, mid);
-      bool fin = false;
-      for (State qb : m) fin = fin || b.finals().count(qb) > 0;
-      macros.push_back(std::move(m));
-      macro_final.push_back(fin);
-    }
-    int id = static_cast<int>(pairs.size());
-    pair_id.emplace(std::make_pair(q, mid), id);
-    pairs.emplace_back(q, mid);
-    derivs.push_back(deriv);
-    pairs_by_state[q].push_back(id);
-    if (options.antichain_prune) {
-      auto& fr = frontier[q];
-      fr.erase(std::remove_if(fr.begin(), fr.end(),
-                              [&](int old) {
-                                return MacroSubset(macros[mid],
-                                                   macros[pairs[old].second]);
-                              }),
-               fr.end());
-      fr.push_back(id);
-    }
-    worklist.push_back(id);
-    if (a.finals().count(q) > 0 && !macro_final[mid]) bad = id;
-  };
-
-  // Only a-transitions whose symbols lie in the universe participate —
-  // the same restriction Product(a, Complement(b, universe)) applies.
-  std::map<State, std::vector<size_t>> unary_by_child;
-  for (size_t ti = 0; ti < a.unary_transitions().size(); ++ti) {
-    const auto& t = a.unary_transitions()[ti];
-    if (universe.unaries.count({t.label, t.edge})) {
-      unary_by_child[t.child].push_back(ti);
-    }
-  }
-  std::map<State, std::vector<size_t>> binary_by_child1, binary_by_child2;
-  for (size_t ti = 0; ti < a.binary_transitions().size(); ++ti) {
-    const auto& t = a.binary_transitions()[ti];
-    if (universe.binaries.count({t.label, t.edge1, t.edge2})) {
-      binary_by_child1[t.child1].push_back(ti);
-      binary_by_child2[t.child2].push_back(ti);
-    }
-  }
-
-  for (size_t ti = 0; ti < a.leaf_transitions().size() && bad < 0; ++ti) {
-    const auto& t = a.leaf_transitions()[ti];
-    if (!universe.leaves.count(t.label)) continue;
-    ++result.transition_visits;
-    auto it = b_leaf.find(t.label);
-    intern(t.to, it == b_leaf.end() ? Macro{} : it->second,
-           Deriv{0, ti, -1, -1});
-  }
-  for (size_t wi = 0; wi < worklist.size() && bad < 0; ++wi) {
-    const int pi = worklist[wi];
-    const State q = pairs[pi].first;
-    const int mq = pairs[pi].second;
-    if (auto it = unary_by_child.find(q); it != unary_by_child.end()) {
-      for (size_t ti : it->second) {
-        if (bad >= 0) break;
-        const auto& t = a.unary_transitions()[ti];
-        ++result.transition_visits;
-        intern(t.to, unary_succ({t.label, t.edge}, macros[mq]),
-               Deriv{1, ti, pi, -1});
-      }
-    }
-    // Binary joins pair the popped pair with every known sibling pair;
-    // the partner list is snapshotted by size, so partners interned later
-    // re-pair with `pi` when they pop (see DatalogContainedInUcq).
-    if (auto it = binary_by_child1.find(q);
-        it != binary_by_child1.end() && bad < 0) {
-      for (size_t ti : it->second) {
-        if (bad >= 0) break;
-        const auto& t = a.binary_transitions()[ti];
-        auto pit = pairs_by_state.find(t.child2);
-        if (pit == pairs_by_state.end()) continue;
-        size_t n = pit->second.size();
-        for (size_t k = 0; k < n && bad < 0; ++k) {
-          int p2 = pit->second[k];
-          ++result.transition_visits;
-          intern(t.to,
-                 binary_succ({t.label, t.edge1, t.edge2}, macros[mq],
-                             macros[pairs[p2].second]),
-                 Deriv{2, ti, pi, p2});
-        }
-      }
-    }
-    if (auto it = binary_by_child2.find(q);
-        it != binary_by_child2.end() && bad < 0) {
-      for (size_t ti : it->second) {
-        if (bad >= 0) break;
-        const auto& t = a.binary_transitions()[ti];
-        auto pit = pairs_by_state.find(t.child1);
-        if (pit == pairs_by_state.end()) continue;
-        size_t n = pit->second.size();
-        for (size_t k = 0; k < n && bad < 0; ++k) {
-          int p1 = pit->second[k];
-          ++result.transition_visits;
-          intern(t.to,
-                 binary_succ({t.label, t.edge1, t.edge2},
-                             macros[pairs[p1].second], macros[mq]),
-                 Deriv{2, ti, p1, pi});
-        }
-      }
-    }
-  }
-  result.pairs_explored = pairs.size();
-  result.macrostates_visited = macros.size();
-  if (bad < 0) {
-    result.included = true;
-    return result;
-  }
-  result.included = false;
-
-  TreeCode code;
-  code.width = a.width();
-  std::function<int(int, int)> build = [&](int pi, int parent) -> int {
-    const Deriv& d = derivs[pi];
-    int id = static_cast<int>(code.nodes.size());
-    code.nodes.emplace_back();
-    code.nodes[id].parent = parent;
-    if (d.kind == 0) {
-      const auto& t = a.leaf_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-    } else if (d.kind == 1) {
-      const auto& t = a.unary_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c = build(d.child1, id);
-      code.nodes[id].children.push_back(c);
-      code.nodes[id].edge_labels.push_back(t.edge);
-    } else {
-      const auto& t = a.binary_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c1 = build(d.child1, id);
-      code.nodes[id].children.push_back(c1);
-      code.nodes[id].edge_labels.push_back(t.edge1);
-      int c2 = build(d.child2, id);
-      code.nodes[id].children.push_back(c2);
-      code.nodes[id].edge_labels.push_back(t.edge2);
-    }
-    return id;
-  };
-  build(bad, -1);
-  result.witness = std::move(code);
-  return result;
-}
-
-LazyProductResult LazyProductEmptiness(const Nta& a, const Nta& b) {
-  MONDET_CHECK(a.width() == b.width());
-  LazyProductResult result;
-
-  std::map<SymbolUniverse::UnSym, std::vector<size_t>> b_unary;
-  for (size_t ti = 0; ti < b.unary_transitions().size(); ++ti) {
-    const auto& t = b.unary_transitions()[ti];
-    b_unary[{t.label, t.edge}].push_back(ti);
-  }
-  std::map<SymbolUniverse::BinSym, std::vector<size_t>> b_binary;
-  for (size_t ti = 0; ti < b.binary_transitions().size(); ++ti) {
-    const auto& t = b.binary_transitions()[ti];
-    b_binary[{t.label, t.edge1, t.edge2}].push_back(ti);
-  }
-  std::map<State, std::vector<size_t>> unary_by_child;
-  for (size_t ti = 0; ti < a.unary_transitions().size(); ++ti) {
-    unary_by_child[a.unary_transitions()[ti].child].push_back(ti);
-  }
-  std::map<State, std::vector<size_t>> binary_by_child1, binary_by_child2;
-  for (size_t ti = 0; ti < a.binary_transitions().size(); ++ti) {
-    binary_by_child1[a.binary_transitions()[ti].child1].push_back(ti);
-    binary_by_child2[a.binary_transitions()[ti].child2].push_back(ti);
-  }
-
-  struct Deriv {
-    int kind = -1;  // 0 leaf, 1 unary, 2 binary
-    size_t trans = 0;  // index into a's transitions of that kind
-    int child1 = -1;
-    int child2 = -1;
-  };
-  std::map<std::pair<State, State>, int> pair_id;
-  std::vector<std::pair<State, State>> pairs;
-  std::vector<Deriv> derivs;
-  std::vector<int> worklist;
-  int bad = -1;
-  auto intern = [&](State qa, State qb, Deriv deriv) {
-    if (bad >= 0) return;
-    auto key = std::make_pair(qa, qb);
-    if (pair_id.count(key)) return;
-    int id = static_cast<int>(pairs.size());
-    pair_id.emplace(key, id);
-    pairs.push_back(key);
-    derivs.push_back(deriv);
-    worklist.push_back(id);
-    if (a.finals().count(qa) > 0 && b.finals().count(qb) > 0) bad = id;
-  };
-
-  for (size_t ti = 0; ti < a.leaf_transitions().size() && bad < 0; ++ti) {
-    const auto& ta = a.leaf_transitions()[ti];
-    for (const auto& tb : b.leaf_transitions()) {
-      if (bad >= 0) break;
-      if (!(ta.label == tb.label)) continue;
-      ++result.transition_visits;
-      intern(ta.to, tb.to, Deriv{0, ti, -1, -1});
-    }
-  }
-  for (size_t wi = 0; wi < worklist.size() && bad < 0; ++wi) {
-    const int pi = worklist[wi];
-    const State qa = pairs[pi].first;
-    const State qb = pairs[pi].second;
-    if (auto it = unary_by_child.find(qa); it != unary_by_child.end()) {
-      for (size_t ti : it->second) {
-        if (bad >= 0) break;
-        const auto& ta = a.unary_transitions()[ti];
-        auto bit = b_unary.find({ta.label, ta.edge});
-        if (bit == b_unary.end()) continue;
-        for (size_t tj : bit->second) {
-          if (bad >= 0) break;
-          const auto& tb = b.unary_transitions()[tj];
-          if (tb.child != qb) continue;
-          ++result.transition_visits;
-          intern(ta.to, tb.to, Deriv{1, ti, pi, -1});
-        }
-      }
-    }
-    // A binary step needs both child product-pairs discovered. Joining
-    // the popped pair as one child, the sibling is a direct pair_id
-    // lookup; combinations whose sibling is interned later fire when the
-    // sibling pops with the roles swapped.
-    auto binary_from = [&](size_t ti, bool popped_is_child1) {
-      const auto& ta = a.binary_transitions()[ti];
-      auto bit = b_binary.find({ta.label, ta.edge1, ta.edge2});
-      if (bit == b_binary.end()) return;
-      for (size_t tj : bit->second) {
-        if (bad >= 0) break;
-        const auto& tb = b.binary_transitions()[tj];
-        if ((popped_is_child1 ? tb.child1 : tb.child2) != qb) continue;
-        State sib_a = popped_is_child1 ? ta.child2 : ta.child1;
-        State sib_b = popped_is_child1 ? tb.child2 : tb.child1;
-        auto sit = pair_id.find({sib_a, sib_b});
-        if (sit == pair_id.end()) continue;
-        ++result.transition_visits;
-        if (popped_is_child1) {
-          intern(ta.to, tb.to, Deriv{2, ti, pi, sit->second});
-        } else {
-          intern(ta.to, tb.to, Deriv{2, ti, sit->second, pi});
-        }
-      }
-    };
-    if (auto it = binary_by_child1.find(qa);
-        it != binary_by_child1.end() && bad < 0) {
-      for (size_t ti : it->second) {
-        if (bad >= 0) break;
-        binary_from(ti, true);
-      }
-    }
-    if (auto it = binary_by_child2.find(qa);
-        it != binary_by_child2.end() && bad < 0) {
-      for (size_t ti : it->second) {
-        if (bad >= 0) break;
-        binary_from(ti, false);
-      }
-    }
-  }
-  result.pairs_explored = pairs.size();
-  if (bad < 0) return result;
-  result.empty = false;
-
-  TreeCode code;
-  code.width = a.width();
-  std::function<int(int, int)> build = [&](int pi, int parent) -> int {
-    const Deriv& d = derivs[pi];
-    int id = static_cast<int>(code.nodes.size());
-    code.nodes.emplace_back();
-    code.nodes[id].parent = parent;
-    if (d.kind == 0) {
-      const auto& t = a.leaf_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-    } else if (d.kind == 1) {
-      const auto& t = a.unary_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c = build(d.child1, id);
-      code.nodes[id].children.push_back(c);
-      code.nodes[id].edge_labels.push_back(t.edge);
-    } else {
-      const auto& t = a.binary_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c1 = build(d.child1, id);
-      code.nodes[id].children.push_back(c1);
-      code.nodes[id].edge_labels.push_back(t.edge1);
-      int c2 = build(d.child2, id);
-      code.nodes[id].children.push_back(c2);
-      code.nodes[id].edge_labels.push_back(t.edge2);
-    }
-    return id;
-  };
-  build(bad, -1);
-  result.witness = std::move(code);
   return result;
 }
 

@@ -88,8 +88,9 @@ struct NtaInclusionResult {
   bool included = true;
   /// (a-state, b-macrostate) pairs interned by the search.
   size_t pairs_explored = 0;
-  /// Distinct b-macrostates interned — directly comparable to
-  /// Determinize(b, universe).num_states(), and never larger.
+  /// Distinct b-macrostates among the interned pairs — directly
+  /// comparable to Determinize(b, universe).num_states(), and never
+  /// larger.
   size_t macrostates_visited = 0;
   /// Candidate pairs discarded because a ⊆-smaller macrostate was
   /// already visited for the same a-state (0 with pruning off).
@@ -100,33 +101,16 @@ struct NtaInclusionResult {
 };
 
 /// Decides L(a) ⊆ L(b) over codes built from `universe` symbols, without
-/// materializing Determinize(b): explores (state-of-a, subset-of-b) pairs
-/// on demand from the leaves up, pruning ⊆-dominated macrostates, and
-/// stops at the first pair witnessing non-inclusion (final in `a`, no
-/// final of `b` in the macrostate). Equivalent to
+/// materializing Determinize(b): runs ProductWalk (automata/product_walk.h)
+/// over a and an on-demand subset construction of b, pruning ⊆-dominated
+/// macrostates, and stops at the first pair witnessing non-inclusion
+/// (final in `a`, no final of `b` in the macrostate). Equivalent to
 /// IsEmpty(Product(a, Complement(b, universe))); transitions of `a` whose
 /// symbols fall outside `universe` do not participate, matching the
 /// explicit route.
 NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
                                const SymbolUniverse& universe,
                                const NtaInclusionOptions& options = {});
-
-/// Outcome of LazyProductEmptiness; `witness` is a code accepted by both
-/// automata exactly when the intersection is nonempty.
-struct LazyProductResult {
-  bool empty = true;
-  /// (a-state, b-state) pairs interned by the walk — at most
-  /// |a|·|b| but typically far fewer than Product materializes.
-  size_t pairs_explored = 0;
-  size_t transition_visits = 0;
-  std::optional<TreeCode> witness;
-};
-
-/// On-demand product emptiness: decides L(a) ∩ L(b) = ∅ by expanding
-/// reachable (a-state, b-state) pairs from the leaf frontier with the
-/// worklist machinery of DatalogContainedInUcq, never building
-/// Product(a, b). Stops at the first final×final pair.
-LazyProductResult LazyProductEmptiness(const Nta& a, const Nta& b);
 
 /// Removes states that are not inhabited (bottom-up reachable) or not
 /// co-reachable from a final state. Language-preserving.

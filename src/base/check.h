@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 /// MONDET_CHECK(cond) aborts with a diagnostic when `cond` is false.
 ///
@@ -17,5 +19,21 @@
       std::abort();                                                          \
     }                                                                        \
   } while (0)
+
+namespace mondet {
+
+/// Deliberate fault injection for the fuzz harness' self-test
+/// (scripts/check_fuzz_fault.sh): true iff the MONDET_FAULT environment
+/// variable, read once per process, names `fault`. Each fault breaks one
+/// engine in a way its differential oracle must catch and shrink.
+inline bool FaultInjected(std::string_view fault) {
+  static const std::string env = [] {
+    const char* v = std::getenv("MONDET_FAULT");
+    return std::string(v != nullptr ? v : "");
+  }();
+  return env == fault;
+}
+
+}  // namespace mondet
 
 #endif  // MONDET_BASE_CHECK_H_

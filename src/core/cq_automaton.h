@@ -40,8 +40,8 @@ class CqMatchAutomaton {
 
   /// True iff s's match set is a subset of t's. Leaf/Unary/Binary are
   /// monotone in this order and Accepting is upward closed along it, so
-  /// rejection propagates downward — the partial order the antichain
-  /// prune of DatalogContainedInUcq relies on.
+  /// rejection propagates downward — the partial order the product walk's
+  /// antichain prune relies on (automata/product_walk.h).
   bool SubsetOf(DpState s, DpState t) const;
 
   size_t num_states() const { return states_.size(); }

@@ -47,10 +47,13 @@ DatalogQuery LimitIdbAtomsPerRule(const DatalogQuery& query, int max_idb) {
         aux_vars.push_back(v);
       }
     }
+    // The name carries the arity: folds of different queries over one
+    // vocabulary share a name only when they share an arity.
+    const int aux_arity = static_cast<int>(aux_vars.size());
     PredId aux = vocab->AddPredicate(
-        "Fold" + std::to_string(aux_counter++) + "." +
-            vocab->name(query.goal),
-        static_cast<int>(aux_vars.size()));
+        "Fold" + std::to_string(aux_counter++) + "/" +
+            std::to_string(aux_arity) + "." + vocab->name(query.goal),
+        aux_arity);
     idbs.insert(aux);
     // Auxiliary rule: Aux(vars) ← I1, I2 (variables renumbered densely).
     Rule aux_rule;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <map>
 #include <optional>
 
+#include "automata/product_walk.h"
 #include "base/check.h"
 #include "base/stats.h"
 #include "base/thread_pool.h"
@@ -297,187 +297,6 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   return result;
 }
 
-namespace {
-
-/// One (NTA state, DP state) reachability walk — the engine shared by the
-/// antichain route and the explicit escape hatch of DatalogContainedInUcq.
-/// With `prune` off and `early_exit` off this is the pre-antichain full
-/// fixpoint, byte for byte; `early_exit` stops at the first pair interned
-/// with a final NTA state and a rejecting DP state, which is exactly the
-/// pair the full fixpoint's lowest-id post-scan finds (pairs are checked
-/// in intern order and nothing before the first bad pair differs).
-struct ContainmentWalk {
-  struct Deriv {
-    int kind = -1;  // 0 leaf, 1 unary, 2 binary
-    size_t trans = 0;
-    int child1 = -1;
-    int child2 = -1;
-  };
-  std::vector<std::pair<State, uint32_t>> pairs;
-  std::vector<Deriv> derivs;
-  size_t transition_visits = 0;
-  size_t subsumption_prunes = 0;
-  int bad = -1;  // pair id, or -1 (only set when early_exit)
-};
-
-ContainmentWalk RunContainmentWalk(const Nta& nta, UcqMatchAutomaton& dp,
-                                   bool prune, bool early_exit) {
-  ContainmentWalk w;
-  using Deriv = ContainmentWalk::Deriv;
-  std::map<std::pair<State, uint32_t>, int> pair_id;
-  std::map<State, std::vector<int>> pairs_by_state;
-  // Per NTA-state antichain filter: pair ids whose DP match sets are the
-  // current ⊆-minimal ones. Dominated entries leave the filter but stay
-  // in `pairs` (their derivations may already be referenced).
-  std::map<State, std::vector<int>> frontier;
-  std::vector<int> worklist;  // FIFO; grows as pairs are discovered
-  auto intern = [&](State q, uint32_t d, Deriv deriv) {
-    if (w.bad >= 0) return;
-    auto key = std::make_pair(q, d);
-    auto it = pair_id.find(key);
-    if (it != pair_id.end()) return;
-    if (prune) {
-      for (int old : frontier[q]) {
-        if (dp.SubsetOf(w.pairs[old].second, d)) {
-          ++w.subsumption_prunes;
-          return;
-        }
-      }
-    }
-    int id = static_cast<int>(w.pairs.size());
-    pair_id.emplace(key, id);
-    w.pairs.push_back(key);
-    w.derivs.push_back(deriv);
-    pairs_by_state[q].push_back(id);
-    if (prune) {
-      auto& fr = frontier[q];
-      fr.erase(std::remove_if(fr.begin(), fr.end(),
-                              [&](int old) {
-                                return dp.SubsetOf(d, w.pairs[old].second);
-                              }),
-               fr.end());
-      fr.push_back(id);
-    }
-    worklist.push_back(id);
-    // A pruned bad pair is never missed: its match sets contain a kept
-    // pair's, and rejection is downward closed, so the kept pair was
-    // already bad when it was interned.
-    if (early_exit && nta.finals().count(q) > 0 && !dp.Accepting(d)) {
-      w.bad = id;
-    }
-  };
-
-  // Transition indexes keyed by child state: popping a pair consults only
-  // the transitions it can feed, joining against the pairs already known
-  // for the sibling state — the same delta-against-saturated shape as
-  // semi-naive rule evaluation, replacing the full rescan per round.
-  std::map<State, std::vector<size_t>> unary_by_child;
-  for (size_t ti = 0; ti < nta.unary_transitions().size(); ++ti) {
-    unary_by_child[nta.unary_transitions()[ti].child].push_back(ti);
-  }
-  std::map<State, std::vector<size_t>> binary_by_child1, binary_by_child2;
-  for (size_t ti = 0; ti < nta.binary_transitions().size(); ++ti) {
-    binary_by_child1[nta.binary_transitions()[ti].child1].push_back(ti);
-    binary_by_child2[nta.binary_transitions()[ti].child2].push_back(ti);
-  }
-
-  for (size_t ti = 0; ti < nta.leaf_transitions().size() && w.bad < 0;
-       ++ti) {
-    const auto& t = nta.leaf_transitions()[ti];
-    ++w.transition_visits;
-    intern(t.to, dp.Leaf(t.label), Deriv{0, ti, -1, -1});
-  }
-  for (size_t wi = 0; wi < worklist.size() && w.bad < 0; ++wi) {
-    const int pi = worklist[wi];
-    const State q = w.pairs[pi].first;
-    const uint32_t dq = w.pairs[pi].second;
-    if (auto it = unary_by_child.find(q); it != unary_by_child.end()) {
-      for (size_t ti : it->second) {
-        if (w.bad >= 0) break;
-        const auto& t = nta.unary_transitions()[ti];
-        ++w.transition_visits;
-        intern(t.to, dp.Unary(dq, t.label, t.edge), Deriv{1, ti, pi, -1});
-      }
-    }
-    // Binary joins pair the popped state with every known sibling pair.
-    // The partner list is snapshotted by size: partners interned later
-    // re-pair with `pi` when they pop (pi is already in pairs_by_state),
-    // so every combination is applied at least once and O(1) times.
-    if (auto it = binary_by_child1.find(q);
-        it != binary_by_child1.end() && w.bad < 0) {
-      for (size_t ti : it->second) {
-        if (w.bad >= 0) break;
-        const auto& t = nta.binary_transitions()[ti];
-        auto pit = pairs_by_state.find(t.child2);
-        if (pit == pairs_by_state.end()) continue;
-        size_t n = pit->second.size();
-        for (size_t k = 0; k < n && w.bad < 0; ++k) {
-          int p2 = pit->second[k];
-          ++w.transition_visits;
-          intern(t.to,
-                 dp.Binary(dq, w.pairs[p2].second, t.label, t.edge1, t.edge2),
-                 Deriv{2, ti, pi, p2});
-        }
-      }
-    }
-    if (auto it = binary_by_child2.find(q);
-        it != binary_by_child2.end() && w.bad < 0) {
-      for (size_t ti : it->second) {
-        if (w.bad >= 0) break;
-        const auto& t = nta.binary_transitions()[ti];
-        auto pit = pairs_by_state.find(t.child1);
-        if (pit == pairs_by_state.end()) continue;
-        size_t n = pit->second.size();
-        for (size_t k = 0; k < n && w.bad < 0; ++k) {
-          int p1 = pit->second[k];
-          ++w.transition_visits;
-          intern(t.to,
-                 dp.Binary(w.pairs[p1].second, dq, t.label, t.edge1, t.edge2),
-                 Deriv{2, ti, p1, pi});
-        }
-      }
-    }
-  }
-  return w;
-}
-
-/// Reconstructs the violating code from a walk's derivation records.
-TreeCode BuildContainmentCode(const Nta& nta, int width,
-                              const ContainmentWalk& w, int bad) {
-  TreeCode code;
-  code.width = width;
-  std::function<int(int, int)> build = [&](int pi, int parent) -> int {
-    const ContainmentWalk::Deriv& d = w.derivs[pi];
-    int id = static_cast<int>(code.nodes.size());
-    code.nodes.emplace_back();
-    code.nodes[id].parent = parent;
-    if (d.kind == 0) {
-      const auto& t = nta.leaf_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-    } else if (d.kind == 1) {
-      const auto& t = nta.unary_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c = build(d.child1, id);
-      code.nodes[id].children.push_back(c);
-      code.nodes[id].edge_labels.push_back(t.edge);
-    } else {
-      const auto& t = nta.binary_transitions()[d.trans];
-      code.nodes[id].atoms.insert(t.label.begin(), t.label.end());
-      int c1 = build(d.child1, id);
-      code.nodes[id].children.push_back(c1);
-      code.nodes[id].edge_labels.push_back(t.edge1);
-      int c2 = build(d.child2, id);
-      code.nodes[id].children.push_back(c2);
-      code.nodes[id].edge_labels.push_back(t.edge2);
-    }
-    return id;
-  };
-  build(bad, -1);
-  return code;
-}
-
-}  // namespace
-
 ContainmentResult DatalogContainedInUcq(const DatalogQuery& query,
                                         const UCQ& ucq,
                                         const ContainmentOptions& options) {
@@ -485,53 +304,31 @@ ContainmentResult DatalogContainedInUcq(const DatalogQuery& query,
   ForwardResult fwd = ApproximationAutomaton(query);
   const Nta& nta = fwd.automaton;
 
-  if (options.antichain) {
-    // Verdict from the pruned early-exit walk. On failure, the witness
-    // comes from a second, unpruned early-exit walk: it interns the
-    // identical pair prefix as the escape hatch's full fixpoint, so the
-    // counterexample is byte-identical to the antichain-off route.
-    UcqMatchAutomaton dp(ucq, fwd.width);
-    ContainmentWalk w = RunContainmentWalk(nta, dp, /*prune=*/true,
-                                           /*early_exit=*/true);
-    result.pairs_explored = w.pairs.size();
-    result.transition_visits = w.transition_visits;
-    result.subsumption_prunes = w.subsumption_prunes;
-    result.macrostates_visited = dp.num_states();
-    if (w.bad < 0) {
-      result.contained = true;
-      return result;
-    }
-    UcqMatchAutomaton dp_witness(ucq, fwd.width);
-    ContainmentWalk ww = RunContainmentWalk(nta, dp_witness, /*prune=*/false,
-                                            /*early_exit=*/true);
-    MONDET_CHECK(ww.bad >= 0);
-    result.transition_visits += ww.transition_visits;
-    result.counterexample = BuildContainmentCode(nta, fwd.width, ww, ww.bad);
-    return result;
-  }
-
-  // Escape hatch: the pre-antichain full fixpoint plus lowest-id scan.
+  // Antichain: the verdict from the pruned walk, stopping at its first
+  // bad pair. Full fixpoint: the unpruned walk to saturation, whose first
+  // bad pair is the counterexample.
   UcqMatchAutomaton dp(ucq, fwd.width);
-  ContainmentWalk w = RunContainmentWalk(nta, dp, /*prune=*/false,
-                                         /*early_exit=*/false);
+  ProductWalkResult w = ProductWalk(nta, dp, /*prune=*/options.antichain,
+                                    /*early_exit=*/options.antichain);
   result.pairs_explored = w.pairs.size();
   result.transition_visits = w.transition_visits;
+  result.subsumption_prunes = w.subsumption_prunes;
   result.macrostates_visited = dp.num_states();
-
-  // A counterexample: a final NTA state paired with a rejecting DP state.
-  int bad = -1;
-  for (size_t pi = 0; pi < w.pairs.size(); ++pi) {
-    if (nta.finals().count(w.pairs[pi].first) &&
-        !dp.Accepting(w.pairs[pi].second)) {
-      bad = static_cast<int>(pi);
-      break;
-    }
-  }
-  if (bad < 0) {
-    result.contained = true;
+  result.contained = w.first_bad < 0;
+  if (result.contained) return result;
+  if (!options.antichain) {
+    result.counterexample = BuildDerivedCode(nta, w.derivs, w.first_bad);
     return result;
   }
-  result.counterexample = BuildContainmentCode(nta, fwd.width, w, bad);
+  // The witness comes from a second, unpruned early-exit walk: it interns
+  // the full fixpoint's pairs up to their first bad one, so the
+  // counterexample is byte-identical to the full-fixpoint route's.
+  UcqMatchAutomaton dp_witness(ucq, fwd.width);
+  ProductWalkResult ww = ProductWalk(nta, dp_witness, /*prune=*/false,
+                                     /*early_exit=*/true);
+  MONDET_CHECK(ww.first_bad >= 0);
+  result.transition_visits += ww.transition_visits;
+  result.counterexample = BuildDerivedCode(nta, ww.derivs, ww.first_bad);
   return result;
 }
 

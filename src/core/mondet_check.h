@@ -106,8 +106,8 @@ struct Thm5Result {
   /// Transition applications performed by the containment fixpoint.
   size_t transition_visits = 0;
   /// Distinct DP macrostates materialized by the verdict pass; comparable
-  /// across antichain on/off (the explicit route interns every reachable
-  /// one, the antichain route only what survives pruning).
+  /// across antichain on/off (the full fixpoint computes every reachable
+  /// one, the pruned walk only those it reaches from kept pairs).
   size_t macrostates_visited = 0;
   /// Pairs discarded by the antichain prune (0 with antichain off). Like
   /// the counters above this is work accounting, not part of the

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -54,23 +53,6 @@ int ResolveEvalThreads(int requested) {
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
-
-namespace {
-
-/// Deliberate fault injection for the fuzz harness' self-test
-/// (scripts/check_fuzz_fault.sh): with MONDET_FAULT=skip-delta-seat the
-/// last recursive delta seat of every rule is never scheduled — the
-/// classic semi-naive omission (a recursive atom whose deltas are never
-/// joined), which the differential oracles must catch and shrink.
-bool FaultSkipDeltaSeat() {
-  static const bool on = [] {
-    const char* env = std::getenv("MONDET_FAULT");
-    return env != nullptr && std::strcmp(env, "skip-delta-seat") == 0;
-  }();
-  return on;
-}
-
-}  // namespace
 
 namespace {
 
@@ -584,7 +566,10 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
         const RulePlan& plan = plans_[pi];
         for (int r = 0; r < static_cast<int>(plan.recursive_atoms.size());
              ++r) {
-          if (FaultSkipDeltaSeat() &&
+          // MONDET_FAULT=skip-delta-seat never schedules the last
+          // recursive delta seat of a rule — the classic semi-naive
+          // omission, which the differential oracles must catch.
+          if (FaultInjected("skip-delta-seat") &&
               r == static_cast<int>(plan.recursive_atoms.size()) - 1) {
             continue;
           }

@@ -1,8 +1,5 @@
 #include "datalog/kernel.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "base/check.h"
 
 namespace mondet {
@@ -13,20 +10,13 @@ namespace {
 /// at build time so the runners never bounds-check.
 constexpr size_t kMaxKernelArity = 16;
 
-/// Deliberate fault injection for the fuzz harness' self-test
-/// (scripts/check_fuzz_fault.sh): with MONDET_FAULT=skip-kernel-row every
-/// kernel candidate enumeration drops its last row — the classic
-/// off-by-one a hand-rolled loop nest invites — which only the compiled
-/// path exhibits, so the kernel-differential oracle must catch and shrink
-/// it against the generic interpreter.
+/// How many trailing rows every kernel candidate enumeration drops: 0, or
+/// 1 with MONDET_FAULT=skip-kernel-row — the classic off-by-one a
+/// hand-rolled loop nest invites — which only the compiled path exhibits,
+/// so the kernel-differential oracle must catch and shrink it against the
+/// generic interpreter.
 size_t FaultSkipKernelRow() {
-  static const size_t trim = [] {
-    const char* env = std::getenv("MONDET_FAULT");
-    return env != nullptr && std::strcmp(env, "skip-kernel-row") == 0
-               ? size_t{1}
-               : size_t{0};
-  }();
-  return trim;
+  return FaultInjected("skip-kernel-row") ? 1 : 0;
 }
 
 struct RunCtx {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "datalog/eval.h"
 #include "datalog/parser.h"
 #include "testing/corpus.h"
+#include "testing/describe.h"
 #include "testing/generator.h"
 #include "testing/oracle.h"
 #include "testing/shrink.h"
@@ -53,6 +55,34 @@ bool CodesIdentical(const TreeCode& x, const TreeCode& y) {
     }
   }
   return true;
+}
+
+using Counts = std::array<size_t, 4>;  // pairs, visits, macrostates, prunes
+
+Counts CountsOf(const Thm5Result& r) {
+  return {r.pairs_explored, r.transition_visits, r.macrostates_visited,
+          r.subsumption_prunes};
+}
+
+/// Node atoms, children and edge maps, independent of the vocabulary.
+std::string RenderCode(const TreeCode& code) {
+  std::string s = "w" + std::to_string(code.width);
+  for (const CodeNode& n : code.nodes) {
+    s += "[";
+    for (const AtomLabel& a : n.atoms) {
+      s += std::to_string(a.pred) + "(";
+      for (int p : a.positions) s += std::to_string(p) + ",";
+      s += ")";
+    }
+    for (size_t i = 0; i < n.children.size(); ++i) {
+      s += "|" + std::to_string(n.children[i]) + ":";
+      for (const auto& [x, y] : n.edge_labels[i].same) {
+        s += std::to_string(x) + "=" + std::to_string(y) + ",";
+      }
+    }
+    s += "]";
+  }
+  return s;
 }
 
 TEST(NtaIncluded, SelfInclusionOnRandomAutomata) {
@@ -183,38 +213,6 @@ TEST(NtaIncluded, AgreesWithExplicitRouteOnEnumeration) {
   }
 }
 
-TEST(LazyProduct, AgreesWithMaterializedProductAndWitnesses) {
-  for (unsigned seed = 0; seed < 40; ++seed) {
-    Nta a = RandomNta(61000 + seed);
-    Nta b = RandomNta(63000 + seed);
-    LazyProductResult r = LazyProductEmptiness(a, b);
-    EXPECT_EQ(r.empty, IsEmpty(Product(a, b))) << "seed " << seed;
-    if (!r.empty) {
-      ASSERT_TRUE(r.witness.has_value()) << "seed " << seed;
-      EXPECT_TRUE(r.witness->Validate());
-      EXPECT_TRUE(a.Accepts(*r.witness)) << "seed " << seed;
-      EXPECT_TRUE(b.Accepts(*r.witness)) << "seed " << seed;
-    } else {
-      EXPECT_FALSE(r.witness.has_value());
-    }
-  }
-}
-
-TEST(LazyProduct, BinaryIntersectionIsFound) {
-  // Both sides accept the binary-over-leaves shape; the witness must use
-  // the binary transition (three nodes).
-  Nta a(1);
-  a.AddState();
-  a.AddLeaf(NtaLabelA(), 0);
-  a.AddBinary(NtaLabelB(), EdgeLabel{}, EdgeLabel{}, 0, 0, 0);
-  a.AddFinal(0);
-  Nta b = UniversalNta();
-  LazyProductResult r = LazyProductEmptiness(a, b);
-  EXPECT_FALSE(r.empty);
-  ASSERT_TRUE(r.witness.has_value());
-  EXPECT_TRUE(a.Accepts(*r.witness));
-}
-
 // --- Thm 5 / containment byte-identity regression arm ----------------------
 
 TEST(ContainmentAntichain, DatalogInUcqBitIdenticalOnOrOff) {
@@ -277,8 +275,11 @@ TEST(ContainmentAntichain, Thm5BitIdenticalOnGoldenCases) {
   ASSERT_TRUE(on_r.counterexample.has_value());
   ASSERT_TRUE(off_r.counterexample.has_value());
   EXPECT_TRUE(CodesIdentical(*on_r.counterexample, *off_r.counterexample));
-  EXPECT_GT(on_r.macrostates_visited, 0u);
-  EXPECT_EQ(off_r.subsumption_prunes, 0u);
+  EXPECT_EQ(RenderCode(*on_r.counterexample),
+            "w2[|1:0=0,|2:1=0,][1(0,1,)][1(0,1,)]");
+  // Pinned work; the pruned route's visits include its witness pass.
+  EXPECT_EQ(CountsOf(on_r), (Counts{2, 6, 3, 1}));
+  EXPECT_EQ(CountsOf(off_r), (Counts{11, 31, 11, 0}));
 }
 
 TEST(ContainmentAntichain, Thm5BitIdenticalOnRandomViewSets) {
@@ -303,6 +304,62 @@ TEST(ContainmentAntichain, Thm5BitIdenticalOnRandomViewSets) {
           << "seed " << seed;
     }
   }
+}
+
+// --- Work-counter pins ------------------------------------------------------
+// Every route's work counters, verdict and witness, pinned: a change to
+// the walk's visiting order, dedup or prune shows up here even when
+// verdicts stay equal.
+
+TEST(WalkCounterPins, Thm5PathPlusUFamily) {
+  const Counts pruned[] = {{6, 9, 5, 0}, {16, 33, 17, 2}, {63, 141, 79, 21}};
+  const Counts full[] = {{6, 9, 5, 0}, {18, 33, 17, 0}, {92, 156, 91, 0}};
+  ContainmentOptions off;
+  off.antichain = false;
+  for (int n = 1; n <= 3; ++n) {
+    PathPlusU f = MakePathPlusU(MakeVocabulary(), n);
+    Thm5Result on_r = CheckCqOverDatalogViews(f.query, f.views);
+    Thm5Result off_r = CheckCqOverDatalogViews(f.query, f.views, off);
+    EXPECT_TRUE(on_r.determined) << "n=" << n;
+    EXPECT_TRUE(off_r.determined) << "n=" << n;
+    EXPECT_EQ(CountsOf(on_r), pruned[n - 1]) << "n=" << n;
+    EXPECT_EQ(CountsOf(off_r), full[n - 1]) << "n=" << n;
+  }
+}
+
+TEST(WalkCounterPins, NtaIncludedOverOracleSeeds) {
+  // One FNV-1a hash over (verdict, counters, witness) of both prune
+  // settings on the antichain-inclusion oracle's cases 0-31, then on the
+  // exponential family ChainOfANta(k + 1) vs NthBelowRootIsANta(k) in
+  // both directions (the not-included one prunes on every rung).
+  const testing::Oracle* o = testing::FindOracle("antichain-inclusion");
+  ASSERT_NE(o, nullptr);
+  std::vector<std::pair<Nta, Nta>> cases;
+  for (unsigned seed = 0; seed < 32; ++seed) {
+    testing::FuzzCase c = o->Generate(seed);
+    cases.emplace_back(*c.nta_a, *c.nta_b);
+  }
+  for (int k = 1; k <= 6; ++k) {
+    cases.emplace_back(ChainOfANta(k + 1), NthBelowRootIsANta(k));
+    cases.emplace_back(NthBelowRootIsANta(k), ChainOfANta(k + 1));
+  }
+  NtaInclusionOptions no_prune;
+  no_prune.antichain_prune = false;
+  std::string rendered;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [a, b] = cases[i];
+    SymbolUniverse u = MergedUniverse(a, b);
+    for (const NtaInclusionOptions& opts : {NtaInclusionOptions{}, no_prune}) {
+      NtaInclusionResult r = NtaIncluded(a, b, u, opts);
+      rendered += std::to_string(i) + (r.included ? " in " : " out ") +
+                  std::to_string(r.pairs_explored) + "/" +
+                  std::to_string(r.transition_visits) + "/" +
+                  std::to_string(r.macrostates_visited) + "/" +
+                  std::to_string(r.subsumption_prunes) + " " +
+                  (r.witness ? RenderCode(*r.witness) : "-") + "\n";
+    }
+  }
+  EXPECT_EQ(testing::Fnv1a(rendered), 0x88b43c9aa56e9561ull) << rendered;
 }
 
 // --- Oracle and corpus integration ------------------------------------------

@@ -195,29 +195,36 @@ TEST(Thm5, ManyViewAtomsFoldCorrectly) {
   // Regression: Q'' goal rules with more than two IDB atoms must be
   // folded without dropping children (the n=2 path query over VReach+VR
   // produces a 4-IDB-atom goal rule).
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  PredId u = vocab->AddPredicate("U", 1);
-  CQ q(vocab);
-  std::vector<VarId> vars;
-  for (int i = 0; i <= 2; ++i) vars.push_back(q.AddVar());
-  q.AddAtom(r, {vars[0], vars[1]});
-  q.AddAtom(r, {vars[1], vars[2]});
-  q.AddAtom(u, {vars[2]});
-  q.SetFreeVars({});
-  std::string error;
-  std::vector<Diagnostic> diags;
-  auto def = ParseQuery(
-      "Reach(x) :- R(x,y), U(y).\nReach(x) :- R(x,y), Reach(y).", "Reach",
-      vocab, &diags);
-  ASSERT_TRUE(def) << FormatDiagnostics(diags);
-  ViewSet views(vocab);
-  views.AddView("VReach", *def);
-  views.AddAtomicView("VR", r);
+  PathPlusU f = MakePathPlusU(MakeVocabulary(), 2);
   // Every Reach-witness path combines with the exposed R-edges into a
   // 2-path ending in U: determined.
-  Thm5Result result = CheckCqOverDatalogViews(q, views);
+  Thm5Result result = CheckCqOverDatalogViews(f.query, f.views);
   EXPECT_TRUE(result.determined);
+}
+
+TEST(Thm5, RepeatedDecisionsOverOneVocabulary) {
+  // Regression: Q'' is folded to two IDB atoms per rule with auxiliary
+  // predicates named on the shared vocabulary. The n = 1..3 family folds
+  // to different arities, which once gave one fold name two arities and
+  // aborted the third decision. Repeating a decision reuses the same
+  // predicates and repeats its counters; each matches a fresh vocabulary.
+  auto vocab = MakeVocabulary();
+  size_t preds_after_first_round = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (int n = 1; n <= 3; ++n) {
+      PathPlusU shared = MakePathPlusU(vocab, n);
+      Thm5Result r = CheckCqOverDatalogViews(shared.query, shared.views);
+      EXPECT_TRUE(r.determined) << "n=" << n;
+      PathPlusU fresh = MakePathPlusU(MakeVocabulary(), n);
+      Thm5Result f = CheckCqOverDatalogViews(fresh.query, fresh.views);
+      EXPECT_EQ(r.pairs_explored, f.pairs_explored) << "n=" << n;
+      EXPECT_EQ(r.transition_visits, f.transition_visits) << "n=" << n;
+      EXPECT_EQ(r.macrostates_visited, f.macrostates_visited) << "n=" << n;
+      EXPECT_EQ(r.subsumption_prunes, f.subsumption_prunes) << "n=" << n;
+    }
+    if (round == 0) preds_after_first_round = vocab->AllPredicates().size();
+  }
+  EXPECT_EQ(vocab->AllPredicates().size(), preds_after_first_round);
 }
 
 TEST(Thm5, AgreesWithCanonicalTestsOnCqCq) {

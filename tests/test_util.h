@@ -3,9 +3,13 @@
 
 #include <vector>
 
+#include "base/check.h"
 #include "base/instance.h"
 #include "base/symbol_table.h"
+#include "cq/cq.h"
+#include "datalog/parser.h"
 #include "testing/generator.h"
+#include "views/view_set.h"
 
 namespace mondet {
 
@@ -37,6 +41,33 @@ inline Instance RandomInstance(const VocabularyPtr& vocab,
                                const std::vector<PredId>& preds, int elems,
                                int facts, unsigned seed) {
   return testing::RandomInstance(vocab, preds, elems, facts, seed);
+}
+
+/// bench_table2's Thm 5 family on `vocab`: the Boolean CQ
+/// R(x0,x1), ..., R(x_{n-1},x_n), U(x_n) over the recursive view VReach
+/// (R-reachability into U) and the atomic view VR. Determined at every n.
+struct PathPlusU {
+  CQ query;
+  ViewSet views;
+};
+inline PathPlusU MakePathPlusU(const VocabularyPtr& vocab, int n) {
+  PredId r = vocab->AddPredicate("R", 2);
+  PredId u = vocab->AddPredicate("U", 1);
+  CQ q(vocab);
+  std::vector<VarId> vars;
+  for (int i = 0; i <= n; ++i) vars.push_back(q.AddVar());
+  for (int i = 0; i < n; ++i) q.AddAtom(r, {vars[i], vars[i + 1]});
+  q.AddAtom(u, {vars[n]});
+  q.SetFreeVars({});
+  std::vector<Diagnostic> diags;
+  auto def = ParseQuery(
+      "Reach(x) :- R(x,y), U(y).\nReach(x) :- R(x,y), Reach(y).", "Reach",
+      vocab, &diags);
+  MONDET_CHECK(def.has_value());
+  ViewSet views(vocab);
+  views.AddView("VReach", *def);
+  views.AddAtomicView("VR", r);
+  return {std::move(q), std::move(views)};
 }
 
 }  // namespace mondet
