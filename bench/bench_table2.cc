@@ -130,8 +130,9 @@ void BM_T2_CqDatalog_Thm5(benchmark::State& state, bool antichain) {
 }
 // The antichain-on/off twins decide identically (verdicts and
 // counterexamples are bit-identical by contract). The pruned walk interns
-// fewer pairs and DP states but is no faster at any rung; what it saves is
-// peak memory (docs/EVALUATION.md, "The Thm 5 path").
+// fewer pairs and DP states; with bitset DP states its inclusion tests are
+// cheap, so it ties at n <= 2 and is faster at n >= 3 (docs/EVALUATION.md,
+// "The Thm 5 path").
 void BM_T2_CqDatalog_Thm5_Antichain(benchmark::State& state) {
   BM_T2_CqDatalog_Thm5(state, /*antichain=*/true);
 }

@@ -73,10 +73,14 @@ fi
 # regression, the pinned walk counters, and the antichain-inclusion
 # oracle seed sweep; cq_automaton_test and mondet_check_test run the same
 # product walk (automata/product_walk.h) as Thm 5 does — contained and
-# not-contained DatalogContainedInUcq, Thm 5 vs the canonical tests, and
-# repeated decisions over one vocabulary.
+# not-contained DatalogContainedInUcq, the right-automaton contract the
+# prune relies on, Thm 5 vs the canonical tests, and repeated decisions
+# over one vocabulary; property_test's CqDpAgreement (the CQ-match DP vs
+# homomorphism search on random instances) and Thm5VsCanonical are the
+# only DP coverage outside the path-plus-U family, and the DP indexes its
+# bitset words and match arena by hand.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test mondet-fuzz
 MONDET_THREADS=4 ./build-asan/tests/base_test
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
@@ -93,6 +97,7 @@ MONDET_THREADS=1 ./build-asan/tests/antichain_test
 MONDET_THREADS=4 ./build-asan/tests/antichain_test
 ./build-asan/tests/cq_automaton_test
 ./build-asan/tests/mondet_check_test
+./build-asan/tests/property_test
 
 # Fuzz smoke arm: mondet-fuzz over every registered oracle at fixed
 # seeds under ASan/UBSan (~10s). Deterministic — the same seeds every

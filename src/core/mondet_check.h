@@ -86,11 +86,15 @@ struct ContainmentOptions {
   /// the same NTA state is discarded — DP transitions are monotone in
   /// match-set inclusion and rejection is downward closed, so a
   /// counterexample reachable through the pruned pair is also reachable
-  /// through the kept one. Verdicts and counterexamples are bit-identical
-  /// on or off (only the work counters differ; on failure an unpruned
-  /// early-exit pass re-derives the exact witness the escape hatch
-  /// produces). Off = the pre-antichain full fixpoint, kept as the
-  /// explicit escape hatch for differential testing.
+  /// through the kept one. DP states are bitsets over an interned match
+  /// universe, so each inclusion test is a word-wise AND-NOT; the pruned
+  /// walk ties the full fixpoint on small inputs and is faster on larger
+  /// ones (docs/EVALUATION.md, "The Thm 5 path").
+  /// Verdicts and counterexamples are bit-identical on or off (only the
+  /// work counters differ; on failure an unpruned early-exit pass
+  /// re-derives the exact witness the escape hatch produces). Off = the
+  /// full fixpoint, kept as the explicit escape hatch for differential
+  /// testing.
   bool antichain = true;
 };
 

@@ -226,18 +226,35 @@ TEST(ContainmentAntichain, DatalogInUcqBitIdenticalOnOrOff) {
   )",
                       "Goal", vocab, &diags);
   ASSERT_TRUE(q) << FormatDiagnostics(diags);
-  std::vector<std::string> targets = {
-      "C() :- U(x).",
-      "C() :- R(x,x).",
-      "C() :- R(x,y), R(y,z).",
+  // Multi-disjunct targets run UcqMatchAutomaton::SubsetOf componentwise
+  // over one match universe per disjunct.
+  struct Target {
+    std::vector<std::string> disjuncts;
+    bool contained;
+  };
+  const std::vector<Target> targets = {
+      {{"C() :- U(x)."}, true},
+      {{"C() :- R(x,x)."}, false},
+      {{"C() :- R(x,y), R(y,z)."}, false},
+      {{"C() :- R(x,y), U(y).", "C() :- U(x)."}, true},
+      {{"C() :- R(x,x).", "C() :- R(x,y), R(y,z)."}, false},
+      {{"C() :- R(x,y), R(y,z).", "C() :- R(x,y), U(y).", "C() :- U(x)."},
+       true},
+      {{"C() :- R(x,y), R(y,z).", "C() :- R(x,x).", "C() :- U(x), R(x,y)."},
+       false},
   };
   ContainmentOptions off;
   off.antichain = false;
-  for (const std::string& t : targets) {
+  for (const Target& target : targets) {
     UCQ ucq(vocab);
-    ucq.AddDisjunct(*ParseCq(t, vocab, &error));
+    std::string t;
+    for (const std::string& d : target.disjuncts) {
+      ucq.AddDisjunct(*ParseCq(d, vocab, &error));
+      t += (t.empty() ? "" : " ") + d;
+    }
     ContainmentResult on_r = DatalogContainedInUcq(*q, ucq);
     ContainmentResult off_r = DatalogContainedInUcq(*q, ucq, off);
+    EXPECT_EQ(on_r.contained, target.contained) << t;
     EXPECT_EQ(on_r.contained, off_r.contained) << t;
     ASSERT_EQ(on_r.counterexample.has_value(),
               off_r.counterexample.has_value())
@@ -312,11 +329,17 @@ TEST(ContainmentAntichain, Thm5BitIdenticalOnRandomViewSets) {
 // verdicts stay equal.
 
 TEST(WalkCounterPins, Thm5PathPlusUFamily) {
-  const Counts pruned[] = {{6, 9, 5, 0}, {16, 33, 17, 2}, {63, 141, 79, 21}};
-  const Counts full[] = {{6, 9, 5, 0}, {18, 33, 17, 0}, {92, 156, 91, 0}};
+  const Counts pruned[] = {{6, 9, 5, 0},
+                           {16, 33, 17, 2},
+                           {63, 141, 79, 21},
+                           {424, 866, 554, 189}};
+  const Counts full[] = {{6, 9, 5, 0},
+                         {18, 33, 17, 0},
+                         {92, 156, 91, 0},
+                         {790, 1155, 789, 0}};
   ContainmentOptions off;
   off.antichain = false;
-  for (int n = 1; n <= 3; ++n) {
+  for (int n = 1; n <= 4; ++n) {
     PathPlusU f = MakePathPlusU(MakeVocabulary(), n);
     Thm5Result on_r = CheckCqOverDatalogViews(f.query, f.views);
     Thm5Result off_r = CheckCqOverDatalogViews(f.query, f.views, off);

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <random>
 
+#include "automata/product_walk.h"
 #include "core/cq_automaton.h"
 #include "core/forward.h"
 #include "core/mondet_check.h"
 #include "datalog/parser.h"
 #include "datalog/eval.h"
+#include "testing/generator.h"
 #include "tests/test_util.h"
 #include "tree/code.h"
 #include "tree/decompose.h"
@@ -163,6 +167,140 @@ TEST(Containment, DatalogInUcqMultiDisjunct) {
   UCQ wrong(vocab);
   wrong.AddDisjunct(*ParseCq("C() :- R(x,y), R(y,z).", vocab, &error));
   EXPECT_FALSE(DatalogContainedInUcq(*q, wrong).contained);
+}
+
+// --- The right-automaton contract of automata/product_walk.h --------------
+
+/// Q'' = Π_V ∪ {Thm5.Goal ← V(Q)}, as CheckCqOverDatalogViews builds it.
+DatalogQuery Thm5Query(const CQ& query, const ViewSet& views) {
+  const VocabularyPtr& vocab = query.vocab();
+  Instance canon = query.CanonicalDb();
+  Instance image = views.Image(canon);
+  Program program = views.CombinedProgram();
+  PredId goal = vocab->AddPredicate("Thm5.Goal", 0);
+  Rule goal_rule;
+  for (size_t e = 0; e < canon.num_elements(); ++e) {
+    goal_rule.var_names.push_back(canon.element_name(static_cast<ElemId>(e)));
+  }
+  goal_rule.head = QAtom(goal, {});
+  for (uint32_t fg = 0; fg < image.num_facts(); ++fg) {
+    const FactView f = image.ViewAt(fg);
+    goal_rule.body.push_back(
+        QAtom(f.pred, std::vector<VarId>(f.args.begin(), f.args.end())));
+  }
+  program.AddRule(std::move(goal_rule));
+  return DatalogQuery(std::move(program), goal);
+}
+
+/// Checks the contract the product walk's antichain prune relies on, over
+/// the DP states a full unpruned walk of Thm 5's Q'' against Q leaves:
+/// SubsetOf is a partial order on state ids (reflexive, transitive, and
+/// mutual inclusion means one id, so no set is stored under two
+/// encodings), Accepting is upward closed, and Unary/Binary along every
+/// NTA transition are monotone. The sample takes the first and the last
+/// states interned — before and after the match universe grew — plus a
+/// fixed-seed draw, and then every state the monotonicity probes intern.
+void ExpectRightContract(const CQ& query, const ViewSet& views,
+                         unsigned seed, const std::string& what) {
+  ForwardResult fwd = ApproximationAutomaton(Thm5Query(query, views));
+  const Nta& nta = fwd.automaton;
+  CqMatchAutomaton dp(query, fwd.width);
+  ProductWalk(nta, dp, /*prune=*/false, /*early_exit=*/false);
+  const uint32_t walked = static_cast<uint32_t>(dp.num_states());
+  ASSERT_GE(walked, 2u) << what;
+  std::mt19937 rng(seed);
+  std::vector<uint32_t> sample;
+  for (uint32_t s = 0; s < std::min(walked, 4u); ++s) sample.push_back(s);
+  for (uint32_t s = walked - std::min(walked, 4u); s < walked; ++s) {
+    sample.push_back(s);
+  }
+  for (int i = 0; i < 24; ++i) sample.push_back(rng() % walked);
+  auto dedupe = [](std::vector<uint32_t>* v) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  };
+  dedupe(&sample);
+
+  // Comparable pairs s ⊆ t of the sample, s != t first, then reflexive.
+  std::vector<std::pair<uint32_t, uint32_t>> below;
+  for (uint32_t s : sample) {
+    for (uint32_t t : sample) {
+      if (s != t && dp.SubsetOf(s, t)) below.emplace_back(s, t);
+    }
+  }
+  for (uint32_t s : sample) below.emplace_back(s, s);
+  ASSERT_GT(below.size(), sample.size()) << what << ": no strict pair";
+
+  // Monotonicity probes: a bounded, fixed-seed draw of comparable pairs
+  // through every unary and binary transition of the NTA.
+  std::vector<uint32_t> probed;
+  auto pick = [&] { return below[rng() % below.size()]; };
+  for (const auto& t : nta.unary_transitions()) {
+    for (int k = 0; k < 16; ++k) {
+      const auto [s, u] = pick();
+      const uint32_t fs = dp.Unary(s, t.label, t.edge);
+      const uint32_t fu = dp.Unary(u, t.label, t.edge);
+      EXPECT_TRUE(dp.SubsetOf(fs, fu))
+          << what << ": Unary " << s << " <= " << u;
+      probed.push_back(fs);
+      probed.push_back(fu);
+    }
+  }
+  for (const auto& t : nta.binary_transitions()) {
+    for (int k = 0; k < 8; ++k) {
+      const auto [s1, u1] = pick();
+      const auto [s2, u2] = pick();
+      const uint32_t fs = dp.Binary(s1, s2, t.label, t.edge1, t.edge2);
+      const uint32_t fu = dp.Binary(u1, u2, t.label, t.edge1, t.edge2);
+      EXPECT_TRUE(dp.SubsetOf(fs, fu))
+          << what << ": Binary (" << s1 << "," << s2 << ") <= (" << u1
+          << "," << u2 << ")";
+      probed.push_back(fs);
+      probed.push_back(fu);
+    }
+  }
+  sample.insert(sample.end(), probed.begin(), probed.end());
+  dedupe(&sample);
+
+  for (uint32_t s : sample) {
+    EXPECT_TRUE(dp.SubsetOf(s, s)) << what << ": state " << s;
+    for (uint32_t t : sample) {
+      if (!dp.SubsetOf(s, t)) continue;
+      if (dp.SubsetOf(t, s)) {
+        EXPECT_EQ(s, t) << what << ": one set under two ids";
+      }
+      if (dp.Accepting(s)) {
+        EXPECT_TRUE(dp.Accepting(t)) << what << ": " << s << " <= " << t;
+      }
+      for (uint32_t u : sample) {
+        if (dp.SubsetOf(t, u)) {
+          EXPECT_TRUE(dp.SubsetOf(s, u))
+              << what << ": " << s << " <= " << t << " <= " << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(RightAutomatonContract, PathPlusUFamily) {
+  for (int n = 1; n <= 3; ++n) {
+    PathPlusU f = MakePathPlusU(MakeVocabulary(), n);
+    ExpectRightContract(f.query, f.views, 700 + n, "n=" + std::to_string(n));
+  }
+}
+
+TEST(RightAutomatonContract, RandomViewSets) {
+  // Seed 0 walks 4 DP states, the others about 90 each.
+  for (unsigned seed : {0u, 2u, 5u, 8u}) {
+    testing::GenProfile profile = testing::EvalProfile();
+    ViewSet views = testing::BuildViews(
+        profile.vocab, testing::RandomViewSpecs(profile, seed));
+    std::string error;
+    auto q = ParseCq("Q() :- E2(x,y), E2(y,z), E1(z).", profile.vocab, &error);
+    ASSERT_TRUE(q) << error;
+    ExpectRightContract(*q, views, 710 + seed,
+                        "seed " + std::to_string(seed));
+  }
 }
 
 }  // namespace
