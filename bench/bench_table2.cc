@@ -31,6 +31,13 @@ CQ PathCq(const VocabularyPtr& vocab, PredId r, int n) {
   return cq;
 }
 
+/// Work counters of a checker row: canonical tests (pruned ones count as
+/// run) and the evaluations of Q the trie walk made for them.
+void SetCheckCounters(benchmark::State& state, const MonDetResult& r) {
+  state.counters["tests"] = static_cast<double>(r.tests_run);
+  state.counters["evals"] = static_cast<double>(r.evaluations);
+}
+
 // --- Cell: CQ / CQ — NP-complete [21]; exact canonical tests. ------------
 void BM_T2_CqCq_Exact(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -41,14 +48,13 @@ void BM_T2_CqCq_Exact(benchmark::State& state) {
   // View = 2-step pairs: determined for even path lengths.
   std::string error;
   views.AddCqView("V", *ParseCq("V(x,z) :- R(x,y), R(y,z).", vocab, &error));
-  Verdict verdict = Verdict::kUnknownBounded;
+  MonDetResult result;
   for (auto _ : state) {
-    MonDetResult result =
-        CheckMonotonicDeterminacy(CqAsDatalog(q, "G" + std::to_string(n)),
-                                  views);
-    verdict = result.verdict;
+    result = CheckMonotonicDeterminacy(
+        CqAsDatalog(q, "G" + std::to_string(n)), views);
   }
-  state.SetLabel(verdict == Verdict::kDetermined
+  SetCheckCounters(state, result);
+  state.SetLabel(result.verdict == Verdict::kDetermined
                      ? "exact: determined (paper: NP-complete)"
                      : "exact: not determined");
 }
@@ -73,11 +79,12 @@ void BM_T2_UcqUcq_Exact(benchmark::State& state) {
   std::string error;
   views.AddCqView("V", *ParseCq("V(x,z) :- R(x,y), R(y,z).", vocab, &error));
   views.AddAtomicView("VS", s);
-  Verdict verdict = Verdict::kUnknownBounded;
+  MonDetResult result;
   for (auto _ : state) {
-    verdict = CheckMonotonicDeterminacy(UcqAsDatalog(q, "G"), views).verdict;
+    result = CheckMonotonicDeterminacy(UcqAsDatalog(q, "G"), views);
   }
-  state.SetLabel(verdict == Verdict::kDetermined
+  SetCheckCounters(state, result);
+  state.SetLabel(result.verdict == Verdict::kDetermined
                      ? "exact: determined (paper: Pi^p_2-complete)"
                      : "exact: not determined");
 }
@@ -157,17 +164,14 @@ void BM_T2_FgdlFgdl_BoundedTests(benchmark::State& state) {
                       "Goal", vocab, &diags);
   ViewSet views(vocab);
   views.AddAtomicView("VS", *vocab->FindPredicate("S"));
-  size_t tests = 0;
-  Verdict verdict = Verdict::kUnknownBounded;
+  MonDetResult result;
   for (auto _ : state) {
     MonDetOptions options;
     options.query_depth = static_cast<int>(state.range(0));
-    MonDetResult result = CheckMonotonicDeterminacy(*q, views, options);
-    tests = result.tests_run;
-    verdict = result.verdict;
+    result = CheckMonotonicDeterminacy(*q, views, options);
   }
-  state.counters["tests"] = static_cast<double>(tests);
-  state.SetLabel(verdict == Verdict::kNotDetermined
+  SetCheckCounters(state, result);
+  state.SetLabel(result.verdict == Verdict::kNotDetermined
                      ? "refuted"
                      : "no counterexample (paper: decidable, 2ExpTime)");
 }
@@ -189,27 +193,26 @@ void BM_T2_MdlMdlCq_BoundedTests(benchmark::State& state) {
   ViewSet views(vocab);
   views.AddView("VReach", *vdef);  // MDL view
   views.AddAtomicView("VR", *vocab->FindPredicate("R"));  // CQ view
-  size_t tests = 0;
-  Verdict verdict = Verdict::kUnknownBounded;
+  MonDetResult result;
   for (auto _ : state) {
     MonDetOptions options;
     options.query_depth = static_cast<int>(state.range(0));
     options.view_depth = static_cast<int>(state.range(0));
-    MonDetResult result = CheckMonotonicDeterminacy(*q, views, options);
-    tests = result.tests_run;
-    verdict = result.verdict;
+    result = CheckMonotonicDeterminacy(*q, views, options);
   }
-  state.counters["tests"] = static_cast<double>(tests);
-  state.SetLabel(verdict == Verdict::kNotDetermined
+  SetCheckCounters(state, result);
+  state.SetLabel(result.verdict == Verdict::kNotDetermined
                      ? "refuted"
                      : "no counterexample (paper: decidable, 3ExpTime)");
 }
 BENCHMARK(BM_T2_MdlMdlCq_BoundedTests)->Arg(2)->Arg(3);
 
-// --- Thread sweep over the MDL/MDL+CQ family at a depth where the test
-// block is large (≥1000 canonical tests per check). range(0) = worker
-// count. The verdict and counters are identical across all three variants
-// (mondet_parallel_test proves this bit-for-bit); only wall time moves.
+// --- The MDL/MDL+CQ family at a depth where the test blocks are large
+// (3554 canonical tests per check, 31 evaluations). range(0) sets
+// MonDetOptions::num_threads, which the checker ignores since it walks
+// each block as a pruned trie on the calling thread: all three rows do the
+// same work. They stay until the thread pool and the option go
+// (ROADMAP.md direction 2, step 2).
 void BM_T2_MdlMdlCq_Threads(benchmark::State& state) {
   auto vocab = MakeVocabulary();
   std::vector<Diagnostic> diags;
@@ -234,7 +237,7 @@ void BM_T2_MdlMdlCq_Threads(benchmark::State& state) {
   for (auto _ : state) {
     result = CheckMonotonicDeterminacy(*q, views, options);
   }
-  state.counters["tests"] = static_cast<double>(result.tests_run);
+  SetCheckCounters(state, result);
 }
 BENCHMARK(BM_T2_MdlMdlCq_Threads)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
@@ -244,7 +247,7 @@ void BM_T2_MdlUcq_Undecidable(benchmark::State& state) {
   bool solvable = state.range(0) == 1;
   TilingProblem tp =
       solvable ? SolvableTilingProblem() : UnsolvableTilingProblem();
-  Verdict verdict = Verdict::kUnknownBounded;
+  MonDetResult result;
   for (auto _ : state) {
     Thm6Gadget gadget = BuildThm6(tp);
     MonDetOptions options;
@@ -252,19 +255,20 @@ void BM_T2_MdlUcq_Undecidable(benchmark::State& state) {
     options.view_depth = 3;
     options.max_query_expansions = 40;
     options.max_tests_per_expansion = 3000;
-    verdict =
-        CheckMonotonicDeterminacy(gadget.query, gadget.views, options).verdict;
+    result = CheckMonotonicDeterminacy(gadget.query, gadget.views, options);
   }
-  bool matches = solvable == (verdict == Verdict::kNotDetermined);
+  SetCheckCounters(state, result);
+  bool matches = solvable == (result.verdict == Verdict::kNotDetermined);
   state.SetLabel(std::string(solvable ? "solvable tiling" : "unsolvable tiling") +
                  (matches ? ": reduction verdict matches (paper: undecidable)"
                           : ": REDUCTION BROKEN"));
 }
 BENCHMARK(BM_T2_MdlUcq_Undecidable)->Arg(1)->Arg(0);
 
-// --- Thread sweep over the solvable Thm 6 gadget: the refuter has to walk
-// ~3500 canonical tests before the counterexample index, so this family
-// exposes the parallel block scan. range(0) = worker count.
+// --- The solvable Thm 6 gadget: the counterexample is canonical test 3474
+// (121 evaluations). range(0) sets the ignored MonDetOptions::num_threads,
+// as in BM_T2_MdlMdlCq_Threads: the rows do the same work and stay until
+// the option goes.
 void BM_T2_MdlUcq_Threads(benchmark::State& state) {
   TilingProblem tp = SolvableTilingProblem();
   Thm6Gadget gadget = BuildThm6(tp);
@@ -278,7 +282,7 @@ void BM_T2_MdlUcq_Threads(benchmark::State& state) {
   for (auto _ : state) {
     result = CheckMonotonicDeterminacy(gadget.query, gadget.views, options);
   }
-  state.counters["tests"] = static_cast<double>(result.tests_run);
+  SetCheckCounters(state, result);
   state.SetLabel(result.verdict == Verdict::kNotDetermined
                      ? "refuted"
                      : "NO COUNTEREXAMPLE");
@@ -298,13 +302,13 @@ void BM_T2_DatalogAtomic_Lemma8(benchmark::State& state) {
   DatalogQuery q2 = contained
                         ? *ParseQuery("G2() :- R(x,y).", "G2", vocab, &diags)
                         : *ParseQuery("G2() :- R(x,x).", "G2", vocab, &diags);
-  Verdict verdict = Verdict::kUnknownBounded;
+  MonDetResult result;
   for (auto _ : state) {
     Prop9Reduction reduction = ContainmentToMonDet(q1, q2);
-    verdict =
-        CheckMonotonicDeterminacy(reduction.query, reduction.views).verdict;
+    result = CheckMonotonicDeterminacy(reduction.query, reduction.views);
   }
-  bool matches = contained == (verdict != Verdict::kNotDetermined);
+  SetCheckCounters(state, result);
+  bool matches = contained == (result.verdict != Verdict::kNotDetermined);
   state.SetLabel(std::string(contained ? "Q1⊑Q2" : "Q1⋢Q2") +
                  (matches ? ": reduction verdict matches (paper: undecidable)"
                           : ": REDUCTION BROKEN"));

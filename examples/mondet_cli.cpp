@@ -223,8 +223,9 @@ int main(int argc, char** argv) {
       : verdict.verdict == Verdict::kInvalidInput   ? "INVALID INPUT"
                                                     : "no counterexample "
                                                       "within bounds";
-  std::printf("monotonic determinacy: %s (%zu canonical tests)\n",
-              verdict_name, verdict.tests_run);
+  std::printf("monotonic determinacy: %s (%zu canonical tests, %zu "
+              "evaluations)\n",
+              verdict_name, verdict.tests_run, verdict.evaluations);
   if (verdict.failure) {
     std::printf("  failing test D': %s\n",
                 verdict.failure->dprime.DebugString().c_str());

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Perf trajectory snapshot: run the tier-1 bench smoke set, then capture
-# the Table 2 families (including the MONDET_THREADS sweeps) as JSON in
-# BENCH_table2.json at the repo root, so future PRs can diff wall times
-# and counters (tests, transition_visits) against this one. Every JSON
+# the Table 2 families as JSON in BENCH_table2.json at the repo root, so
+# future PRs can diff wall times and counters (tests, evals,
+# transition_visits) against this one. Every JSON
 # records where and how it ran in its "context" block: nproc,
 # MONDET_THREADS (or "unset"), the build type, the git revision (suffixed
 # "-dirty" when src/ or bench/ differ from it) and BENCH_MIN_TIME.

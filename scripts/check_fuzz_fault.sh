@@ -2,7 +2,7 @@
 # Fault-injection gate for the fuzz harness: a deliberately broken
 # evaluator must be *caught* and the failure must *shrink*.
 #
-# Three faults, one per data plane:
+# Four faults, one per engine:
 #
 #   MONDET_FAULT=skip-delta-seat makes the semi-naive evaluator drop the
 #   last recursive delta seat of every rule (src/datalog/eval_plan.cc),
@@ -21,6 +21,13 @@
 #   is the one NtaIncluded and Thm 5's DatalogContainedInUcq both run,
 #   so the fault reaches Thm 5 too; it is caught by the
 #   antichain-inclusion oracle's three-way agreement contract.
+#
+#   MONDET_FAULT=skip-prefix-eval makes the canonical-test walk of
+#   CheckMonotonicDeterminacy (src/core/mondet_check.cc) prune every
+#   branching trie node whose D' prefix builds, without evaluating Q on
+#   it, so failing tests below are never run — caught by the
+#   mondet-parallel oracle, which compares the walk against the flat
+#   test-by-test scan (FlatMonDetReference).
 #
 # For each (oracle, fault) pair this script asserts that mondet-fuzz
 #
@@ -116,4 +123,5 @@ run_phase() {
 run_phase eval-differential skip-delta-seat || exit 1
 run_phase kernel-differential skip-kernel-row || exit 1
 run_phase antichain-inclusion skip-antichain-prune nta || exit 1
+run_phase mondet-parallel skip-prefix-eval || exit 1
 exit 0

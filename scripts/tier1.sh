@@ -59,9 +59,9 @@ fi
 # maintenance (counting + DRed over randomized insert/delete schedules
 # — its from-scratch recomputations run at MONDET_THREADS, so both
 # parallel modes cross-check the maintained state);
-# mondet_parallel_test is the determinism oracle for the parallel
-# counterexample search (1 vs 4 workers over the shared thread pool), run
-# at 4 workers so the sanitizers see real interleaving;
+# mondet_parallel_test is the walk-vs-flat oracle for the checker: the
+# monotonicity-pruned trie walk of the canonical tests against the flat
+# test-by-test scan (same verdict, counterexample and counters);
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules
 # never fire, pruning bit-identical at 1/4 threads);
@@ -112,24 +112,27 @@ if ! ./build-asan/tools/mondet-fuzz --seeds 16 --out "$FUZZ_OUT"; then
   exit 1
 fi
 
-# Fault-injection gate: deliberately broken evaluators
+# Fault-injection gate: deliberately broken engines
 # (MONDET_FAULT=skip-delta-seat drops the last recursive delta seat;
 # MONDET_FAULT=skip-kernel-row trims the last row of every compiled
 # kernel enumeration; MONDET_FAULT=skip-antichain-prune makes the product
 # walk's subsumption prune, shared by NtaIncluded and Thm 5,
-# bidirectional, i.e. unsound) must be
-# caught by the eval-differential, kernel-differential and
-# antichain-inclusion oracles within the smoke seed budget and shrunk
-# to <= 5 rules (<= 6 NTA transitions) — proof the harness detects and
-# the shrinker reduces, not just that everything is green.
+# bidirectional, i.e. unsound; MONDET_FAULT=skip-prefix-eval makes the
+# checker's canonical-test walk prune subtrees without evaluating their
+# prefix) must be caught by the eval-differential, kernel-differential,
+# antichain-inclusion and mondet-parallel oracles within the smoke seed
+# budget and shrunk to <= 5 rules (<= 6 NTA transitions) — proof the
+# harness detects and the shrinker reduces, not just that everything is
+# green.
 ./scripts/check_fuzz_fault.sh ./build-asan/tools/mondet-fuzz
 
 # Race detection: the thread pool's own tests (including the exception
-# paths) and the genuinely multi-threaded oracles — the parallel
-# counterexample search, the maintained-materialization differential,
-# and the kernel differential (whose 4T arms run compiled kernels over
-# shared column indexes) — under ThreadSanitizer at 4 workers (the
-# `tsan` CMake preset builds the same tree). TSan needs compiler runtime support (libtsan); minimal
+# paths) and the multi-threaded oracles — the maintained-materialization
+# differential and the kernel differential (whose 4T arms run compiled
+# kernels over shared column indexes) — under ThreadSanitizer at 4
+# workers (the `tsan` CMake preset builds the same tree). The checker's
+# walk-vs-flat oracle runs here too, although the checker no longer
+# starts threads. TSan needs compiler runtime support (libtsan); minimal
 # images often lack it, so probe the compiler first and make any skip
 # loud rather than silent.
 CXX_BIN="${CXX:-c++}"

@@ -11,12 +11,10 @@
 
 namespace mondet {
 
-/// A work-stealing thread pool shared by the parallel fan-outs of the
-/// system (the semi-naive evaluator's per-round rule items, the
-/// monotonic-determinacy checker's D'-test pipeline). Threads are spawned
-/// once and parked between jobs, so a caller that fans out thousands of
-/// small batches — the checker runs one batch per expansion block — pays
-/// no thread-creation cost per batch.
+/// A work-stealing thread pool behind the semi-naive evaluator's fan-out
+/// of per-round rule items. Threads are spawned once and parked between
+/// jobs, so a caller that fans out thousands of small batches pays no
+/// thread-creation cost per batch.
 ///
 /// Scheduling model: ParallelFor(n, w, fn) splits [0, n) into w contiguous
 /// shards, one per participating worker (the calling thread is always

@@ -1,14 +1,12 @@
 #include "core/mondet_check.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <optional>
 
 #include "automata/product_walk.h"
 #include "base/check.h"
 #include "base/stats.h"
-#include "base/thread_pool.h"
 #include "core/cq_automaton.h"
 #include "core/forward.h"
 #include "datalog/eval.h"
@@ -34,17 +32,21 @@ std::pair<std::vector<Expansion>, bool> ViewExpansions(const View& view,
   return {std::move(out), exhaustive};
 }
 
-/// Builds D' for one choice of per-fact view expansions: each view fact
-/// V(c) is replaced by the chosen expansion's facts, frontier unified with
-/// c and other elements fresh. Returns nullopt when some expansion's
+/// Builds the D' of the first `nfacts` image facts for one choice of
+/// per-fact view expansions: each view fact V(c) is replaced by the chosen
+/// expansion's facts, frontier unified with c and other elements fresh.
+/// Qi's elements come first, then each fact's fresh elements in fact
+/// order, so the D' of a prefix is a sub-instance of every D' that extends
+/// it, with the same element ids. Returns nullopt when some expansion's
 /// frontier cannot be unified with its fact's arguments.
 std::optional<Instance> BuildDPrime(
-    const VocabularyPtr& vocab, const Instance& image,
-    const std::vector<const Expansion*>& choice, size_t base_elems) {
+    const VocabularyPtr& vocab, const std::vector<Fact>& image,
+    const std::vector<const Expansion*>& choice, size_t nfacts,
+    size_t base_elems) {
   Instance dprime(vocab);
   dprime.EnsureElements(base_elems);
-  for (uint32_t fi = 0; fi < image.num_facts(); ++fi) {
-    const FactView fact = image.ViewAt(fi);
+  for (size_t fi = 0; fi < nfacts; ++fi) {
+    const Fact& fact = image[fi];
     const Expansion& exp = *choice[fi];
     // Map the expansion's elements: frontier -> fact args, others fresh.
     std::vector<ElemId> map(exp.inst.num_elements(), kNoElem);
@@ -69,14 +71,131 @@ std::optional<Instance> BuildDPrime(
   return dprime;
 }
 
-/// Orders facts by (pred, args): the per-expansion test enumeration walks
-/// the image facts in this order, so the test numbering — and with it
-/// tests_run and the reported counterexample — is a function of the
-/// image's fact *set*, not of the order the evaluator derived it in.
-bool FactLess(const Fact& a, const Fact& b) {
-  if (a.pred != b.pred) return a.pred < b.pred;
-  return a.args < b.args;
-}
+constexpr size_t kNoTest = static_cast<size_t>(-1);
+
+/// One expansion's block of canonical tests, walked as a trie. A depth-k
+/// node fixes the view expansions of image facts 0..k-1; its leaves are
+/// the tests numbered in mixed radix with fact 0 most significant, cut
+/// off at `size` tests; every fact has a choice and `size` is positive.
+///
+/// The walk is depth-first in test order and evaluates Q on the D' prefix
+/// of every node with two or more children in range. Q is monotone and a
+/// prefix is a sub-instance of every D' below it with the same element
+/// ids — Qi's, among them the frontier tuple c, come first — so when the
+/// prefix satisfies Q(c) every test below passes, and when the prefix
+/// cannot be built no test below can. Either way the subtree is skipped.
+/// The first failing leaf met is therefore the lowest failing test index.
+class TestBlockWalk {
+ public:
+  TestBlockWalk(const VocabularyPtr& vocab, const std::vector<Fact>& image,
+                const Expansion& qi, PredId goal,
+                const CompiledProgram& compiled,
+                std::vector<const std::vector<Expansion>*> options,
+                size_t size)
+      : vocab_(vocab),
+        image_(image),
+        qi_(qi),
+        goal_(goal),
+        compiled_(compiled),
+        options_(std::move(options)),
+        size_(size),
+        span_(options_.size() + 1, 1),
+        choice_(options_.size(), nullptr) {
+    // span_[k]: leaves under a depth-k node, saturated at `size` (a child
+    // starting that far from its node's first leaf is out of range).
+    for (size_t k = options_.size(); k-- > 0;) {
+      const size_t r = options_[k]->size();
+      span_[k] = span_[k + 1] > size_ / r ? size_ : span_[k + 1] * r;
+    }
+  }
+
+  /// The lowest failing test index, or kNoTest.
+  size_t Run() {
+    // One statistics snapshot per block, collected from the first
+    // buildable D': every test's D' assembles the same view expansions
+    // over the same image facts, so one test's counts describe them all,
+    // and their prefixes, well. The snapshot spares each evaluation its
+    // own live collection; stale stats stay correct by construction.
+    for (size_t t = 0; t < std::min<size_t>(size_, 4) && !stats_; ++t) {
+      size_t rest = t;
+      for (size_t fi = options_.size(); fi-- > 0;) {
+        choice_[fi] = &(*options_[fi])[rest % options_[fi]->size()];
+        rest /= options_[fi]->size();
+      }
+      std::optional<Instance> dprime = Build(options_.size());
+      if (dprime) stats_ = Stats::Collect(*dprime);
+    }
+    return Visit(0, 0);
+  }
+
+  size_t evaluations() const { return evaluations_; }
+  /// The D' of the failing test Run returned.
+  Instance TakeFailure() { return std::move(*failure_); }
+
+ private:
+  std::optional<Instance> Build(size_t nfacts) const {
+    return BuildDPrime(vocab_, image_, choice_, nfacts,
+                       qi_.inst.num_elements());
+  }
+
+  /// Does D' satisfy Q(c) for Qi's frontier tuple c? (The paper states
+  /// the Boolean case; the tuple version is the natural non-Boolean
+  /// extension.)
+  bool Holds(const Instance& dprime) {
+    ++evaluations_;
+    EvalOptions eopts;
+    eopts.num_threads = 1;
+    if (stats_) eopts.stats = &*stats_;
+    // Up to hundreds of µs-scale evals per check: the per-instance
+    // dataflow analysis can never amortize here, same reason the stats
+    // snapshot bypasses live collection.
+    eopts.dataflow_prune = false;
+    return compiled_.Eval(dprime, nullptr, eopts).HasFact(goal_, qi_.frontier);
+  }
+
+  /// The lowest failing test index under the depth-`depth` node whose
+  /// first leaf is test `first`, or kNoTest.
+  size_t Visit(size_t depth, size_t first) {
+    if (depth == options_.size()) {
+      std::optional<Instance> dprime = Build(depth);
+      // An unbuildable choice is counted but never a failure.
+      if (!dprime || Holds(*dprime)) return kNoTest;
+      failure_ = std::move(dprime);
+      return first;
+    }
+    const std::vector<Expansion>& opts = *options_[depth];
+    const size_t child_span = span_[depth + 1];
+    const size_t children =
+        std::min(opts.size(), 1 + (size_ - first - 1) / child_span);
+    if (children >= 2) {
+      std::optional<Instance> prefix = Build(depth);
+      // MONDET_FAULT=skip-prefix-eval prunes without evaluating: unsound,
+      // for the fuzz harness' self-test.
+      if (!prefix || FaultInjected("skip-prefix-eval") || Holds(*prefix)) {
+        return kNoTest;
+      }
+    }
+    for (size_t j = 0; j < children; ++j) {
+      choice_[depth] = &opts[j];
+      const size_t t = Visit(depth + 1, first + j * child_span);
+      if (t != kNoTest) return t;
+    }
+    return kNoTest;
+  }
+
+  const VocabularyPtr& vocab_;
+  const std::vector<Fact>& image_;
+  const Expansion& qi_;
+  const PredId goal_;
+  const CompiledProgram& compiled_;
+  const std::vector<const std::vector<Expansion>*> options_;
+  const size_t size_;
+  std::vector<size_t> span_;
+  std::vector<const Expansion*> choice_;
+  std::optional<Stats> stats_;
+  size_t evaluations_ = 0;
+  std::optional<Instance> failure_;
+};
 
 }  // namespace
 
@@ -142,9 +261,9 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
       options.query_depth >=
           static_cast<int>(query.program.Idbs().size()) + 1;
 
-  // Collect the query approximations up front; the search then runs one
+  // Collect the query approximations up front; the search then walks one
   // bounded block of (view-choice) tests per expansion, in expansion
-  // order, fanning each block out over the shared thread pool.
+  // order.
   std::vector<Expansion> expansions;
   bool enumeration_complete = EnumerateExpansions(
       query, options.query_depth, options.max_query_expansions,
@@ -153,36 +272,32 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
         return true;
       });
 
-  const int nthreads = std::max(1, ResolveEvalThreads(options.num_threads));
-  ThreadPool& pool = ThreadPool::Shared();
-
   bool all_tests_built = true;
   size_t tests_before = 0;  // Σ block sizes of completed expansions
-  constexpr size_t kNoTest = static_cast<size_t>(-1);
 
   for (size_t ei = 0; ei < expansions.size(); ++ei) {
     const Expansion& qi = expansions[ei];
 
     // One image per expansion, instances a few facts each: like the
-    // query evals below, too small to amortize per-instance dataflow
-    // analysis.
+    // query evals, too small to amortize per-instance dataflow analysis
+    // or a thread fan-out.
     EvalOptions img_opts;
+    img_opts.num_threads = 1;
     img_opts.dataflow_prune = false;
-    std::vector<Fact> image_facts =
+    // The walk takes the image facts in (pred, args) order, so the test
+    // numbering — and with it tests_run and the reported counterexample —
+    // is a function of the image's fact *set*, not of the order the
+    // evaluator derived it in.
+    std::vector<Fact> image =
         views.Image(qi.inst, nullptr, img_opts).AllFacts();
-    std::sort(image_facts.begin(), image_facts.end(), FactLess);
-    Instance image(vocab);
-    image.EnsureElements(qi.inst.num_elements());
-    for (const Fact& f : image_facts) image.AddFact(f);
+    std::sort(image.begin(), image.end());
 
     // Per-fact expansion choices; block size = min(Π choices, cap), the
     // exact number of tests a sequential lexicographic walk would count.
-    const size_t nfacts = image.num_facts();
     std::vector<const std::vector<Expansion>*> options_per_fact;
-    options_per_fact.reserve(nfacts);
+    options_per_fact.reserve(image.size());
     bool has_empty = false;
-    for (uint32_t fg = 0; fg < image.num_facts(); ++fg) {
-      const FactView f = image.ViewAt(fg);
+    for (const Fact& f : image) {
       options_per_fact.push_back(&view_exps.at(f.pred));
       if (options_per_fact.back()->empty()) {
         // No expansion of this view within the depth bound: cannot build
@@ -207,79 +322,17 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
       }
     }
 
-    // Decodes a flat test index into per-fact choices, fact 0 most
-    // significant — flat-index order IS the sequential lexicographic
-    // order, so "lowest failing index" means "first failure a sequential
-    // run would hit".
-    auto decode = [&](size_t t, std::vector<const Expansion*>* choice) {
-      choice->assign(nfacts, nullptr);
-      for (size_t fi = nfacts; fi-- > 0;) {
-        const std::vector<Expansion>& opts = *options_per_fact[fi];
-        (*choice)[fi] = &opts[t % opts.size()];
-        t /= opts.size();
-      }
-    };
-
-    // One statistics snapshot per block, collected from the first
-    // buildable D': every test's D' assembles the same view expansions
-    // over the same image facts, so one test's counts describe them all
-    // well. The snapshot spares each of the (up to `cap`) inner Evals its
-    // own live collection — stale stats stay correct by construction —
-    // and, being built sequentially before the fan-out, keeps the planned
-    // orders identical at every thread count.
-    std::optional<Stats> block_stats;
-    {
-      std::vector<const Expansion*> probe_choice;
-      const size_t probe_limit = std::min<size_t>(block, 4);
-      for (size_t t = 0; t < probe_limit && !block_stats; ++t) {
-        decode(t, &probe_choice);
-        std::optional<Instance> dprime =
-            BuildDPrime(vocab, image, probe_choice, qi.inst.num_elements());
-        if (dprime) block_stats = Stats::Collect(*dprime);
-      }
-    }
-
-    std::atomic<size_t> best{kNoTest};
-    std::vector<std::vector<const Expansion*>> scratch(nthreads);
-    pool.ParallelFor(block, nthreads, [&](size_t t, int w) {
-      // Only skip tests above a known failure: `best` never increases, so
-      // the minimum failing index is always evaluated.
-      if (t >= best.load(std::memory_order_acquire)) return;
-      decode(t, &scratch[w]);
-      std::optional<Instance> dprime =
-          BuildDPrime(vocab, image, scratch[w], qi.inst.num_elements());
-      if (!dprime) return;  // unbuildable choice: counted, never a failure
-      // The test succeeds if D' |= Q(c) for Qi's frontier tuple c (the
-      // paper states the Boolean case; the tuple version is the natural
-      // non-Boolean extension). Inner evaluations stay single-threaded —
-      // the parallelism budget is spent on the test fan-out.
-      EvalOptions eopts;
-      eopts.num_threads = 1;
-      if (block_stats) eopts.stats = &*block_stats;
-      // Thousands of µs-scale evals per check: the per-instance dataflow
-      // analysis can never amortize here, same reason the stats snapshot
-      // above bypasses live collection.
-      eopts.dataflow_prune = false;
-      if (!compiled_query.Eval(*dprime, nullptr, eopts)
-               .HasFact(query.goal, qi.frontier)) {
-        size_t cur = best.load(std::memory_order_relaxed);
-        while (t < cur && !best.compare_exchange_weak(
-                              cur, t, std::memory_order_acq_rel)) {
-        }
-      }
-    });
-
-    size_t t_fail = best.load(std::memory_order_acquire);
+    if (block == 0) continue;  // nothing to walk
+    TestBlockWalk walk(vocab, image, qi, query.goal, compiled_query,
+                       std::move(options_per_fact), block);
+    const size_t t_fail = walk.Run();
+    result.evaluations += walk.evaluations();
     if (t_fail != kNoTest) {
-      // As-if-sequential accounting: a 1-thread lexicographic walk would
-      // have stopped at exactly this test.
+      // Pruned tests count as run: the walk stops where a test-by-test
+      // scan would have.
       result.expansions_tried = ei + 1;
       result.tests_run = tests_before + t_fail + 1;
-      std::vector<const Expansion*> choice;
-      decode(t_fail, &choice);
-      std::optional<Instance> dprime =
-          BuildDPrime(vocab, image, choice, qi.inst.num_elements());
-      result.failure.emplace(qi, std::move(*dprime));
+      result.failure.emplace(qi, walk.TakeFailure());
       result.verdict = Verdict::kNotDetermined;
       return result;
     }

@@ -23,9 +23,9 @@ enum class Verdict {
   /// exhaustive (recursive query/views or caps hit): no counterexample up
   /// to the bounds.
   kUnknownBounded,
-  /// The inputs fail a precondition (non-Boolean query, vocabulary
-  /// mismatch, required fragment violated): see MonDetResult::diagnostics
-  /// for the witnesses. No tests were run.
+  /// The inputs fail a precondition (goal predicate defined by no rule,
+  /// vocabulary mismatch, required fragment violated): see
+  /// MonDetResult::diagnostics for the witnesses. No tests were run.
   kInvalidInput,
 };
 
@@ -54,27 +54,42 @@ struct MonDetOptions {
   /// rows).
   std::optional<Fragment> require_query_fragment;
   std::optional<Fragment> require_view_fragment;
-  /// Worker threads for the D'-test fan-out. 0 = the MONDET_THREADS
-  /// environment variable, falling back to hardware concurrency
-  /// (ResolveEvalThreads). The result — verdict, counterexample,
-  /// tests_run, expansions_tried — is identical for every thread count.
+  /// Ignored: the checker runs on the calling thread. Kept only because
+  /// perfbench/cpp/check_workload.cc sets it; it goes with the benchmark
+  /// change of ROADMAP.md direction 2, step 2.
   int num_threads = 0;
 };
 
 struct MonDetResult {
   Verdict verdict = Verdict::kUnknownBounded;
   std::optional<FailingTest> failure;
+  /// Canonical tests up to and including the failing one, or all of
+  /// them; tests the walk prunes count as run.
   size_t tests_run = 0;
   size_t expansions_tried = 0;
+  /// Evaluations of Q the walk made: D' prefixes at branching trie nodes
+  /// plus leaves. Like the Thm 5 counters this is work accounting, not
+  /// part of the bit-identical contract.
+  size_t evaluations = 0;
   /// Precondition violations when verdict == kInvalidInput.
   std::vector<Diagnostic> diagnostics;
 };
 
 /// The canonical-test procedure of Lemma 5: enumerates tests (Qi, D') and
-/// evaluates Q on each D'. Sound refuter for all of Datalog; exact decision
-/// when query and views are non-recursive and the bounds cover every
-/// expansion (in particular: the NP-complete CQ/CQ case of [21] and the
-/// Πp2 UCQ/UCQ case). The query must be Boolean.
+/// checks D' |= Q(c) for Qi's frontier tuple c, so Q may have answer
+/// variables (Boolean queries have the empty tuple). Sound refuter for all
+/// of Datalog; exact decision when query and views are non-recursive and
+/// the bounds cover every expansion (in particular: the NP-complete CQ/CQ
+/// case of [21] and the Πp2 UCQ/UCQ case).
+///
+/// Each approximation's tests are the leaves of a trie over per-view-fact
+/// expansion choices, walked depth first in test order. Q is evaluated
+/// once on the D' prefix of every node with two or more children; Q is
+/// monotone and the prefix is a sub-instance of every D' below it, so a
+/// prefix satisfying Q(c) passes its whole subtree. This holds for tuples
+/// too: D' allocates c's elements (Qi's) before any fact's fresh ones.
+/// The result — verdict, counterexample, tests_run, expansions_tried — is
+/// that of evaluating every test in order up to the first failure.
 MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
                                        const ViewSet& views,
                                        const MonDetOptions& options = {});

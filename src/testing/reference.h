@@ -5,6 +5,7 @@
 
 #include "base/homomorphism.h"
 #include "base/instance.h"
+#include "core/mondet_check.h"
 #include "datalog/program.h"
 
 namespace mondet {
@@ -47,6 +48,20 @@ inline Instance NaiveFpEval(const Program& program, const Instance& inst) {
   return result;
 }
 
+namespace testing {
+
+/// Reference for CheckMonotonicDeterminacy's test walk: the same canonical
+/// tests in the same order, scanned one at a time with a full Eval each
+/// and no pruning, on the calling thread, through its own D' assembly.
+/// Its verdict, counterexample, tests_run and expansions_tried are what
+/// the walk must reproduce (the mondet-parallel oracle); `evaluations` is
+/// the number of D' built and evaluated. Checks only the vocabulary and
+/// goal preconditions, not the optional fragment requirements.
+MonDetResult FlatMonDetReference(const DatalogQuery& query,
+                                 const ViewSet& views,
+                                 const MonDetOptions& options);
+
+}  // namespace testing
 }  // namespace mondet
 
 #endif  // MONDET_TESTING_REFERENCE_H_

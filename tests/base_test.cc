@@ -278,7 +278,7 @@ TEST(HomomorphismProperty, RandomInstancesCompose) {
 
 // ---------------------------------------------------------------------------
 // ThreadPool (base/thread_pool.h): the shared work-stealing pool behind
-// the parallel counterexample search and the evaluator fan-out.
+// the evaluator fan-out.
 
 TEST(ThreadPool, EveryItemRunsExactlyOnce) {
   for (int workers : {1, 2, 4, 8}) {

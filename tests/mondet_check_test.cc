@@ -3,6 +3,7 @@
 #include "core/mondet_check.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
+#include "reductions/thm6.h"
 #include "tests/test_util.h"
 
 namespace mondet {
@@ -110,6 +111,136 @@ TEST(MonDetRecursive, ReachWithHiddenMarkRefuted) {
   // M is invisible: the U∧M base case cannot be reconstructed.
   MonDetResult result = CheckMonotonicDeterminacy(q, views);
   EXPECT_EQ(result.verdict, Verdict::kNotDetermined);
+}
+
+TEST(MonDetRecursive, ViewWithoutExpansionsWithinDepthBuildsNoTest) {
+  // V needs two unfoldings: at view_depth 1 its image fact has no
+  // expansion, so the block holds no test and the verdict is bounded.
+  for (int view_depth : {1, 2}) {
+    auto vocab = MakeVocabulary();
+    DatalogQuery q = MustParseQuery("Goal() :- R(x,y).", "Goal", vocab);
+    ViewSet views(vocab);
+    views.AddView("VV", MustParseQuery("V(x) :- W(x).\nW(x) :- R(x,y).",
+                                       "V", vocab));
+    MonDetOptions options;
+    options.view_depth = view_depth;
+    MonDetResult r = CheckMonotonicDeterminacy(q, views, options);
+    EXPECT_EQ(r.verdict, view_depth == 1 ? Verdict::kUnknownBounded
+                                         : Verdict::kDetermined);
+    EXPECT_EQ(r.tests_run, view_depth == 1 ? 0u : 1u);
+    EXPECT_EQ(r.expansions_tried, 1u);
+  }
+}
+
+// --- Pinned results of the canonical-test walk -----------------------------
+// Verdict, tests_run, expansions_tried and the counterexample D' equal
+// those of the test-by-test scan the pruned walk replaced (one Eval per
+// test); `evaluations` pins the walk's own work.
+
+struct CheckPin {
+  Verdict verdict;
+  size_t tests_run;
+  size_t expansions_tried;
+  size_t evaluations;
+  /// The counterexample D' (element count and DebugString); "" if none.
+  size_t dprime_elements;
+  std::string dprime;
+};
+
+void ExpectPin(const MonDetResult& r, const CheckPin& pin) {
+  EXPECT_EQ(r.verdict, pin.verdict);
+  EXPECT_EQ(r.tests_run, pin.tests_run);
+  EXPECT_EQ(r.expansions_tried, pin.expansions_tried);
+  EXPECT_EQ(r.evaluations, pin.evaluations);
+  ASSERT_EQ(r.failure.has_value(), !pin.dprime.empty());
+  if (r.failure) {
+    EXPECT_EQ(r.failure->dprime.num_elements(), pin.dprime_elements);
+    EXPECT_EQ(r.failure->dprime.DebugString(), pin.dprime);
+  }
+}
+
+/// The MDL/MDL+CQ pair of bench_table2 and perfbench `check`, with the
+/// latter's options.
+MonDetResult CheckMdlMdlCq(int depth) {
+  auto vocab = MakeVocabulary();
+  DatalogQuery q = MustParseQuery(R"(
+    P(x) :- U(x).
+    P(x) :- R(x,y), P(y).
+    Goal() :- P(x).
+  )",
+                                  "Goal", vocab);
+  ViewSet views(vocab);
+  views.AddView("VReach",
+                MustParseQuery("VP(x) :- U(x).\nVP(x) :- R(x,y), VP(y).",
+                               "VP", vocab));
+  views.AddAtomicView("VR", *vocab->FindPredicate("R"));
+  MonDetOptions options;
+  options.query_depth = depth;
+  options.view_depth = depth;
+  options.max_query_expansions = 100;
+  options.max_tests_per_expansion = 2000;
+  return CheckMonotonicDeterminacy(q, views, options);
+}
+
+MonDetResult CheckThm6(bool solvable, int query_depth,
+                       size_t max_query_expansions,
+                       size_t max_tests_per_expansion) {
+  Thm6Gadget g = BuildThm6(solvable ? SolvableTilingProblem()
+                                    : UnsolvableTilingProblem());
+  MonDetOptions options;
+  options.query_depth = query_depth;
+  options.view_depth = 3;
+  options.max_query_expansions = max_query_expansions;
+  options.max_tests_per_expansion = max_tests_per_expansion;
+  return CheckMonotonicDeterminacy(g.query, g.views, options);
+}
+
+TEST(CheckPins, MdlMdlCq) {
+  ExpectPin(CheckMdlMdlCq(5), {Verdict::kUnknownBounded, 780, 4, 24, 0, ""});
+  ExpectPin(CheckMdlMdlCq(6), {Verdict::kUnknownBounded, 3554, 5, 31, 0, ""});
+}
+
+TEST(CheckPins, Thm6WithTable2Options) {
+  // BM_T2_MdlUcq_Undecidable's options.
+  ExpectPin(CheckThm6(/*solvable=*/true, 4, 40, 3000),
+            {Verdict::kNotDetermined, 3474, 2, 121, 12,
+             "{XProj(e1,e6), T0(e6), YProj(e4,e6), XProj(e1,e7), T1(e7), "
+             "YProj(e5,e7), XProj(e2,e8), T1(e8), YProj(e4,e8), "
+             "XProj(e2,e9), T0(e9), YProj(e5,e9), XProj(e3,e10), T0(e10), "
+             "YProj(e4,e10), XProj(e3,e11), T1(e11), YProj(e5,e11), "
+             "YSucc(e0,e4), YSucc(e4,e5), XSucc(e0,e1), XSucc(e1,e2), "
+             "XSucc(e2,e3), YEnd(e5), XEnd(e3)}"});
+  ExpectPin(CheckThm6(/*solvable=*/false, 4, 40, 3000),
+            {Verdict::kUnknownBounded, 694, 14, 154, 0, ""});
+}
+
+TEST(CheckPins, Thm6WithTilingReductionOptions) {
+  // examples/tiling_reduction.cpp's options.
+  ExpectPin(CheckThm6(/*solvable=*/true, 5, 60, 5000),
+            {Verdict::kNotDetermined, 14265, 3, 386, 15,
+             "{XProj(e1,e7), T0(e7), YProj(e5,e7), XProj(e1,e8), T1(e8), "
+             "YProj(e6,e8), XProj(e2,e9), T1(e9), YProj(e5,e9), "
+             "XProj(e2,e10), T0(e10), YProj(e6,e10), XProj(e3,e11), "
+             "T0(e11), YProj(e5,e11), XProj(e3,e12), T1(e12), "
+             "YProj(e6,e12), XProj(e4,e13), T1(e13), YProj(e5,e13), "
+             "XProj(e4,e14), T0(e14), YProj(e6,e14), YSucc(e0,e5), "
+             "YSucc(e5,e6), XSucc(e0,e1), XSucc(e1,e2), XSucc(e2,e3), "
+             "XSucc(e3,e4), YEnd(e6), XEnd(e4)}"});
+  ExpectPin(CheckThm6(/*solvable=*/false, 5, 60, 5000),
+            {Verdict::kUnknownBounded, 14430, 21, 367, 0, ""});
+}
+
+TEST(CheckPins, NonBooleanFrontierLost) {
+  // NonBooleanMonDet.FrontierLostRefuted's input: the answer variable is
+  // invisible in the view.
+  auto vocab = MakeVocabulary();
+  DatalogQuery q = MustParseQuery("Q(x) :- R(x,y).", "Q", vocab);
+  ViewSet views(vocab);
+  views.AddCqView("V", MustParseCq("V(y) :- R(x,y).", vocab));
+  MonDetResult r = CheckMonotonicDeterminacy(q, views);
+  ExpectPin(r, {Verdict::kNotDetermined, 1, 1, 1, 3, "{R(e2,e1)}"});
+  ASSERT_TRUE(r.failure.has_value());
+  EXPECT_EQ(r.failure->approximation.frontier, std::vector<ElemId>{0});
 }
 
 TEST(Thm5, CqOverRecursiveViewsDetermined) {

@@ -1,7 +1,8 @@
-// Determinism test for the parallel counterexample-search pipeline: on
-// randomized query/view pairs, CheckMonotonicDeterminacy must produce a
-// bit-identical result — verdict, counterexample, tests_run,
-// expansions_tried — at 1 and 4 threads.
+// Walk-vs-flat test for the canonical-test checker: on randomized
+// query/view pairs, CheckMonotonicDeterminacy's monotonicity-pruned trie
+// walk must produce the result of the flat test-by-test scan
+// (FlatMonDetReference, testing/reference.h) — verdict, counterexample,
+// tests_run, expansions_tried.
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `mondet-parallel`); `mondet-fuzz`
@@ -16,7 +17,7 @@ namespace {
 
 class MonDetParallel : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(MonDetParallel, DeterministicAcrossThreads) {
+TEST_P(MonDetParallel, WalkMatchesFlatScan) {
   const testing::Oracle* oracle = testing::FindOracle("mondet-parallel");
   ASSERT_NE(oracle, nullptr);
   testing::OracleOutcome out = oracle->Check(oracle->Generate(GetParam()));
