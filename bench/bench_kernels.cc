@@ -128,7 +128,6 @@ Workload ScanWorkload(int n) {
 void RunShape(benchmark::State& state, const Workload& w, bool kernels) {
   CompiledProgram compiled(*w.program);
   EvalOptions options;
-  options.num_threads = 1;
   options.compiled_kernels = kernels;
   // Defeat the size gate: these microbenches measure the kernel plane
   // itself, including on the 64-node workloads below the default gate.

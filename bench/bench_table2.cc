@@ -178,6 +178,8 @@ void BM_T2_FgdlFgdl_BoundedTests(benchmark::State& state) {
 BENCHMARK(BM_T2_FgdlFgdl_BoundedTests)->Arg(2)->Arg(3);
 
 // --- Cell: MDL / MDL+CQ — decidable, 3ExpTime (Thm 4). -------------------
+// Depth 6 is the deep row: 3554 canonical tests in large blocks, walked
+// with 31 evaluations.
 void BM_T2_MdlMdlCq_BoundedTests(benchmark::State& state) {
   auto vocab = MakeVocabulary();
   std::string error;
@@ -205,41 +207,7 @@ void BM_T2_MdlMdlCq_BoundedTests(benchmark::State& state) {
                      ? "refuted"
                      : "no counterexample (paper: decidable, 3ExpTime)");
 }
-BENCHMARK(BM_T2_MdlMdlCq_BoundedTests)->Arg(2)->Arg(3);
-
-// --- The MDL/MDL+CQ family at a depth where the test blocks are large
-// (3554 canonical tests per check, 31 evaluations). range(0) sets
-// MonDetOptions::num_threads, which the checker ignores since it walks
-// each block as a pruned trie on the calling thread: all three rows do the
-// same work. They stay until the thread pool and the option go
-// (ROADMAP.md direction 2, step 2).
-void BM_T2_MdlMdlCq_Threads(benchmark::State& state) {
-  auto vocab = MakeVocabulary();
-  std::vector<Diagnostic> diags;
-  auto q = ParseQuery(R"(
-    P(x) :- U(x).
-    P(x) :- R(x,y), P(y).
-    Goal() :- P(x).
-  )",
-                      "Goal", vocab, &diags);
-  auto vdef = ParseQuery(
-      "VP(x) :- U(x).\nVP(x) :- R(x,y), VP(y).", "VP", vocab, &diags);
-  ViewSet views(vocab);
-  views.AddView("VReach", *vdef);
-  views.AddAtomicView("VR", *vocab->FindPredicate("R"));
-  MonDetOptions options;
-  options.query_depth = 6;
-  options.view_depth = 6;
-  options.max_query_expansions = 100;
-  options.max_tests_per_expansion = 2000;
-  options.num_threads = static_cast<int>(state.range(0));
-  MonDetResult result;
-  for (auto _ : state) {
-    result = CheckMonotonicDeterminacy(*q, views, options);
-  }
-  SetCheckCounters(state, result);
-}
-BENCHMARK(BM_T2_MdlMdlCq_Threads)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_T2_MdlMdlCq_BoundedTests)->Arg(2)->Arg(3)->Arg(6);
 
 // --- Cell: MDL / UCQ — undecidable (Thm 6). -------------------------------
 // The reduction's behaviour tracks the tiling problem exactly.
@@ -264,30 +232,6 @@ void BM_T2_MdlUcq_Undecidable(benchmark::State& state) {
                           : ": REDUCTION BROKEN"));
 }
 BENCHMARK(BM_T2_MdlUcq_Undecidable)->Arg(1)->Arg(0);
-
-// --- The solvable Thm 6 gadget: the counterexample is canonical test 3474
-// (121 evaluations). range(0) sets the ignored MonDetOptions::num_threads,
-// as in BM_T2_MdlMdlCq_Threads: the rows do the same work and stay until
-// the option goes.
-void BM_T2_MdlUcq_Threads(benchmark::State& state) {
-  TilingProblem tp = SolvableTilingProblem();
-  Thm6Gadget gadget = BuildThm6(tp);
-  MonDetOptions options;
-  options.query_depth = 4;
-  options.view_depth = 3;
-  options.max_query_expansions = 40;
-  options.max_tests_per_expansion = 3000;
-  options.num_threads = static_cast<int>(state.range(0));
-  MonDetResult result;
-  for (auto _ : state) {
-    result = CheckMonotonicDeterminacy(gadget.query, gadget.views, options);
-  }
-  SetCheckCounters(state, result);
-  state.SetLabel(result.verdict == Verdict::kNotDetermined
-                     ? "refuted"
-                     : "NO COUNTEREXAMPLE");
-}
-BENCHMARK(BM_T2_MdlUcq_Threads)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
 // --- Cell: Datalog / fixed atomic view — undecidable (Prop. 9, Lemma 8). --
 void BM_T2_DatalogAtomic_Lemma8(benchmark::State& state) {

@@ -3,9 +3,9 @@
 # the Table 2 families as JSON in BENCH_table2.json at the repo root, so
 # future PRs can diff wall times and counters (tests, evals,
 # transition_visits) against this one. Every JSON
-# records where and how it ran in its "context" block: nproc,
-# MONDET_THREADS (or "unset"), the build type, the git revision (suffixed
-# "-dirty" when src/ or bench/ differ from it) and BENCH_MIN_TIME.
+# records where and how it ran in its "context" block: nproc, the build
+# type, the git revision (suffixed "-dirty" when src/ or bench/ differ
+# from it) and BENCH_MIN_TIME.
 #
 #   BENCH_MIN_TIME  per-benchmark min time in seconds (default 0.05; the
 #                   smoke pass always uses the tier-1 value of 0.01)
@@ -26,8 +26,7 @@ GIT_REV="$(git rev-parse HEAD 2> /dev/null || echo unknown)"
 if ! git diff --quiet HEAD -- src bench 2> /dev/null; then
   GIT_REV="$GIT_REV-dirty"
 fi
-CONTEXT="nproc=$(nproc),mondet_threads=${MONDET_THREADS:-unset}"
-CONTEXT="$CONTEXT,build_type=${BUILD_TYPE:-unknown},git_rev=$GIT_REV"
+CONTEXT="nproc=$(nproc),build_type=${BUILD_TYPE:-unknown},git_rev=$GIT_REV"
 CONTEXT="$CONTEXT,min_time=$MIN_TIME"
 
 # Smoke pass: every bench binary once, same flags as the tier-1 ctests.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the fast test suite in the default build, plus the
-# differential evaluator oracle under ASan/UBSan at 1 and 4 threads.
+# differential oracles, the fuzz smoke and the fault phases under
+# ASan/UBSan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,28 +47,26 @@ else
   echo "tier1: clang-tidy not found, skipping lint pass"
 fi
 
-# Differential oracles under ASan/UBSan, single- and multi-threaded.
-# base_test covers the thread pool, including an item's exception
-# reaching the caller from a pool worker, from the caller's own thread
-# and from the inline path; plan_differential_test exercises the
-# statistics-driven planner (live re-planning with per-stratum recounts,
-# seat observation buffers) against the naive reference;
+# Differential oracles under ASan/UBSan. base_test covers the base
+# layer: the fact store and its positional indexes, the fact hash,
+# Gaifman graphs and homomorphism search; plan_differential_test
+# exercises the statistics-driven planner (live re-planning with
+# per-stratum recounts, seat observation buffers) against the naive
+# reference;
 # stats_apply_test is the Apply-vs-Collect equivalence oracle for
 # Maintain's delta statistics (value-count maps under random insert and
 # retraction partitions); maintenance_differential_test is the
 # maintained-vs-recomputed materialization oracle for incremental view
-# maintenance (counting + DRed over randomized insert/delete schedules
-# — its from-scratch recomputations run at MONDET_THREADS, so both
-# parallel modes cross-check the maintained state);
+# maintenance (counting + DRed over randomized insert/delete schedules);
 # mondet_parallel_test is the walk-vs-flat oracle for the checker: the
 # monotonicity-pruned trie walk of the canonical tests against the flat
 # test-by-test scan (same verdict, counterexample and counters);
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules
-# never fire, pruning bit-identical at 1/4 threads);
+# never fire, pruning bit-identical);
 # kernel_differential_test is the columnar data plane's invisibility
 # oracle (compiled join kernels vs the generic interpreter, byte-
-# identical sequences at 1 and 4 threads);
+# identical sequences);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
 # Complement+Product route, the Thm 5 antichain-on/off byte-identity
 # regression, the pinned walk counters, and the antichain-inclusion
@@ -81,20 +80,16 @@ fi
 # bitset words and match arena by hand.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
 cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test mondet-fuzz
-MONDET_THREADS=4 ./build-asan/tests/base_test
-MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
-MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
+./build-asan/tests/base_test
+./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
 ./build-asan/tests/plan_differential_test
-MONDET_THREADS=1 ./build-asan/tests/kernel_differential_test
-MONDET_THREADS=4 ./build-asan/tests/kernel_differential_test
+./build-asan/tests/kernel_differential_test
 ./build-asan/tests/stats_test
 ./build-asan/tests/stats_apply_test
-MONDET_THREADS=1 ./build-asan/tests/maintenance_differential_test
-MONDET_THREADS=4 ./build-asan/tests/maintenance_differential_test
-MONDET_THREADS=4 ./build-asan/tests/mondet_parallel_test
-MONDET_THREADS=1 ./build-asan/tests/antichain_test
-MONDET_THREADS=4 ./build-asan/tests/antichain_test
+./build-asan/tests/maintenance_differential_test
+./build-asan/tests/mondet_parallel_test
+./build-asan/tests/antichain_test
 ./build-asan/tests/cq_automaton_test
 ./build-asan/tests/mondet_check_test
 ./build-asan/tests/property_test
@@ -125,39 +120,5 @@ fi
 # harness detects and the shrinker reduces, not just that everything is
 # green.
 ./scripts/check_fuzz_fault.sh ./build-asan/tools/mondet-fuzz
-
-# Race detection: the thread pool's own tests (including the exception
-# paths) and the multi-threaded oracles — the maintained-materialization
-# differential and the kernel differential (whose 4T arms run compiled
-# kernels over shared column indexes) — under ThreadSanitizer at 4
-# workers (the `tsan` CMake preset builds the same tree). The checker's
-# walk-vs-flat oracle runs here too, although the checker no longer
-# starts threads. TSan needs compiler runtime support (libtsan); minimal
-# images often lack it, so probe the compiler first and make any skip
-# loud rather than silent.
-CXX_BIN="${CXX:-c++}"
-TSAN_PROBE="build/.tsan_probe.$$"
-if printf 'int main(){return 0;}\n' \
-    | "$CXX_BIN" -x c++ -fsanitize=thread -o "$TSAN_PROBE" - \
-      > /dev/null 2>&1; then
-  rm -f "$TSAN_PROBE"
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DMONDET_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" \
-        --target base_test mondet_parallel_test \
-        maintenance_differential_test kernel_differential_test antichain_test
-  MONDET_THREADS=4 ./build-tsan/tests/base_test
-  MONDET_THREADS=4 ./build-tsan/tests/mondet_parallel_test
-  MONDET_THREADS=4 ./build-tsan/tests/maintenance_differential_test
-  MONDET_THREADS=4 ./build-tsan/tests/kernel_differential_test
-  MONDET_THREADS=4 ./build-tsan/tests/antichain_test
-else
-  rm -f "$TSAN_PROBE"
-  echo "==================================================================" >&2
-  echo "tier1: NOTICE — ThreadSanitizer arm SKIPPED." >&2
-  echo "tier1: $CXX_BIN cannot link -fsanitize=thread (libtsan missing?);" >&2
-  echo "tier1: data races in the parallel oracles go undetected here." >&2
-  echo "==================================================================" >&2
-fi
 
 echo "tier1: OK"

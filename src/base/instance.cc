@@ -286,15 +286,6 @@ std::span<const uint32_t> Instance::BuildAndProbe(PredId pred, int pos,
   return {b.data(), b.size()};
 }
 
-void Instance::PrepareIndexes() const {
-  for (PredId p = 0; p < preds_.size(); ++p) {
-    if (preds_[p].counts.empty()) continue;
-    for (uint32_t pos = 0; pos < preds_[p].arity; ++pos) {
-      if (!index_[p][pos].built) BuildPosIndex(p, pos);
-    }
-  }
-}
-
 std::vector<ElemId> Instance::ActiveDomain() const {
   std::vector<ElemId> out;
   for (ElemId e = 0; e < num_elements_; ++e) {

@@ -130,9 +130,7 @@ class Instance {
   /// Copying skips the lazily-built positional indexes: they are caches,
   /// a copy rarely probes the same (pred,pos) pairs before mutating, and
   /// re-materializing one is a single counting pass — cheaper than
-  /// deep-copying its per-value bucket vectors. A copy that is shared
-  /// across threads read-only must call PrepareIndexes() first, same as
-  /// any other instance.
+  /// deep-copying its per-value bucket vectors.
   Instance(const Instance& o);
   Instance& operator=(const Instance& o);
   Instance(Instance&&) = default;
@@ -260,12 +258,6 @@ class Instance {
     return {b.data(), b.size()};
   }
 
-  /// Builds every per-(pred,pos) bucket index now. After this call,
-  /// RowsWith performs no writes until the next AddFact/RemoveFact, so
-  /// concurrent readers of a non-mutating instance are safe (the parallel
-  /// evaluator calls this before fanning out).
-  void PrepareIndexes() const;
-
   /// The active domain: elements occurring in some fact.
   std::vector<ElemId> ActiveDomain() const;
 
@@ -333,7 +325,8 @@ class Instance {
   std::vector<std::string> names_;
   std::vector<PredStore> preds_;
   // Positional indexes, built lazily per (pred,pos) pair; mutable so the
-  // const probe path can materialize them (PrepareIndexes freezes).
+  // const probe path can materialize them. An Instance is therefore not
+  // safe to read from two threads at once.
   mutable std::vector<std::vector<PosIndex>> index_;
   // Global id -> packed (pred << 32 | row); insertion order.
   std::vector<uint64_t> order_;

@@ -144,7 +144,6 @@ class TestBlockWalk {
   bool Holds(const Instance& dprime) {
     ++evaluations_;
     EvalOptions eopts;
-    eopts.num_threads = 1;
     if (stats_) eopts.stats = &*stats_;
     // Up to hundreds of µs-scale evals per check: the per-instance
     // dataflow analysis can never amortize here, same reason the stats
@@ -279,10 +278,8 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
     const Expansion& qi = expansions[ei];
 
     // One image per expansion, instances a few facts each: like the
-    // query evals, too small to amortize per-instance dataflow analysis
-    // or a thread fan-out.
+    // query evals, too small to amortize per-instance dataflow analysis.
     EvalOptions img_opts;
-    img_opts.num_threads = 1;
     img_opts.dataflow_prune = false;
     // The walk takes the image facts in (pred, args) order, so the test
     // numbering — and with it tests_run and the reported counterexample —

@@ -55,8 +55,8 @@ struct MonDetOptions {
   std::optional<Fragment> require_query_fragment;
   std::optional<Fragment> require_view_fragment;
   /// Ignored: the checker runs on the calling thread. Kept only because
-  /// perfbench/cpp/check_workload.cc sets it; it goes with the benchmark
-  /// change of ROADMAP.md direction 2, step 2.
+  /// perfbench/cpp/check_workload.cc sets it; it goes with the next
+  /// benchmark change (ROADMAP.md).
   int num_threads = 0;
 };
 

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/dataflow.h"
 #include "base/check.h"
 #include "base/homomorphism.h"
 #include "base/scc.h"
-#include "base/thread_pool.h"
 
 namespace mondet {
 
@@ -44,15 +41,7 @@ std::string EvalStats::Summary() const {
   return os.str();
 }
 
-int ResolveEvalThreads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("MONDET_THREADS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
+int ResolveEvalThreads(int) { return 1; }
 
 namespace {
 
@@ -322,7 +311,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
                                const EvalOptions& options) const {
   auto t_start = std::chrono::steady_clock::now();
   Instance result = input;
-  const int nthreads = ResolveEvalThreads(options.num_threads);
   EvalStats run;
 
   // Abstract-interpretation pruning: the emptiness/constant-set fixpoint
@@ -378,31 +366,19 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   const Stats* planning =
       use_stats ? (options.stats ? options.stats : &live) : nullptr;
 
-  // Runs one round of work items, merges their derivations into `result`
-  // in item order — this makes the fact insertion order independent of
-  // the thread count — and returns the newly added facts (the delta) as
-  // global fact ids into `result`.
+  // Runs one round of work items against `result` as it stood at the
+  // round's start, then merges their derivations into it in item order
+  // and returns the newly added facts (the delta) as global fact ids into
+  // `result`. Buffering until the merge is the semi-naive round barrier:
+  // a round joins only facts of earlier rounds.
   auto run_round = [&](const std::vector<WorkItem>& items,
                        StratumStats* ss) {
     std::vector<DerivedBuffer> derived(items.size());
-    std::vector<size_t> probes(items.size(), 0);
-    int workers = std::min<int>(nthreads, static_cast<int>(items.size()));
-    if (workers > 1) {
-      // Freeze the indexes so the fan-out only ever reads `result`.
-      result.PrepareIndexes();
-      ThreadPool::Shared().ParallelFor(
-          items.size(), workers, [&](size_t i, int worker) {
-            (void)worker;
-            RunItem(items[i], result, &probes[i], &derived[i]);
-          });
-    } else {
-      for (size_t i = 0; i < items.size(); ++i) {
-        RunItem(items[i], result, &probes[i], &derived[i]);
-      }
+    for (size_t i = 0; i < items.size(); ++i) {
+      RunItem(items[i], result, &ss->join_probes, &derived[i]);
     }
     std::vector<uint32_t> added;
     for (size_t i = 0; i < items.size(); ++i) {
-      ss->join_probes += probes[i];
       const RulePlan& plan = plans_[items[i].plan];
       const size_t ar = plan.head.args.size();
       const ElemId* a = derived[i].args.data();
@@ -477,8 +453,8 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
 
     // Lowers seat (k, s)'s planned order into a compiled kernel on first
     // use, so evals whose seats never run (converged strata, empty delta
-    // predicates, µs-scale instances) pay nothing. Called only from the
-    // sequential work-item assembly, never from workers.
+    // predicates, µs-scale instances) pay nothing. Called while the
+    // round's work items are assembled.
     auto kernel_for = [&](size_t k, size_t s) -> const JoinKernel* {
       SeatPlan& sp = seats[k][s];
       if (sp.kernel_state == 0) {

@@ -18,11 +18,9 @@ namespace mondet {
 
 /// Evaluation knobs for CompiledProgram::Eval / FpEval.
 struct EvalOptions {
-  /// Worker threads for the per-iteration rule fan-out. 0 = use the
-  /// MONDET_THREADS environment variable, falling back to
-  /// std::thread::hardware_concurrency(). The derived fact set and its
-  /// insertion order are identical for every thread count (see
-  /// docs/EVALUATION.md for the determinism argument).
+  /// Ignored: Eval runs on the calling thread. Kept only because
+  /// perfbench/cpp/check_workload.cc sets it; it goes with the next
+  /// benchmark change (ROADMAP.md).
   int num_threads = 0;
   /// Statistics-driven join planning (the default): score join orders by
   /// estimated selectivity from per-predicate statistics — `stats` when
@@ -148,8 +146,9 @@ struct EvalStats {
   std::string Summary() const;
 };
 
-/// Resolves the worker-thread count: `requested` if positive, else the
-/// MONDET_THREADS environment variable, else hardware_concurrency().
+/// Returns 1, the evaluator's thread count, whatever `requested` says.
+/// Kept only because perfbench/cpp/main.cc prints it; it goes with the
+/// next benchmark change (ROADMAP.md).
 int ResolveEvalThreads(int requested);
 
 /// One batch of base-instance mutations for CompiledProgram::Maintain.
@@ -222,7 +221,7 @@ class CompiledProgram {
   }
 
   /// FPEval(Π, I) (Sec. 2): all facts of `input` plus every derivable IDB
-  /// fact, over the same elements. Deterministic for any thread count and
+  /// fact, over the same elements. Single-threaded and deterministic for
   /// any statistics (plans affect order of exploration, not the result).
   /// When `stats` is non-null the run's counters are accumulated into it.
   Instance Eval(const Instance& input, EvalStats* stats = nullptr,
@@ -316,7 +315,7 @@ class CompiledProgram {
     std::unordered_set<Fact, FactHash, FactEq> ins_set;
   };
   using ChangeMap = std::unordered_map<PredId, PredChange>;
-  /// One unit of the per-iteration fan-out: fire plan `plan` either as a
+  /// One unit of a semi-naive round: fire plan `plan` either as a
   /// full join (rec < 0) or seeding recursive atom `rec` from each row of
   /// `*delta_rows` (rows of `delta_pred`), visiting the remaining atoms
   /// in `*order` — through `*kernel` when compiled, the interpreter

@@ -66,8 +66,8 @@ std::optional<std::string> DiffSequences(const Instance& a, const Instance& b,
 
 // --- eval-differential ------------------------------------------------------
 // Port of tests/eval_differential_test.cc: naive reference vs semi-naive
-// at 1 and 4 threads — same set vs the oracle, same *sequence* and stats
-// across thread counts, and dataflow pruning invisible with it off.
+// — same set vs the oracle — and dataflow pruning invisible: the same
+// *sequence* with it off.
 
 class EvalOracle : public Oracle {
  public:
@@ -91,32 +91,19 @@ class EvalOracle : public Oracle {
     const Instance& inst = *c.instance;
 
     Instance naive = NaiveFpEval(program, inst);
-    EvalStats stats1, stats4;
-    Instance semi1 = FpEval(program, inst, &stats1, EvalOptions{1});
-    Instance semi4 = FpEval(program, inst, &stats4, EvalOptions{4});
-
-    if (auto d = DiffSets(naive, semi1, "naive vs 1T")) return Fail(c, *d);
-    if (auto d = DiffSequences(semi1, semi4, "1T vs 4T")) return Fail(c, *d);
-    if (stats1.facts_derived != stats4.facts_derived) {
-      return Fail(c, "facts_derived differs across thread counts");
-    }
-    if (stats1.iterations != stats4.iterations) {
-      return Fail(c, "iterations differs across thread counts");
-    }
-
-    EvalOptions off1{1}, off4{4};
-    off1.dataflow_prune = false;
-    off4.dataflow_prune = false;
-    EvalStats stats_off1;
-    Instance noprune1 = FpEval(program, inst, &stats_off1, off1);
-    Instance noprune4 = FpEval(program, inst, nullptr, off4);
-    if (stats_off1.rules_pruned != 0) {
-      return Fail(c, "rules_pruned nonzero with pruning off");
-    }
-    if (auto d = DiffSequences(semi1, noprune1, "pruned vs unpruned 1T")) {
+    Instance semi = FpEval(program, inst);
+    if (auto d = DiffSets(naive, semi, "naive vs semi-naive")) {
       return Fail(c, *d);
     }
-    if (auto d = DiffSequences(semi1, noprune4, "pruned 1T vs unpruned 4T")) {
+
+    EvalOptions off;
+    off.dataflow_prune = false;
+    EvalStats stats_off;
+    Instance noprune = FpEval(program, inst, &stats_off, off);
+    if (stats_off.rules_pruned != 0) {
+      return Fail(c, "rules_pruned nonzero with pruning off");
+    }
+    if (auto d = DiffSequences(semi, noprune, "pruned vs unpruned")) {
       return Fail(c, *d);
     }
     return Pass();
@@ -125,9 +112,8 @@ class EvalOracle : public Oracle {
 
 // --- plan-differential ------------------------------------------------------
 // Port of tests/plan_differential_test.cc: the stats-driven planner
-// agrees with the naive oracle, is deterministic across threads,
-// invariant under planner/pruning toggles, and never executes a cross
-// product on a connected join graph.
+// agrees with the naive oracle, is invariant under planner/pruning
+// toggles, and never executes a cross product on a connected join graph.
 
 /// True when the rule's join graph — body atoms as nodes, edges between
 /// atoms sharing a variable — has a single component (nullary excluded).
@@ -216,35 +202,27 @@ class PlanOracle : public Oracle {
 
     // 1. Stats-driven vs the naive oracle (gates forced open: the
     // planner and the pruning, not their size gates, are under test).
-    EvalOptions opt1;
-    opt1.num_threads = 1;
-    opt1.plan_stats = true;
-    opt1.stats_min_facts = 0;
-    opt1.dataflow_min_facts = 0;
-    EvalStats stats1;
-    Instance semi1 = compiled.Eval(inst, &stats1, opt1);
-    if (auto d = DiffSets(naive, semi1, "naive vs stats-driven 1T")) {
+    EvalOptions opt;
+    opt.plan_stats = true;
+    opt.stats_min_facts = 0;
+    opt.dataflow_min_facts = 0;
+    EvalStats stats;
+    Instance semi = compiled.Eval(inst, &stats, opt);
+    if (auto d = DiffSets(naive, semi, "naive vs stats-driven")) {
       return Fail(c, *d);
     }
 
-    // 2. Thread-count determinism: identical fact sequences.
-    EvalOptions opt4 = opt1;
-    opt4.num_threads = 4;
-    Instance semi4 = compiled.Eval(inst, nullptr, opt4);
-    if (auto d = DiffSequences(semi1, semi4, "1T vs 4T")) return Fail(c, *d);
-
-    // 3. Planner off (compile-time EDB-first orders): same fact set.
+    // 2. Planner off (compile-time EDB-first orders): same fact set.
     EvalOptions opt_static;
-    opt_static.num_threads = 1;
     opt_static.stats_planner = false;
     Instance plain = compiled.Eval(inst, nullptr, opt_static);
     if (auto d = DiffSets(naive, plain, "naive vs planner-off")) {
       return Fail(c, *d);
     }
 
-    // 4. Executed-seat sanity + no cross products on connected graphs.
+    // 3. Executed-seat sanity + no cross products on connected graphs.
     bool saw_seat = false;
-    for (const StratumStats& ss : stats1.strata) {
+    for (const StratumStats& ss : stats.strata) {
       for (const JoinSeatStats& seat : ss.seats) {
         saw_seat = true;
         const Rule& rule = program.rules()[seat.rule];
@@ -271,26 +249,20 @@ class PlanOracle : public Oracle {
     if (n_dead < dead.size() && !saw_seat) {
       return Fail(c, "plan_stats produced no seat observations");
     }
-    if (stats1.rules_pruned != n_dead) {
-      return Fail(c, "rules_pruned " + std::to_string(stats1.rules_pruned) +
+    if (stats.rules_pruned != n_dead) {
+      return Fail(c, "rules_pruned " + std::to_string(stats.rules_pruned) +
                          " != dead-rule count " + std::to_string(n_dead));
     }
 
-    // 5. Dataflow pruning off: byte-identical sequences, both threads.
-    EvalOptions opt_noprune1 = opt1;
-    opt_noprune1.dataflow_prune = false;
-    EvalOptions opt_noprune4 = opt4;
-    opt_noprune4.dataflow_prune = false;
+    // 4. Dataflow pruning off: a byte-identical sequence.
+    EvalOptions opt_noprune = opt;
+    opt_noprune.dataflow_prune = false;
     EvalStats stats_np;
-    Instance noprune1 = compiled.Eval(inst, &stats_np, opt_noprune1);
-    Instance noprune4 = compiled.Eval(inst, nullptr, opt_noprune4);
+    Instance noprune = compiled.Eval(inst, &stats_np, opt_noprune);
     if (stats_np.rules_pruned != 0) {
       return Fail(c, "rules_pruned nonzero with pruning off");
     }
-    if (auto d = DiffSequences(semi1, noprune1, "pruned vs unpruned 1T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(semi1, noprune4, "pruned 1T vs unpruned 4T")) {
+    if (auto d = DiffSequences(semi, noprune, "pruned vs unpruned")) {
       return Fail(c, *d);
     }
     return Pass();
@@ -299,14 +271,14 @@ class PlanOracle : public Oracle {
 
 // --- kernel-differential ----------------------------------------------------
 // The compiled-kernel data plane against its own escape hatch: the same
-// program and instance evaluated with compiled kernels on and off, at 1
-// and 4 threads, plus the static planner (compile-time EDB-first orders,
+// program and instance evaluated with compiled kernels on and off, under
+// the stats planner and the static planner (compile-time EDB-first orders,
 // which exercises kernel shapes the stats planner never picks). Kernels
 // must be invisible in every observable — fact *sequences* byte-identical
-// across all arms, derivation counters equal — while the naive reference
-// anchors the fact *set*. join_probes is deliberately NOT compared: a
-// fully-bound membership step costs one probe in a kernel but a
-// bucket-size scan in the interpreter, so the counter legitimately
+// on vs off under each planner, derivation counters equal — while the
+// naive reference anchors the fact *set*. join_probes is deliberately NOT
+// compared: a fully-bound membership step costs one probe in a kernel but
+// a bucket-size scan in the interpreter, so the counter legitimately
 // differs between the two planes.
 
 class KernelOracle : public Oracle {
@@ -336,50 +308,34 @@ class KernelOracle : public Oracle {
     // fuzz instances still take the planned path the kernels compile,
     // kernel_min_facts = 0 so the size gate never routes them to the
     // interpreter — every arm below exercises the plane it names).
-    EvalOptions on1;
-    on1.num_threads = 1;
-    on1.stats_min_facts = 0;
-    on1.kernel_min_facts = 0;
-    EvalOptions on4 = on1;
-    on4.num_threads = 4;
-    EvalStats s_on1, s_on4;
-    Instance r_on1 = compiled.Eval(inst, &s_on1, on1);
-    Instance r_on4 = compiled.Eval(inst, &s_on4, on4);
-    if (auto d = DiffSets(naive, r_on1, "naive vs kernels-on 1T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_on1, r_on4, "kernels-on 1T vs 4T")) {
+    EvalOptions on;
+    on.stats_min_facts = 0;
+    on.kernel_min_facts = 0;
+    EvalStats s_on;
+    Instance r_on = compiled.Eval(inst, &s_on, on);
+    if (auto d = DiffSets(naive, r_on, "naive vs kernels-on")) {
       return Fail(c, *d);
     }
 
     // The escape hatch: same plans, interpreted generically.
-    EvalOptions off1 = on1, off4 = on4;
-    off1.compiled_kernels = false;
-    off4.compiled_kernels = false;
-    EvalStats s_off1;
-    Instance r_off1 = compiled.Eval(inst, &s_off1, off1);
-    Instance r_off4 = compiled.Eval(inst, nullptr, off4);
-    if (auto d = DiffSequences(r_on1, r_off1, "kernels on vs off 1T")) {
+    EvalOptions off = on;
+    off.compiled_kernels = false;
+    EvalStats s_off;
+    Instance r_off = compiled.Eval(inst, &s_off, off);
+    if (auto d = DiffSequences(r_on, r_off, "kernels on vs off")) {
       return Fail(c, *d);
     }
-    if (auto d = DiffSequences(r_on1, r_off4, "kernels-on 1T vs off 4T")) {
-      return Fail(c, *d);
-    }
-    if (s_on1.facts_derived != s_off1.facts_derived) {
+    if (s_on.facts_derived != s_off.facts_derived) {
       return Fail(c, "facts_derived differs with kernels off");
     }
-    if (s_on1.iterations != s_off1.iterations) {
+    if (s_on.iterations != s_off.iterations) {
       return Fail(c, "iterations differs with kernels off");
-    }
-    if (s_on1.facts_derived != s_on4.facts_derived) {
-      return Fail(c, "facts_derived differs across thread counts");
     }
 
     // Static planner: different join orders, hence different kernels;
     // the set (not the sequence — orders differ) must still agree, with
     // kernels on and off.
     EvalOptions st_on;
-    st_on.num_threads = 1;
     st_on.stats_planner = false;
     st_on.kernel_min_facts = 0;
     EvalOptions st_off = st_on;
@@ -399,8 +355,8 @@ class KernelOracle : public Oracle {
 
 // --- maintenance-differential -----------------------------------------------
 // Port of tests/maintenance_differential_test.cc: the maintained
-// materialization equals a from-scratch Materialize (at 1 and 0=env
-// threads) after every prefix of the raw insert/delete schedule.
+// materialization equals a from-scratch Materialize after every prefix
+// of the raw insert/delete schedule.
 
 /// The bit-identical contract: same elements, same fact set, same
 /// derivation count per fact, same statistics.
@@ -473,22 +429,10 @@ class MaintenanceOracle : public Oracle {
     CompiledProgram compiled(program);
     Instance base = *c.instance;  // evolves under the schedule
 
-    EvalOptions opt1;
-    opt1.num_threads = 1;
-    opt1.stats_min_facts = 0;
-    // The second recompute runs at MONDET_THREADS when set (the ASan arm
-    // of scripts/tier1.sh sweeps 1 and 4), else hardware concurrency.
-    EvalOptions opt4;
-    opt4.num_threads = 0;
-    opt4.stats_min_facts = 0;
+    EvalOptions opt;
+    opt.stats_min_facts = 0;
 
-    Materialization m = compiled.Materialize(base, nullptr, opt1);
-    if (auto d = DiffMaterializations(
-            m, compiled.Materialize(base, nullptr, opt4), c.profile.vocab,
-            "t0 1T vs envT")) {
-      return Fail(c, *d);
-    }
-
+    Materialization m = compiled.Materialize(base, nullptr, opt);
     for (size_t step = 0; step < c.schedule.size(); ++step) {
       RawBatch applied = NormalizeAndApply(c.schedule[step], base);
       FactDelta delta;
@@ -498,13 +442,8 @@ class MaintenanceOracle : public Oracle {
 
       const std::string tag = "step " + std::to_string(step);
       if (auto d = DiffMaterializations(
-              m, compiled.Materialize(base, nullptr, opt1), c.profile.vocab,
-              tag + " (vs 1T recompute)")) {
-        return Fail(c, *d);
-      }
-      if (auto d = DiffMaterializations(
-              m, compiled.Materialize(base, nullptr, opt4), c.profile.vocab,
-              tag + " (vs envT recompute)")) {
+              m, compiled.Materialize(base, nullptr, opt), c.profile.vocab,
+              tag + " (vs recompute)")) {
         return Fail(c, *d);
       }
     }
@@ -619,41 +558,28 @@ class DataflowOracle : public Oracle {
     }
 
     // 3. Pruning is bit-identical (and saves, never adds, iterations).
-    EvalOptions on1{1}, on4{4}, off1{1}, off4{4};
-    on1.dataflow_min_facts = 0;
-    on4.dataflow_min_facts = 0;
-    off1.dataflow_prune = false;
-    off4.dataflow_prune = false;
-    EvalStats s_on1, s_on4, s_off1, s_off4;
-    Instance r_on1 = FpEval(program, inst, &s_on1, on1);
-    Instance r_on4 = FpEval(program, inst, &s_on4, on4);
-    Instance r_off1 = FpEval(program, inst, &s_off1, off1);
-    Instance r_off4 = FpEval(program, inst, &s_off4, off4);
-    if (auto d = DiffSequences(r_on1, r_off1, "prune-on vs off 1T")) {
+    EvalOptions on, off;
+    on.dataflow_min_facts = 0;
+    off.dataflow_prune = false;
+    EvalStats s_on, s_off;
+    Instance r_on = FpEval(program, inst, &s_on, on);
+    Instance r_off = FpEval(program, inst, &s_off, off);
+    if (auto d = DiffSequences(r_on, r_off, "prune-on vs off")) {
       return Fail(c, *d);
     }
-    if (auto d = DiffSequences(r_on1, r_on4, "prune-on 1T vs 4T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_on1, r_off4, "prune-on 1T vs off 4T")) {
-      return Fail(c, *d);
-    }
-    if (s_on1.facts_derived != s_off1.facts_derived) {
+    if (s_on.facts_derived != s_off.facts_derived) {
       return Fail(c, "facts_derived differ with pruning");
     }
-    if (s_on1.iterations > s_off1.iterations) {
+    if (s_on.iterations > s_off.iterations) {
       return Fail(c, "pruning increased iterations");
     }
-    if (s_on1.rules_pruned != s_on4.rules_pruned) {
-      return Fail(c, "rules_pruned differ across thread counts");
-    }
-    if (s_off1.rules_pruned != 0) {
+    if (s_off.rules_pruned != 0) {
       return Fail(c, "rules_pruned nonzero with pruning off");
     }
     const std::vector<bool> dead = DeadRuleMask(program, inst);
     size_t n_dead = 0;
     for (bool d : dead) n_dead += d ? 1 : 0;
-    if (s_on1.rules_pruned != n_dead) {
+    if (s_on.rules_pruned != n_dead) {
       return Fail(c, "rules_pruned != dead-rule count");
     }
 

@@ -80,12 +80,10 @@ MonDetResult FlatMonDetReference(const DatalogQuery& query,
           static_cast<int>(query.program.Idbs().size()) + 1;
 
   CompiledProgram compiled(query.program);
-  EvalOptions eopts;
-  eopts.num_threads = 1;
   bool all_tests_built = true;
   for (size_t ei = 0; ei < expansions.size(); ++ei) {
     const Expansion& qi = expansions[ei];
-    std::vector<Fact> image = views.Image(qi.inst, nullptr, eopts).AllFacts();
+    std::vector<Fact> image = views.Image(qi.inst).AllFacts();
     std::sort(image.begin(), image.end());
     std::vector<const std::vector<Expansion>*> choices;
     for (const Fact& f : image) choices.push_back(&view_exps.at(f.pred));
@@ -121,8 +119,7 @@ MonDetResult FlatMonDetReference(const DatalogQuery& query,
           AssembleDPrime(vocab, image, pick, qi.inst.num_elements());
       if (!dprime) continue;
       ++result.evaluations;
-      if (!compiled.Eval(*dprime, nullptr, eopts)
-               .HasFact(query.goal, qi.frontier)) {
+      if (!compiled.Eval(*dprime).HasFact(query.goal, qi.frontier)) {
         result.verdict = Verdict::kNotDetermined;
         result.tests_run += t + 1;
         result.expansions_tried = ei + 1;

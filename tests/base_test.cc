@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <numeric>
 #include <span>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -13,7 +10,6 @@
 #include "base/homomorphism.h"
 #include "base/instance.h"
 #include "base/symbol_table.h"
-#include "base/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace mondet {
@@ -98,20 +94,6 @@ TEST(Instance, IncrementalIndexMaintenance) {
   inst.AddFact(r, {a, c});
   EXPECT_EQ(inst.RowsWith(r, 0, a).size(), 2u);
   EXPECT_EQ(inst.RowsWith(r, 1, c).size(), 1u);
-}
-
-TEST(Instance, PrepareIndexesCoversAllFacts) {
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  Instance inst = MakePath(vocab, r, 5);
-  // PrepareIndexes on a never-queried instance makes subsequent
-  // positional lookups read-only (used by the parallel evaluator before
-  // fanning out worker threads).
-  inst.PrepareIndexes();
-  EXPECT_EQ(inst.RowsWith(r, 0, 0).size(), 1u);
-  inst.AddFact(r, {2, 0});
-  inst.PrepareIndexes();
-  EXPECT_EQ(inst.RowsWith(r, 1, 0).size(), 1u);
 }
 
 TEST(Instance, RestrictTo) {
@@ -274,123 +256,6 @@ TEST(HomomorphismProperty, RandomInstancesCompose) {
     // Every instance maps into itself.
     EXPECT_TRUE(HasHomomorphism(a, a));
   }
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool (base/thread_pool.h): the shared work-stealing pool behind
-// the evaluator fan-out.
-
-TEST(ThreadPool, EveryItemRunsExactlyOnce) {
-  for (int workers : {1, 2, 4, 8}) {
-    std::vector<std::atomic<int>> runs(1000);
-    for (auto& r : runs) r.store(0);
-    ThreadPool::Shared().ParallelFor(
-        runs.size(), workers,
-        [&](size_t item, int worker) {
-          EXPECT_GE(worker, 0);
-          EXPECT_LT(worker, workers);
-          runs[item].fetch_add(1);
-        });
-    for (size_t i = 0; i < runs.size(); ++i) {
-      EXPECT_EQ(runs[i].load(), 1) << "item " << i << " at " << workers;
-    }
-  }
-}
-
-TEST(ThreadPool, EmptyAndSingleItem) {
-  int calls = 0;
-  ThreadPool::Shared().ParallelFor(0, 4, [&](size_t, int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  ThreadPool::Shared().ParallelFor(1, 4, [&](size_t item, int worker) {
-    EXPECT_EQ(item, 0u);
-    EXPECT_EQ(worker, 0);  // a 1-item loop runs inline on the caller
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPool, NestedParallelForRunsInline) {
-  // A worker that itself calls ParallelFor must not deadlock waiting for
-  // pool capacity: nested loops run inline on the calling worker.
-  std::atomic<int> total{0};
-  ThreadPool::Shared().ParallelFor(8, 4, [&](size_t, int) {
-    ThreadPool::Shared().ParallelFor(16, 4,
-                                     [&](size_t, int) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(ThreadPool, SharedPoolSupportsFourWayFanOut) {
-  // Shared() is sized for at least 4-way fan-out even on 1-core machines,
-  // so MONDET_THREADS=4 interleaving is real in CI.
-  EXPECT_GE(ThreadPool::Shared().num_threads() + 1, 4);
-}
-
-// An exception type of its own, so a test can tell that the caller got the
-// item's exception and not some other failure.
-struct ItemError {
-  int worker = -1;
-};
-
-void SleepAboutOneMs() {
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-}
-
-TEST(ThreadPool, ThrowOnAPoolWorkerReachesTheCaller) {
-  // Items on worker 0 sleep, so the pool workers claim items of their own
-  // shards; the first of those to run throws.
-  std::atomic<int> started{0};
-  try {
-    ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, int worker) {
-      started.fetch_add(1);
-      if (worker > 0) throw ItemError{worker};
-      SleepAboutOneMs();
-    });
-    ADD_FAILURE() << "no pool worker ran an item";
-  } catch (const ItemError& e) {
-    EXPECT_GT(e.worker, 0);
-  }
-  // Unclaimed items never start once an item has thrown.
-  EXPECT_LT(started.load(), 64);
-}
-
-TEST(ThreadPool, ThrowOnTheCallerWaitsForRunningItems) {
-  // The caller throws after its first item's sleep, while pool workers are
-  // mid-item. ParallelFor must let those items finish before it rethrows:
-  // they still read the caller's fn and its captured locals.
-  std::atomic<int> started{0}, finished{0};
-  try {
-    ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, int worker) {
-      started.fetch_add(1);
-      SleepAboutOneMs();
-      if (worker == 0) throw ItemError{worker};
-      finished.fetch_add(1);
-    });
-    ADD_FAILURE() << "the caller's item did not throw";
-  } catch (const ItemError& e) {
-    EXPECT_EQ(e.worker, 0);
-  }
-  // Every started item has returned: the thrower by exception, the rest
-  // normally.
-  EXPECT_EQ(started.load(), finished.load() + 1);
-  EXPECT_LT(started.load(), 64);
-}
-
-TEST(ThreadPool, ThrowOnTheInlinePathKeepsLaterFanOutParallel) {
-  // A 1-item loop runs inline on the caller; its exception must not leave
-  // the caller marked as a pool worker, or every later ParallelFor from
-  // this thread would run inline too.
-  EXPECT_THROW(ThreadPool::Shared().ParallelFor(
-                   1, 4, [](size_t, int) { throw ItemError{0}; }),
-               ItemError);
-  std::atomic<int> max_worker{0};
-  ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, int worker) {
-    int seen = max_worker.load();
-    while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
-    }
-    SleepAboutOneMs();
-  });
-  EXPECT_GT(max_worker.load(), 0);
 }
 
 TEST(FactHashTest, DenseConsecutiveFactsDoNotCollide) {

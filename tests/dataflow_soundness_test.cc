@@ -3,12 +3,12 @@
 //
 //   * randomized arm — the concrete fixpoint is contained in the
 //     concretization of the abstract emptiness/constant-set fixpoint,
-//     rules flagged dead never fire, pruning is bit-identical at 1 and 4
-//     threads, and dropping subsumed rules / redundant atoms preserves
-//     the fixpoint. The generator and checker live in the shared
-//     randomized-testing library (testing/oracle.h, oracle
-//     `dataflow-soundness`); `mondet-fuzz` drives the same property over
-//     open-ended seed ranges with shrinking.
+//     rules flagged dead never fire, pruning is bit-identical, and
+//     dropping subsumed rules / redundant atoms preserves the fixpoint.
+//     The generator and checker live in the shared randomized-testing
+//     library (testing/oracle.h, oracle `dataflow-soundness`);
+//     `mondet-fuzz` drives the same property over open-ended seed ranges
+//     with shrinking.
 //   * deterministic arm — hand-built adornment, emptiness and
 //     subsumption cases with exact expected analysis output.
 

@@ -3,18 +3,23 @@
 // (iteration counts and output sizes) were captured from the evaluator on
 // the seed-equivalent fixpoints; a change here means either the gadget
 // construction or the evaluator's iteration structure changed — both are
-// worth noticing.
+// worth noticing. The last test guards that the library never starts a
+// thread of its own.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <vector>
 
+#include "core/mondet_check.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
 #include "reductions/thm6.h"
 #include "reductions/thm7.h"
 #include "tests/test_util.h"
 #include "views/inverse_rules.h"
+#include "views/maintained_image.h"
 #include "views/view_set.h"
 
 namespace mondet {
@@ -121,22 +126,37 @@ TEST(EvalRegression, Fig5ChainViewImages) {
   }
 }
 
-// ---------- Thread count does not change any of the above ----------------
+// ---------- The library starts no thread --------------------------------
 
-TEST(EvalRegression, StatsIndependentOfThreads) {
-  Thm7Gadget gadget = BuildThm7();
-  Instance chain = gadget.DiamondChain(3);
-  EvalStats s1, s4;
-  Instance f1 = FpEval(gadget.query.program, chain, &s1, EvalOptions{1});
-  Instance f4 = FpEval(gadget.query.program, chain, &s4, EvalOptions{4});
-  EXPECT_EQ(s1.iterations, s4.iterations);
-  EXPECT_EQ(s1.facts_derived, s4.facts_derived);
-  ASSERT_EQ(f1.num_facts(), f4.num_facts());
-  for (size_t i = 0; i < f1.num_facts(); ++i) {
-    EXPECT_EQ(f1.FactAt(static_cast<uint32_t>(i)),
-              f4.FactAt(static_cast<uint32_t>(i)))
-        << "fact " << i;
+// Entries of /proc/self/task: one per thread of this process.
+auto ThreadCount() {
+  std::filesystem::directory_iterator tasks("/proc/self/task");
+  return std::distance(begin(tasks), end(tasks));
+}
+
+TEST(EvalRegression, LibraryStartsNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "/proc/self/task is not available";
   }
+  // A fixpoint at default options: the Thm 7 rewriting over the view
+  // image of an 8-diamond chain.
+  Thm7Gadget gadget = BuildThm7();
+  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
+  Instance image = gadget.views.Image(gadget.DiamondChain(8));
+  Instance fix = FpEval(rewriting.program, image);
+  EXPECT_EQ(fix.NumRows(rewriting.goal), 1u);
+  EXPECT_EQ(ThreadCount(), 1) << "after FpEval";
+
+  // Materialization and one maintenance batch.
+  MaintainedImage maintained(gadget.views, gadget.DiamondChain(8));
+  EXPECT_EQ(ThreadCount(), 1) << "after MaintainedImage";
+  maintained.ApplyDelta({}, {maintained.base().FactAt(0)});
+  EXPECT_EQ(ThreadCount(), 1) << "after ApplyDelta";
+
+  // A Thm 5 decision.
+  PathPlusU f = MakePathPlusU(MakeVocabulary(), 2);
+  EXPECT_TRUE(CheckCqOverDatalogViews(f.query, f.views).determined);
+  EXPECT_EQ(ThreadCount(), 1) << "after CheckCqOverDatalogViews";
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Differential test for the compiled join kernels: on randomized Datalog
 // programs and instances, the specialized kernel data plane and its
 // generic-interpreter escape hatch (EvalOptions::compiled_kernels) must
-// be observationally identical — byte-identical fact sequences at 1 and
-// 4 threads, equal derivation counters, under both the stats planner and
-// the static compile-time orders — with the naive full-rescan reference
-// anchoring the fact set.
+// be observationally identical — byte-identical fact sequences and equal
+// derivation counters, under both the stats planner and the static
+// compile-time orders — with the naive full-rescan reference anchoring
+// the fact set.
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `kernel-differential`) so the

@@ -3,8 +3,7 @@
 // randomized insert/delete schedules, the maintained materialization must
 // be bit-identical — fact set, per-fact derivation counts, statistics —
 // to a from-scratch Materialize of the current base after *every* prefix
-// of the schedule, checked against 1-thread and environment-thread
-// recomputes. Raw batches deliberately contain duplicate inserts and
+// of the schedule. Raw batches deliberately contain duplicate inserts and
 // deletes of absent facts (normalization is the caller contract).
 //
 // The generator and checker live in the shared randomized-testing

@@ -157,7 +157,6 @@ TEST(MaintainedImage, VerdictOverMaintainedViewsEqualsFresh) {
 
   // The options overload reaches the same checker.
   MonDetOptions opts;
-  opts.num_threads = 1;
   EXPECT_EQ(maintained.RecheckVerdict(fx.query, opts).verdict,
             before.verdict);
 }

@@ -226,12 +226,10 @@ TEST(StatsTest, StaleStatsStillYieldCorrectFixpoints) {
 
     CompiledProgram compiled(program);
     EvalOptions with_stale;
-    with_stale.num_threads = 1;
     with_stale.stats = &stale;
     Instance got = compiled.Eval(inst, nullptr, with_stale);
     Instance naive = NaiveFpEval(program, inst);
     EvalOptions with_live;
-    with_live.num_threads = 1;
     with_live.stats_min_facts = 0;  // instances sit below the size gate
     Instance live = compiled.Eval(inst, nullptr, with_live);
 
