@@ -54,41 +54,10 @@ void BM_Fig4_RowFamilyEval(benchmark::State& state) {
   state.counters["join_probes"] = static_cast<double>(stats.join_probes);
   state.counters["stats_counted"] =
       static_cast<double>(stats.stats_facts_counted);
-  state.counters["rules_pruned"] = static_cast<double>(stats.rules_pruned);
   state.SetLabel(holds ? "rewriting holds on the row family (Figure 4)"
                        : "UNEXPECTED: rewriting failed");
 }
 BENCHMARK(BM_Fig4_RowFamilyEval)
-    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-// Dataflow pruning disabled on the same workload: the delta against
-// BM_Fig4_RowFamilyEval is what skipping provably-dead rules buys —
-// identical fixpoints (dataflow_soundness_test pins bit-identity), fewer
-// work items and rounds. eval_iters/join_probes make the saving visible
-// even when wall time is noisy.
-void BM_Fig4_RowFamilyEval_NoPrune(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Thm7Gadget gadget = BuildThm7();
-  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
-  CompiledProgram compiled(rewriting.program);
-  Instance image = gadget.views.Image(gadget.DiamondChain(n));
-  EvalOptions options;
-  options.dataflow_prune = false;
-  EvalStats stats;
-  bool holds = false;
-  for (auto _ : state) {
-    stats = EvalStats{};
-    Instance fixpoint = compiled.Eval(image, &stats, options);
-    holds = fixpoint.NumRows(rewriting.goal) > 0;
-  }
-  state.counters["image_facts"] = static_cast<double>(image.num_facts());
-  state.counters["eval_iters"] = static_cast<double>(stats.iterations);
-  state.counters["facts_derived"] = static_cast<double>(stats.facts_derived);
-  state.counters["join_probes"] = static_cast<double>(stats.join_probes);
-  state.SetLabel(holds ? "rewriting holds on the row family (Figure 4)"
-                       : "UNEXPECTED: rewriting failed");
-}
-BENCHMARK(BM_Fig4_RowFamilyEval_NoPrune)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // Baseline for the statistics-driven planner: the same workload with the

@@ -43,11 +43,11 @@ done
   --benchmark_out=BENCH_table2.json \
   --benchmark_out_format=json
 
-# Figure 4 row-family evaluator sweep: the live planner against dataflow
-# pruning off and static orders (BM_Fig4_RowFamilyEval vs ..._NoPrune vs
-# ..._StaticPlan; join_probes / stats_counted expose the join and
-# recount work). Merged into BENCH_table2.json when python3 is around,
-# kept as a sibling file otherwise.
+# Figure 4 row-family evaluator sweep: the live planner against static
+# orders (BM_Fig4_RowFamilyEval vs ..._StaticPlan; join_probes /
+# stats_counted expose the join and recount work). Merged into
+# BENCH_table2.json when python3 is around, kept as a sibling file
+# otherwise.
 ./build/bench/bench_fig4_longrows \
   --benchmark_context="$CONTEXT" \
   --benchmark_filter='BM_Fig4_RowFamilyEval' \

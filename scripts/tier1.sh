@@ -51,8 +51,8 @@ fi
 # layer: the fact store and its positional indexes, the fact hash,
 # Gaifman graphs and homomorphism search; plan_differential_test
 # exercises the statistics-driven planner (live re-planning with
-# per-stratum recounts, seat observation buffers) against the naive
-# reference;
+# per-stratum recounts) against the naive reference and checks the plans
+# bound statistics pick for cross products;
 # stats_apply_test is the Apply-vs-Collect equivalence oracle for
 # Maintain's delta statistics (value-count maps under random insert and
 # retraction partitions); maintenance_differential_test is the
@@ -63,23 +63,26 @@ fi
 # test-by-test scan (same verdict, counterexample and counters);
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules
-# never fire, pruning bit-identical);
+# never fire, dropping subsumed rules keeps the fixpoint);
 # kernel_differential_test is the columnar data plane's invisibility
 # oracle (compiled join kernels vs the generic interpreter, byte-
 # identical sequences);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
-# Complement+Product route, the Thm 5 antichain-on/off byte-identity
-# regression, the pinned walk counters, and the antichain-inclusion
-# oracle seed sweep; cq_automaton_test and mondet_check_test run the same
+# Complement+Product route, the pinned Thm 5 counterexamples (each
+# decoded and checked against the query and the UCQ), the pinned walk
+# counters, and the antichain-inclusion oracle seed sweep;
+# cq_automaton_test and mondet_check_test run the same
 # product walk (automata/product_walk.h) as Thm 5 does — contained and
 # not-contained DatalogContainedInUcq, the right-automaton contract the
 # prune relies on, Thm 5 vs the canonical tests, and repeated decisions
 # over one vocabulary; property_test's CqDpAgreement (the CQ-match DP vs
 # homomorphism search on random instances) and Thm5VsCanonical are the
 # only DP coverage outside the path-plus-U family, and the DP indexes its
-# bitset words and match arena by hand.
+# bitset words and match arena by hand; separator_test drives the NP and
+# chase separators (core/separator.cc), which evaluate view images and
+# chase witnesses at the evaluator's defaults.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test mondet-fuzz
 ./build-asan/tests/base_test
 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
@@ -93,6 +96,7 @@ cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test pl
 ./build-asan/tests/cq_automaton_test
 ./build-asan/tests/mondet_check_test
 ./build-asan/tests/property_test
+./build-asan/tests/separator_test
 
 # Fuzz smoke arm: mondet-fuzz over every registered oracle at fixed
 # seeds under ASan/UBSan (~10s). Deterministic — the same seeds every

@@ -235,10 +235,6 @@ EmptinessResult AnalyzeEmptiness(const Program& program, const Instance* edb) {
   return out;
 }
 
-std::vector<bool> DeadRuleMask(const Program& program, const Instance& input) {
-  return AnalyzeEmptiness(program, &input).rule_dead;
-}
-
 // --- Binding-pattern / adornment analysis. ---------------------------------
 
 AdornmentResult AnalyzeAdornments(const Program& program, PredId goal) {

@@ -32,8 +32,7 @@ namespace mondet {
 ///      overapproximation: the concrete fixpoint of any instance
 ///      compatible with the seed is contained in the concretization
 ///      (tests/dataflow_soundness_test.cc pins this), so a rule flagged
-///      dead can never fire and CompiledProgram::Eval skips it
-///      (EvalOptions::dataflow_prune).
+///      dead can never fire (the dead-rule lint reports it).
 ///   2. Binding-pattern / adornment analysis (AnalyzeAdornments):
 ///      propagates bound/free argument positions from the goal through
 ///      rule bodies left-to-right (the magic-sets sideways
@@ -179,11 +178,6 @@ struct EmptinessResult {
 /// it is sound for that exact instance, IDB input facts included.
 EmptinessResult AnalyzeEmptiness(const Program& program,
                                  const Instance* edb = nullptr);
-
-/// Rule indices CompiledProgram::Eval may skip for `input`: exactly the
-/// dead rules of AnalyzeEmptiness(program, &input). Cheap relative to any
-/// fixpoint run — O(program size * lattice height).
-std::vector<bool> DeadRuleMask(const Program& program, const Instance& input);
 
 // --- Binding-pattern / adornment analysis. ---------------------------------
 

@@ -449,8 +449,7 @@ NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
   const std::optional<Nta> restricted = DropOutsideUniverse(a, universe);
   const Nta& left = restricted ? *restricted : a;
   LazySubsets subsets(b);
-  ProductWalkResult w = ProductWalk(left, subsets, options.antichain_prune,
-                                    /*early_exit=*/true);
+  ProductWalkResult w = ProductWalk(left, subsets, options.antichain_prune);
   NtaInclusionResult result;
   result.pairs_explored = w.pairs.size();
   result.transition_visits = w.transition_visits;

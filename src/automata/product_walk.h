@@ -68,7 +68,7 @@ inline TreeCode BuildDerivedCode(const Nta& nta,
 /// Outcome of ProductWalk: the interned (NTA state, right state) pairs in
 /// intern order with their derivations, the work counters, and the first
 /// interned pair whose NTA state is final and whose right state rejects
-/// (-1 if none).
+/// (-1 if none); the walk stops there.
 struct ProductWalkResult {
   std::vector<std::pair<State, uint32_t>> pairs;
   std::vector<Derivation> derivs;
@@ -98,18 +98,14 @@ struct ProductWalkResult {
 /// states interned with it, and a candidate pair whose right state
 /// contains a kept one is discarded: every continuation of the candidate
 /// rejects whenever the kept pair's does, so no bad pair is lost (a
-/// pruned bad pair's kept pair was already bad when interned). With
-/// `early_exit` the walk stops at its first bad pair; without it the walk
-/// runs to saturation and still records the first one. Either way the
-/// pairs interned up to the first bad one are the same, so the first bad
-/// pair and its derivation do not depend on `early_exit`.
+/// pruned bad pair's kept pair was already bad when interned). The walk
+/// stops at its first bad pair, or runs to saturation when there is none.
 ///
 /// MONDET_FAULT=skip-antichain-prune makes the prune also discard
 /// candidates whose right state is a subset of a kept one, which is
 /// unsound (scripts/check_fuzz_fault.sh).
 template <typename Right>
-ProductWalkResult ProductWalk(const Nta& nta, Right& right, bool prune,
-                              bool early_exit) {
+ProductWalkResult ProductWalk(const Nta& nta, Right& right, bool prune) {
   ProductWalkResult w;
   const bool fault = FaultInjected("skip-antichain-prune");
   std::map<std::pair<State, uint32_t>, int> pair_id;
@@ -149,7 +145,7 @@ ProductWalkResult ProductWalk(const Nta& nta, Right& right, bool prune,
     worklist.push_back(id);
     if (w.first_bad < 0 && nta.finals().count(q) > 0 && !right.Accepting(d)) {
       w.first_bad = id;
-      stop = early_exit;
+      stop = true;
     }
   };
 

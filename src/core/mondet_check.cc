@@ -6,7 +6,6 @@
 
 #include "automata/product_walk.h"
 #include "base/check.h"
-#include "base/stats.h"
 #include "core/cq_automaton.h"
 #include "core/forward.h"
 #include "datalog/eval.h"
@@ -110,23 +109,7 @@ class TestBlockWalk {
   }
 
   /// The lowest failing test index, or kNoTest.
-  size_t Run() {
-    // One statistics snapshot per block, collected from the first
-    // buildable D': every test's D' assembles the same view expansions
-    // over the same image facts, so one test's counts describe them all,
-    // and their prefixes, well. The snapshot spares each evaluation its
-    // own live collection; stale stats stay correct by construction.
-    for (size_t t = 0; t < std::min<size_t>(size_, 4) && !stats_; ++t) {
-      size_t rest = t;
-      for (size_t fi = options_.size(); fi-- > 0;) {
-        choice_[fi] = &(*options_[fi])[rest % options_[fi]->size()];
-        rest /= options_[fi]->size();
-      }
-      std::optional<Instance> dprime = Build(options_.size());
-      if (dprime) stats_ = Stats::Collect(*dprime);
-    }
-    return Visit(0, 0);
-  }
+  size_t Run() { return Visit(0, 0); }
 
   size_t evaluations() const { return evaluations_; }
   /// The D' of the failing test Run returned.
@@ -143,13 +126,7 @@ class TestBlockWalk {
   /// extension.)
   bool Holds(const Instance& dprime) {
     ++evaluations_;
-    EvalOptions eopts;
-    if (stats_) eopts.stats = &*stats_;
-    // Up to hundreds of µs-scale evals per check: the per-instance
-    // dataflow analysis can never amortize here, same reason the stats
-    // snapshot bypasses live collection.
-    eopts.dataflow_prune = false;
-    return compiled_.Eval(dprime, nullptr, eopts).HasFact(goal_, qi_.frontier);
+    return compiled_.Eval(dprime).HasFact(goal_, qi_.frontier);
   }
 
   /// The lowest failing test index under the depth-`depth` node whose
@@ -191,7 +168,6 @@ class TestBlockWalk {
   const size_t size_;
   std::vector<size_t> span_;
   std::vector<const Expansion*> choice_;
-  std::optional<Stats> stats_;
   size_t evaluations_ = 0;
   std::optional<Instance> failure_;
 };
@@ -277,16 +253,11 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   for (size_t ei = 0; ei < expansions.size(); ++ei) {
     const Expansion& qi = expansions[ei];
 
-    // One image per expansion, instances a few facts each: like the
-    // query evals, too small to amortize per-instance dataflow analysis.
-    EvalOptions img_opts;
-    img_opts.dataflow_prune = false;
     // The walk takes the image facts in (pred, args) order, so the test
     // numbering — and with it tests_run and the reported counterexample —
     // is a function of the image's fact *set*, not of the order the
     // evaluator derived it in.
-    std::vector<Fact> image =
-        views.Image(qi.inst, nullptr, img_opts).AllFacts();
+    std::vector<Fact> image = views.Image(qi.inst).AllFacts();
     std::sort(image.begin(), image.end());
 
     // Per-fact expansion choices; block size = min(Π choices, cap), the
@@ -348,42 +319,32 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
 }
 
 ContainmentResult DatalogContainedInUcq(const DatalogQuery& query,
-                                        const UCQ& ucq,
-                                        const ContainmentOptions& options) {
+                                        const UCQ& ucq) {
   ContainmentResult result;
   ForwardResult fwd = ApproximationAutomaton(query);
   const Nta& nta = fwd.automaton;
 
-  // Antichain: the verdict from the pruned walk, stopping at its first
-  // bad pair. Full fixpoint: the unpruned walk to saturation, whose first
-  // bad pair is the counterexample.
+  // The verdict from the pruned walk, stopping at its first bad pair.
   UcqMatchAutomaton dp(ucq, fwd.width);
-  ProductWalkResult w = ProductWalk(nta, dp, /*prune=*/options.antichain,
-                                    /*early_exit=*/options.antichain);
+  ProductWalkResult w = ProductWalk(nta, dp, /*prune=*/true);
   result.pairs_explored = w.pairs.size();
   result.transition_visits = w.transition_visits;
   result.subsumption_prunes = w.subsumption_prunes;
   result.macrostates_visited = dp.num_states();
   result.contained = w.first_bad < 0;
   if (result.contained) return result;
-  if (!options.antichain) {
-    result.counterexample = BuildDerivedCode(nta, w.derivs, w.first_bad);
-    return result;
-  }
-  // The witness comes from a second, unpruned early-exit walk: it interns
-  // the full fixpoint's pairs up to their first bad one, so the
-  // counterexample is byte-identical to the full-fixpoint route's.
+  // The witness comes from a second, unpruned walk to its first bad pair:
+  // the prune decides which pairs get interned, so only the unpruned
+  // walk's first bad pair is independent of it.
   UcqMatchAutomaton dp_witness(ucq, fwd.width);
-  ProductWalkResult ww = ProductWalk(nta, dp_witness, /*prune=*/false,
-                                     /*early_exit=*/true);
+  ProductWalkResult ww = ProductWalk(nta, dp_witness, /*prune=*/false);
   MONDET_CHECK(ww.first_bad >= 0);
   result.transition_visits += ww.transition_visits;
   result.counterexample = BuildDerivedCode(nta, ww.derivs, ww.first_bad);
   return result;
 }
 
-Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views,
-                                   const ContainmentOptions& options) {
+Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views) {
   MONDET_CHECK(query.free_vars().empty());
   const VocabularyPtr& vocab = query.vocab();
 
@@ -409,7 +370,7 @@ Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views,
 
   UCQ target(vocab);
   target.AddDisjunct(query);
-  ContainmentResult contained = DatalogContainedInUcq(q2, target, options);
+  ContainmentResult contained = DatalogContainedInUcq(q2, target);
 
   Thm5Result out;
   out.determined = contained.contained;

@@ -94,25 +94,6 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
                                        const ViewSet& views,
                                        const MonDetOptions& options = {});
 
-/// Options for the Datalog ⊑ UCQ containment walk (and hence Thm 5).
-struct ContainmentOptions {
-  /// Antichain subsumption pruning over the (NTA state, DP state) search:
-  /// a new pair whose match sets contain an already-visited pair's for
-  /// the same NTA state is discarded — DP transitions are monotone in
-  /// match-set inclusion and rejection is downward closed, so a
-  /// counterexample reachable through the pruned pair is also reachable
-  /// through the kept one. DP states are bitsets over an interned match
-  /// universe, so each inclusion test is a word-wise AND-NOT; the pruned
-  /// walk ties the full fixpoint on small inputs and is faster on larger
-  /// ones (docs/EVALUATION.md, "The Thm 5 path").
-  /// Verdicts and counterexamples are bit-identical on or off (only the
-  /// work counters differ; on failure an unpruned early-exit pass
-  /// re-derives the exact witness the escape hatch produces). Off = the
-  /// full fixpoint, kept as the explicit escape hatch for differential
-  /// testing.
-  bool antichain = true;
-};
-
 /// Exact decision for a Boolean CQ query over arbitrary Datalog views
 /// (Thm 5, 2ExpTime): builds Q'' = Π_V ∪ {Goal'' ← V(Q)} and decides the
 /// Datalog-in-CQ containment Q'' ⊑ Q via the approximation automaton
@@ -122,44 +103,50 @@ struct Thm5Result {
   bool determined = false;
   /// Number of (NTA state, DP state) pairs explored (2ExpTime witness).
   size_t pairs_explored = 0;
-  /// Transition applications performed by the containment fixpoint.
+  /// Transition applications performed by the containment walk,
+  /// including the witness pass on failure.
   size_t transition_visits = 0;
-  /// Distinct DP macrostates materialized by the verdict pass; comparable
-  /// across antichain on/off (the full fixpoint computes every reachable
-  /// one, the pruned walk only those it reaches from kept pairs).
+  /// Distinct DP macrostates materialized by the verdict pass: those it
+  /// reaches from kept pairs.
   size_t macrostates_visited = 0;
-  /// Pairs discarded by the antichain prune (0 with antichain off). Like
-  /// the counters above this is work accounting, not part of the
-  /// bit-identical contract.
+  /// Pairs discarded by the antichain prune. Like the counters above this
+  /// is work accounting, not part of the verdict and witness contract.
   size_t subsumption_prunes = 0;
   std::optional<TreeCode> counterexample;
 };
-Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views,
-                                   const ContainmentOptions& options = {});
+Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views);
 
 /// Decides Datalog ⊑ UCQ containment (Chaudhuri–Vardi style) exactly:
 /// true iff every CQ approximation of `query` satisfies `ucq`. Both
 /// Boolean. Exposed because Thm 5 reduces to it; also used by Prop. 9's
 /// reductions. Returns a violating code when not contained.
+///
+/// The walk interns (NTA state, DP state) pairs bottom-up and discards a
+/// pair whose match sets contain an already-visited pair's for the same
+/// NTA state: DP transitions are monotone in match-set inclusion and
+/// rejection is downward closed, so a counterexample reachable through
+/// the pruned pair is also reachable through the kept one. DP states are
+/// bitsets over an interned match universe, so each inclusion test is a
+/// word-wise AND-NOT (docs/EVALUATION.md, "The Thm 5 path"). On failure
+/// a second, unpruned walk to its first bad pair derives the
+/// counterexample, so the witness does not depend on the prune.
 struct ContainmentResult {
   bool contained = false;
   size_t pairs_explored = 0;
-  /// Transition applications performed while reaching the fixpoint: one
-  /// per (transition, pair) for unary and one per (transition, pair,
-  /// partner pair) for binary transitions. The worklist fixpoint visits
-  /// each combination O(1) times; the naive re-scan visited them once per
-  /// round.
+  /// Transition applications performed by the walks: one per
+  /// (transition, pair) for unary and one per (transition, pair, partner
+  /// pair) for binary transitions. The worklist visits each combination
+  /// O(1) times; the naive re-scan visited them once per round.
   size_t transition_visits = 0;
   /// Distinct DP macrostates materialized by the verdict pass (see
   /// Thm5Result::macrostates_visited).
   size_t macrostates_visited = 0;
-  /// Pairs discarded by the antichain prune (0 with antichain off).
+  /// Pairs discarded by the antichain prune.
   size_t subsumption_prunes = 0;
   std::optional<TreeCode> counterexample;
 };
 ContainmentResult DatalogContainedInUcq(const DatalogQuery& query,
-                                        const UCQ& ucq,
-                                        const ContainmentOptions& options = {});
+                                        const UCQ& ucq);
 
 }  // namespace mondet
 

@@ -2,11 +2,9 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 
 #include "base/check.h"
 #include "base/homomorphism.h"
-#include "base/stats.h"
 #include "datalog/approximation.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
@@ -65,11 +63,7 @@ bool NpSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
             e.inst.num_elements(), max_quotients,
             [&](const std::vector<ElemId>& assign, size_t classes) {
               Instance x = Quotient(e.inst, assign, classes);
-              // Quotients are enumerated by the thousand and each image
-              // eval is µs-scale: per-instance dataflow analysis off.
-              EvalOptions img_opts;
-              img_opts.dataflow_prune = false;
-              Instance image = views.Image(x, nullptr, img_opts);
+              Instance image = views.Image(x);
               // V(X) ⊆ J up to a homomorphism matching J's elements:
               // check the image maps into J as an instance.
               if (HasHomomorphism(image, j)) {
@@ -105,7 +99,6 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
   std::vector<const Expansion*> choice(nfacts, nullptr);
   size_t tried = 0;
   bool all_hold = true;
-  std::optional<Stats> chase_stats;
   std::function<bool(size_t)> descend = [&](size_t fi) -> bool {
     if (tried >= max_choices) return false;
     if (fi == nfacts) {
@@ -133,18 +126,7 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
           dprime.AddFact(f.pred, args);
         }
       }
-      // Every chase witness assembles the same view expansions over J's
-      // facts; statistics from the first one describe them all, and the
-      // snapshot spares the remaining Evals their own live collection
-      // (stale stats are correct by construction).
-      if (!chase_stats) chase_stats = Stats::Collect(dprime);
-      EvalOptions eopts;
-      eopts.stats = &*chase_stats;
-      // Same trade as the stats snapshot: one chase runs many µs-scale
-      // evals, too small to amortize per-instance dataflow analysis.
-      eopts.dataflow_prune = false;
-      if (compiled_query.Eval(dprime, nullptr, eopts)
-              .NumRows(query.goal) == 0) {
+      if (compiled_query.Eval(dprime).NumRows(query.goal) == 0) {
         all_hold = false;
         return false;
       }

@@ -19,7 +19,7 @@ namespace mondet {
 Instance FpEval(const Program& program, const Instance& inst);
 
 /// As above, accumulating run counters into `stats` and honoring
-/// `options` (planner, pruning and kernel knobs).
+/// `options` (planner and kernel knobs).
 Instance FpEval(const Program& program, const Instance& inst,
                 EvalStats* stats, const EvalOptions& options = {});
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "analysis/dataflow.h"
 #include "base/check.h"
 #include "base/homomorphism.h"
 #include "base/scc.h"
@@ -21,7 +20,6 @@ void EvalStats::Accumulate(const EvalStats& other) {
   rederived += other.rederived;
   join_probes += other.join_probes;
   replans += other.replans;
-  rules_pruned += other.rules_pruned;
   stats_facts_counted += other.stats_facts_counted;
   wall_seconds += other.wall_seconds;
   strata.insert(strata.end(), other.strata.begin(), other.strata.end());
@@ -35,7 +33,6 @@ std::string EvalStats::Summary() const {
        << " rederived=" << rederived;
   }
   os << " probes=" << join_probes << " replans=" << replans;
-  if (rules_pruned > 0) os << " pruned=" << rules_pruned;
   os << " stats_counted=" << stats_facts_counted << " strata=" << strata.size()
      << " wall_ms=" << wall_seconds * 1000.0;
   return os.str();
@@ -207,8 +204,7 @@ std::string CompiledProgram::DescribePlansText() const {
 void CompiledProgram::Join(const RulePlan& plan,
                            const std::vector<uint32_t>& order, size_t depth,
                            std::vector<ElemId>& map, const Instance& target,
-                           size_t* probes, std::vector<size_t>* step_rows,
-                           DerivedBuffer* out) const {
+                           size_t* probes, DerivedBuffer* out) const {
   if (depth == order.size()) {
     std::vector<ElemId> head_args;
     head_args.reserve(plan.head.args.size());
@@ -251,10 +247,7 @@ void CompiledProgram::Join(const RulePlan& plan,
         break;
       }
     }
-    if (ok) {
-      if (step_rows) ++(*step_rows)[depth];
-      Join(plan, order, depth + 1, map, target, probes, step_rows, out);
-    }
+    if (ok) Join(plan, order, depth + 1, map, target, probes, out);
     for (VarId v : bound_here) map[v] = kNoElem;
   };
   if (anchor < 0) {
@@ -270,20 +263,18 @@ void CompiledProgram::Join(const RulePlan& plan,
 void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
                               size_t* probes, DerivedBuffer* out) const {
   if (item.kernel != nullptr) {
-    KernelCounters c{0, item.step_rows};
     if (item.rec < 0) {
-      RunKernelFull(*item.kernel, target, c, out);
+      RunKernelFull(*item.kernel, target, probes, out);
     } else {
-      RunKernelDelta(*item.kernel, target, *item.delta_rows, c, out);
+      RunKernelDelta(*item.kernel, target, *item.delta_rows, probes, out);
     }
-    *probes += c.probes;
     return;
   }
   const RulePlan& plan = plans_[item.plan];
   const std::vector<uint32_t>& order = *item.order;
   std::vector<ElemId> map(plan.num_vars, kNoElem);
   if (item.rec < 0) {
-    Join(plan, order, 0, map, target, probes, item.step_rows, out);
+    Join(plan, order, 0, map, target, probes, out);
     return;
   }
   const QAtom& delta_atom = plan.body[plan.recursive_atoms[item.rec]];
@@ -302,7 +293,7 @@ void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
         break;
       }
     }
-    if (ok) Join(plan, order, 0, map, target, probes, item.step_rows, out);
+    if (ok) Join(plan, order, 0, map, target, probes, out);
     for (VarId v : bound_here) map[v] = kNoElem;
   }
 }
@@ -312,24 +303,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   auto t_start = std::chrono::steady_clock::now();
   Instance result = input;
   EvalStats run;
-
-  // Abstract-interpretation pruning: the emptiness/constant-set fixpoint
-  // seeded from `input` overapproximates the concrete fixpoint, so a rule
-  // whose body is abstractly unsatisfiable can never fire in any round.
-  // Skipping its seats derives nothing less, in the same order, with the
-  // same counts — only wasted join work disappears. O(program size) per
-  // run, the same order as the initial Stats::Collect below.
-  std::vector<bool> dead;
-  if (options.dataflow_prune &&
-      input.num_facts() >= options.dataflow_min_facts) {
-    dead = DeadRuleMask(program_, input);
-    for (bool d : dead) {
-      if (d) ++run.rules_pruned;
-    }
-  }
-  auto pruned = [&](uint32_t plan_index) {
-    return !dead.empty() && dead[plan_index];
-  };
 
   // Which statistics drive planning this run. With the stats planner on
   // (the default) and no caller-supplied snapshot, collect live stats
@@ -413,13 +386,8 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     // The join orders this stratum runs with: per (plan-in-stratum, seat),
     // seat 0 = the initial full join, seat 1 + i = recursive atom i.
     // Planned from `planning` when set, else the compile-time orders.
-    // `actual` accumulates measured per-step rows (plan_stats only) and
-    // resets on re-plan so it always matches the order it was measured
-    // under.
     struct SeatPlan {
       std::vector<uint32_t> order;
-      std::vector<double> est;
-      std::vector<size_t> actual;
       JoinKernel kernel;
       // Lazy lowering: 0 = not yet tried for the current order, 1 =
       // kernel valid, 2 = shape unsupported (interpreter). Reset to 0 on
@@ -429,23 +397,17 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     std::vector<std::vector<SeatPlan>> seats(stratum.plans.size());
     auto plan_seats = [&](bool initial) {
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        if (pruned(stratum.plans[k])) continue;  // dead rule: never seated
         const RulePlan& plan = plans_[stratum.plans[k]];
         auto& sp = seats[k];
         if (initial) sp.resize(1 + plan.recursive_atoms.size());
         // After round 0 the full join (seat 0) never runs again, so
         // re-planning skips it.
         for (size_t s = initial ? 0 : 1; s < sp.size(); ++s) {
-          if (planning) {
-            sp[s].order = PlanOrder(plan, s, planning, &sp[s].est);
-          } else {
-            sp[s].order = plan.orders[s];
-            sp[s].est = plan.est_rows[s];
-          }
+          sp[s].order = planning ? PlanOrder(plan, s, planning, nullptr)
+                                 : plan.orders[s];
           // The planned order invalidates any kernel lowered from the
           // previous one; kernel_for re-lowers on the seat's next run.
           sp[s].kernel_state = 0;
-          if (options.plan_stats) sp[s].actual.assign(sp[s].order.size(), 0);
         }
       }
     };
@@ -489,12 +451,10 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     std::vector<WorkItem> round0;
     round0.reserve(stratum.plans.size());
     for (size_t k = 0; k < stratum.plans.size(); ++k) {
-      if (pruned(stratum.plans[k])) continue;
       WorkItem w;
       w.plan = stratum.plans[k];
       w.order = &seats[k][0].order;
       w.kernel = kernel_for(k, 0);
-      if (options.plan_stats) w.step_rows = &seats[k][0].actual;
       round0.push_back(w);
     }
     ss.iterations = 1;
@@ -538,7 +498,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       std::vector<WorkItem> items;
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
         const uint32_t pi = stratum.plans[k];
-        if (pruned(pi)) continue;  // dead rule: no delta seats either
         const RulePlan& plan = plans_[pi];
         for (int r = 0; r < static_cast<int>(plan.recursive_atoms.size());
              ++r) {
@@ -558,30 +517,12 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           w.delta_rows = &it->second;
           w.order = &seats[k][1 + r].order;
           w.kernel = kernel_for(k, 1 + r);
-          if (options.plan_stats) w.step_rows = &seats[k][1 + r].actual;
           items.push_back(w);
         }
       }
       if (items.empty()) break;
       ++ss.iterations;
       delta = run_round(items, &ss);
-    }
-    if (options.plan_stats) {
-      for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const uint32_t pi = stratum.plans[k];
-        if (pruned(pi)) continue;  // never seated, nothing measured
-        const RulePlan& plan = plans_[pi];
-        for (size_t s = 0; s < seats[k].size(); ++s) {
-          JoinSeatStats j;
-          j.rule = pi;
-          j.delta_atom =
-              s == 0 ? -1 : plan.recursive_atoms[s - 1];
-          j.order = std::move(seats[k][s].order);
-          j.est_rows = std::move(seats[k][s].est);
-          j.actual_rows = std::move(seats[k][s].actual);
-          ss.seats.push_back(std::move(j));
-        }
-      }
     }
     ss.wall_seconds = SecondsSince(t0);
     run.iterations += ss.iterations;
@@ -703,14 +644,6 @@ Materialization CompiledProgram::Materialize(const Instance& input,
                                              const EvalOptions& options) const {
   Materialization m{Eval(input, stats, options), Stats()};
   const ChangeMap no_changes;
-  // A rule dead under the input-seeded abstract fixpoint matches nothing
-  // in the concrete fixpoint either, so skipping its counting pass leaves
-  // every derivation count unchanged.
-  std::vector<bool> dead;
-  if (options.dataflow_prune &&
-      input.num_facts() >= options.dataflow_min_facts) {
-    dead = DeadRuleMask(program_, input);
-  }
   for (const Stratum& st : strata_) {
     // Counting is unsound under recursion (a fact may transitively
     // support itself), so recursive SCC strata keep the membership-only
@@ -718,7 +651,6 @@ Materialization CompiledProgram::Materialize(const Instance& input,
     if (st.recursive) continue;
     std::unordered_map<Fact, uint64_t, FactHash> dc;
     for (uint32_t pi : st.plans) {
-      if (!dead.empty() && dead[pi]) continue;
       const RulePlan& plan = plans_[pi];
       std::vector<uint8_t> read_old(plan.body.size(), 0);
       std::vector<ElemId> map(plan.num_vars, kNoElem);

@@ -45,19 +45,9 @@ struct EvalOptions {
   /// 0 to force live planning on any input (the differential tests do); a
   /// caller-supplied `stats` snapshot bypasses the gate.
   size_t stats_min_facts = 64;
-  /// Record the join order each (rule, delta seat) actually ran with,
-  /// plus estimated vs. measured intermediate sizes, into
-  /// StratumStats::seats. Small per-match cost; off by default.
-  bool plan_stats = false;
-  /// Abstract-interpretation pruning (analysis/dataflow.h): before the
-  /// stratum loop, run the emptiness/constant-set fixpoint seeded from
-  /// the input and skip seating the provably-dead rules — their bodies
-  /// are unsatisfiable over (an overapproximation of) the fixpoint, so
-  /// they can never derive a fact and skipping them leaves the result,
-  /// its insertion order and all derivation counts bit-identical
-  /// (pinned by eval_differential_test / plan_differential_test arms and
-  /// tests/dataflow_soundness_test.cc). EvalStats::rules_pruned counts
-  /// the skipped rules.
+  /// Ignored: Eval has no dataflow pass. Kept only because
+  /// perfbench/cpp/check_workload.cc sets it; it goes with the next
+  /// benchmark change (ROADMAP.md).
   bool dataflow_prune = true;
   /// Compiled join kernels (datalog/kernel.h): lower each planned
   /// (rule, delta-seat, order) into a shape-specialized loop nest over the
@@ -81,28 +71,6 @@ struct EvalOptions {
   /// to force kernels on any input (the kernel-differential oracle and
   /// bench_kernels do, so the gated path stays fully cross-checked).
   size_t kernel_min_facts = 64;
-  /// Input-size gate for dataflow_prune, the stats_min_facts idiom again:
-  /// the seeded analysis costs O(program + input) per run, so on a small
-  /// instance it cannot pay for the join work it saves — and the
-  /// canonical-test inner loops evaluate thousands of µs-scale instances
-  /// per check (profiles put the analysis near 30% of such evals at the
-  /// old gate of 8). Below the gate Eval skips the analysis and prunes
-  /// nothing (correctness is unaffected either way). Set to 0 to force
-  /// pruning on any input (the differential and soundness tests do).
-  size_t dataflow_min_facts = 64;
-};
-
-/// The join order one (rule, delta-seat) pair ran with, with the planner's
-/// estimated and the measured intermediate row counts per join step.
-/// Collected only under EvalOptions::plan_stats.
-struct JoinSeatStats {
-  size_t rule = 0;
-  int delta_atom = -1;               // -1 = the initial full join
-  std::vector<uint32_t> order;       // body atom indices, join order
-  std::vector<double> est_rows;      // planner estimate after each step
-  // Measured rows after each step, summed over every seeding of the join
-  // (one per bound delta fact), while est_rows is per seeding.
-  std::vector<size_t> actual_rows;
 };
 
 /// Counters for one stratum of a fixpoint run.
@@ -116,7 +84,6 @@ struct StratumStats {
   // on every re-plan).
   size_t stats_facts_counted = 0;
   double wall_seconds = 0;
-  std::vector<JoinSeatStats> seats;  // only with EvalOptions::plan_stats
 };
 
 /// Counters for a fixpoint run. Eval *accumulates* into a caller-provided
@@ -132,7 +99,10 @@ struct EvalStats {
   size_t rederived = 0;        // DRed: provisional deletions revived
   size_t join_probes = 0;
   size_t replans = 0;
-  size_t rules_pruned = 0;  // rules skipped by EvalOptions::dataflow_prune
+  // Always 0: Eval skips no rules. Kept only because
+  // perfbench/cpp/fixpoint_workload.cc reads it; it goes with the next
+  // benchmark change (ROADMAP.md).
+  size_t rules_pruned = 0;
   // Sum over strata (see StratumStats); Maintain adds its batch's net
   // membership changes, the facts its Stats::Apply folds in.
   size_t stats_facts_counted = 0;
@@ -326,8 +296,7 @@ class CompiledProgram {
     PredId delta_pred = kNoPred;
     const std::vector<uint32_t>* delta_rows = nullptr;
     const std::vector<uint32_t>* order = nullptr;
-    const JoinKernel* kernel = nullptr;        // null = generic interpreter
-    std::vector<size_t>* step_rows = nullptr;  // per-depth match counters
+    const JoinKernel* kernel = nullptr;  // null = generic interpreter
   };
 
   /// Computes the join order for seat `seat` of `plan` (0 = full join,
@@ -342,8 +311,7 @@ class CompiledProgram {
                DerivedBuffer* out) const;
   void Join(const RulePlan& plan, const std::vector<uint32_t>& order,
             size_t depth, std::vector<ElemId>& map, const Instance& target,
-            size_t* probes, std::vector<size_t>* step_rows,
-            DerivedBuffer* out) const;
+            size_t* probes, DerivedBuffer* out) const;
 
   /// The maintenance engine's join: matches body atoms k.. of `plan` in
   /// body order (skipping `seat`, whose variables `map` pre-binds) and

@@ -47,9 +47,8 @@ UCQ UnfoldToUcq(const DatalogQuery& query, size_t max_disjuncts = 100000);
 /// non-recursive and within bounds), in which case non-refutation proves
 /// containment. Datalog containment is undecidable in general [25] — this
 /// is the standard semi-decision procedure. (For UCQ right-hand sides the
-/// exact automata procedure is DatalogContainedInUcq in core/, which runs
-/// an antichain-pruned lazy product walk by default — the unpruned full
-/// fixpoint stays available via ContainmentOptions{.antichain = false}.)
+/// exact automata procedure is DatalogContainedInUcq in core/, an
+/// antichain-pruned lazy product walk.)
 struct BoundedContainment {
   bool refuted = false;
   bool exhaustive = false;

@@ -23,7 +23,7 @@ struct RunCtx {
   const JoinKernel& k;
   const Instance& inst;
   ElemId* frame;
-  KernelCounters& c;
+  size_t* probes;
   DerivedBuffer* out;
   size_t fault_trim;
 };
@@ -70,9 +70,8 @@ void RunSteps(RunCtx& ctx, size_t depth) {
     // enumeration the interpreter would do.
     ElemId buf[kMaxKernelArity];
     for (const KernelOp& op : st.ops) buf[op.pos] = ctx.frame[op.slot];
-    ++ctx.c.probes;
+    ++*ctx.probes;
     if (inst.HasFact(st.pred, std::span<const ElemId>(buf, st.arity))) {
-      if (ctx.c.step_rows) ++(*ctx.c.step_rows)[depth];
       RunSteps(ctx, depth + 1);
     }
     return;
@@ -115,24 +114,20 @@ void RunSteps(RunCtx& ctx, size_t depth) {
   const ElemId* base = inst.FlatArgs(st.pred).data();
   const size_t arity = st.arity;
   if (st.kind == KernelStep::kScan) {
-    ctx.c.probes += scan_rows;
+    *ctx.probes += scan_rows;
     const size_t end =
         scan_rows > ctx.fault_trim ? scan_rows - ctx.fault_trim : 0;
     for (size_t r = 0; r < end; ++r) {
-      if (!ApplyOps(st, base + r * arity, ctx.frame)) continue;
-      if (ctx.c.step_rows) ++(*ctx.c.step_rows)[depth];
-      RunSteps(ctx, depth + 1);
+      if (ApplyOps(st, base + r * arity, ctx.frame)) RunSteps(ctx, depth + 1);
     }
     return;
   }
-  ctx.c.probes += rows.size();
+  *ctx.probes += rows.size();
   const size_t end =
       rows.size() > ctx.fault_trim ? rows.size() - ctx.fault_trim : 0;
   for (size_t i = 0; i < end; ++i) {
     const ElemId* rp = base + static_cast<size_t>(rows[i]) * arity;
-    if (!ApplyOps(st, rp, ctx.frame)) continue;
-    if (ctx.c.step_rows) ++(*ctx.c.step_rows)[depth];
-    RunSteps(ctx, depth + 1);
+    if (ApplyOps(st, rp, ctx.frame)) RunSteps(ctx, depth + 1);
   }
 }
 
@@ -225,7 +220,7 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
 }
 
 void RunKernelFull(const JoinKernel& k, const Instance& target,
-                   KernelCounters& c, DerivedBuffer* out) {
+                   size_t* probes, DerivedBuffer* out) {
   ElemId frame_buf[64];
   std::vector<ElemId> frame_heap;
   ElemId* frame = frame_buf;
@@ -233,12 +228,12 @@ void RunKernelFull(const JoinKernel& k, const Instance& target,
     frame_heap.resize(k.num_slots);
     frame = frame_heap.data();
   }
-  RunCtx ctx{k, target, frame, c, out, FaultSkipKernelRow()};
+  RunCtx ctx{k, target, frame, probes, out, FaultSkipKernelRow()};
   RunSteps(ctx, 0);
 }
 
 void RunKernelDelta(const JoinKernel& k, const Instance& target,
-                    std::span<const uint32_t> delta_rows, KernelCounters& c,
+                    std::span<const uint32_t> delta_rows, size_t* probes,
                     DerivedBuffer* out) {
   ElemId frame_buf[64];
   std::vector<ElemId> frame_heap;
@@ -247,7 +242,7 @@ void RunKernelDelta(const JoinKernel& k, const Instance& target,
     frame_heap.resize(k.num_slots);
     frame = frame_heap.data();
   }
-  RunCtx ctx{k, target, frame, c, out, FaultSkipKernelRow()};
+  RunCtx ctx{k, target, frame, probes, out, FaultSkipKernelRow()};
   const ElemId* base = target.FlatArgs(k.seat_pred).data();
   const size_t arity = k.seat_arity;
   for (uint32_t row : delta_rows) {

@@ -76,14 +76,6 @@ struct JoinKernel {
   std::vector<KernelStep> steps;
 };
 
-/// Per-run counters, matching the generic interpreter's semantics:
-/// `probes` counts candidate rows scanned (bucket sizes; 1 per membership
-/// test), `step_rows[d]` counts rows surviving step d's checks.
-struct KernelCounters {
-  size_t probes = 0;
-  std::vector<size_t>* step_rows = nullptr;
-};
-
 /// Flat derived-head buffer: `count` heads of one rule, their arguments
 /// concatenated in `args` (head i spans [i*arity, (i+1)*arity)). The
 /// explicit count keeps nullary heads representable.
@@ -112,14 +104,15 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
 
 /// Runs the full-join kernel over `target`, appending each derived head
 /// (not already in `target`) to `out` — a flat buffer, no per-fact
-/// allocation.
+/// allocation. `*probes` grows by the candidate rows scanned, as in the
+/// generic interpreter (bucket sizes; 1 per membership test).
 void RunKernelFull(const JoinKernel& k, const Instance& target,
-                   KernelCounters& c, DerivedBuffer* out);
+                   size_t* probes, DerivedBuffer* out);
 
 /// Runs the delta kernel once per row of `delta_rows` (rows of
 /// `k.seat_pred` in `target`), appending derived heads to `out`.
 void RunKernelDelta(const JoinKernel& k, const Instance& target,
-                    std::span<const uint32_t> delta_rows, KernelCounters& c,
+                    std::span<const uint32_t> delta_rows, size_t* probes,
                     DerivedBuffer* out);
 
 }  // namespace mondet

@@ -65,9 +65,8 @@ std::optional<std::string> DiffSequences(const Instance& a, const Instance& b,
 }
 
 // --- eval-differential ------------------------------------------------------
-// Port of tests/eval_differential_test.cc: naive reference vs semi-naive
-// — same set vs the oracle — and dataflow pruning invisible: the same
-// *sequence* with it off.
+// Port of tests/eval_differential_test.cc: naive reference vs semi-naive,
+// the same fact set.
 
 class EvalOracle : public Oracle {
  public:
@@ -95,25 +94,14 @@ class EvalOracle : public Oracle {
     if (auto d = DiffSets(naive, semi, "naive vs semi-naive")) {
       return Fail(c, *d);
     }
-
-    EvalOptions off;
-    off.dataflow_prune = false;
-    EvalStats stats_off;
-    Instance noprune = FpEval(program, inst, &stats_off, off);
-    if (stats_off.rules_pruned != 0) {
-      return Fail(c, "rules_pruned nonzero with pruning off");
-    }
-    if (auto d = DiffSequences(semi, noprune, "pruned vs unpruned")) {
-      return Fail(c, *d);
-    }
     return Pass();
   }
 };
 
 // --- plan-differential ------------------------------------------------------
 // Port of tests/plan_differential_test.cc: the stats-driven planner
-// agrees with the naive oracle, is invariant under planner/pruning
-// toggles, and never executes a cross product on a connected join graph.
+// agrees with the naive oracle, planner off derives the same set, and no
+// stats-driven plan joins a cross product on a connected join graph.
 
 /// True when the rule's join graph — body atoms as nodes, edges between
 /// atoms sharing a variable — has a single component (nullary excluded).
@@ -149,11 +137,11 @@ bool ConnectedJoinGraph(const Rule& rule) {
   return reached == nodes.size();
 }
 
-/// Replays one executed seat order; returns a message if any step joins
-/// an atom with no bound variable while something is already bound (=
-/// cross product). Nullary atoms are filters and exempt.
-std::optional<std::string> CrossProductError(const Rule& rule,
-                                             const JoinSeatStats& seat) {
+/// Replays one seat's join order; returns a message if any step joins an
+/// atom with no bound variable while something is already bound (= cross
+/// product). Nullary atoms are filters and exempt.
+std::optional<std::string> CrossProductError(
+    const Rule& rule, const CompiledProgram::JoinOrderDesc& seat) {
   std::vector<bool> bound(rule.num_vars(), false);
   bool anything_bound = false;
   if (seat.delta_atom >= 0) {
@@ -200,14 +188,11 @@ class PlanOracle : public Oracle {
     CompiledProgram compiled(program);
     Instance naive = NaiveFpEval(program, inst);
 
-    // 1. Stats-driven vs the naive oracle (gates forced open: the
-    // planner and the pruning, not their size gates, are under test).
+    // 1. Stats-driven vs the naive oracle (gate forced open: the planner,
+    // not its size gate, is under test).
     EvalOptions opt;
-    opt.plan_stats = true;
     opt.stats_min_facts = 0;
-    opt.dataflow_min_facts = 0;
-    EvalStats stats;
-    Instance semi = compiled.Eval(inst, &stats, opt);
+    Instance semi = compiled.Eval(inst, nullptr, opt);
     if (auto d = DiffSets(naive, semi, "naive vs stats-driven")) {
       return Fail(c, *d);
     }
@@ -220,50 +205,27 @@ class PlanOracle : public Oracle {
       return Fail(c, *d);
     }
 
-    // 3. Executed-seat sanity + no cross products on connected graphs.
-    bool saw_seat = false;
-    for (const StratumStats& ss : stats.strata) {
-      for (const JoinSeatStats& seat : ss.seats) {
-        saw_seat = true;
-        const Rule& rule = program.rules()[seat.rule];
-        const size_t expect =
-            rule.body.size() - (seat.delta_atom >= 0 ? 1 : 0);
-        if (seat.order.size() != expect) {
-          return Fail(c, "seat order length " +
-                             std::to_string(seat.order.size()) + " != " +
-                             std::to_string(expect) + " for rule " +
-                             std::to_string(seat.rule));
-        }
-        if (seat.est_rows.size() != seat.order.size() ||
-            seat.actual_rows.size() != seat.order.size()) {
-          return Fail(c, "seat estimate/measurement sizes mismatch order");
-        }
-        if (ConnectedJoinGraph(rule)) {
-          if (auto d = CrossProductError(rule, seat)) return Fail(c, *d);
-        }
+    // 3. The plans the instance's statistics pick, on a second program so
+    // the first keeps its EDB-first orders for step 2: every (rule, seat)
+    // orders each remaining body atom once with one estimate per step,
+    // and joins no cross product on a connected join graph.
+    CompiledProgram bound(program);
+    bound.BindStats(Stats::Collect(inst));
+    for (const CompiledProgram::JoinOrderDesc& seat : bound.DescribePlans()) {
+      const Rule& rule = program.rules()[seat.rule];
+      const size_t expect = rule.body.size() - (seat.delta_atom >= 0 ? 1 : 0);
+      if (seat.order.size() != expect) {
+        return Fail(c, "seat order length " +
+                           std::to_string(seat.order.size()) + " != " +
+                           std::to_string(expect) + " for rule " +
+                           std::to_string(seat.rule));
       }
-    }
-    const std::vector<bool> dead = DeadRuleMask(program, inst);
-    size_t n_dead = 0;
-    for (bool d : dead) n_dead += d ? 1 : 0;
-    if (n_dead < dead.size() && !saw_seat) {
-      return Fail(c, "plan_stats produced no seat observations");
-    }
-    if (stats.rules_pruned != n_dead) {
-      return Fail(c, "rules_pruned " + std::to_string(stats.rules_pruned) +
-                         " != dead-rule count " + std::to_string(n_dead));
-    }
-
-    // 4. Dataflow pruning off: a byte-identical sequence.
-    EvalOptions opt_noprune = opt;
-    opt_noprune.dataflow_prune = false;
-    EvalStats stats_np;
-    Instance noprune = compiled.Eval(inst, &stats_np, opt_noprune);
-    if (stats_np.rules_pruned != 0) {
-      return Fail(c, "rules_pruned nonzero with pruning off");
-    }
-    if (auto d = DiffSequences(semi, noprune, "pruned vs unpruned")) {
-      return Fail(c, *d);
+      if (seat.est_rows.size() != seat.order.size()) {
+        return Fail(c, "seat estimate count mismatches order");
+      }
+      if (ConnectedJoinGraph(rule)) {
+        if (auto d = CrossProductError(rule, seat)) return Fail(c, *d);
+      }
     }
     return Pass();
   }
@@ -452,7 +414,7 @@ class MaintenanceOracle : public Oracle {
 };
 
 // --- dataflow-soundness -----------------------------------------------------
-// Port of tests/dataflow_soundness_test.cc's four TEST_P properties (the
+// Port of tests/dataflow_soundness_test.cc's three TEST_P properties (the
 // deterministic cases stay in the test file). The instance-free arms are
 // gated on the case's actual content — no seeded IDB facts — rather than
 // the historical seed parity, so shrunk cases remain fully checkable.
@@ -553,37 +515,8 @@ class DataflowOracle : public Oracle {
         }
       }
     }
-    if (DeadRuleMask(program, inst) != er.rule_dead) {
-      return Fail(c, "DeadRuleMask disagrees with seeded analysis");
-    }
 
-    // 3. Pruning is bit-identical (and saves, never adds, iterations).
-    EvalOptions on, off;
-    on.dataflow_min_facts = 0;
-    off.dataflow_prune = false;
-    EvalStats s_on, s_off;
-    Instance r_on = FpEval(program, inst, &s_on, on);
-    Instance r_off = FpEval(program, inst, &s_off, off);
-    if (auto d = DiffSequences(r_on, r_off, "prune-on vs off")) {
-      return Fail(c, *d);
-    }
-    if (s_on.facts_derived != s_off.facts_derived) {
-      return Fail(c, "facts_derived differ with pruning");
-    }
-    if (s_on.iterations > s_off.iterations) {
-      return Fail(c, "pruning increased iterations");
-    }
-    if (s_off.rules_pruned != 0) {
-      return Fail(c, "rules_pruned nonzero with pruning off");
-    }
-    const std::vector<bool> dead = DeadRuleMask(program, inst);
-    size_t n_dead = 0;
-    for (bool d : dead) n_dead += d ? 1 : 0;
-    if (s_on.rules_pruned != n_dead) {
-      return Fail(c, "rules_pruned != dead-rule count");
-    }
-
-    // 4. Dropping subsumed rules / redundant atoms preserves the fixpoint.
+    // 3. Dropping subsumed rules / redundant atoms preserves the fixpoint.
     SubsumptionResult sr = AnalyzeSubsumption(program);
     if (sr.subsumed_by.size() != program.rules().size()) {
       return Fail(c, "subsumed_by size mismatch");

@@ -8,12 +8,11 @@
 
 namespace mondet {
 
-MaintainedImage::MaintainedImage(ViewSet views, Instance base,
-                                 const EvalOptions& options)
+MaintainedImage::MaintainedImage(ViewSet views, Instance base)
     : views_(std::move(views)),
       view_preds_(views_.ViewPreds()),
       base_(std::move(base)),
-      fix_(views_.Compiled().Materialize(base_, nullptr, options)),
+      fix_(views_.Compiled().Materialize(base_)),
       image_(fix_.inst.RestrictTo(view_preds_)) {}
 
 ElemId MaintainedImage::AddElement(std::string name) {

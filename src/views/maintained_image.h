@@ -45,10 +45,8 @@ struct ImageDelta {
 class MaintainedImage {
  public:
   /// Materializes the initial fixpoint of `base` under the combined view
-  /// program. `options` governs only this initial evaluation; batch
-  /// maintenance is single-threaded and deterministic.
-  MaintainedImage(ViewSet views, Instance base,
-                  const EvalOptions& options = {});
+  /// program.
+  MaintainedImage(ViewSet views, Instance base);
 
   const ViewSet& views() const { return views_; }
   const Instance& base() const { return base_; }

@@ -71,9 +71,9 @@ class ViewSet {
   /// compiled view program; pass `stats` to collect evaluation counters.
   Instance Image(const Instance& inst) const;
   Instance Image(const Instance& inst, EvalStats* stats) const;
-  /// As above with caller-chosen evaluation options — the canonical-test
-  /// loop images thousands of small expansions per check and turns the
-  /// per-instance dataflow analysis off for them.
+  /// As above with caller-chosen evaluation options. No library caller
+  /// passes any; kept only because perfbench/cpp/check_workload.cc calls
+  /// it, and it goes with the next benchmark change (ROADMAP.md).
   Instance Image(const Instance& inst, EvalStats* stats,
                  const EvalOptions& options) const;
 

@@ -171,29 +171,8 @@ TEST(Containment, DatalogInUcqMultiDisjunct) {
 
 // --- The right-automaton contract of automata/product_walk.h --------------
 
-/// Q'' = Π_V ∪ {Thm5.Goal ← V(Q)}, as CheckCqOverDatalogViews builds it.
-DatalogQuery Thm5Query(const CQ& query, const ViewSet& views) {
-  const VocabularyPtr& vocab = query.vocab();
-  Instance canon = query.CanonicalDb();
-  Instance image = views.Image(canon);
-  Program program = views.CombinedProgram();
-  PredId goal = vocab->AddPredicate("Thm5.Goal", 0);
-  Rule goal_rule;
-  for (size_t e = 0; e < canon.num_elements(); ++e) {
-    goal_rule.var_names.push_back(canon.element_name(static_cast<ElemId>(e)));
-  }
-  goal_rule.head = QAtom(goal, {});
-  for (uint32_t fg = 0; fg < image.num_facts(); ++fg) {
-    const FactView f = image.ViewAt(fg);
-    goal_rule.body.push_back(
-        QAtom(f.pred, std::vector<VarId>(f.args.begin(), f.args.end())));
-  }
-  program.AddRule(std::move(goal_rule));
-  return DatalogQuery(std::move(program), goal);
-}
-
 /// Checks the contract the product walk's antichain prune relies on, over
-/// the DP states a full unpruned walk of Thm 5's Q'' against Q leaves:
+/// the DP states an unpruned walk of Thm 5's Q'' against Q interns:
 /// SubsetOf is a partial order on state ids (reflexive, transitive, and
 /// mutual inclusion means one id, so no set is stored under two
 /// encodings), Accepting is upward closed, and Unary/Binary along every
@@ -205,7 +184,7 @@ void ExpectRightContract(const CQ& query, const ViewSet& views,
   ForwardResult fwd = ApproximationAutomaton(Thm5Query(query, views));
   const Nta& nta = fwd.automaton;
   CqMatchAutomaton dp(query, fwd.width);
-  ProductWalk(nta, dp, /*prune=*/false, /*early_exit=*/false);
+  ProductWalk(nta, dp, /*prune=*/false);
   const uint32_t walked = static_cast<uint32_t>(dp.num_states());
   ASSERT_GE(walked, 2u) << what;
   std::mt19937 rng(seed);

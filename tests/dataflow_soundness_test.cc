@@ -3,8 +3,8 @@
 //
 //   * randomized arm — the concrete fixpoint is contained in the
 //     concretization of the abstract emptiness/constant-set fixpoint,
-//     rules flagged dead never fire, pruning is bit-identical, and
-//     dropping subsumed rules / redundant atoms preserves the fixpoint.
+//     rules flagged dead never fire, and dropping subsumed rules /
+//     redundant atoms preserves the fixpoint.
 //     The generator and checker live in the shared randomized-testing
 //     library (testing/oracle.h, oracle `dataflow-soundness`);
 //     `mondet-fuzz` drives the same property over open-ended seed ranges

@@ -1,8 +1,7 @@
 // Differential test for the compiled semi-naive evaluator: on randomized
 // Datalog programs and instances, the naive full-rescan reference
 // (testing/reference.h) and the semi-naive evaluator must produce the
-// same fixpoint, and the semi-naive runs with dataflow pruning on and off
-// the same fact *sequence*.
+// same fixpoint.
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `eval-differential`) so the

@@ -38,13 +38,8 @@ struct Thm7Golden {
 };
 
 TEST(EvalRegression, Thm7DiamondChainFamily) {
-  // Iteration counts reflect dataflow pruning (EvalOptions::dataflow_prune,
-  // the default): rules provably dead on the given instance are never
-  // seated, so their strata close a round earlier — but only once the
-  // input clears the dataflow_min_facts gate (8). The n=1 chain (6 facts)
-  // and every view image (n+1 facts) sit below it, so their counts are
-  // the unpruned ones; the n>=2 query fixpoints run pruned. Fact counts
-  // are identical either way (dataflow_soundness_test pins that).
+  // Iteration counts are semi-naive rounds summed over strata, each
+  // stratum's initial round included, with every rule seated.
   const Thm7Golden goldens[] = {
       {1, 6, 3, 8, 3, 2, 13},
       {2, 10, 4, 13, 3, 3, 14},

@@ -1,8 +1,8 @@
 // Plan-quality differential test for the statistics-driven join planner:
 // on randomized programs × random bound instances, the stats-driven run
 // must match the naive reference, planner-off runs must derive the same
-// set, no executed plan for a connected-join-graph rule may contain a
-// cross product, and dataflow pruning must stay invisible.
+// set, and no plan the instance's statistics pick for a connected-join-
+// graph rule may contain a cross product.
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `plan-differential`); `mondet-fuzz`
