@@ -3,12 +3,8 @@
 // (kProbe1, the transitive-closure join), the two-position binary-min
 // probe (kProbe2, two bound positions of a wider atom), the fully-bound
 // membership filter (kMembership), and the unbound scan (kScan) —
-// through the real evaluator, once with the kernel plane and once
-// through the generic interpreter (EvalOptions::compiled_kernels =
-// false, the escape hatch). The on/off pair shares one workload, so
-// their time delta is the kernel's worth on that shape and nothing
-// else; kernel_differential_test pins that the outputs are
-// byte-identical. Every benchmark self-checks the on/off fact counts in
+// through the real evaluator at its defaults. Every benchmark
+// self-checks its fixpoint size against the workload's closed form in
 // SetLabel, and bench_snapshot.sh records the family in
 // BENCH_kernels.json.
 
@@ -24,12 +20,13 @@
 namespace mondet {
 namespace {
 
-/// A workload is a program (by text) plus an instance builder; the
-/// benchmark pair evaluates it with kernels on and off.
+/// A workload is a program (by text) plus an instance builder, and the
+/// size of its fixpoint in closed form.
 struct Workload {
   VocabularyPtr vocab = MakeVocabulary();
   std::optional<Program> program;
   Instance inst;
+  size_t expected_facts = 0;
 
   Workload() : inst(vocab) {}
 };
@@ -49,6 +46,8 @@ Workload Probe1Workload(int n) {
   std::vector<ElemId> nodes;
   for (int i = 0; i < n; ++i) nodes.push_back(w.inst.AddElement());
   for (int i = 0; i + 1 < n; ++i) w.inst.AddFact(r, {nodes[i], nodes[i + 1]});
+  // n-1 R edges plus T, every pair i < j.
+  w.expected_facts = (n - 1) + n * (n - 1) / 2;
   return w;
 }
 
@@ -76,6 +75,8 @@ Workload Probe2Workload(int n) {
                           nodes[(i + k) % n]});
     }
   }
+  // n-1 R edges, 4(n-1) W rows, and Q(i, (i+k) mod n) for k < 4.
+  w.expected_facts = 9 * (n - 1);
   return w;
 }
 
@@ -102,6 +103,8 @@ Workload MembershipWorkload(int n) {
       w.inst.AddFact(e, {nodes[i], nodes[i + d]});
     }
   }
+  // n-1 R edges, 3n-6 E pairs, and T equal to E.
+  w.expected_facts = 7 * n - 13;
   return w;
 }
 
@@ -122,73 +125,47 @@ Workload ScanWorkload(int n) {
     w.inst.AddFact(u, {nodes[i]});
     w.inst.AddFact(v, {nodes[i]});
   }
+  // n U and n V facts plus the n x n cross product P.
+  w.expected_facts = 2 * n + n * n;
   return w;
 }
 
-void RunShape(benchmark::State& state, const Workload& w, bool kernels) {
+void RunShape(benchmark::State& state, const Workload& w) {
   CompiledProgram compiled(*w.program);
-  EvalOptions options;
-  options.compiled_kernels = kernels;
-  // Defeat the size gate: these microbenches measure the kernel plane
-  // itself, including on the 64-node workloads below the default gate.
-  options.kernel_min_facts = 0;
   EvalStats stats;
   size_t facts = 0;
   for (auto _ : state) {
     stats = EvalStats{};
-    Instance fix = compiled.Eval(w.inst, &stats, options);
+    Instance fix = compiled.Eval(w.inst, &stats);
     facts = fix.num_facts();
   }
-  // The escape-hatch cross-check: the other plane derives the same
-  // number of facts on this workload (byte-identity is pinned by
-  // kernel_differential_test; the count here keeps the bench honest).
-  EvalOptions other = options;
-  other.compiled_kernels = !kernels;
-  const size_t other_facts = compiled.Eval(w.inst, nullptr, other).num_facts();
   state.counters["facts"] = static_cast<double>(facts);
   state.counters["facts_derived"] = static_cast<double>(stats.facts_derived);
   state.counters["join_probes"] = static_cast<double>(stats.join_probes);
-  state.SetLabel(facts == other_facts
-                     ? (kernels ? "compiled kernels" : "generic interpreter")
-                     : "UNEXPECTED: kernels on/off disagree");
+  state.SetLabel(facts == w.expected_facts
+                     ? "facts match closed form"
+                     : "UNEXPECTED: facts differ from closed form");
 }
 
 void BM_Kernel_Probe1(benchmark::State& state) {
-  RunShape(state, Probe1Workload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Probe1_Off(benchmark::State& state) {
-  RunShape(state, Probe1Workload(static_cast<int>(state.range(0))), false);
+  RunShape(state, Probe1Workload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Probe1)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Kernel_Probe1_Off)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Kernel_Probe2(benchmark::State& state) {
-  RunShape(state, Probe2Workload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Probe2_Off(benchmark::State& state) {
-  RunShape(state, Probe2Workload(static_cast<int>(state.range(0))), false);
+  RunShape(state, Probe2Workload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Probe2)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Kernel_Probe2_Off)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Kernel_Membership(benchmark::State& state) {
-  RunShape(state, MembershipWorkload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Membership_Off(benchmark::State& state) {
-  RunShape(state, MembershipWorkload(static_cast<int>(state.range(0))),
-           false);
+  RunShape(state, MembershipWorkload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Membership)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Kernel_Membership_Off)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Kernel_Scan(benchmark::State& state) {
-  RunShape(state, ScanWorkload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Scan_Off(benchmark::State& state) {
-  RunShape(state, ScanWorkload(static_cast<int>(state.range(0))), false);
+  RunShape(state, ScanWorkload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Scan)->Arg(64)->Arg(256);
-BENCHMARK(BM_Kernel_Scan_Off)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace mondet

@@ -105,11 +105,10 @@ fi
   --benchmark_out_format=json
 echo "bench_snapshot: wrote BENCH_maintenance.json"
 
-# Kernel probe-shape family: each compiled-kernel shape (single-position
-# probe, binary-min probe, membership, scan) against the generic
-# interpreter on the same workload (the *_Off twins). The on/off time
-# ratio per shape is the kernel plane's worth; the `facts` counters must
-# match pairwise (each bench self-checks in its label).
+# Kernel probe-shape family: one workload per compiled-kernel shape
+# (single-position probe, binary-min probe, membership, scan); each
+# bench self-checks its `facts` counter against the workload's closed
+# form in its label.
 ./build/bench/bench_kernels \
   --benchmark_context="$CONTEXT" \
   --benchmark_min_time="$MIN_TIME" \

@@ -64,9 +64,6 @@ fi
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules
 # never fire, dropping subsumed rules keeps the fixpoint);
-# kernel_differential_test is the columnar data plane's invisibility
-# oracle (compiled join kernels vs the generic interpreter, byte-
-# identical sequences);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
 # Complement+Product route, the pinned Thm 5 counterexamples (each
 # decoded and checked against the query and the UCQ), the pinned walk
@@ -82,12 +79,11 @@ fi
 # chase separators (core/separator.cc), which evaluate view images and
 # chase witnesses at the evaluator's defaults.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test kernel_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test mondet-fuzz
 ./build-asan/tests/base_test
 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
 ./build-asan/tests/plan_differential_test
-./build-asan/tests/kernel_differential_test
 ./build-asan/tests/stats_test
 ./build-asan/tests/stats_apply_test
 ./build-asan/tests/maintenance_differential_test
@@ -113,12 +109,12 @@ fi
 
 # Fault-injection gate: deliberately broken engines
 # (MONDET_FAULT=skip-delta-seat drops the last recursive delta seat;
-# MONDET_FAULT=skip-kernel-row trims the last row of every compiled
-# kernel enumeration; MONDET_FAULT=skip-antichain-prune makes the product
+# MONDET_FAULT=skip-kernel-row trims the last row of every join kernel
+# enumeration; MONDET_FAULT=skip-antichain-prune makes the product
 # walk's subsumption prune, shared by NtaIncluded and Thm 5,
 # bidirectional, i.e. unsound; MONDET_FAULT=skip-prefix-eval makes the
 # checker's canonical-test walk prune subtrees without evaluating their
-# prefix) must be caught by the eval-differential, kernel-differential,
+# prefix) must be caught by the eval-differential (the first two),
 # antichain-inclusion and mondet-parallel oracles within the smoke seed
 # budget and shrunk to <= 5 rules (<= 6 NTA transitions) — proof the
 # harness detects and the shrinker reduces, not just that everything is

@@ -438,7 +438,7 @@ void PlanLintCheck(const ProgramAnalyzer::Input& in,
     local.emplace(program);
     compiled = &*local;
   }
-  for (const CompiledProgram::JoinOrderDesc& desc : compiled->DescribePlans()) {
+  for (const JoinOrderDesc& desc : compiled->DescribePlans()) {
     const Rule& rule = program.rules()[desc.rule];
     std::vector<bool> bound(rule.num_vars(), false);
     bool anything_bound = false;

@@ -164,8 +164,7 @@ void CompiledProgram::BindStats(Stats stats) {
   }
 }
 
-std::vector<CompiledProgram::JoinOrderDesc> CompiledProgram::DescribePlans()
-    const {
+std::vector<JoinOrderDesc> CompiledProgram::DescribePlans() const {
   // plans_ is built by iterating program_.rules() in order, so plan index
   // == rule index.
   std::vector<JoinOrderDesc> out;
@@ -201,103 +200,6 @@ std::string CompiledProgram::DescribePlansText() const {
   return os.str();
 }
 
-void CompiledProgram::Join(const RulePlan& plan,
-                           const std::vector<uint32_t>& order, size_t depth,
-                           std::vector<ElemId>& map, const Instance& target,
-                           size_t* probes, DerivedBuffer* out) const {
-  if (depth == order.size()) {
-    std::vector<ElemId> head_args;
-    head_args.reserve(plan.head.args.size());
-    for (VarId v : plan.head.args) head_args.push_back(map[v]);
-    // Facts already in the target are filtered here; duplicates derived
-    // within the same round are deduplicated at the merge barrier.
-    if (!target.HasFact(plan.head.pred, head_args)) {
-      out->args.insert(out->args.end(), head_args.begin(), head_args.end());
-      ++out->count;
-    }
-    return;
-  }
-  const QAtom& atom = plan.body[order[depth]];
-  // Probe the tightest index available for the bound positions; a fully
-  // unbound atom falls back to scanning every row of the predicate.
-  std::span<const uint32_t> candidates;
-  int anchor = -1;
-  for (int pos = 0; pos < static_cast<int>(atom.args.size()); ++pos) {
-    ElemId img = map[atom.args[pos]];
-    if (img == kNoElem) continue;
-    const std::span<const uint32_t> idx =
-        target.RowsWith(atom.pred, pos, img);
-    if (anchor < 0 || idx.size() < candidates.size()) {
-      candidates = idx;
-      anchor = pos;
-    }
-  }
-  std::vector<VarId> bound_here;
-  auto try_row = [&](uint32_t row) {
-    const std::span<const ElemId> targs = target.Args(atom.pred, row);
-    bound_here.clear();
-    bool ok = true;
-    for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-      VarId v = atom.args[pos];
-      if (map[v] == kNoElem) {
-        map[v] = targs[pos];
-        bound_here.push_back(v);
-      } else if (map[v] != targs[pos]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) Join(plan, order, depth + 1, map, target, probes, out);
-    for (VarId v : bound_here) map[v] = kNoElem;
-  };
-  if (anchor < 0) {
-    const uint32_t n = target.NumRows(atom.pred);
-    *probes += n;
-    for (uint32_t row = 0; row < n; ++row) try_row(row);
-  } else {
-    *probes += candidates.size();
-    for (uint32_t row : candidates) try_row(row);
-  }
-}
-
-void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
-                              size_t* probes, DerivedBuffer* out) const {
-  if (item.kernel != nullptr) {
-    if (item.rec < 0) {
-      RunKernelFull(*item.kernel, target, probes, out);
-    } else {
-      RunKernelDelta(*item.kernel, target, *item.delta_rows, probes, out);
-    }
-    return;
-  }
-  const RulePlan& plan = plans_[item.plan];
-  const std::vector<uint32_t>& order = *item.order;
-  std::vector<ElemId> map(plan.num_vars, kNoElem);
-  if (item.rec < 0) {
-    Join(plan, order, 0, map, target, probes, out);
-    return;
-  }
-  const QAtom& delta_atom = plan.body[plan.recursive_atoms[item.rec]];
-  std::vector<VarId> bound_here;
-  for (uint32_t row : *item.delta_rows) {
-    const std::span<const ElemId> fargs = target.Args(item.delta_pred, row);
-    bound_here.clear();
-    bool ok = true;
-    for (size_t pos = 0; pos < delta_atom.args.size(); ++pos) {
-      VarId v = delta_atom.args[pos];
-      if (map[v] == kNoElem) {
-        map[v] = fargs[pos];
-        bound_here.push_back(v);
-      } else if (map[v] != fargs[pos]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) Join(plan, order, 0, map, target, probes, out);
-    for (VarId v : bound_here) map[v] = kNoElem;
-  }
-}
-
 Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
                                const EvalOptions& options) const {
   auto t_start = std::chrono::steady_clock::now();
@@ -317,22 +219,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       options.stats_planner &&
       (options.stats != nullptr ||
        input.num_facts() >= options.stats_min_facts);
-  // Kernel lowering is a per-(rule, seat) fixed cost; below the size
-  // gate the generic interpreter is strictly cheaper (kernel_min_facts
-  // doc in eval_plan.h). The second clause scales the gate with program
-  // size: lowering runs once per rule-seat, so a many-hundred-rule
-  // program over few facts (the Thm 9 separator's machine simulations)
-  // pays hundreds of lowerings that no seat's row volume can amortize —
-  // kernels engage only when the input carries at least a few facts per
-  // rule. The gate reads the *input* size, not the running fixpoint, so
-  // a whole Eval is one plane or the other — switching planes mid-run
-  // would be correct (they are bit-identical) but would waste the
-  // already-built kernels.
-  const bool use_kernels =
-      options.compiled_kernels &&
-      input.num_facts() >= options.kernel_min_facts &&
-      (options.kernel_min_facts == 0 ||
-       input.num_facts() >= plans_.size() * 4);
   const bool live_stats = use_stats && options.stats == nullptr;
   Stats live;
   if (live_stats) live = Stats::Collect(result);
@@ -348,15 +234,16 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
                        StratumStats* ss) {
     std::vector<DerivedBuffer> derived(items.size());
     for (size_t i = 0; i < items.size(); ++i) {
-      RunItem(items[i], result, &ss->join_probes, &derived[i]);
+      RunKernel(*items[i].kernel, result, items[i].delta_rows,
+                &ss->join_probes, &derived[i]);
     }
     std::vector<uint32_t> added;
     for (size_t i = 0; i < items.size(); ++i) {
-      const RulePlan& plan = plans_[items[i].plan];
-      const size_t ar = plan.head.args.size();
+      const JoinKernel& k = *items[i].kernel;
+      const size_t ar = k.head_arity;
       const ElemId* a = derived[i].args.data();
       for (size_t j = 0; j < derived[i].count; ++j) {
-        if (result.AddFact(plan.head.pred,
+        if (result.AddFact(k.head_pred,
                            std::span<const ElemId>(a + j * ar, ar))) {
           added.push_back(static_cast<uint32_t>(result.num_facts() - 1));
         }
@@ -388,11 +275,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     // Planned from `planning` when set, else the compile-time orders.
     struct SeatPlan {
       std::vector<uint32_t> order;
-      JoinKernel kernel;
-      // Lazy lowering: 0 = not yet tried for the current order, 1 =
-      // kernel valid, 2 = shape unsupported (interpreter). Reset to 0 on
-      // every re-plan, since the kernel bakes the order in.
-      uint8_t kernel_state = 0;
+      const JoinKernel* kernel = nullptr;  // null until the seat first runs
     };
     std::vector<std::vector<SeatPlan>> seats(stratum.plans.size());
     auto plan_seats = [&](bool initial) {
@@ -405,34 +288,28 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
         for (size_t s = initial ? 0 : 1; s < sp.size(); ++s) {
           sp[s].order = planning ? PlanOrder(plan, s, planning, nullptr)
                                  : plan.orders[s];
-          // The planned order invalidates any kernel lowered from the
-          // previous one; kernel_for re-lowers on the seat's next run.
-          sp[s].kernel_state = 0;
+          sp[s].kernel = nullptr;  // kernel_for looks the new order up
         }
       }
     };
     plan_seats(true);
 
-    // Lowers seat (k, s)'s planned order into a compiled kernel on first
-    // use, so evals whose seats never run (converged strata, empty delta
-    // predicates, µs-scale instances) pay nothing. Called while the
-    // round's work items are assembled.
+    // Seat (k, s)'s kernel for its current order, looked up in the plan's
+    // cache on the seat's first run under that order and lowered on a
+    // miss, so seats that never run (converged strata, empty delta
+    // predicates) cost nothing.
     auto kernel_for = [&](size_t k, size_t s) -> const JoinKernel* {
       SeatPlan& sp = seats[k][s];
-      if (sp.kernel_state == 0) {
-        const RulePlan& plan = plans_[stratum.plans[k]];
-        if (use_kernels &&
-            KernelSupported(plan.head, plan.body, plan.num_vars)) {
-          const int seat_atom =
-              s == 0 ? -1 : plan.recursive_atoms[s - 1];
-          sp.kernel = BuildKernel(plan.head, plan.body, plan.num_vars,
-                                  seat_atom, sp.order);
-          sp.kernel_state = 1;
-        } else {
-          sp.kernel_state = 2;
-        }
+      if (sp.kernel != nullptr) return sp.kernel;
+      const RulePlan& plan = plans_[stratum.plans[k]];
+      for (const LoweredKernel& lk : plan.kernels) {
+        if (lk.order == sp.order) return sp.kernel = &lk.kernel;
       }
-      return sp.kernel_state == 1 ? &sp.kernel : nullptr;
+      const int seat_atom = s == 0 ? -1 : plan.recursive_atoms[s - 1];
+      plan.kernels.push_back({sp.order, BuildKernel(plan.head, plan.body,
+                                                    plan.num_vars, seat_atom,
+                                                    sp.order)});
+      return sp.kernel = &plan.kernels.back().kernel;
     };
 
     // Cardinalities the current orders were planned under; a stratum
@@ -451,11 +328,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     std::vector<WorkItem> round0;
     round0.reserve(stratum.plans.size());
     for (size_t k = 0; k < stratum.plans.size(); ++k) {
-      WorkItem w;
-      w.plan = stratum.plans[k];
-      w.order = &seats[k][0].order;
-      w.kernel = kernel_for(k, 0);
-      round0.push_back(w);
+      round0.push_back({kernel_for(k, 0), {}});
     }
     ss.iterations = 1;
     std::vector<uint32_t> delta = run_round(round0, &ss);
@@ -489,7 +362,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
         }
       }
       // Partition the delta's global ids into per-predicate row lists —
-      // the coordinates kernels and the interpreter consume directly.
+      // the coordinates kernels consume directly.
       std::unordered_map<PredId, std::vector<uint32_t>> by_pred;
       for (uint32_t g : delta) {
         const auto [p, row] = result.Locate(g);
@@ -497,8 +370,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       }
       std::vector<WorkItem> items;
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const uint32_t pi = stratum.plans[k];
-        const RulePlan& plan = plans_[pi];
+        const RulePlan& plan = plans_[stratum.plans[k]];
         for (int r = 0; r < static_cast<int>(plan.recursive_atoms.size());
              ++r) {
           // MONDET_FAULT=skip-delta-seat never schedules the last
@@ -510,14 +382,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           }
           auto it = by_pred.find(plan.body[plan.recursive_atoms[r]].pred);
           if (it == by_pred.end()) continue;
-          WorkItem w;
-          w.plan = pi;
-          w.rec = r;
-          w.delta_pred = it->first;
-          w.delta_rows = &it->second;
-          w.order = &seats[k][1 + r].order;
-          w.kernel = kernel_for(k, 1 + r);
-          items.push_back(w);
+          items.push_back({kernel_for(k, 1 + r), it->second});
         }
       }
       if (items.empty()) break;
@@ -585,7 +450,7 @@ bool CompiledProgram::MatchAtoms(
     if (it != changed.end()) pc = &it->second;
   }
   // Current-state candidates through the tightest index available for the
-  // bound positions (as in Join); an old-state read additionally skips
+  // bound positions; an old-state read additionally skips
   // facts inserted since the old snapshot and replays the deleted ones.
   std::span<const uint32_t> candidates;
   int anchor = -1;

@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <functional>
+#include <list>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -49,28 +51,6 @@ struct EvalOptions {
   /// perfbench/cpp/check_workload.cc sets it; it goes with the next
   /// benchmark change (ROADMAP.md).
   bool dataflow_prune = true;
-  /// Compiled join kernels (datalog/kernel.h): lower each planned
-  /// (rule, delta-seat, order) into a shape-specialized loop nest over the
-  /// columnar store — fixed binding frame, plan-time probe/check/bind
-  /// classification, flat derived-head buffers — instead of interpreting
-  /// the atom order through the generic backtracking join. Bit-identical
-  /// to the interpreter in result, insertion order and derivation counts
-  /// (pinned by the kernel-differential oracle); kept as an escape hatch
-  /// for the differential arms and as the interpreter's reference.
-  bool compiled_kernels = true;
-  /// Input-size gate for compiled_kernels, the stats_min_facts idiom
-  /// again: lowering a (rule, seat, order) into a kernel costs a few µs
-  /// per rule-seat per Eval, which a µs-scale evaluation of a tiny
-  /// instance can never amortize — and the canonical-test inner loops
-  /// (separators, containment search) run thousands of such evals.
-  /// Below the gate the generic interpreter runs instead; above it the
-  /// kernel pays for itself within the first delta round. A nonzero gate
-  /// additionally requires at least 4 input facts per program rule
-  /// (lowering cost is per rule-seat, so a huge program over few facts
-  /// can never amortize it no matter the absolute input size). Set to 0
-  /// to force kernels on any input (the kernel-differential oracle and
-  /// bench_kernels do, so the gated path stays fully cross-checked).
-  size_t kernel_min_facts = 64;
 };
 
 /// Counters for one stratum of a fixpoint run.
@@ -161,6 +141,19 @@ struct MaintainResult {
   size_t rederived = 0;       // provisional deletions that came back
 };
 
+/// Description of one precomputed join order of a CompiledProgram, for
+/// plan-level lints (analysis/) and debugging: the body-atom visit order
+/// of rule `rule` when seeded from `delta_atom` (-1 = the initial full
+/// join, otherwise a body-atom index whose variables start bound).
+struct JoinOrderDesc {
+  size_t rule = 0;
+  int delta_atom = -1;
+  std::vector<uint32_t> order;  // body atom indices, join order
+  // Estimated intermediate rows after each step; empty unless stats are
+  // bound (CompiledProgram::BindStats).
+  std::vector<double> est_rows;
+};
+
 /// A Datalog program compiled for repeated semi-naive evaluation.
 ///
 /// Compilation groups the rules into strata — the SCCs of the IDB
@@ -173,7 +166,10 @@ struct MaintainResult {
 /// Construct once and Eval many times; the per-rule plans and strata are
 /// reused across calls — and the same object serves the analyzer's plan
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
-/// identical plans.
+/// identical plans. Eval joins through compiled kernels (datalog/kernel.h),
+/// lowering each (rule, seat, join order) on first use into a cache this
+/// object keeps for its lifetime. Eval is const but fills that cache, so
+/// one object must not be evaluated from two threads at once.
 class CompiledProgram {
  public:
   explicit CompiledProgram(const Program& program);
@@ -225,19 +221,6 @@ class CompiledProgram {
   size_t num_strata() const { return strata_.size(); }
   const Program& program() const { return program_; }
 
-  /// Description of one precomputed join order, for plan-level lints
-  /// (analysis/) and debugging: the body-atom visit order of rule
-  /// `rule` when seeded from `delta_atom` (-1 = the initial full join,
-  /// otherwise a body-atom index whose variables start bound).
-  struct JoinOrderDesc {
-    size_t rule = 0;
-    int delta_atom = -1;
-    std::vector<uint32_t> order;  // body atom indices, join order
-    // Estimated intermediate rows after each step; empty unless stats
-    // are bound (BindStats).
-    std::vector<double> est_rows;
-  };
-
   /// All join orders of the compiled plans, one entry per (rule, seat).
   std::vector<JoinOrderDesc> DescribePlans() const;
 
@@ -258,6 +241,11 @@ class CompiledProgram {
     std::vector<uint32_t> back;            // sub index -> body atom index
     std::vector<bool> bound0;              // vars pre-bound by the seat
   };
+  /// A kernel lowered from one seat under one join order.
+  struct LoweredKernel {
+    std::vector<uint32_t> order;
+    JoinKernel kernel;
+  };
   struct RulePlan {
     QAtom head;
     std::vector<QAtom> body;
@@ -269,6 +257,12 @@ class CompiledProgram {
     std::vector<SeatShape> seats;
     std::vector<std::vector<uint32_t>> orders;
     std::vector<std::vector<double>> est_rows;
+    // The kernels Eval has lowered so far, one per join order. An order
+    // also names its seat: it lists every body atom but the seat's delta
+    // atom. A kernel depends on nothing but (rule, seat, order), so the
+    // cache is never invalidated; list nodes keep the addresses a round's
+    // work items hold stable while Eval appends.
+    mutable std::list<LoweredKernel> kernels;
   };
   struct Stratum {
     std::vector<uint32_t> plans;       // indices into plans_, program order
@@ -285,18 +279,11 @@ class CompiledProgram {
     std::unordered_set<Fact, FactHash, FactEq> ins_set;
   };
   using ChangeMap = std::unordered_map<PredId, PredChange>;
-  /// One unit of a semi-naive round: fire plan `plan` either as a
-  /// full join (rec < 0) or seeding recursive atom `rec` from each row of
-  /// `*delta_rows` (rows of `delta_pred`), visiting the remaining atoms
-  /// in `*order` — through `*kernel` when compiled, the interpreter
-  /// otherwise.
+  /// One unit of a semi-naive round: `*kernel` run as a full join, or
+  /// seeded from each of `delta_rows` (rows of its seat predicate).
   struct WorkItem {
-    uint32_t plan = 0;
-    int rec = -1;
-    PredId delta_pred = kNoPred;
-    const std::vector<uint32_t>* delta_rows = nullptr;
-    const std::vector<uint32_t>* order = nullptr;
-    const JoinKernel* kernel = nullptr;  // null = generic interpreter
+    const JoinKernel* kernel = nullptr;
+    std::span<const uint32_t> delta_rows;
   };
 
   /// Computes the join order for seat `seat` of `plan` (0 = full join,
@@ -306,12 +293,6 @@ class CompiledProgram {
   std::vector<uint32_t> PlanOrder(const RulePlan& plan, size_t seat,
                                   const Stats* stats,
                                   std::vector<double>* est_rows) const;
-
-  void RunItem(const WorkItem& item, const Instance& target, size_t* probes,
-               DerivedBuffer* out) const;
-  void Join(const RulePlan& plan, const std::vector<uint32_t>& order,
-            size_t depth, std::vector<ElemId>& map, const Instance& target,
-            size_t* probes, DerivedBuffer* out) const;
 
   /// The maintenance engine's join: matches body atoms k.. of `plan` in
   /// body order (skipping `seat`, whose variables `map` pre-binds) and

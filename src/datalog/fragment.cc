@@ -4,7 +4,7 @@
 #include "base/check.h"
 #include "cq/ucq.h"
 #include "datalog/approximation.h"
-#include "datalog/eval.h"
+#include "datalog/eval_plan.h"
 
 namespace mondet {
 
@@ -26,10 +26,12 @@ BoundedContainment CheckDatalogContainmentBounded(const DatalogQuery& q1,
                                                   size_t max_expansions) {
   MONDET_CHECK(q1.arity() == q2.arity());
   BoundedContainment result;
+  // q2 is evaluated on every expansion; compile it once.
+  const CompiledProgram compiled_q2(q2.program);
   bool complete = EnumerateExpansions(
       q1, depth, max_expansions, [&](const Expansion& e) {
         ++result.expansions_checked;
-        if (!DatalogHoldsOn(q2, e.inst, e.frontier)) {
+        if (!compiled_q2.Eval(e.inst).HasFact(q2.goal, e.frontier)) {
           result.refuted = true;
           result.witness = e.inst;
           return false;

@@ -11,10 +11,10 @@
 
 namespace mondet {
 
-/// Compiled join kernels: each planned (rule, delta-seat, join-order)
-/// triple lowers into a flat loop nest over the columnar fact store
-/// (Instance rows), replacing the generic backtracking interpreter of
-/// CompiledProgram::Join on the evaluator's hot path.
+/// Compiled join kernels, the evaluator's one join engine: each planned
+/// (rule, delta-seat, join-order) triple lowers into a flat loop nest over
+/// the columnar fact store (Instance rows). CompiledProgram lowers each
+/// triple once, on first use, and keeps it for the program's lifetime.
 ///
 /// A kernel is shape-specialized at build time: per body atom it records
 /// which positions are already bound when the atom runs (index probes +
@@ -22,32 +22,31 @@ namespace mondet {
 /// binding frame. At run time the only decisions left are picking the
 /// smallest candidate bucket among the probe positions and comparing
 /// ElemIds — no per-tuple allocation, no kNoElem sentinel tests, no
-/// std::function indirection.
+/// std::function indirection. Any rule the parser accepts lowers: atom
+/// arities and variable counts have no fixed bound.
 ///
-/// Determinism: a kernel enumerates exactly the candidate rows the generic
-/// interpreter enumerates, in the same (row-insertion) order — bucket
-/// order equals insertion order on the insert-only Eval path, and the
-/// anchor choice only narrows the candidate *set scan*, never reorders the
-/// surviving matches. Kernels on vs. off is therefore byte-identical in
-/// derived-fact order (pinned by the kernel-differential oracle).
+/// Determinism: a kernel enumerates candidate rows in row-insertion order
+/// — bucket order equals insertion order on the insert-only Eval path,
+/// and the anchor choice only narrows the candidate *set scan*, never
+/// reorders the surviving matches — so a fixed plan derives one fixed
+/// fact sequence.
 
-/// One position of a step's candidate row: either compare the row's
-/// argument at `pos` against frame slot `slot` (check == 1) or write it
-/// there (check == 0). Ops are evaluated in position order, so a repeated
-/// variable within one atom writes first and checks later occurrences.
+/// One position of a tuple. On a candidate row: compare the row's
+/// argument at `pos` against frame slot `slot` (check) or write it there
+/// (!check). On a head or membership tuple: copy frame slot `slot` to
+/// tuple position `pos`.
 struct KernelOp {
-  uint8_t pos = 0;
-  uint8_t check = 0;
-  uint16_t slot = 0;
+  uint32_t pos = 0;
+  uint32_t slot = 0;
+  bool check = false;
 };
 
-/// A pre-bound position usable as the index-probe anchor.
-struct KernelProbe {
-  uint8_t pos = 0;
-  uint16_t slot = 0;
-};
-
-/// One body atom of a kernel, in join order.
+/// One body atom of a kernel, in join order. Its ops are
+/// JoinKernel::ops[first, end): first the checks of the positions bound
+/// before the step, which double as the index-probe anchors
+/// ([first, probe_end)), then the remaining positions in position order,
+/// so a variable repeated within the atom writes first and checks its
+/// later occurrences.
 struct KernelStep {
   /// Shape tag, decided at build time from the bound/unbound positions:
   /// the hot 1- and 2-probe shapes skip the runtime anchor scan entirely
@@ -57,23 +56,28 @@ struct KernelStep {
   enum Kind : uint8_t { kMembership, kProbe1, kProbe2, kProbeN, kScan };
 
   PredId pred = kNoPred;
-  uint8_t arity = 0;
+  uint32_t arity = 0;
+  uint32_t first = 0;
+  uint32_t probe_end = 0;
+  uint32_t end = 0;
   Kind kind = kScan;
-  std::vector<KernelProbe> probes;  // pre-bound positions (anchor choices)
-  std::vector<KernelOp> ops;        // checks + writes, position order
 };
 
 /// A full compiled kernel: the delta-seat loader, the join steps, and the
-/// head emitter. Frames are `num_slots` ElemIds (the rule's variables);
-/// safety guarantees every head slot is written before Emit runs.
+/// head emitter, their ops in one flat array. Frames are `num_slots`
+/// ElemIds (the rule's variables); safety guarantees every head slot is
+/// written before the head is emitted. RunKernel assembles head and
+/// membership tuples in a scratch area of `scratch_size` ElemIds past the
+/// frame.
 struct JoinKernel {
   PredId head_pred = kNoPred;
-  std::vector<uint16_t> head_slots;  // frame slot per head position
-  uint16_t num_slots = 0;
+  uint32_t head_arity = 0;     // ops[0, head_arity): the head tuple
   PredId seat_pred = kNoPred;  // kNoPred for the full-join kernel
-  uint8_t seat_arity = 0;
-  std::vector<KernelOp> seat_ops;  // checks = repeated seat variables
+  uint32_t seat_arity = 0;     // next seat_arity ops: the seat loader
+  uint32_t num_slots = 0;
+  uint32_t scratch_size = 0;  // widest head or membership tuple
   std::vector<KernelStep> steps;
+  std::vector<KernelOp> ops;
 };
 
 /// Flat derived-head buffer: `count` heads of one rule, their arguments
@@ -89,12 +93,6 @@ struct DerivedBuffer {
   }
 };
 
-/// True when the rule's shape fits the fixed-width kernel buffers (atom
-/// arities <= 16, at most 65535 variables). Unsupported rules keep the
-/// generic interpreter; BuildKernel checks the same bounds.
-bool KernelSupported(const QAtom& head, const std::vector<QAtom>& body,
-                     size_t num_vars);
-
 /// Lowers one planned (rule, seat, order) into a kernel. `seat` is the
 /// body index whose variables the delta fact pre-binds (-1 = full join);
 /// `order` lists the remaining body atoms in join order.
@@ -102,18 +100,14 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
                        size_t num_vars, int seat,
                        const std::vector<uint32_t>& order);
 
-/// Runs the full-join kernel over `target`, appending each derived head
-/// (not already in `target`) to `out` — a flat buffer, no per-fact
-/// allocation. `*probes` grows by the candidate rows scanned, as in the
-/// generic interpreter (bucket sizes; 1 per membership test).
-void RunKernelFull(const JoinKernel& k, const Instance& target,
-                   size_t* probes, DerivedBuffer* out);
-
-/// Runs the delta kernel once per row of `delta_rows` (rows of
-/// `k.seat_pred` in `target`), appending derived heads to `out`.
-void RunKernelDelta(const JoinKernel& k, const Instance& target,
-                    std::span<const uint32_t> delta_rows, size_t* probes,
-                    DerivedBuffer* out);
+/// Runs kernel `k` over `target`, appending each derived head (not
+/// already in `target`) to `out` — a flat buffer, no per-fact allocation:
+/// once for the full-join kernel, otherwise once per row of `delta_rows`
+/// (rows of `k.seat_pred` in `target`). `*probes` grows by the candidate
+/// rows scanned (bucket sizes; 1 per membership test).
+void RunKernel(const JoinKernel& k, const Instance& target,
+               std::span<const uint32_t> delta_rows, size_t* probes,
+               DerivedBuffer* out);
 
 }  // namespace mondet
 

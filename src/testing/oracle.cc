@@ -140,8 +140,8 @@ bool ConnectedJoinGraph(const Rule& rule) {
 /// Replays one seat's join order; returns a message if any step joins an
 /// atom with no bound variable while something is already bound (= cross
 /// product). Nullary atoms are filters and exempt.
-std::optional<std::string> CrossProductError(
-    const Rule& rule, const CompiledProgram::JoinOrderDesc& seat) {
+std::optional<std::string> CrossProductError(const Rule& rule,
+                                             const JoinOrderDesc& seat) {
   std::vector<bool> bound(rule.num_vars(), false);
   bool anything_bound = false;
   if (seat.delta_atom >= 0) {
@@ -211,7 +211,7 @@ class PlanOracle : public Oracle {
     // and joins no cross product on a connected join graph.
     CompiledProgram bound(program);
     bound.BindStats(Stats::Collect(inst));
-    for (const CompiledProgram::JoinOrderDesc& seat : bound.DescribePlans()) {
+    for (const JoinOrderDesc& seat : bound.DescribePlans()) {
       const Rule& rule = program.rules()[seat.rule];
       const size_t expect = rule.body.size() - (seat.delta_atom >= 0 ? 1 : 0);
       if (seat.order.size() != expect) {
@@ -226,90 +226,6 @@ class PlanOracle : public Oracle {
       if (ConnectedJoinGraph(rule)) {
         if (auto d = CrossProductError(rule, seat)) return Fail(c, *d);
       }
-    }
-    return Pass();
-  }
-};
-
-// --- kernel-differential ----------------------------------------------------
-// The compiled-kernel data plane against its own escape hatch: the same
-// program and instance evaluated with compiled kernels on and off, under
-// the stats planner and the static planner (compile-time EDB-first orders,
-// which exercises kernel shapes the stats planner never picks). Kernels
-// must be invisible in every observable — fact *sequences* byte-identical
-// on vs off under each planner, derivation counters equal — while the
-// naive reference anchors the fact *set*. join_probes is deliberately NOT
-// compared: a fully-bound membership step costs one probe in a kernel but
-// a bucket-size scan in the interpreter, so the counter legitimately
-// differs between the two planes.
-
-class KernelOracle : public Oracle {
- public:
-  std::string name() const override { return "kernel-differential"; }
-  GenProfile Profile() const override { return PlanProfile(); }
-
-  FuzzCase Generate(unsigned seed) const override {
-    FuzzCase c;
-    c.oracle = name();
-    c.seed = seed;
-    c.profile = PlanProfile();
-    c.program = RandomProgram(c.profile, 21000 + seed);
-    c.instance =
-        RandomInstance(c.profile.vocab, SeededPreds(c.profile, seed),
-                       c.profile.elems, c.profile.facts, 23000 + seed);
-    return c;
-  }
-
-  OracleOutcome Check(const FuzzCase& c) const override {
-    const Program& program = *c.program;
-    const Instance& inst = *c.instance;
-    CompiledProgram compiled(program);
-    Instance naive = NaiveFpEval(program, inst);
-
-    // Kernels on, stats planner forced on (stats_min_facts = 0 so small
-    // fuzz instances still take the planned path the kernels compile,
-    // kernel_min_facts = 0 so the size gate never routes them to the
-    // interpreter — every arm below exercises the plane it names).
-    EvalOptions on;
-    on.stats_min_facts = 0;
-    on.kernel_min_facts = 0;
-    EvalStats s_on;
-    Instance r_on = compiled.Eval(inst, &s_on, on);
-    if (auto d = DiffSets(naive, r_on, "naive vs kernels-on")) {
-      return Fail(c, *d);
-    }
-
-    // The escape hatch: same plans, interpreted generically.
-    EvalOptions off = on;
-    off.compiled_kernels = false;
-    EvalStats s_off;
-    Instance r_off = compiled.Eval(inst, &s_off, off);
-    if (auto d = DiffSequences(r_on, r_off, "kernels on vs off")) {
-      return Fail(c, *d);
-    }
-    if (s_on.facts_derived != s_off.facts_derived) {
-      return Fail(c, "facts_derived differs with kernels off");
-    }
-    if (s_on.iterations != s_off.iterations) {
-      return Fail(c, "iterations differs with kernels off");
-    }
-
-    // Static planner: different join orders, hence different kernels;
-    // the set (not the sequence — orders differ) must still agree, with
-    // kernels on and off.
-    EvalOptions st_on;
-    st_on.stats_planner = false;
-    st_on.kernel_min_facts = 0;
-    EvalOptions st_off = st_on;
-    st_off.compiled_kernels = false;
-    Instance r_st_on = compiled.Eval(inst, nullptr, st_on);
-    Instance r_st_off = compiled.Eval(inst, nullptr, st_off);
-    if (auto d = DiffSets(naive, r_st_on, "naive vs static+kernels")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_st_on, r_st_off,
-                               "static planner, kernels on vs off")) {
-      return Fail(c, *d);
     }
     return Pass();
   }
@@ -858,7 +774,6 @@ const std::vector<const Oracle*>& AllOracles() {
     auto* v = new std::vector<const Oracle*>();
     v->push_back(new EvalOracle());
     v->push_back(new PlanOracle());
-    v->push_back(new KernelOracle());
     v->push_back(new MaintenanceOracle());
     v->push_back(new DataflowOracle());
     v->push_back(new WalkVsFlatOracle());

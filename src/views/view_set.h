@@ -95,7 +95,8 @@ class ViewSet {
  private:
   VocabularyPtr vocab_;
   std::vector<View> views_;
-  // Shared so ViewSet stays copyable; the compiled program is immutable.
+  // Shared so ViewSet stays copyable. Copies share one compiled program:
+  // its plans are fixed, and Eval only adds to its kernel cache.
   mutable std::shared_ptr<const CompiledProgram> compiled_;
 };
 

@@ -3,13 +3,17 @@
 // (iteration counts and output sizes) were captured from the evaluator on
 // the seed-equivalent fixpoints; a change here means either the gadget
 // construction or the evaluator's iteration structure changed — both are
-// worth noticing. The last test guards that the library never starts a
-// thread of its own.
+// worth noticing. Two tests pin the one join engine: any rule the parser
+// accepts runs through the compiled kernels, and a program's cached
+// kernels never change a result. The last test guards that the library
+// never starts a thread of its own.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <iterator>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/mondet_check.h"
@@ -17,6 +21,7 @@
 #include "datalog/eval_plan.h"
 #include "reductions/thm6.h"
 #include "reductions/thm7.h"
+#include "testing/reference.h"
 #include "tests/test_util.h"
 #include "views/inverse_rules.h"
 #include "views/maintained_image.h"
@@ -119,6 +124,152 @@ TEST(EvalRegression, Fig5ChainViewImages) {
     EXPECT_EQ(image.num_facts(), static_cast<size_t>(17 - len))
         << "len=" << len;
   }
+}
+
+// ---------- One join engine: compiled kernels for every rule ------------
+
+// `got` holds exactly the facts of `want`.
+void ExpectSameFactSet(const Instance& want, const Instance& got) {
+  ASSERT_EQ(got.num_facts(), want.num_facts());
+  for (const Fact& f : want.AllFacts()) {
+    EXPECT_TRUE(got.HasFact(f)) << FactToString(want, f);
+  }
+}
+
+// `got` is `want` fact for fact, in insertion order.
+void ExpectSameSequence(const Instance& want, const Instance& got,
+                        const std::string& what) {
+  ASSERT_EQ(got.num_facts(), want.num_facts()) << what;
+  for (uint32_t i = 0; i < want.num_facts(); ++i) {
+    ASSERT_TRUE(got.ViewAt(i) == want.ViewAt(i)) << what << ": fact " << i;
+  }
+}
+
+// "x1,x2,...,x16,<first>" with x1 renamed to `first`: seventeen
+// positions, sixteen distinct variables, the first one repeated last.
+std::string Args17(const std::string& first) {
+  std::string s = first;
+  for (int i = 2; i <= 16; ++i) s += ",x" + std::to_string(i);
+  return s + "," + first;
+}
+
+TEST(EvalRegression, WideRulesRunThroughKernels) {
+  // Arity 17 with a repeated variable: in the seat (W), in a scanned
+  // atom (E) and in a fully bound membership atom (F).
+  {
+    auto vocab = MakeVocabulary();
+    const PredId e = vocab->AddPredicate("E", 17);
+    const PredId f = vocab->AddPredicate("F", 17);
+    const PredId s = vocab->AddPredicate("S", 2);
+    ParseResult pr = ParseProgram(
+        "W(" + Args17("x1") + ") :- E(" + Args17("x1") + "), F(" +
+            Args17("x1") + ").\n" + "W(" + Args17("y") + ") :- W(" +
+            Args17("x1") + "), S(x1,y).\n",
+        vocab);
+    ASSERT_TRUE(pr.ok()) << pr.error;
+    Instance inst(vocab);
+    inst.EnsureElements(20);
+    for (ElemId t = 0; t < 12; ++t) {
+      std::vector<ElemId> args;
+      for (ElemId i = 0; i < 17; ++i) args.push_back((t * 7 + i * 3) % 20);
+      // Odd tuples break the repeated variable's equality.
+      if (t % 2 == 0) args[16] = args[0];
+      inst.AddFact(e, args);
+      if (t % 3 != 0) inst.AddFact(f, args);
+    }
+    for (ElemId i = 0; i + 1 < 20; ++i) inst.AddFact(s, {i, i + 1});
+    Instance got = CompiledProgram(*pr.program).Eval(inst);
+    EXPECT_GT(got.NumRows(*vocab->FindPredicate("W")), 4u);
+    ExpectSameFactSet(NaiveFpEval(*pr.program, inst), got);
+  }
+  // One atom with 65,537 distinct variables (positions past 255, slots
+  // past 65,535, a frame past 64 ElemIds) and a 20-ary head over its
+  // first and last ten variables, seated by a recursive rule whose wide
+  // atom then runs as a 20-position probe.
+  {
+    constexpr uint32_t kWide = 65537;
+    auto vocab = MakeVocabulary();
+    const PredId big = vocab->AddPredicate("Big", kWide);
+    const PredId h = vocab->AddPredicate("H", 20);
+    std::vector<VarId> all(kWide);
+    for (VarId v = 0; v < kWide; ++v) all[v] = v;
+    std::vector<VarId> ends(all.begin(), all.begin() + 10);
+    ends.insert(ends.end(), all.end() - 10, all.end());
+    std::vector<VarId> swapped = ends;
+    std::swap(swapped[0], swapped[1]);
+    Rule base;
+    for (VarId v = 0; v < kWide; ++v) {
+      base.var_names.push_back("v" + std::to_string(v));
+    }
+    Rule rec = base;
+    base.head = QAtom(h, ends);
+    base.body = {QAtom(big, all)};
+    rec.head = QAtom(h, swapped);
+    rec.body = {QAtom(h, ends), QAtom(big, all)};
+    Program program(vocab);
+    program.AddRule(std::move(base));
+    program.AddRule(std::move(rec));
+    Instance inst(vocab);
+    inst.EnsureElements(50);
+    for (ElemId t = 1; t <= 3; ++t) {
+      std::vector<ElemId> args(kWide);
+      for (uint32_t i = 0; i < kWide; ++i) args[i] = (i * t + t) % 50;
+      inst.AddFact(big, args);
+    }
+    Instance got = CompiledProgram(program).Eval(inst);
+    EXPECT_EQ(got.NumRows(h), 6u);
+    ExpectSameFactSet(NaiveFpEval(program, inst), got);
+  }
+}
+
+TEST(EvalRegression, WarmKernelsMatchFresh) {
+  auto vocab = MakeVocabulary();
+  const PredId e = vocab->AddPredicate("E", 2);
+  const PredId u = vocab->AddPredicate("U", 1);
+  ParseResult pr = ParseProgram(R"(
+    T(x,y) :- E(x,y).
+    T(x,z) :- T(x,y), T(y,z).
+    S(x,z) :- T(x,y), E(y,z), U(z).
+  )",
+                                vocab);
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  const Program& program = *pr.program;
+  // Below the planner's 64-fact gate (compile-time orders) and above it
+  // (live statistics, re-planned as T grows).
+  const Instance small = RandomInstance(vocab, {e, u}, 10, 30, 1);
+  const Instance large = RandomInstance(vocab, {e, u}, 40, 120, 2);
+  ASSERT_LT(small.num_facts(), 64u);
+  ASSERT_GE(large.num_facts(), 64u);
+
+  // One program evaluated on every input in turn, its kernel cache warm
+  // from the runs before, against a fresh program with the same
+  // statistics bound: same sequence, same counters, and a repeat Eval
+  // on the warm program changes neither.
+  CompiledProgram warm(program);
+  std::optional<Stats> bound;
+  auto check = [&](const Instance& input, const std::string& what) {
+    CompiledProgram fresh(program);
+    if (bound) fresh.BindStats(*bound);
+    EvalStats want_stats;
+    const Instance want = fresh.Eval(input, &want_stats);
+    for (int run = 0; run < 2; ++run) {
+      const std::string tag = what + " run " + std::to_string(run);
+      EvalStats got_stats;
+      ExpectSameSequence(want, warm.Eval(input, &got_stats), tag);
+      EXPECT_EQ(got_stats.iterations, want_stats.iterations) << tag;
+      EXPECT_EQ(got_stats.facts_derived, want_stats.facts_derived) << tag;
+      EXPECT_EQ(got_stats.join_probes, want_stats.join_probes) << tag;
+      EXPECT_EQ(got_stats.replans, want_stats.replans) << tag;
+    }
+    return want_stats;
+  };
+  check(small, "small");
+  EXPECT_GT(check(large, "large").replans, 0u);
+  check(small, "small after large");
+  bound = Stats::Collect(large);
+  warm.BindStats(*bound);
+  check(small, "small after BindStats");
+  check(large, "large after BindStats");
 }
 
 // ---------- The library starts no thread --------------------------------
