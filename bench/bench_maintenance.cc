@@ -6,12 +6,17 @@
 // maintenance (counting + DRed) must beat recompute by a widening margin
 // as n grows. bench_snapshot.sh records both families in
 // BENCH_maintenance.json; the acceptance bar is maintain ≥ 2x recompute
-// on these small-delta steps.
+// on these small-delta steps. The path rows never rederive; the dense
+// row (perfbench `churn`'s graph shape) overdeletes and rederives the
+// whole closure on every write.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "datalog/eval_plan.h"
@@ -54,6 +59,28 @@ struct ChurnWorkload {
   }
 };
 
+/// DRed's provisional deletions and revivals per iteration: the totals
+/// of the timed loop depend on how many iterations it ran.
+void SetDRedCounters(benchmark::State& state, const EvalStats& stats) {
+  state.counters["overdeleted"] = benchmark::Counter(
+      static_cast<double>(stats.overdeleted), benchmark::Counter::kAvgIterations);
+  state.counters["rederived"] = benchmark::Counter(
+      static_cast<double>(stats.rederived), benchmark::Counter::kAvgIterations);
+}
+
+/// The headline contract, checked once after the timed loop: the
+/// maintained image is bit-identical (as a set) to a recompute.
+void LabelImageCheck(benchmark::State& state,
+                     const MaintainedImage& maintained) {
+  Instance fresh = maintained.FreshImage();
+  std::vector<Fact> got = maintained.image().AllFacts();
+  std::vector<Fact> want = fresh.AllFacts();
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  state.SetLabel(got == want ? "maintained image == recomputed image"
+                             : "MAINTENANCE DIVERGED");
+}
+
 /// One churn cycle: cut the head edge, then restore it. Net zero, so the
 /// workload is stable across iterations; each half-batch retracts /
 /// rederives the Θ(n) closure facts through the edge out of the Θ(n²)
@@ -72,20 +99,83 @@ void BM_Maintenance_ChurnMaintain(benchmark::State& state) {
   state.counters["image_facts"] =
       static_cast<double>(maintained.image().num_facts());
   state.counters["touched_per_cycle"] = static_cast<double>(touched);
-  state.counters["overdeleted"] = static_cast<double>(stats.overdeleted);
-  state.counters["rederived"] = static_cast<double>(stats.rederived);
-
-  // The headline contract, checked once after the timed loop: the
-  // maintained image is bit-identical (as a set) to a recompute.
-  Instance fresh = maintained.FreshImage();
-  std::vector<Fact> got = maintained.image().AllFacts();
-  std::vector<Fact> want = fresh.AllFacts();
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  state.SetLabel(got == want ? "maintained image == recomputed image"
-                             : "MAINTENANCE DIVERGED");
+  SetDRedCounters(state, stats);
+  LabelImageCheck(state, maintained);
 }
 BENCHMARK(BM_Maintenance_ChurnMaintain)->Arg(64)->Arg(256)->Arg(512);
+
+/// perfbench `churn`'s graph: n nodes, each of in- and out-degree 3 (the
+/// union of three random permutations that share no edge), so the
+/// closure is strongly connected and holds all n² pairs, and one fixed
+/// edge swap (a,b), (c,d) → (a,d), (c,b) that keeps every degree.
+struct DenseWorkload {
+  VocabularyPtr vocab = MakeVocabulary();
+  ViewSet views;
+  Instance base;
+  std::vector<Fact> swap_out, swap_in;
+
+  explicit DenseWorkload(int n) : views(vocab), base(vocab) {
+    const PredId r = vocab->AddPredicate("R", 2);
+    const PredId u = vocab->AddPredicate("U", 1);
+    views.AddAtomicView("VR", r);
+    views.AddAtomicView("VU", u);
+    std::vector<Diagnostic> diags;
+    auto vt = ParseQuery(R"(
+      VT0(x,y) :- R(x,y).
+      VT0(x,z) :- R(x,y), VT0(y,z).
+    )",
+                         "VT0", vocab, &diags);
+    views.AddView("VT", *vt);
+    const ElemId nodes = static_cast<ElemId>(n);
+    base.EnsureElements(nodes);
+    std::mt19937_64 rng(1);
+    std::vector<ElemId> target(nodes);
+    for (int k = 0; k < 3; ++k) {
+      for (bool clash = true; clash;) {
+        std::iota(target.begin(), target.end(), ElemId{0});
+        for (ElemId i = nodes - 1; i > 0; --i) {
+          std::swap(target[i], target[rng() % (i + 1)]);
+        }
+        clash = false;
+        for (ElemId x = 0; x < nodes && !clash; ++x) {
+          clash = base.HasFact(r, {x, target[x]});
+        }
+      }
+      for (ElemId x = 0; x < nodes; ++x) base.AddFact(r, {x, target[x]});
+    }
+    for (ElemId x = 0; x < nodes; x += 6) base.AddFact(u, {x});
+    const std::span<const ElemId> ab = base.Args(r, 0);
+    for (uint32_t row = 1; swap_in.empty(); ++row) {
+      const std::span<const ElemId> cd = base.Args(r, row);
+      const Fact ad(r, {ab[0], cd[1]}), cb(r, {cd[0], ab[1]});
+      if (ab[0] == cd[0] || ab[1] == cd[1] || base.HasFact(ad) ||
+          base.HasFact(cb)) {
+        continue;
+      }
+      swap_out = {Fact(r, {ab[0], ab[1]}), Fact(r, {cd[0], cd[1]})};
+      swap_in = {ad, cb};
+    }
+  }
+};
+
+/// One edge swap and its inverse per iteration: each write overdeletes
+/// the n² closure facts and rederives nearly all of them.
+void BM_Maintenance_DenseSwap(benchmark::State& state) {
+  DenseWorkload w(static_cast<int>(state.range(0)));
+  MaintainedImage maintained(w.views, w.base);
+  EvalStats stats;
+  for (auto _ : state) {
+    ImageDelta swap = maintained.ApplyDelta(w.swap_in, w.swap_out, &stats);
+    ImageDelta back = maintained.ApplyDelta(w.swap_out, w.swap_in, &stats);
+    benchmark::DoNotOptimize(swap);
+    benchmark::DoNotOptimize(back);
+  }
+  state.counters["image_facts"] =
+      static_cast<double>(maintained.image().num_facts());
+  SetDRedCounters(state, stats);
+  LabelImageCheck(state, maintained);
+}
+BENCHMARK(BM_Maintenance_DenseSwap)->Arg(50);
 
 /// The same churn cycle answered by from-scratch recomputation: mutate
 /// the base, rebuild the whole view image, restore, rebuild again.

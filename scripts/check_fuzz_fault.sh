@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Fault-injection gate for the fuzz harness: a deliberately broken
-# evaluator must be *caught* and the failure must *shrink*.
+# engine must be *caught* and the failure must *shrink*.
 #
-# Four faults, two in the evaluator and one each in the product walk
-# and the checker:
+# Five faults, two in the evaluator and one each in the maintenance
+# engine, the product walk and the checker:
 #
 #   MONDET_FAULT=skip-delta-seat makes the semi-naive evaluator drop the
 #   last recursive delta seat of every rule (src/datalog/eval_plan.cc),
@@ -14,6 +14,12 @@
 #   candidate row of every enumeration (src/datalog/kernel.cc), so
 #   derivations whose match sits in a bucket's last row are lost —
 #   caught by the eval-differential oracle against the naive reference.
+#
+#   MONDET_FAULT=skip-rederive makes DRed's rederive phase revive
+#   nothing (CompiledProgram::MaintainDRed, src/datalog/eval_plan.cc), so
+#   overdeleted facts that still have a derivation are lost from the
+#   maintained fixpoint — caught by the maintenance-differential oracle
+#   against a from-scratch Materialize.
 #
 #   MONDET_FAULT=skip-antichain-prune makes the subsumption prune of the
 #   lazy product walk bidirectional (src/automata/product_walk.h): it
@@ -37,7 +43,7 @@
 #   2. writes a shrunk repro whose program has at most 5 rules — or,
 #      for the NTA gate, at most 6 automaton transitions total —
 #      (the delta-debugging loop must actually reduce), and
-#   3. passes the very same seeds against the unbroken evaluator
+#   3. passes the very same seeds against the unbroken engine
 #      (the fault, not the harness, is what trips).
 #
 # Usage: check_fuzz_fault.sh <mondet-fuzz binary> [seeds]
@@ -123,6 +129,7 @@ run_phase() {
 
 run_phase eval-differential skip-delta-seat || exit 1
 run_phase eval-differential skip-kernel-row || exit 1
+run_phase maintenance-differential skip-rederive || exit 1
 run_phase antichain-inclusion skip-antichain-prune nta || exit 1
 run_phase mondet-parallel skip-prefix-eval || exit 1
 exit 0

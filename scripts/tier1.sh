@@ -58,6 +58,9 @@ fi
 # retraction partitions); maintenance_differential_test is the
 # maintained-vs-recomputed materialization oracle for incremental view
 # maintenance (counting + DRed over randomized insert/delete schedules);
+# mondet_maintained_test pins the maintenance join's fully bound probe,
+# atoms past its 16-entry stack buffers (the heap fallback) and the fact
+# and delta sequences of a churn-shaped write stream;
 # mondet_parallel_test is the walk-vs-flat oracle for the checker: the
 # monotonicity-pruned trie walk of the canonical tests against the flat
 # test-by-test scan (same verdict, counterexample and counters);
@@ -79,7 +82,7 @@ fi
 # chase separators (core/separator.cc), which evaluate view images and
 # chase witnesses at the evaluator's defaults.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test stats_test stats_apply_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test stats_test stats_apply_test maintenance_differential_test mondet_maintained_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test mondet-fuzz
 ./build-asan/tests/base_test
 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
@@ -87,6 +90,7 @@ cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test pl
 ./build-asan/tests/stats_test
 ./build-asan/tests/stats_apply_test
 ./build-asan/tests/maintenance_differential_test
+./build-asan/tests/mondet_maintained_test
 ./build-asan/tests/mondet_parallel_test
 ./build-asan/tests/antichain_test
 ./build-asan/tests/cq_automaton_test
@@ -110,15 +114,16 @@ fi
 # Fault-injection gate: deliberately broken engines
 # (MONDET_FAULT=skip-delta-seat drops the last recursive delta seat;
 # MONDET_FAULT=skip-kernel-row trims the last row of every join kernel
-# enumeration; MONDET_FAULT=skip-antichain-prune makes the product
+# enumeration; MONDET_FAULT=skip-rederive makes DRed's rederive phase
+# revive nothing; MONDET_FAULT=skip-antichain-prune makes the product
 # walk's subsumption prune, shared by NtaIncluded and Thm 5,
 # bidirectional, i.e. unsound; MONDET_FAULT=skip-prefix-eval makes the
 # checker's canonical-test walk prune subtrees without evaluating their
 # prefix) must be caught by the eval-differential (the first two),
-# antichain-inclusion and mondet-parallel oracles within the smoke seed
-# budget and shrunk to <= 5 rules (<= 6 NTA transitions) — proof the
-# harness detects and the shrinker reduces, not just that everything is
-# green.
+# maintenance-differential, antichain-inclusion and mondet-parallel
+# oracles within the smoke seed budget and shrunk to <= 5 rules (<= 6
+# NTA transitions) — proof the harness detects and the shrinker
+# reduces, not just that everything is green.
 ./scripts/check_fuzz_fault.sh ./build-asan/tools/mondet-fuzz
 
 echo "tier1: OK"

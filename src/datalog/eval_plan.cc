@@ -405,57 +405,108 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
 
 namespace {
 
-/// Binds the variables of `atom` to the argument tuple `args`, appending
-/// every newly-bound variable to `bound`. Returns false on a clash (a
-/// repeated variable or a pre-bound one disagreeing with `args`); the
-/// caller unbinds `bound` either way.
+/// Binds the variables of `atom` to the argument tuple `args`. Returns
+/// false on a clash (a repeated variable or a pre-bound one disagreeing
+/// with `args`); the caller resets `map` either way.
 bool BindArgs(const QAtom& atom, std::span<const ElemId> args,
-              std::vector<ElemId>& map, std::vector<VarId>* bound) {
+              std::vector<ElemId>& map) {
   for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-    VarId v = atom.args[pos];
-    if (map[v] == kNoElem) {
-      map[v] = args[pos];
-      bound->push_back(v);
-    } else if (map[v] != args[pos]) {
+    ElemId& img = map[atom.args[pos]];
+    if (img == kNoElem) {
+      img = args[pos];
+    } else if (img != args[pos]) {
       return false;
     }
   }
   return true;
 }
 
-bool BindFact(const QAtom& atom, const Fact& f, std::vector<ElemId>& map,
-              std::vector<VarId>* bound) {
-  return BindArgs(atom, f.args, map, bound);
+/// The image of `head` under `map`, written into `out`.
+void WriteHead(const QAtom& head, const std::vector<ElemId>& map,
+               std::vector<ElemId>& out) {
+  out.resize(head.args.size());
+  for (size_t pos = 0; pos < out.size(); ++pos) out[pos] = map[head.args[pos]];
 }
 
-void Unbind(const std::vector<VarId>& bound, std::vector<ElemId>& map) {
-  for (VarId v : bound) map[v] = kNoElem;
+/// The entry of `counts` for pred(args), inserted at zero on a miss: the
+/// only allocation a derivation makes is a new key's.
+template <class V>
+V& CountOf(std::unordered_map<Fact, V, FactHash, FactEq>& counts, PredId pred,
+           std::span<const ElemId> args) {
+  const FactView key{pred, args};
+  auto it = counts.find(key);
+  if (it == counts.end()) it = counts.emplace(key.ToFact(), V{}).first;
+  return it->second;
 }
+
+/// Lexicographic (pred, args) order, as Fact::operator<.
+bool ViewLess(const FactView& a, const FactView& b) {
+  if (a.pred != b.pred) return a.pred < b.pred;
+  return std::lexicographical_compare(a.args.begin(), a.args.end(),
+                                      b.args.begin(), b.args.end());
+}
+
+/// `n` values of scratch: on the stack up to kInline, on the heap beyond
+/// (the parser accepts atoms of any arity).
+template <class T>
+class Scratch {
+ public:
+  explicit Scratch(size_t n) {
+    if (n > kInline) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  T* data() { return data_; }
+  T& operator[](size_t i) { return data_[i]; }
+
+ private:
+  static constexpr size_t kInline = 16;
+  T local_[kInline] = {};
+  std::vector<T> heap_;
+  T* data_ = local_;
+};
 
 }  // namespace
 
-bool CompiledProgram::MatchAtoms(
-    const RulePlan& plan, int seat, size_t k,
-    const std::vector<uint8_t>& read_old, const Instance& inst,
-    const ChangeMap& changed, std::vector<ElemId>& map,
-    const std::function<bool(const std::vector<ElemId>&)>& out) const {
+template <class Out>
+bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
+                                 const std::vector<uint8_t>& read_old,
+                                 const Instance& inst, const ChangeMap& changed,
+                                 std::vector<ElemId>& map, Out&& out) const {
+  if (static_cast<int>(k) == seat) ++k;
   if (k == plan.body.size()) return out(map);
-  if (static_cast<int>(k) == seat) {
-    return MatchAtoms(plan, seat, k + 1, read_old, inst, changed, map, out);
-  }
   const QAtom& atom = plan.body[k];
+  const size_t arity = atom.args.size();
   const PredChange* pc = nullptr;
   if (read_old[k]) {
     auto it = changed.find(atom.pred);
     if (it != changed.end()) pc = &it->second;
+  }
+  Scratch<ElemId> image(arity);  // the atom under `map`; kNoElem if unbound
+  bool fully_bound = true;
+  for (size_t pos = 0; pos < arity; ++pos) {
+    image[pos] = map[atom.args[pos]];
+    fully_bound = fully_bound && image[pos] != kNoElem;
+  }
+  // A fully bound atom over the current state matches at most one row
+  // (set semantics), so one membership probe replaces the bucket scan
+  // and enumerates the same. An old-state read keeps the scan below: it
+  // must skip the batch's insertions and replay its deletions.
+  if (fully_bound && pc == nullptr) {
+    return !inst.HasFact(atom.pred,
+                         std::span<const ElemId>(image.data(), arity)) ||
+           MatchAtoms(plan, seat, k + 1, read_old, inst, changed, map, out);
   }
   // Current-state candidates through the tightest index available for the
   // bound positions; an old-state read additionally skips
   // facts inserted since the old snapshot and replays the deleted ones.
   std::span<const uint32_t> candidates;
   int anchor = -1;
-  for (int pos = 0; pos < static_cast<int>(atom.args.size()); ++pos) {
-    ElemId img = map[atom.args[pos]];
+  for (int pos = 0; pos < static_cast<int>(arity); ++pos) {
+    const ElemId img = image[pos];
     if (img == kNoElem) continue;
     const std::span<const uint32_t> idx = inst.RowsWith(atom.pred, pos, img);
     if (anchor < 0 || idx.size() < candidates.size()) {
@@ -463,22 +514,34 @@ bool CompiledProgram::MatchAtoms(
       anchor = pos;
     }
   }
-  std::vector<VarId> bound_here;
-  // Returns false when the enumeration must stop (out() vetoed).
+  Scratch<VarId> bound(arity);  // the variables one candidate binds
+  // Binds the atom to `args` and matches the rest; returns false when
+  // the enumeration must stop (out() vetoed).
+  auto try_args = [&](std::span<const ElemId> args) {
+    size_t nb = 0;
+    bool match = true;
+    for (size_t pos = 0; pos < arity && match; ++pos) {
+      const VarId v = atom.args[pos];
+      if (map[v] == kNoElem) {
+        map[v] = args[pos];
+        bound[nb++] = v;
+      } else {
+        match = map[v] == args[pos];
+      }
+    }
+    const bool go_on =
+        !match ||
+        MatchAtoms(plan, seat, k + 1, read_old, inst, changed, map, out);
+    for (size_t i = 0; i < nb; ++i) map[bound[i]] = kNoElem;
+    return go_on;
+  };
   auto try_row = [&](uint32_t row) {
     const std::span<const ElemId> targs = inst.Args(atom.pred, row);
     if (pc &&
         pc->ins_set.find(FactView{atom.pred, targs}) != pc->ins_set.end()) {
       return true;
     }
-    bound_here.clear();
-    if (BindArgs(atom, targs, map, &bound_here) &&
-        !MatchAtoms(plan, seat, k + 1, read_old, inst, changed, map, out)) {
-      Unbind(bound_here, map);
-      return false;
-    }
-    Unbind(bound_here, map);
-    return true;
+    return try_args(targs);
   };
   if (anchor < 0) {
     const uint32_t n = inst.NumRows(atom.pred);
@@ -492,13 +555,7 @@ bool CompiledProgram::MatchAtoms(
   }
   if (pc) {
     for (const Fact& df : pc->del) {
-      bound_here.clear();
-      if (BindFact(atom, df, map, &bound_here) &&
-          !MatchAtoms(plan, seat, k + 1, read_old, inst, changed, map, out)) {
-        Unbind(bound_here, map);
-        return false;
-      }
-      Unbind(bound_here, map);
+      if (!try_args(df.args)) return false;
     }
   }
   return true;
@@ -509,35 +566,34 @@ Materialization CompiledProgram::Materialize(const Instance& input,
                                              const EvalOptions& options) const {
   Materialization m{Eval(input, stats, options), Stats()};
   const ChangeMap no_changes;
+  std::vector<ElemId> map, head;
   for (const Stratum& st : strata_) {
     // Counting is unsound under recursion (a fact may transitively
     // support itself), so recursive SCC strata keep the membership-only
     // count of 1 and Maintain uses DRed for them.
     if (st.recursive) continue;
-    std::unordered_map<Fact, uint64_t, FactHash> dc;
+    std::unordered_map<Fact, uint64_t, FactHash, FactEq> dc;
     for (uint32_t pi : st.plans) {
       const RulePlan& plan = plans_[pi];
-      std::vector<uint8_t> read_old(plan.body.size(), 0);
-      std::vector<ElemId> map(plan.num_vars, kNoElem);
-      MatchAtoms(plan, /*seat=*/-1, 0, read_old, m.inst, no_changes, map,
-                 [&](const std::vector<ElemId>& mm) {
-                   std::vector<ElemId> args;
-                   args.reserve(plan.head.args.size());
-                   for (VarId v : plan.head.args) args.push_back(mm[v]);
-                   ++dc[Fact(plan.head.pred, std::move(args))];
-                   return true;
-                 });
+      const std::vector<uint8_t> current(plan.body.size(), 0);
+      map.assign(plan.num_vars, kNoElem);
+      auto count = [&](const std::vector<ElemId>& mm) {
+        WriteHead(plan.head, mm, head);
+        ++CountOf(dc, plan.head.pred, head);
+        return true;
+      };
+      MatchAtoms(plan, /*seat=*/-1, 0, current, m.inst, no_changes, map,
+                 count);
     }
     std::vector<PredId> preds(st.preds.begin(), st.preds.end());
     std::sort(preds.begin(), preds.end());
     for (PredId p : preds) {
       const uint32_t n = m.inst.NumRows(p);
       for (uint32_t row = 0; row < n; ++row) {
-        const std::span<const ElemId> args = m.inst.Args(p, row);
-        const Fact f(p, std::vector<ElemId>(args.begin(), args.end()));
+        const FactView f{p, m.inst.Args(p, row)};
         auto it = dc.find(f);
         uint64_t c = (it != dc.end() ? it->second : 0) +
-                     (input.HasFact(f) ? 1 : 0);
+                     (input.HasFact(p, f.args) ? 1 : 0);
         // Every fixpoint fact has base membership or a rule derivation.
         MONDET_CHECK(c > 0 && "Materialize: unsupported fixpoint fact");
         m.inst.SetCountAt(p, row, c);
@@ -643,31 +699,33 @@ void CompiledProgram::MaintainCounting(
   const Stratum& st = strata_[si];
   // Signed derivation-count deltas for this stratum's facts; base
   // membership counts as one more derivation.
-  std::unordered_map<Fact, int64_t, FactHash> dcount;
+  std::unordered_map<Fact, int64_t, FactHash, FactEq> dcount;
   for (const Fact* f : base_ins) ++dcount[*f];
   for (const Fact* f : base_del) --dcount[*f];
+  std::vector<ElemId> map, head;
+  std::vector<uint8_t> read_old;
   for (uint32_t pi : st.plans) {
     const RulePlan& plan = plans_[pi];
+    int64_t sign = 0;
+    auto count = [&](const std::vector<ElemId>& mm) {
+      WriteHead(plan.head, mm, head);
+      CountOf(dcount, plan.head.pred, head) += sign;
+      return true;
+    };
     // Ordered-delta formula: Δ(A1 ⋈ … ⋈ Ak) = Σ_i new(A<i) ⋈ Δi ⋈
     // old(A>i). Exact by telescoping — each appearing or disappearing
     // derivation is counted exactly once, whichever atoms changed.
     for (size_t i = 0; i < plan.body.size(); ++i) {
       auto it = changed.find(plan.body[i].pred);
       if (it == changed.end()) continue;
-      std::vector<uint8_t> read_old(plan.body.size(), 0);
+      read_old.assign(plan.body.size(), 0);
       for (size_t j = i + 1; j < plan.body.size(); ++j) read_old[j] = 1;
-      auto seed = [&](const Fact& df, int64_t sign) {
-        std::vector<ElemId> map(plan.num_vars, kNoElem);
-        std::vector<VarId> bound;
-        if (BindFact(plan.body[i], df, map, &bound)) {
+      auto seed = [&](const Fact& df, int64_t s) {
+        sign = s;
+        map.assign(plan.num_vars, kNoElem);
+        if (BindArgs(plan.body[i], df.args, map)) {
           MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, changed,
-                     map, [&](const std::vector<ElemId>& mm) {
-                       std::vector<ElemId> args;
-                       args.reserve(plan.head.args.size());
-                       for (VarId v : plan.head.args) args.push_back(mm[v]);
-                       dcount[Fact(plan.head.pred, std::move(args))] += sign;
-                       return true;
-                     });
+                     map, count);
         }
       };
       for (const Fact& df : it->second.ins) seed(df, +1);
@@ -676,13 +734,17 @@ void CompiledProgram::MaintainCounting(
   }
   // Apply the count deltas in sorted fact order so the instance mutation
   // sequence — and with it the stored fact order — is deterministic.
-  std::vector<std::pair<Fact, int64_t>> items(dcount.begin(), dcount.end());
+  std::vector<const std::pair<const Fact, int64_t>*> items;
+  items.reserve(dcount.size());
+  for (const auto& item : dcount) {
+    if (item.second != 0) items.push_back(&item);
+  }
   std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [f, d] : items) {
-    if (d == 0) continue;
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* item : items) {
+    const Fact& f = item->first;
     const int64_t oldc = static_cast<int64_t>(inst.FactCount(f));
-    const int64_t newc = oldc + d;
+    const int64_t newc = oldc + item->second;
     MONDET_CHECK(newc >= 0 && "Maintain: derivation count went negative");
     if (oldc == 0 && newc > 0) {
       MONDET_CHECK(inst.AddFact(f));
@@ -697,29 +759,20 @@ void CompiledProgram::MaintainCounting(
   }
 }
 
-bool CompiledProgram::Rederivable(const Fact& f, size_t si,
-                                  const Instance& inst) const {
-  const Stratum& st = strata_[si];
-  const ChangeMap no_changes;
-  for (uint32_t pi : st.plans) {
+bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
+                                  size_t si, const Instance& inst,
+                                  const ChangeMap& changed,
+                                  const std::vector<uint8_t>& current,
+                                  std::vector<ElemId>& map) const {
+  // One surviving derivation is a witness: stop at the first match.
+  auto witness = [](const std::vector<ElemId>&) { return false; };
+  for (uint32_t pi : strata_[si].plans) {
     const RulePlan& plan = plans_[pi];
-    if (plan.head.pred != f.pred) continue;
-    std::vector<ElemId> map(plan.num_vars, kNoElem);
-    bool ok = true;
-    for (size_t pos = 0; pos < plan.head.args.size(); ++pos) {
-      VarId v = plan.head.args[pos];
-      if (map[v] == kNoElem) {
-        map[v] = f.args[pos];
-      } else if (map[v] != f.args[pos]) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    std::vector<uint8_t> read_old(plan.body.size(), 0);
-    // One surviving derivation is a witness: stop at the first match.
-    if (!MatchAtoms(plan, /*seat=*/-1, 0, read_old, inst, no_changes, map,
-                    [](const std::vector<ElemId>&) { return false; })) {
+    if (plan.head.pred != pred) continue;
+    map.assign(plan.num_vars, kNoElem);
+    if (BindArgs(plan.head, args, map) &&
+        !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, changed, map,
+                    witness)) {
       return true;
     }
   }
@@ -733,60 +786,69 @@ void CompiledProgram::MaintainDRed(
     const std::function<void(const Fact&)>& record_ins,
     const std::function<void(const Fact&)>& record_del) const {
   const Stratum& st = strata_[si];
+  // Per plan of the stratum, the atoms over lower strata: they read the
+  // old state (current − ins + del) while overdeleting. `current` reads
+  // the current state everywhere.
+  std::vector<std::vector<uint8_t>> lower_old(st.plans.size());
+  size_t max_body = 0;
+  for (size_t k = 0; k < st.plans.size(); ++k) {
+    const RulePlan& plan = plans_[st.plans[k]];
+    for (const QAtom& a : plan.body) {
+      lower_old[k].push_back(st.preds.count(a.pred) ? 0 : 1);
+    }
+    max_body = std::max(max_body, plan.body.size());
+  }
+  const std::vector<uint8_t> current(max_body, 0);
+  std::vector<ElemId> map, head, seed;
 
   // Overdelete: every stratum fact with some old-state derivation that
   // uses a deleted fact — seeded from lower-stratum membership deletions
   // and base-deleted stratum facts, propagated semi-naively through the
-  // SCC. Lower predicates read the old state (current − ins + del);
-  // stratum predicates read the instance, which still holds the old
-  // stratum relations here (classic DRed joins over the full old
-  // database, which is what makes the deletion an over-approximation).
-  std::unordered_set<Fact, FactHash> over;
-  std::vector<Fact> odl;  // discovery order: deterministic
-  auto overdelete = [&](const Fact& h) {
-    if (!inst.HasFact(h)) return;
-    if (over.insert(h).second) odl.push_back(h);
-  };
-  for (const Fact* f : base_del) overdelete(*f);
-  auto lower_old = [&](const RulePlan& plan) {
-    std::vector<uint8_t> ro(plan.body.size(), 0);
-    for (size_t j = 0; j < plan.body.size(); ++j) {
-      if (!st.preds.count(plan.body[j].pred)) ro[j] = 1;
+  // SCC. Lower predicates read the old state; stratum predicates read
+  // the instance, which still holds the old stratum relations here
+  // (classic DRed joins over the full old database, which is what makes
+  // the deletion an over-approximation). `over` holds the overdeleted
+  // facts, deduplicated by its fact table, in discovery order (its
+  // global ids), which fixes every later phase's order.
+  Instance over(inst.vocab());
+  over.EnsureElements(inst.num_elements());
+  auto overdelete = [&](PredId pred, std::span<const ElemId> args) {
+    if (!over.HasFact(pred, args) && inst.HasFact(pred, args)) {
+      over.AddFact(pred, args);
     }
-    return ro;
   };
-  auto seed_deletion = [&](const RulePlan& plan, size_t i, const Fact& df,
-                           const std::vector<uint8_t>& ro) {
-    std::vector<ElemId> map(plan.num_vars, kNoElem);
-    std::vector<VarId> bound;
-    if (!BindFact(plan.body[i], df, map, &bound)) return;
-    MatchAtoms(plan, static_cast<int>(i), 0, ro, inst, changed, map,
-               [&](const std::vector<ElemId>& mm) {
-                 std::vector<ElemId> args;
-                 args.reserve(plan.head.args.size());
-                 for (VarId v : plan.head.args) args.push_back(mm[v]);
-                 overdelete(Fact(plan.head.pred, std::move(args)));
-                 return true;
-               });
+  for (const Fact* f : base_del) overdelete(f->pred, f->args);
+  auto seed_deletion = [&](size_t k, size_t i, std::span<const ElemId> df) {
+    const RulePlan& plan = plans_[st.plans[k]];
+    map.assign(plan.num_vars, kNoElem);
+    if (!BindArgs(plan.body[i], df, map)) return;
+    auto derive = [&](const std::vector<ElemId>& mm) {
+      WriteHead(plan.head, mm, head);
+      overdelete(plan.head.pred, head);
+      return true;
+    };
+    MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, changed,
+               map, derive);
   };
-  for (uint32_t pi : st.plans) {
-    const RulePlan& plan = plans_[pi];
-    const std::vector<uint8_t> ro = lower_old(plan);
+  for (size_t k = 0; k < st.plans.size(); ++k) {
+    const RulePlan& plan = plans_[st.plans[k]];
     for (size_t i = 0; i < plan.body.size(); ++i) {
-      if (st.preds.count(plan.body[i].pred)) continue;
+      if (!lower_old[k][i]) continue;
       auto it = changed.find(plan.body[i].pred);
       if (it == changed.end() || it->second.del.empty()) continue;
-      for (const Fact& df : it->second.del) seed_deletion(plan, i, df, ro);
+      for (const Fact& df : it->second.del) seed_deletion(k, i, df.args);
     }
   }
-  for (size_t k = 0; k < odl.size(); ++k) {  // the frontier; odl grows
-    const Fact f = odl[k];
-    for (uint32_t pi : st.plans) {
-      const RulePlan& plan = plans_[pi];
-      const std::vector<uint8_t> ro = lower_old(plan);
+  // The frontier: `over` grows while it is walked. AddFact may move its
+  // arena, so each fact seeds from a copy.
+  for (uint32_t g = 0; g < over.num_facts(); ++g) {
+    const FactView f = over.ViewAt(g);
+    seed.assign(f.args.begin(), f.args.end());
+    for (size_t k = 0; k < st.plans.size(); ++k) {
+      const RulePlan& plan = plans_[st.plans[k]];
       for (int r : plan.recursive_atoms) {
         if (plan.body[r].pred != f.pred) continue;
-        seed_deletion(plan, static_cast<size_t>(r), f, ro);
+        seed_deletion(k, static_cast<size_t>(r), seed);
       }
     }
   }
@@ -794,20 +856,28 @@ void CompiledProgram::MaintainDRed(
   // Remove, then rederive: a provisionally-deleted fact survives if the
   // new base holds it or some rule still derives it over the current
   // state (lower strata new, this stratum minus the provisional
-  // deletions). Revivals enable more revivals; iterate to fixpoint.
-  for (const Fact& f : odl) MONDET_CHECK(inst.RemoveFact(f));
-  res->overdeleted += odl.size();
-  std::unordered_map<Fact, bool, FactHash> was_present;
-  for (const Fact& f : odl) was_present.emplace(f, true);
-  std::vector<char> back(odl.size(), 0);
-  bool progress = true;
+  // deletions). Revivals enable more revivals: passes over `over` in
+  // its order, each seeing the revivals before it, to a fixpoint.
+  // MONDET_FAULT=skip-rederive revives nothing, so facts that keep a
+  // derivation are lost — the maintenance-differential oracle must
+  // catch it.
+  const uint32_t num_over = static_cast<uint32_t>(over.num_facts());
+  for (uint32_t g = 0; g < num_over; ++g) {
+    const FactView f = over.ViewAt(g);
+    MONDET_CHECK(inst.RemoveFact(f.pred, f.args));
+  }
+  res->overdeleted += num_over;
+  std::vector<char> back(num_over, 0);
+  bool progress = !FaultInjected("skip-rederive");
   while (progress) {
     progress = false;
-    for (size_t k = 0; k < odl.size(); ++k) {
-      if (back[k]) continue;
-      if (base.HasFact(odl[k]) || Rederivable(odl[k], si, inst)) {
-        MONDET_CHECK(inst.AddFact(odl[k]));
-        back[k] = 1;
+    for (uint32_t g = 0; g < num_over; ++g) {
+      if (back[g]) continue;
+      const FactView f = over.ViewAt(g);
+      if (base.HasFact(f.pred, f.args) ||
+          Rederivable(f.pred, f.args, si, inst, changed, current, map)) {
+        MONDET_CHECK(inst.AddFact(f.pred, f.args));
+        back[g] = 1;
         progress = true;
         ++res->rederived;
       }
@@ -818,68 +888,71 @@ void CompiledProgram::MaintainDRed(
   // facts and lower-stratum membership insertions at every matching body
   // atom — joining the other atoms over the new state. Enumerating every
   // seed against the full new state may revisit a derivation; set
-  // semantics absorbs that.
-  std::vector<Fact> ifront;
-  auto add_new = [&](const Fact& h) {
-    if (inst.AddFact(h)) {
-      was_present.emplace(h, false);
-      ifront.push_back(h);
-    }
-  };
-  auto seed_insertion = [&](const RulePlan& plan, size_t i, const Fact& df) {
-    std::vector<ElemId> map(plan.num_vars, kNoElem);
-    std::vector<VarId> bound;
-    if (!BindFact(plan.body[i], df, map, &bound)) return;
-    std::vector<uint8_t> ro(plan.body.size(), 0);
+  // semantics absorbs that. This phase only adds, so the facts it adds
+  // are the global ids from `first_new` on, in the order added.
+  const uint32_t first_new = static_cast<uint32_t>(inst.num_facts());
+  std::vector<ElemId> derived;  // one seed's head tuples, back to back
+  auto seed_insertion = [&](size_t k, size_t i, std::span<const ElemId> df) {
+    const RulePlan& plan = plans_[st.plans[k]];
+    map.assign(plan.num_vars, kNoElem);
+    if (!BindArgs(plan.body[i], df, map)) return;
     // Derivations are collected first and added after the enumeration:
     // AddFact mutates the very indexes MatchAtoms is iterating.
-    std::vector<Fact> derived;
-    MatchAtoms(plan, static_cast<int>(i), 0, ro, inst, changed, map,
-               [&](const std::vector<ElemId>& mm) {
-                 std::vector<ElemId> args;
-                 args.reserve(plan.head.args.size());
-                 for (VarId v : plan.head.args) args.push_back(mm[v]);
-                 derived.emplace_back(plan.head.pred, std::move(args));
-                 return true;
-               });
-    for (const Fact& h : derived) add_new(h);
+    derived.clear();
+    size_t n = 0;
+    auto derive = [&](const std::vector<ElemId>& mm) {
+      for (VarId v : plan.head.args) derived.push_back(mm[v]);
+      ++n;
+      return true;
+    };
+    MatchAtoms(plan, static_cast<int>(i), 0, current, inst, changed, map,
+               derive);
+    const size_t ar = plan.head.args.size();
+    for (size_t j = 0; j < n; ++j) {
+      inst.AddFact(plan.head.pred,
+                   std::span<const ElemId>(derived.data() + j * ar, ar));
+    }
   };
-  for (const Fact* f : base_ins) add_new(*f);
-  for (uint32_t pi : st.plans) {
-    const RulePlan& plan = plans_[pi];
+  for (const Fact* f : base_ins) inst.AddFact(*f);
+  for (size_t k = 0; k < st.plans.size(); ++k) {
+    const RulePlan& plan = plans_[st.plans[k]];
     for (size_t i = 0; i < plan.body.size(); ++i) {
-      if (st.preds.count(plan.body[i].pred)) continue;
+      if (!lower_old[k][i]) continue;
       auto it = changed.find(plan.body[i].pred);
       if (it == changed.end() || it->second.ins.empty()) continue;
-      for (const Fact& df : it->second.ins) seed_insertion(plan, i, df);
+      for (const Fact& df : it->second.ins) seed_insertion(k, i, df.args);
     }
   }
-  for (size_t k = 0; k < ifront.size(); ++k) {  // the frontier; grows
-    const Fact f = ifront[k];
-    for (uint32_t pi : st.plans) {
-      const RulePlan& plan = plans_[pi];
+  for (uint32_t g = first_new; g < inst.num_facts(); ++g) {  // the frontier
+    const FactView f = inst.ViewAt(g);
+    seed.assign(f.args.begin(), f.args.end());
+    for (size_t k = 0; k < st.plans.size(); ++k) {
+      const RulePlan& plan = plans_[st.plans[k]];
       for (int r : plan.recursive_atoms) {
         if (plan.body[r].pred != f.pred) continue;
-        seed_insertion(plan, static_cast<size_t>(r), f);
+        seed_insertion(k, static_cast<size_t>(r), seed);
       }
     }
   }
 
-  // Net membership changes of this stratum, in sorted order so the
-  // recorded change lists — the lower-stratum deltas of later strata —
-  // are deterministic.
-  std::vector<std::pair<Fact, bool>> tv(was_present.begin(),
-                                        was_present.end());
-  std::sort(tv.begin(), tv.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [f, was] : tv) {
-    const bool now = inst.HasFact(f);
-    if (was && !now) {
-      record_del(f);
-    } else if (!was && now) {
-      record_ins(f);
-    }
+  // Net membership changes of this stratum: the overdeleted facts that
+  // stayed out (neither rederived nor inserted again), and the inserted
+  // facts that were not overdeleted (so absent before). Each list is
+  // recorded in sorted fact order, so the change lists — the
+  // lower-stratum deltas of later strata — are deterministic.
+  std::vector<FactView> gone, added;
+  for (uint32_t g = 0; g < num_over; ++g) {
+    const FactView f = over.ViewAt(g);
+    if (!back[g] && !inst.HasFact(f.pred, f.args)) gone.push_back(f);
   }
+  for (uint32_t g = first_new; g < inst.num_facts(); ++g) {
+    const FactView f = inst.ViewAt(g);
+    if (!over.HasFact(f.pred, f.args)) added.push_back(f);
+  }
+  std::sort(gone.begin(), gone.end(), ViewLess);
+  std::sort(added.begin(), added.end(), ViewLess);
+  for (const FactView& f : gone) record_del(f.ToFact());
+  for (const FactView& f : added) record_ins(f.ToFact());
 }
 
 }  // namespace mondet

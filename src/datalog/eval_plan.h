@@ -296,17 +296,19 @@ class CompiledProgram {
 
   /// The maintenance engine's join: matches body atoms k.. of `plan` in
   /// body order (skipping `seat`, whose variables `map` pre-binds) and
-  /// calls `out` once per complete match; `out` returns false to stop the
-  /// enumeration early (rederivation checks need only a witness). Atoms
-  /// flagged in `read_old` read the *old* state, reconstructed from the
-  /// current instance and the recorded changes (current − ins + del);
-  /// the rest read the current instance directly. Returns false iff some
-  /// `out` call stopped the enumeration.
+  /// calls `out(map)` once per complete match; `out` returns false to
+  /// stop the enumeration early (rederivation checks need only a
+  /// witness). Atoms flagged in `read_old` read the *old* state,
+  /// reconstructed from the current instance and the recorded changes
+  /// (current − ins + del); the rest read the current instance directly,
+  /// a fully bound one by a single membership probe. Returns false iff
+  /// some `out` call stopped the enumeration. Defined and instantiated in
+  /// eval_plan.cc only.
+  template <class Out>
   bool MatchAtoms(const RulePlan& plan, int seat, size_t k,
                   const std::vector<uint8_t>& read_old, const Instance& inst,
                   const ChangeMap& changed, std::vector<ElemId>& map,
-                  const std::function<bool(const std::vector<ElemId>&)>& out)
-      const;
+                  Out&& out) const;
 
   /// Counting maintenance of the non-recursive stratum `si` (see
   /// Maintain); DRed maintenance of the recursive stratum `si`.
@@ -323,8 +325,14 @@ class CompiledProgram {
                     const std::function<void(const Fact&)>& record_ins,
                     const std::function<void(const Fact&)>& record_del) const;
 
-  /// True iff some rule of stratum `si` derives `f` over `inst` as-is.
-  bool Rederivable(const Fact& f, size_t si, const Instance& inst) const;
+  /// True iff some rule of stratum `si` derives pred(args) over `inst`
+  /// as-is. `current` is an all-zero read-old mask at least as long as
+  /// every body of the stratum, so `changed` is never read; `map` is
+  /// scratch.
+  bool Rederivable(PredId pred, std::span<const ElemId> args, size_t si,
+                   const Instance& inst, const ChangeMap& changed,
+                   const std::vector<uint8_t>& current,
+                   std::vector<ElemId>& map) const;
 
   Program program_;
   std::vector<RulePlan> plans_;

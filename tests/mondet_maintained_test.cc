@@ -2,18 +2,27 @@
 // a from-scratch ViewSet::Image of the mutated base after every batch of
 // a curated insert/delete schedule, and the monotonic-determinacy
 // verdict re-checked through the maintained object must equal the
-// verdict computed fresh — before, during, and after churn. Also covers
-// ParseStream, the textual stream format feeding the CLI's `.stream`
-// section.
+// verdict computed fresh — before, during, and after churn. Pins the
+// maintenance join's fully bound probe (old-state reads must keep
+// seeing the old state), atoms wider than its stack buffers, and the
+// exact fact and delta sequences of a churn-shaped write stream. Also
+// covers ParseStream, the textual stream format feeding the CLI's
+// `.stream` section.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/mondet_check.h"
 #include "datalog/parser.h"
+#include "testing/describe.h"
 #include "views/maintained_image.h"
 #include "views/view_set.h"
 
@@ -180,6 +189,242 @@ TEST(MaintainedImage, NotDeterminedStaysNotDeterminedUnderChurn) {
   maintained.ApplyDelta({Fact(s, {b})}, {Fact(r, {a, b})});
   ExpectImageFresh(maintained, "churned");
   EXPECT_EQ(maintained.RecheckVerdict(q).verdict, Verdict::kNotDetermined);
+}
+
+/// The content Maintain's contract is stated over: the fact set, sorted,
+/// with each fact's derivation count, as "R(a,b)x2".
+std::vector<std::string> CountedFacts(const Instance& inst) {
+  std::vector<std::string> out;
+  for (const Fact& f : SortedFacts(inst)) {
+    out.push_back(FactToString(inst, f) + "x" +
+                  std::to_string(inst.FactCount(f)));
+  }
+  return out;
+}
+
+/// Applies one normalized batch to `base`, maintains `m` through it and
+/// checks `m` against a fresh Materialize of the new base.
+MaintainResult ApplyAndCheck(const CompiledProgram& compiled,
+                             Materialization& m, Instance& base,
+                             std::vector<Fact> inserts,
+                             std::vector<Fact> deletes,
+                             const std::string& tag) {
+  for (const Fact& f : inserts) EXPECT_TRUE(base.AddFact(f)) << tag;
+  for (const Fact& f : deletes) EXPECT_TRUE(base.RemoveFact(f)) << tag;
+  MaintainResult res =
+      compiled.Maintain(m, base, FactDelta{std::move(inserts),
+                                           std::move(deletes)});
+  EXPECT_EQ(CountedFacts(m.inst),
+            CountedFacts(compiled.Materialize(base).inst))
+      << tag;
+  return res;
+}
+
+// Counting reads the atoms after the seat in the old state. A fully
+// bound atom there must not see B(a), inserted in the same batch as
+// A(a): H(a) gains one derivation, not two. A current-state probe in
+// that seat counts 2, and the joint delete then leaves H(a) behind.
+TEST(MaintainJoin, CountingOldStateReadsSkipTheBatch) {
+  auto vocab = MakeVocabulary();
+  ParseResult pr = ParseProgram("H(x) :- A(x), B(x).", vocab);
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  const PredId a = *vocab->FindPredicate("A");
+  const PredId b = *vocab->FindPredicate("B");
+  const PredId h = *vocab->FindPredicate("H");
+  CompiledProgram compiled(*pr.program);
+  Instance base(vocab);
+  const ElemId x = base.AddElement("a");
+  Materialization m = compiled.Materialize(base);
+
+  ApplyAndCheck(compiled, m, base, {Fact(a, {x}), Fact(b, {x})}, {},
+                "insert");
+  EXPECT_EQ(m.inst.FactCount(Fact(h, {x})), 1u);
+  ApplyAndCheck(compiled, m, base, {}, {Fact(a, {x}), Fact(b, {x})},
+                "delete");
+  EXPECT_FALSE(m.inst.HasFact(Fact(h, {x})));
+}
+
+// DRed overdeletes over the old state of the lower strata: deleting
+// A(a) and B(a) together must overdelete T(a) (each seed finds the
+// other fact among the deletions) and with it T(b). A current-state
+// probe finds neither, overdeletes nothing and keeps both rows.
+TEST(MaintainJoin, DRedOldStateReadsSeeJointDeletes) {
+  auto vocab = MakeVocabulary();
+  ParseResult pr = ParseProgram(R"(
+    T(x) :- A(x), B(x).
+    T(y) :- T(x), E(x,y).
+  )",
+                                vocab);
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  const PredId a = *vocab->FindPredicate("A");
+  const PredId b = *vocab->FindPredicate("B");
+  const PredId e = *vocab->FindPredicate("E");
+  const PredId t = *vocab->FindPredicate("T");
+  CompiledProgram compiled(*pr.program);
+  Instance base(vocab);
+  const ElemId x = base.AddElement("a"), y = base.AddElement("b");
+  base.AddFact(a, {x});
+  base.AddFact(b, {x});
+  base.AddFact(e, {x, y});
+  Materialization m = compiled.Materialize(base);
+  ASSERT_EQ(m.inst.NumRows(t), 2u);
+
+  MaintainResult res = ApplyAndCheck(
+      compiled, m, base, {}, {Fact(a, {x}), Fact(b, {x})}, "delete");
+  EXPECT_EQ(m.inst.NumRows(t), 0u);
+  EXPECT_EQ(res.overdeleted, 2u);
+  EXPECT_EQ(res.rederived, 0u);
+}
+
+// "x1,x2,...,x16,<first>" with x1 renamed to `first`: seventeen
+// positions, sixteen distinct variables, the first one repeated last.
+std::string Args17(const std::string& first) {
+  std::string s = first;
+  for (int i = 2; i <= 16; ++i) s += ",x" + std::to_string(i);
+  return s + "," + first;
+}
+
+// Atoms wider than the buffers Maintain's join keeps on the stack, with
+// a repeated variable, through both engines: W is recursive (DRed), V
+// counts. The shape of EvalRegression.WideRulesRunThroughKernels.
+TEST(MaintainJoin, WideRulesRoundTrip) {
+  auto vocab = MakeVocabulary();
+  const PredId e = vocab->AddPredicate("E", 17);
+  const PredId f = vocab->AddPredicate("F", 17);
+  const PredId s = vocab->AddPredicate("S", 2);
+  ParseResult pr = ParseProgram(
+      "W(" + Args17("x1") + ") :- E(" + Args17("x1") + "), F(" +
+          Args17("x1") + ").\n" + "W(" + Args17("y") + ") :- W(" +
+          Args17("x1") + "), S(x1,y).\n" + "V(" + Args17("x1") +
+          ") :- W(" + Args17("x1") + "), F(" + Args17("x1") + ").\n",
+      vocab);
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  CompiledProgram compiled(*pr.program);
+  Instance base(vocab);
+  base.EnsureElements(20);
+  std::vector<Fact> later;  // inserted, then deleted again
+  for (ElemId i = 0; i < 12; ++i) {
+    std::vector<ElemId> args;
+    for (ElemId j = 0; j < 17; ++j) args.push_back((i * 7 + j * 3) % 20);
+    // Odd tuples break the repeated variable's equality.
+    if (i % 2 == 0) args[16] = args[0];
+    std::vector<Fact> facts{Fact(e, args)};
+    if (i % 3 != 0) facts.emplace_back(f, args);
+    for (Fact& fact : facts) {
+      if (i % 4 == 2) {
+        later.push_back(std::move(fact));
+      } else {
+        base.AddFact(fact);
+      }
+    }
+  }
+  for (ElemId i = 0; i + 1 < 20; ++i) {
+    if (i == 9) {
+      later.push_back(Fact(s, {i, i + 1}));
+    } else {
+      base.AddFact(s, {i, i + 1});
+    }
+  }
+  Materialization m = compiled.Materialize(base);
+  const PredId w = *vocab->FindPredicate("W");
+  const size_t before = m.inst.NumRows(w);
+
+  ApplyAndCheck(compiled, m, base, later, {}, "insert");
+  EXPECT_GT(m.inst.NumRows(w), before);
+  MaintainResult res = ApplyAndCheck(compiled, m, base, {}, later, "delete");
+  EXPECT_EQ(m.inst.NumRows(w), before);
+  EXPECT_GT(res.overdeleted, 0u);
+}
+
+// A perfbench `churn`-shaped write stream: a 50-node graph in which every
+// node has in- and out-degree 3, so the closure view holds all 2,500
+// pairs, and 12 edge swaps, each overdeleting and rederiving most of it.
+// Pins a digest, taken before the maintenance join was tuned, of every
+// ImageDelta in order and of the maintained fixpoint in insertion order
+// with counts: the row order, the change lists and the DRed counters
+// are part of the result, not only the fact set.
+TEST(MaintainedImage, ChurnSequencesPinned) {
+  auto vocab = MakeVocabulary();
+  const PredId r = vocab->AddPredicate("R", 2);
+  const PredId u = vocab->AddPredicate("U", 1);
+  ViewSet views(vocab);
+  views.AddAtomicView("VR", r);
+  views.AddAtomicView("VU", u);
+  std::vector<Diagnostic> diags;
+  auto vt = ParseQuery(R"(
+    VT0(x,y) :- R(x,y).
+    VT0(x,z) :- R(x,y), VT0(y,z).
+  )",
+                       "VT0", vocab, &diags);
+  ASSERT_TRUE(vt.has_value()) << FormatDiagnostics(diags);
+  const PredId vt_pred = views.AddView("VT", *vt);
+
+  // The union of three random permutations that share no edge. Raw
+  // mt19937_64 draws and a hand-written shuffle, so the graph is the same
+  // under every standard library.
+  constexpr ElemId kNodes = 50;
+  std::mt19937_64 rng(7);
+  auto draw = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  Instance base(vocab);
+  base.EnsureElements(kNodes);
+  std::vector<std::pair<ElemId, ElemId>> edges;
+  std::vector<ElemId> target(kNodes);
+  for (int k = 0; k < 3; ++k) {
+    for (bool clash = true; clash;) {
+      std::iota(target.begin(), target.end(), ElemId{0});
+      for (size_t i = kNodes - 1; i > 0; --i) {
+        std::swap(target[i], target[draw(i + 1)]);
+      }
+      clash = false;
+      for (ElemId x = 0; x < kNodes && !clash; ++x) {
+        clash = base.HasFact(r, {x, target[x]});
+      }
+    }
+    for (ElemId x = 0; x < kNodes; ++x) {
+      base.AddFact(r, {x, target[x]});
+      edges.emplace_back(x, target[x]);
+    }
+  }
+  for (ElemId x = 0; x < kNodes; x += 6) base.AddFact(u, {x});
+  MaintainedImage maintained(views, base);
+  ASSERT_EQ(maintained.image().NumRows(vt_pred), kNodes * kNodes);
+
+  std::string trace;
+  size_t rederived = 0;
+  for (int step = 0; step < 12; ++step) {
+    // Swap (a,b), (c,d) for (a,d), (c,b): every degree stays 3.
+    size_t i = 0, j = 0;
+    ElemId a = 0, b = 0, c = 0, d = 0;
+    do {
+      i = draw(edges.size());
+      j = draw(edges.size());
+      std::tie(a, b) = edges[i];
+      std::tie(c, d) = edges[j];
+    } while (a == c || b == d || maintained.base().HasFact(r, {a, d}) ||
+             maintained.base().HasFact(r, {c, b}));
+    edges[i] = {a, d};
+    edges[j] = {c, b};
+    ImageDelta delta = maintained.ApplyDelta(
+        {Fact(r, {a, d}), Fact(r, {c, b})}, {Fact(r, {a, b}), Fact(r, {c, d})});
+    for (const Fact& f : delta.inserts) {
+      trace += "+" + FactToString(maintained.image(), f);
+    }
+    for (const Fact& f : delta.deletes) {
+      trace += "-" + FactToString(maintained.image(), f);
+    }
+    trace += " o=" + std::to_string(delta.overdeleted) +
+             " r=" + std::to_string(delta.rederived) + "\n";
+    rederived += delta.rederived;
+  }
+  const Instance& fix = maintained.materialization().inst;
+  for (uint32_t g = 0; g < fix.num_facts(); ++g) {
+    const auto [p, row] = fix.Locate(g);
+    trace += FactToString(fix, fix.ViewAt(g)) + "x" +
+             std::to_string(fix.CountAt(p, row)) + ";";
+  }
+  ExpectImageFresh(maintained, "churn");
+  EXPECT_GT(rederived, 12u * kNodes * kNodes / 2);
+  EXPECT_EQ(testing::Fnv1a(trace), 0x323742a20f7c81b9ull);
 }
 
 TEST(ParseStream, BatchesElementsAndSigns) {
