@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+
 #include "base/homomorphism.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
@@ -61,9 +63,10 @@ BENCHMARK(BM_Fig4_RowFamilyEval)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // Baseline for the statistics-driven planner: the same workload with the
-// planner disabled (compile-time EDB-first orders). The delta between
-// this and BM_Fig4_RowFamilyEval is the planner's win; join_probes makes
-// the work difference visible even when wall time is noisy.
+// size gate closed, so Eval runs the compile-time EDB-first orders. The
+// delta between this and BM_Fig4_RowFamilyEval is what the planner buys
+// or costs (docs/EVALUATION.md, "Why the planner stays"); join_probes
+// makes the work difference visible even when wall time is noisy.
 void BM_Fig4_RowFamilyEval_StaticPlan(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Thm7Gadget gadget = BuildThm7();
@@ -71,7 +74,7 @@ void BM_Fig4_RowFamilyEval_StaticPlan(benchmark::State& state) {
   CompiledProgram compiled(rewriting.program);
   Instance image = gadget.views.Image(gadget.DiamondChain(n));
   EvalOptions options;
-  options.stats_planner = false;
+  options.stats_min_facts = std::numeric_limits<size_t>::max();
   EvalStats stats;
   bool holds = false;
   for (auto _ : state) {

@@ -185,7 +185,8 @@ int main(int argc, char** argv) {
   // One compiled program serves the analyzer's plan lints, the plan
   // report and evaluation below, so what the lints judge is exactly what
   // runs. Binding instance statistics makes the plan report (and any
-  // cross-product lint) carry estimated row counts.
+  // cross-product lint) carry estimated row counts, and an instance
+  // below the planner's size gate evaluates under these bound orders.
   CompiledProgram compiled(query->program);
   if (instance) compiled.BindStats(Stats::Collect(*instance));
   AnalysisOptions aopts;

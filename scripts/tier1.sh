@@ -51,12 +51,10 @@ fi
 # layer: the fact store and its positional indexes, the fact hash,
 # Gaifman graphs and homomorphism search; plan_differential_test
 # exercises the statistics-driven planner (live re-planning with
-# per-stratum recounts) against the naive reference and checks the plans
-# bound statistics pick for cross products;
-# stats_apply_test is the Apply-vs-Collect equivalence oracle for
-# Maintain's delta statistics (value-count maps under random insert and
-# retraction partitions); maintenance_differential_test is the
-# maintained-vs-recomputed materialization oracle for incremental view
+# per-stratum recounts) and the gate-closed compile-time orders against
+# the naive reference and checks the plans bound statistics pick for
+# cross products; maintenance_differential_test is the
+# maintained-vs-recomputed fixpoint oracle for incremental view
 # maintenance (counting + DRed over randomized insert/delete schedules);
 # mondet_maintained_test pins the maintenance join's fully bound probe,
 # atoms past its 16-entry stack buffers (the heap fallback) and the fact
@@ -80,15 +78,17 @@ fi
 # only DP coverage outside the path-plus-U family, and the DP indexes its
 # bitset words and match arena by hand; separator_test drives the NP and
 # chase separators (core/separator.cc), which evaluate view images and
-# chase witnesses at the evaluator's defaults.
+# chase witnesses at the evaluator's defaults; fuzz_isolation_test drives
+# the fuzz harness' per-case step over a test oracle that trips
+# MONDET_CHECK, so every check runs in a forked child (testing/fuzz.cc)
+# and the abort must come back as a reported, shrunk failure.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test stats_test stats_apply_test maintenance_differential_test mondet_maintained_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test stats_test maintenance_differential_test mondet_maintained_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test fuzz_isolation_test mondet-fuzz
 ./build-asan/tests/base_test
 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
 ./build-asan/tests/plan_differential_test
 ./build-asan/tests/stats_test
-./build-asan/tests/stats_apply_test
 ./build-asan/tests/maintenance_differential_test
 ./build-asan/tests/mondet_maintained_test
 ./build-asan/tests/mondet_parallel_test
@@ -97,6 +97,7 @@ cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test pl
 ./build-asan/tests/mondet_check_test
 ./build-asan/tests/property_test
 ./build-asan/tests/separator_test
+./build-asan/tests/fuzz_isolation_test
 
 # Fuzz smoke arm: mondet-fuzz over every registered oracle at fixed
 # seeds under ASan/UBSan (~10s). Deterministic — the same seeds every

@@ -110,9 +110,8 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
     }
     // Compile-time join orders, one per seat. With no instance at hand,
     // the relation-size estimate just prefers EDB atoms, which stay fixed
-    // while the IDB relations grow toward the fixpoint; BindStats /
-    // EvalOptions::stats_planner replace these with selectivity-scored
-    // orders.
+    // while the IDB relations grow toward the fixpoint; BindStats and
+    // Eval's live planner replace these with selectivity-scored orders.
     for (size_t s = 0; s < plan.seats.size(); ++s) {
       plan.orders.push_back(PlanOrder(plan, s, nullptr, nullptr));
       plan.est_rows.emplace_back();
@@ -155,11 +154,10 @@ std::vector<uint32_t> CompiledProgram::PlanOrder(
   return order;
 }
 
-void CompiledProgram::BindStats(Stats stats) {
-  bound_stats_ = std::move(stats);
+void CompiledProgram::BindStats(const Stats& stats) {
   for (RulePlan& plan : plans_) {
     for (size_t s = 0; s < plan.seats.size(); ++s) {
-      plan.orders[s] = PlanOrder(plan, s, &*bound_stats_, &plan.est_rows[s]);
+      plan.orders[s] = PlanOrder(plan, s, &stats, &plan.est_rows[s]);
     }
   }
 }
@@ -206,19 +204,16 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   Instance result = input;
   EvalStats run;
 
-  // Which statistics drive planning this run. With the stats planner on
-  // (the default) and no caller-supplied snapshot, collect live stats
-  // from the evolving result and re-plan as relations grow; a snapshot
-  // plans every stratum once (stale-tolerant); with the planner off —
-  // or on an input too small for planning to pay for itself — the
-  // compile-time orders run as-is. Live statistics are exact at every
-  // planning point: a stratum only grows its own predicates, so
-  // recounting the previous stratum's on entry and the stratum's own at
-  // each re-plan (Stats::Refresh) covers every change since Collect.
-  const bool use_stats =
-      options.stats_planner &&
-      (options.stats != nullptr ||
-       input.num_facts() >= options.stats_min_facts);
+  // Which statistics drive planning this run. A caller-supplied snapshot
+  // plans every stratum once (stale-tolerant). Otherwise an input of at
+  // least stats_min_facts facts collects live stats from the evolving
+  // result and re-plans as relations grow, and a smaller one runs the
+  // stored orders as-is. Live statistics are exact at every planning
+  // point: a stratum only grows its own predicates, so recounting the
+  // previous stratum's on entry and the stratum's own at each re-plan
+  // (Stats::Refresh) covers every change since Collect.
+  const bool use_stats = options.stats != nullptr ||
+                         input.num_facts() >= options.stats_min_facts;
   const bool live_stats = use_stats && options.stats == nullptr;
   Stats live;
   if (live_stats) live = Stats::Collect(result);
@@ -272,7 +267,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
 
     // The join orders this stratum runs with: per (plan-in-stratum, seat),
     // seat 0 = the initial full join, seat 1 + i = recursive atom i.
-    // Planned from `planning` when set, else the compile-time orders.
+    // Planned from `planning` when set, else the stored orders.
     struct SeatPlan {
       std::vector<uint32_t> order;
       const JoinKernel* kernel = nullptr;  // null until the seat first runs
@@ -561,10 +556,10 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
   return true;
 }
 
-Materialization CompiledProgram::Materialize(const Instance& input,
-                                             EvalStats* stats,
-                                             const EvalOptions& options) const {
-  Materialization m{Eval(input, stats, options), Stats()};
+Instance CompiledProgram::Materialize(const Instance& input,
+                                      EvalStats* stats,
+                                      const EvalOptions& options) const {
+  Instance fix = Eval(input, stats, options);
   const ChangeMap no_changes;
   std::vector<ElemId> map, head;
   for (const Stratum& st : strata_) {
@@ -582,34 +577,30 @@ Materialization CompiledProgram::Materialize(const Instance& input,
         ++CountOf(dc, plan.head.pred, head);
         return true;
       };
-      MatchAtoms(plan, /*seat=*/-1, 0, current, m.inst, no_changes, map,
-                 count);
+      MatchAtoms(plan, /*seat=*/-1, 0, current, fix, no_changes, map, count);
     }
     std::vector<PredId> preds(st.preds.begin(), st.preds.end());
     std::sort(preds.begin(), preds.end());
     for (PredId p : preds) {
-      const uint32_t n = m.inst.NumRows(p);
+      const uint32_t n = fix.NumRows(p);
       for (uint32_t row = 0; row < n; ++row) {
-        const FactView f{p, m.inst.Args(p, row)};
+        const FactView f{p, fix.Args(p, row)};
         auto it = dc.find(f);
         uint64_t c = (it != dc.end() ? it->second : 0) +
                      (input.HasFact(p, f.args) ? 1 : 0);
         // Every fixpoint fact has base membership or a rule derivation.
         MONDET_CHECK(c > 0 && "Materialize: unsupported fixpoint fact");
-        m.inst.SetCountAt(p, row, c);
+        fix.SetCountAt(p, row, c);
       }
     }
   }
-  m.stats = Stats::Collect(m.inst);
-  return m;
+  return fix;
 }
 
-MaintainResult CompiledProgram::Maintain(Materialization& m,
-                                         const Instance& base,
+MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
                                          const FactDelta& delta,
                                          EvalStats* stats) const {
   auto t_start = std::chrono::steady_clock::now();
-  Instance& inst = m.inst;
   inst.EnsureElements(base.num_elements());
   MaintainResult res;
   ChangeMap changed;
@@ -674,9 +665,6 @@ MaintainResult CompiledProgram::Maintain(Materialization& m,
     }
   }
 
-  // One statistics fold for the whole batch: the recorded lists are the
-  // exact net membership changes, so Apply's contract equation holds.
-  m.stats.Apply(inst, res.inserts, res.deletes);
   if (stats) {
     EvalStats run;
     run.iterations = 1;
@@ -684,7 +672,6 @@ MaintainResult CompiledProgram::Maintain(Materialization& m,
     run.facts_retracted = res.deletes.size();
     run.overdeleted = res.overdeleted;
     run.rederived = res.rederived;
-    run.stats_facts_counted = res.inserts.size() + res.deletes.size();
     run.wall_seconds = SecondsSince(t_start);
     stats->Accumulate(run);
   }

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <functional>
 #include <list>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -24,28 +23,27 @@ struct EvalOptions {
   /// perfbench/cpp/check_workload.cc sets it; it goes with the next
   /// benchmark change (ROADMAP.md).
   int num_threads = 0;
-  /// Statistics-driven join planning (the default): score join orders by
-  /// estimated selectivity from per-predicate statistics — `stats` when
-  /// set, otherwise exact statistics of the evolving result (collected at
-  /// the start of the run, the changed predicates recounted per stratum
-  /// and per re-plan), re-planned as the relations grow
-  /// (docs/EVALUATION.md documents the cost model). When false, Eval runs
-  /// the compile-time orders: EDB-first greedy, or the orders fixed by
-  /// BindStats.
-  bool stats_planner = true;
   /// Plan from this (possibly stale) snapshot instead of collecting live
-  /// statistics; suppresses in-run re-planning. Stale stats can only
-  /// produce slower orders, never wrong results. Ignored when
-  /// stats_planner is false. Not owned; must outlive the Eval call.
+  /// statistics; suppresses in-run re-planning and bypasses the
+  /// stats_min_facts gate. Stale stats can only produce slower orders,
+  /// never wrong results. Not owned; must outlive the Eval call.
   const Stats* stats = nullptr;
-  /// The planner's own cost gate: below this many input facts, planning
-  /// cannot pay for itself, so Eval runs the compile-time orders. The
+  /// The planner's size gate, the one switch between planned and stored
+  /// join orders. From this many input facts on, Eval plans by estimated
+  /// selectivity from exact statistics of the evolving result (collected
+  /// at the start of the run, the changed predicates recounted per
+  /// stratum and per re-plan) and re-plans as the relations grow
+  /// (docs/EVALUATION.md documents the cost model). Below it, planning
+  /// cannot pay for itself, so Eval runs the stored orders: the
+  /// compile-time EDB-first greedy ones, or the ones BindStats set. The
   /// per-run cost — one Collect with a sort per column plus a
   /// SelectivityAtomOrder pass per rule — takes tens of µs, which
   /// dominates a µs-scale eval outright (the checker's canonical-test
   /// loops issue thousands of those), so the gate sits at 64 facts. Set to
-  /// 0 to force live planning on any input (the differential tests do); a
-  /// caller-supplied `stats` snapshot bypasses the gate.
+  /// 0 to force live planning on any input (the differential tests do), or
+  /// to the largest size_t to run the stored orders on any input (the
+  /// plan-differential oracle's second arm and the _StaticPlan bench rows
+  /// do); a caller-supplied `stats` snapshot bypasses the gate.
   size_t stats_min_facts = 64;
   /// Ignored: Eval has no dataflow pass. Kept only because
   /// perfbench/cpp/check_workload.cc sets it; it goes with the next
@@ -83,8 +81,7 @@ struct EvalStats {
   // perfbench/cpp/fixpoint_workload.cc reads it; it goes with the next
   // benchmark change (ROADMAP.md).
   size_t rules_pruned = 0;
-  // Sum over strata (see StratumStats); Maintain adds its batch's net
-  // membership changes, the facts its Stats::Apply folds in.
+  // Sum over strata (see StratumStats); zero for Maintain.
   size_t stats_facts_counted = 0;
   double wall_seconds = 0;
   std::vector<StratumStats> strata;
@@ -113,20 +110,6 @@ struct FactDelta {
   std::vector<Fact> deletes;
 
   bool empty() const { return inserts.empty() && deletes.empty(); }
-};
-
-/// A maintained fixpoint: FPEval(Π, base) with per-fact derivation counts
-/// (Instance::FactCount) plus exact planner statistics of that instance.
-/// Produced by Materialize, updated in place by Maintain; the invariant —
-/// `inst` bit-identical (as a fact set, with counts and statistics) to a
-/// fresh Materialize of the current base — is the maintenance engine's
-/// headline correctness contract (tests/maintenance_differential_test.cc).
-/// `stats` is the only snapshot that ever takes a delta: Maintain folds
-/// each batch in with Stats::Apply, which builds the per-value maps
-/// (Stats::EnsureMaps) just for the predicates the batch touches.
-struct Materialization {
-  Instance inst;
-  Stats stats;
 };
 
 /// Outcome of one Maintain call: the net membership changes of the
@@ -161,8 +144,9 @@ struct JoinOrderDesc {
 /// orderings: one for the initial full join and one per recursive body
 /// atom (the semi-naive "delta" seat). Without statistics the compile-time
 /// orders come from the shared GreedyAtomOrder heuristic (EDB atoms
-/// first); BindStats re-plans them under the selectivity cost model, and
-/// Eval by default plans from live statistics anyway (EvalOptions).
+/// first); BindStats re-plans them under the selectivity cost model. Eval
+/// runs these stored orders on inputs below EvalOptions::stats_min_facts
+/// and plans from live statistics from that size on.
 /// Construct once and Eval many times; the per-rule plans and strata are
 /// reused across calls — and the same object serves the analyzer's plan
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
@@ -174,17 +158,14 @@ class CompiledProgram {
  public:
   explicit CompiledProgram(const Program& program);
 
-  /// Re-plans the stored compile-time join orders under the selectivity
-  /// cost model of `stats` and remembers the snapshot: DescribePlans then
-  /// reports estimated intermediate sizes (so plan lints judge the plans
-  /// against real numbers), and Eval with stats_planner=false runs these
-  /// stats-driven orders verbatim.
-  void BindStats(Stats stats);
-
-  /// The snapshot from BindStats, or nullptr.
-  const Stats* bound_stats() const {
-    return bound_stats_ ? &*bound_stats_ : nullptr;
-  }
+  /// Re-plans the stored join orders under the selectivity cost model of
+  /// `stats` and keeps each step's estimated intermediate size. Two
+  /// readers: DescribePlans reports the estimates (so plan lints and the
+  /// CLI's plan report judge the plans against real numbers), and Eval
+  /// runs the re-planned orders on every input below the
+  /// EvalOptions::stats_min_facts gate (mondet_cli binds instance
+  /// statistics and evaluates with the same program).
+  void BindStats(const Stats& stats);
 
   /// FPEval(Π, I) (Sec. 2): all facts of `input` plus every derivable IDB
   /// fact, over the same elements. Single-threaded and deterministic for
@@ -194,27 +175,28 @@ class CompiledProgram {
                 const EvalOptions& options = {}) const;
 
   /// Eval plus derivation counting: the fixpoint of `input` whose facts
-  /// carry exact derivation counts (number of rule derivations, plus one
-  /// for base membership) for every non-recursive stratum, and exact
-  /// statistics. Facts of recursive SCC strata keep count 1 — counting is
+  /// carry exact derivation counts (Instance::FactCount: number of rule
+  /// derivations, plus one for base membership) for every non-recursive
+  /// stratum. Facts of recursive SCC strata keep count 1 — counting is
   /// unsound under recursion (a fact may support itself), which is
   /// exactly why Maintain switches to DRed there.
-  Materialization Materialize(const Instance& input,
-                              EvalStats* stats = nullptr,
-                              const EvalOptions& options = {}) const;
+  Instance Materialize(const Instance& input, EvalStats* stats = nullptr,
+                       const EvalOptions& options = {}) const;
 
-  /// Incremental view maintenance: updates `m` in place so it equals
-  /// Materialize(base) for the *new* base, given that it equaled
-  /// Materialize of the old base. `base` is the already-mutated new base
-  /// instance; `delta` lists its exact membership changes (see FactDelta).
+  /// Incremental view maintenance: updates `inst` in place so it equals
+  /// Materialize(base) for the *new* base — as a fact set, with every
+  /// derivation count — given that it equaled Materialize of the old base
+  /// (the headline contract, tests/maintenance_differential_test.cc).
+  /// `base` is the already-mutated new base instance; `delta` lists its
+  /// exact membership changes (see FactDelta).
   /// Non-recursive strata are maintained by counting (the ordered-delta
   /// join formula adjusts derivation counts; membership follows count
   /// zero-crossings), recursive SCC strata by delete-rederive (DRed):
   /// overdelete over the old state, remove, rederive survivors, then
   /// semi-naive insertion. Single-threaded and deterministic: the same
-  /// schedule always yields the same instance, counts, and statistics.
-  /// When `stats` is non-null the call's counters accumulate into it.
-  MaintainResult Maintain(Materialization& m, const Instance& base,
+  /// schedule always yields the same instance and counts. When `stats` is
+  /// non-null the call's counters accumulate into it.
+  MaintainResult Maintain(Instance& inst, const Instance& base,
                           const FactDelta& delta,
                           EvalStats* stats = nullptr) const;
 
@@ -338,7 +320,6 @@ class CompiledProgram {
   std::vector<RulePlan> plans_;
   std::vector<Stratum> strata_;
   std::unordered_map<PredId, size_t> stratum_of_;  // IDB pred -> stratum
-  std::optional<Stats> bound_stats_;
 };
 
 }  // namespace mondet

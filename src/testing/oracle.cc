@@ -1,6 +1,7 @@
 #include "testing/oracle.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -100,8 +101,9 @@ class EvalOracle : public Oracle {
 
 // --- plan-differential ------------------------------------------------------
 // Port of tests/plan_differential_test.cc: the stats-driven planner
-// agrees with the naive oracle, planner off derives the same set, and no
-// stats-driven plan joins a cross product on a connected join graph.
+// agrees with the naive oracle, the compile-time orders (size gate
+// closed) derive the same set, and no stats-driven plan joins a cross
+// product on a connected join graph.
 
 /// True when the rule's join graph — body atoms as nodes, edges between
 /// atoms sharing a variable — has a single component (nullary excluded).
@@ -197,11 +199,11 @@ class PlanOracle : public Oracle {
       return Fail(c, *d);
     }
 
-    // 2. Planner off (compile-time EDB-first orders): same fact set.
+    // 2. Gate closed (compile-time EDB-first orders): same fact set.
     EvalOptions opt_static;
-    opt_static.stats_planner = false;
+    opt_static.stats_min_facts = std::numeric_limits<size_t>::max();
     Instance plain = compiled.Eval(inst, nullptr, opt_static);
-    if (auto d = DiffSets(naive, plain, "naive vs planner-off")) {
+    if (auto d = DiffSets(naive, plain, "naive vs gate-closed")) {
       return Fail(c, *d);
     }
 
@@ -232,49 +234,33 @@ class PlanOracle : public Oracle {
 };
 
 // --- maintenance-differential -----------------------------------------------
-// Port of tests/maintenance_differential_test.cc: the maintained
-// materialization equals a from-scratch Materialize after every prefix
-// of the raw insert/delete schedule.
+// Port of tests/maintenance_differential_test.cc: the maintained fixpoint
+// equals a from-scratch Materialize after every prefix of the raw
+// insert/delete schedule.
 
 /// The bit-identical contract: same elements, same fact set, same
-/// derivation count per fact, same statistics.
-std::optional<std::string> DiffMaterializations(const Materialization& got,
-                                                const Materialization& want,
-                                                const VocabularyPtr& vocab,
-                                                const std::string& tag) {
-  if (got.inst.num_elements() != want.inst.num_elements()) {
+/// derivation count per fact.
+std::optional<std::string> DiffFixpoints(const Instance& got,
+                                         const Instance& want,
+                                         const std::string& tag) {
+  if (got.num_elements() != want.num_elements()) {
     return tag + ": element counts differ";
   }
-  if (got.inst.num_facts() != want.inst.num_facts()) {
-    return tag + ": fact counts differ (" +
-           std::to_string(got.inst.num_facts()) + " vs " +
-           std::to_string(want.inst.num_facts()) + ")";
+  if (got.num_facts() != want.num_facts()) {
+    return tag + ": fact counts differ (" + std::to_string(got.num_facts()) +
+           " vs " + std::to_string(want.num_facts()) + ")";
   }
-  std::vector<Fact> gf = got.inst.AllFacts(), wf = want.inst.AllFacts();
+  std::vector<Fact> gf = got.AllFacts(), wf = want.AllFacts();
   std::sort(gf.begin(), gf.end());
   std::sort(wf.begin(), wf.end());
   for (size_t i = 0; i < gf.size(); ++i) {
     if (!(gf[i] == wf[i])) {
       return tag + ": sorted fact " + std::to_string(i) + " differs";
     }
-    if (got.inst.FactCount(gf[i]) != want.inst.FactCount(wf[i])) {
-      return tag + ": derivation count of " + FactToString(want.inst, wf[i]) +
-             " differs (" + std::to_string(got.inst.FactCount(gf[i])) +
-             " vs " + std::to_string(want.inst.FactCount(wf[i])) + ")";
-    }
-  }
-  if (got.stats.counted_facts() != want.stats.counted_facts()) {
-    return tag + ": stats counted_facts differ";
-  }
-  for (PredId p : vocab->AllPredicates()) {
-    if (got.stats.cardinality(p) != want.stats.cardinality(p)) {
-      return tag + ": cardinality of " + vocab->name(p) + " differs";
-    }
-    for (int i = 0; i < vocab->arity(p); ++i) {
-      if (got.stats.distinct(p, i) != want.stats.distinct(p, i)) {
-        return tag + ": distinct(" + vocab->name(p) + ", " +
-               std::to_string(i) + ") differs";
-      }
+    if (got.FactCount(gf[i]) != want.FactCount(wf[i])) {
+      return tag + ": derivation count of " + FactToString(want, wf[i]) +
+             " differs (" + std::to_string(got.FactCount(gf[i])) + " vs " +
+             std::to_string(want.FactCount(wf[i])) + ")";
     }
   }
   return std::nullopt;
@@ -310,7 +296,7 @@ class MaintenanceOracle : public Oracle {
     EvalOptions opt;
     opt.stats_min_facts = 0;
 
-    Materialization m = compiled.Materialize(base, nullptr, opt);
+    Instance m = compiled.Materialize(base, nullptr, opt);
     for (size_t step = 0; step < c.schedule.size(); ++step) {
       RawBatch applied = NormalizeAndApply(c.schedule[step], base);
       FactDelta delta;
@@ -319,9 +305,8 @@ class MaintenanceOracle : public Oracle {
       compiled.Maintain(m, base, delta);
 
       const std::string tag = "step " + std::to_string(step);
-      if (auto d = DiffMaterializations(
-              m, compiled.Materialize(base, nullptr, opt), c.profile.vocab,
-              tag + " (vs recompute)")) {
+      if (auto d = DiffFixpoints(m, compiled.Materialize(base, nullptr, opt),
+                                 tag + " (vs recompute)")) {
         return Fail(c, *d);
       }
     }

@@ -13,11 +13,11 @@ MaintainedImage::MaintainedImage(ViewSet views, Instance base)
       view_preds_(views_.ViewPreds()),
       base_(std::move(base)),
       fix_(views_.Compiled().Materialize(base_)),
-      image_(fix_.inst.RestrictTo(view_preds_)) {}
+      image_(fix_.RestrictTo(view_preds_)) {}
 
 ElemId MaintainedImage::AddElement(std::string name) {
   ElemId e = base_.AddElement(name);
-  ElemId ef = fix_.inst.AddElement(name);
+  ElemId ef = fix_.AddElement(name);
   ElemId ei = image_.AddElement(std::move(name));
   MONDET_CHECK(e == ef && e == ei &&
                "MaintainedImage: element ids drifted out of sync");
@@ -58,7 +58,7 @@ ImageDelta MaintainedImage::ApplyDelta(const std::vector<Fact>& raw_inserts,
   MaintainResult res = views_.Compiled().Maintain(fix_, base_, delta, stats);
 
   // Project the fixpoint's net changes onto the view schema.
-  image_.EnsureElements(fix_.inst.num_elements());
+  image_.EnsureElements(fix_.num_elements());
   ImageDelta out;
   out.overdeleted = res.overdeleted;
   out.rederived = res.rederived;

@@ -33,15 +33,15 @@ struct ImageDelta {
 /// A view image V(I) maintained under an insert/delete stream.
 ///
 /// Holds the base instance I, the materialized fixpoint of the combined
-/// view program (with derivation counts and statistics, see
-/// Materialization), and the projection of that fixpoint to the view
-/// predicates — kept current incrementally by CompiledProgram::Maintain
-/// rather than recomputed per batch. The correctness contract is
-/// inherited from Maintain: after every batch, image() is bit-identical
-/// to ViewSet::Image of the current base (FreshImage() recomputes it
-/// from scratch for cross-checking), so any verdict or rewriting
-/// computed over the maintained image agrees with one computed over a
-/// fresh evaluation.
+/// view program with derivation counts (CompiledProgram::Materialize),
+/// and the projection of that fixpoint to the view predicates — kept
+/// current incrementally by CompiledProgram::Maintain rather than
+/// recomputed per batch. The correctness contract is inherited from
+/// Maintain: after every batch, image() is bit-identical to
+/// ViewSet::Image of the current base (FreshImage() recomputes it from
+/// scratch for cross-checking), so any verdict or rewriting computed over
+/// the maintained image agrees with one computed over a fresh
+/// evaluation.
 class MaintainedImage {
  public:
   /// Materializes the initial fixpoint of `base` under the combined view
@@ -55,8 +55,8 @@ class MaintainedImage {
   const Instance& image() const { return image_; }
 
   /// The maintained full fixpoint (view image plus per-view auxiliary
-  /// IDBs), with derivation counts and statistics.
-  const Materialization& materialization() const { return fix_; }
+  /// IDBs), with derivation counts.
+  const Instance& fixpoint() const { return fix_; }
 
   /// Creates a fresh element in the base (and image), as Instance does.
   ElemId AddElement(std::string name = "");
@@ -91,7 +91,7 @@ class MaintainedImage {
   ViewSet views_;
   std::unordered_set<PredId> view_preds_;
   Instance base_;
-  Materialization fix_;
+  Instance fix_;
   Instance image_;
 };
 

@@ -293,7 +293,7 @@ TEST(EvalRegression, LibraryStartsNoThread) {
   EXPECT_EQ(fix.NumRows(rewriting.goal), 1u);
   EXPECT_EQ(ThreadCount(), 1) << "after FpEval";
 
-  // Materialization and one maintenance batch.
+  // A materialized view fixpoint and one maintenance batch.
   MaintainedImage maintained(gadget.views, gadget.DiamondChain(8));
   EXPECT_EQ(ThreadCount(), 1) << "after MaintainedImage";
   maintained.ApplyDelta({}, {maintained.base().FactAt(0)});

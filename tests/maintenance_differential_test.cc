@@ -1,9 +1,9 @@
 // Differential test for retraction + incremental view maintenance
 // (CompiledProgram::Materialize / Maintain): on randomized programs and
-// randomized insert/delete schedules, the maintained materialization must
-// be bit-identical — fact set, per-fact derivation counts, statistics —
-// to a from-scratch Materialize of the current base after *every* prefix
-// of the schedule. Raw batches deliberately contain duplicate inserts and
+// randomized insert/delete schedules, the maintained fixpoint must be
+// bit-identical — fact set and per-fact derivation counts — to a
+// from-scratch Materialize of the current base after *every* prefix of
+// the schedule. Raw batches deliberately contain duplicate inserts and
 // deletes of absent facts (normalization is the caller contract).
 //
 // The generator and checker live in the shared randomized-testing

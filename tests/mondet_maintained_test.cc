@@ -205,7 +205,7 @@ std::vector<std::string> CountedFacts(const Instance& inst) {
 /// Applies one normalized batch to `base`, maintains `m` through it and
 /// checks `m` against a fresh Materialize of the new base.
 MaintainResult ApplyAndCheck(const CompiledProgram& compiled,
-                             Materialization& m, Instance& base,
+                             Instance& m, Instance& base,
                              std::vector<Fact> inserts,
                              std::vector<Fact> deletes,
                              const std::string& tag) {
@@ -214,9 +214,7 @@ MaintainResult ApplyAndCheck(const CompiledProgram& compiled,
   MaintainResult res =
       compiled.Maintain(m, base, FactDelta{std::move(inserts),
                                            std::move(deletes)});
-  EXPECT_EQ(CountedFacts(m.inst),
-            CountedFacts(compiled.Materialize(base).inst))
-      << tag;
+  EXPECT_EQ(CountedFacts(m), CountedFacts(compiled.Materialize(base))) << tag;
   return res;
 }
 
@@ -234,14 +232,14 @@ TEST(MaintainJoin, CountingOldStateReadsSkipTheBatch) {
   CompiledProgram compiled(*pr.program);
   Instance base(vocab);
   const ElemId x = base.AddElement("a");
-  Materialization m = compiled.Materialize(base);
+  Instance m = compiled.Materialize(base);
 
   ApplyAndCheck(compiled, m, base, {Fact(a, {x}), Fact(b, {x})}, {},
                 "insert");
-  EXPECT_EQ(m.inst.FactCount(Fact(h, {x})), 1u);
+  EXPECT_EQ(m.FactCount(Fact(h, {x})), 1u);
   ApplyAndCheck(compiled, m, base, {}, {Fact(a, {x}), Fact(b, {x})},
                 "delete");
-  EXPECT_FALSE(m.inst.HasFact(Fact(h, {x})));
+  EXPECT_FALSE(m.HasFact(Fact(h, {x})));
 }
 
 // DRed overdeletes over the old state of the lower strata: deleting
@@ -266,12 +264,12 @@ TEST(MaintainJoin, DRedOldStateReadsSeeJointDeletes) {
   base.AddFact(a, {x});
   base.AddFact(b, {x});
   base.AddFact(e, {x, y});
-  Materialization m = compiled.Materialize(base);
-  ASSERT_EQ(m.inst.NumRows(t), 2u);
+  Instance m = compiled.Materialize(base);
+  ASSERT_EQ(m.NumRows(t), 2u);
 
   MaintainResult res = ApplyAndCheck(
       compiled, m, base, {}, {Fact(a, {x}), Fact(b, {x})}, "delete");
-  EXPECT_EQ(m.inst.NumRows(t), 0u);
+  EXPECT_EQ(m.NumRows(t), 0u);
   EXPECT_EQ(res.overdeleted, 2u);
   EXPECT_EQ(res.rederived, 0u);
 }
@@ -325,14 +323,14 @@ TEST(MaintainJoin, WideRulesRoundTrip) {
       base.AddFact(s, {i, i + 1});
     }
   }
-  Materialization m = compiled.Materialize(base);
+  Instance m = compiled.Materialize(base);
   const PredId w = *vocab->FindPredicate("W");
-  const size_t before = m.inst.NumRows(w);
+  const size_t before = m.NumRows(w);
 
   ApplyAndCheck(compiled, m, base, later, {}, "insert");
-  EXPECT_GT(m.inst.NumRows(w), before);
+  EXPECT_GT(m.NumRows(w), before);
   MaintainResult res = ApplyAndCheck(compiled, m, base, {}, later, "delete");
-  EXPECT_EQ(m.inst.NumRows(w), before);
+  EXPECT_EQ(m.NumRows(w), before);
   EXPECT_GT(res.overdeleted, 0u);
 }
 
@@ -416,7 +414,7 @@ TEST(MaintainedImage, ChurnSequencesPinned) {
              " r=" + std::to_string(delta.rederived) + "\n";
     rederived += delta.rederived;
   }
-  const Instance& fix = maintained.materialization().inst;
+  const Instance& fix = maintained.fixpoint();
   for (uint32_t g = 0; g < fix.num_facts(); ++g) {
     const auto [p, row] = fix.Locate(g);
     trace += FactToString(fix, fix.ViewAt(g)) + "x" +

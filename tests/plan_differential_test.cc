@@ -1,8 +1,9 @@
 // Plan-quality differential test for the statistics-driven join planner:
 // on randomized programs × random bound instances, the stats-driven run
-// must match the naive reference, planner-off runs must derive the same
-// set, and no plan the instance's statistics pick for a connected-join-
-// graph rule may contain a cross product.
+// (size gate forced open) must match the naive reference, a run with the
+// gate closed (compile-time orders) must derive the same set, and no plan
+// the instance's statistics pick for a connected-join-graph rule may
+// contain a cross product.
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `plan-differential`); `mondet-fuzz`

@@ -5,7 +5,10 @@
 // a seed range / time budget (fuzzing) or over saved `.repro` files
 // (replay). A failing case is delta-debugged down to a 1-minimal repro
 // (src/testing/shrink.h) and written to --out, so a CI failure line
-// always names a small, replayable artifact.
+// always names a small, replayable artifact. Every check — each case,
+// each shrink step, each replayed file — runs in a forked child, one at a
+// time (src/testing/fuzz.h): an engine abort fails that case and the run
+// goes on.
 //
 // Usage: mondet-fuzz [options]
 //   --list            print the oracle names and exit
@@ -25,8 +28,8 @@
 #include <vector>
 
 #include "testing/corpus.h"
+#include "testing/fuzz.h"
 #include "testing/oracle.h"
-#include "testing/shrink.h"
 
 using namespace mondet::testing;
 
@@ -39,36 +42,6 @@ int Usage(const char* argv0) {
                "       [--no-shrink] [--replay FILE...]\n",
                argv0);
   return 2;
-}
-
-std::string ReproPath(const std::string& out_dir, const FuzzCase& c) {
-  return out_dir + "/" + c.oracle + "-seed" + std::to_string(c.seed) +
-         ".repro";
-}
-
-/// Checks one case; on failure shrinks (unless disabled), writes the
-/// repro, and prints where it went. Returns true when the case passed.
-bool RunCase(const Oracle& oracle, const FuzzCase& c, bool shrink,
-             const std::string& out_dir) {
-  OracleOutcome outcome = oracle.Check(c);
-  if (outcome.ok) return true;
-  std::fprintf(stderr, "FAIL %s seed %u\n%s\n", oracle.name().c_str(), c.seed,
-               outcome.message.c_str());
-  FuzzCase repro = c;
-  if (shrink) {
-    ShrinkResult shrunk = ShrinkCase(oracle, c);
-    std::fprintf(stderr, "shrunk with %zu checks (%s)\n", shrunk.checks,
-                 shrunk.changed ? "reduced" : "already minimal");
-    repro = shrunk.best;
-  }
-  std::string path = ReproPath(out_dir, repro);
-  std::string error;
-  if (SaveCaseFile(repro, path, &error)) {
-    std::fprintf(stderr, "repro written to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "could not write repro: %s\n", error.c_str());
-  }
-  return false;
 }
 
 }  // namespace
@@ -130,7 +103,7 @@ int main(int argc, char** argv) {
                      c->oracle.c_str());
         return 2;
       }
-      OracleOutcome outcome = oracle->Check(*c);
+      OracleOutcome outcome = CheckInChild(*oracle, *c);
       if (outcome.ok) {
         std::printf("PASS %s\n", file.c_str());
       } else {
