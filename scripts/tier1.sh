@@ -76,14 +76,18 @@ fi
 # over one vocabulary; property_test's CqDpAgreement (the CQ-match DP vs
 # homomorphism search on random instances) and Thm5VsCanonical are the
 # only DP coverage outside the path-plus-U family, and the DP indexes its
-# bitset words and match arena by hand; separator_test drives the NP and
-# chase separators (core/separator.cc), which evaluate view images and
-# chase witnesses at the evaluator's defaults; fuzz_isolation_test drives
+# bitset words and match arena by hand; separator_test drives the NP
+# separator and the chase separator, which runs the checker's
+# canonical-test walk (core/test_walk.cc) over J, with caps that cut its
+# block partway; datalog_test and analysis_test pin Stratify
+# (datalog/strata.cc), whose per-rule index lists feed the evaluator's
+# delta seats, the dataflow fixpoint and the fragment witnesses, and the
+# goldens built on them; fuzz_isolation_test drives
 # the fuzz harness' per-case step over a test oracle that trips
 # MONDET_CHECK, so every check runs in a forked child (testing/fuzz.cc)
 # and the abort must come back as a reported, shrunk failure.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test stats_test maintenance_differential_test mondet_maintained_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test fuzz_isolation_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test plan_differential_test stats_test maintenance_differential_test mondet_maintained_test mondet_parallel_test dataflow_soundness_test antichain_test cq_automaton_test mondet_check_test property_test separator_test datalog_test analysis_test fuzz_isolation_test mondet-fuzz
 ./build-asan/tests/base_test
 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
@@ -97,6 +101,8 @@ cmake --build build-asan -j "$JOBS" --target base_test eval_differential_test pl
 ./build-asan/tests/mondet_check_test
 ./build-asan/tests/property_test
 ./build-asan/tests/separator_test
+./build-asan/tests/datalog_test
+./build-asan/tests/analysis_test
 ./build-asan/tests/fuzz_isolation_test
 
 # Fuzz smoke arm: mondet-fuzz over every registered oracle at fixed

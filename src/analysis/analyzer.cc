@@ -4,12 +4,11 @@
 #include <optional>
 #include <queue>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/dataflow.h"
-#include "base/scc.h"
 #include "datalog/eval_plan.h"
+#include "datalog/strata.h"
 
 namespace mondet {
 
@@ -31,53 +30,6 @@ std::string AtomSignature(const Vocabulary& vocab, const QAtom& a) {
   return vocab.name(a.pred) + "/" + std::to_string(vocab.arity(a.pred));
 }
 
-/// Dense node ids for the IDB predicates (sorted for determinism) and the
-/// dependency edges P -> Q for Q in the body of a rule with head P. The
-/// same graph CompiledProgram stratifies with.
-struct IdbGraph {
-  std::vector<PredId> idbs;
-  std::unordered_map<PredId, int> node_of;
-  std::vector<std::vector<int>> adj;
-};
-
-IdbGraph BuildIdbGraph(const Program& program) {
-  IdbGraph g;
-  g.idbs.assign(program.Idbs().begin(), program.Idbs().end());
-  std::sort(g.idbs.begin(), g.idbs.end());
-  for (size_t i = 0; i < g.idbs.size(); ++i) {
-    g.node_of[g.idbs[i]] = static_cast<int>(i);
-  }
-  g.adj.resize(g.idbs.size());
-  for (const Rule& rule : program.rules()) {
-    int from = g.node_of.at(rule.head.pred);
-    for (const QAtom& a : rule.body) {
-      auto it = g.node_of.find(a.pred);
-      if (it != g.node_of.end()) g.adj[from].push_back(it->second);
-    }
-  }
-  return g;
-}
-
-/// For each IDB node, whether its SCC contains a cycle (size > 1, or a
-/// self-loop edge).
-std::vector<bool> CyclicNodes(const IdbGraph& g, const std::vector<int>& scc,
-                              int num_sccs) {
-  std::vector<int> scc_size(num_sccs, 0);
-  for (int c : scc) ++scc_size[c];
-  std::vector<bool> scc_cyclic(num_sccs, false);
-  for (size_t u = 0; u < g.adj.size(); ++u) {
-    for (int v : g.adj[u]) {
-      if (scc[u] == scc[v] &&
-          (scc_size[scc[u]] > 1 || static_cast<int>(u) == v)) {
-        scc_cyclic[scc[u]] = true;
-      }
-    }
-  }
-  std::vector<bool> out(g.adj.size());
-  for (size_t u = 0; u < g.adj.size(); ++u) out[u] = scc_cyclic[scc[u]];
-  return out;
-}
-
 }  // namespace
 
 const char* FragmentName(Fragment f) {
@@ -94,26 +46,17 @@ const char* FragmentName(Fragment f) {
 
 RecursionReport AnalyzeRecursion(const Program& program) {
   RecursionReport report;
-  IdbGraph g = BuildIdbGraph(program);
-  int num_sccs = 0;
-  std::vector<int> scc = SccIds(g.idbs.size(), g.adj, &num_sccs);
-  report.num_strata = static_cast<size_t>(num_sccs);
-  std::vector<bool> cyclic = CyclicNodes(g, scc, num_sccs);
-  for (size_t i = 0; i < g.idbs.size(); ++i) {
-    if (cyclic[i]) report.cyclic_idbs.push_back(g.idbs[i]);
+  const Stratification strat = Stratify(program);
+  report.num_strata = strat.strata.size();
+  for (const Stratification::Stratum& st : strat.strata) {
+    if (!st.recursive) continue;
+    report.cyclic_idbs.insert(report.cyclic_idbs.end(), st.preds.begin(),
+                              st.preds.end());
   }
+  std::sort(report.cyclic_idbs.begin(), report.cyclic_idbs.end());
   report.recursive = !report.cyclic_idbs.empty();
-  for (const Rule& rule : program.rules()) {
-    int head_node = g.node_of.at(rule.head.pred);
-    if (!cyclic[head_node]) continue;
-    int same_scc_atoms = 0;
-    for (const QAtom& a : rule.body) {
-      auto it = g.node_of.find(a.pred);
-      if (it != g.node_of.end() && scc[it->second] == scc[head_node]) {
-        ++same_scc_atoms;
-      }
-    }
-    if (same_scc_atoms > 1) report.linear = false;
+  for (const std::vector<int>& atoms : strat.recursive_atoms) {
+    if (atoms.size() > 1) report.linear = false;
   }
   return report;
 }
@@ -198,22 +141,11 @@ std::vector<Diagnostic> FragmentViolations(const Program& program,
       break;
     }
     case Fragment::kNonRecursive: {
-      IdbGraph g = BuildIdbGraph(program);
-      int num_sccs = 0;
-      std::vector<int> scc = SccIds(g.idbs.size(), g.adj, &num_sccs);
-      std::vector<bool> cyclic = CyclicNodes(g, scc, num_sccs);
+      const Stratification strat = Stratify(program);
       for (size_t ri = 0; ri < program.rules().size(); ++ri) {
+        const std::vector<int>& rec_atoms = strat.recursive_atoms[ri];
+        if (rec_atoms.empty()) continue;
         const Rule& rule = program.rules()[ri];
-        int head_node = g.node_of.at(rule.head.pred);
-        if (!cyclic[head_node]) continue;
-        std::vector<int> rec_atoms;
-        for (size_t ai = 0; ai < rule.body.size(); ++ai) {
-          auto it = g.node_of.find(rule.body[ai].pred);
-          if (it != g.node_of.end() && scc[it->second] == scc[head_node]) {
-            rec_atoms.push_back(static_cast<int>(ai));
-          }
-        }
-        if (rec_atoms.empty()) continue;  // head cyclic via other rules
         SourceLoc loc = RuleLoc(program, static_cast<int>(ri));
         loc.atoms = rec_atoms;
         std::ostringstream os;
@@ -323,24 +255,25 @@ void ReachabilityCheck(const ProgramAnalyzer::Input& in,
         loc));
     return;
   }
-  IdbGraph g = BuildIdbGraph(program);
-  std::vector<bool> reached(g.idbs.size(), false);
-  std::queue<int> frontier;
-  reached[g.node_of.at(goal)] = true;
-  frontier.push(g.node_of.at(goal));
+  // Breadth-first from the goal over the IDB atoms of rule bodies.
+  std::unordered_set<PredId> reached{goal};
+  std::queue<PredId> frontier;
+  frontier.push(goal);
   while (!frontier.empty()) {
-    int u = frontier.front();
+    const PredId p = frontier.front();
     frontier.pop();
-    for (int v : g.adj[u]) {
-      if (!reached[v]) {
-        reached[v] = true;
-        frontier.push(v);
+    for (size_t ri : program.RulesFor(p)) {
+      for (const QAtom& a : program.rules()[ri].body) {
+        if (program.IsIdb(a.pred) && reached.insert(a.pred).second) {
+          frontier.push(a.pred);
+        }
       }
     }
   }
-  for (size_t i = 0; i < g.idbs.size(); ++i) {
-    if (reached[i]) continue;
-    PredId p = g.idbs[i];
+  std::vector<PredId> idbs(program.Idbs().begin(), program.Idbs().end());
+  std::sort(idbs.begin(), idbs.end());
+  for (PredId p : idbs) {
+    if (reached.count(p)) continue;
     std::vector<size_t> rules = program.RulesFor(p);
     SourceLoc loc =
         RuleLoc(program, rules.empty() ? -1 : static_cast<int>(rules[0]));

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "base/homomorphism.h"
-#include "base/scc.h"
+#include "datalog/strata.h"
 
 namespace mondet {
 
@@ -26,10 +26,10 @@ void Meet(PosAbstract* into, const PosAbstract& v) {
   into->consts = std::move(out);
 }
 
-/// The shared core of EmptinessDomain::Transfer and the dead-rule
-/// explanation: abstract evaluation of one rule body. Returns false when
-/// the body is abstractly unsatisfiable; `reason`, when non-null,
-/// receives the first failing atom and a human-readable why.
+/// The shared core of Transfer and the dead-rule explanation: abstract
+/// evaluation of one rule body. Returns false when the body is abstractly
+/// unsatisfiable; `reason`, when non-null, receives the first failing
+/// atom and a human-readable why.
 bool EvalRuleBody(const Program& program, const Rule& rule,
                   const std::unordered_map<PredId, PredAbstract>& env,
                   std::vector<PosAbstract>* var_val, DeadRuleReason* reason) {
@@ -71,50 +71,17 @@ bool EvalRuleBody(const Program& program, const Rule& rule,
   return true;
 }
 
-}  // namespace
-
-RuleStrata ComputeRuleStrata(const Program& program) {
-  // Dense node ids for the IDB predicates (sorted for determinism) and
-  // the dependency edges head -> body IDB — the same graph the evaluator
-  // and the recursion report stratify with.
-  std::vector<PredId> idbs(program.Idbs().begin(), program.Idbs().end());
-  std::sort(idbs.begin(), idbs.end());
-  std::unordered_map<PredId, int> node_of;
-  for (size_t i = 0; i < idbs.size(); ++i) {
-    node_of[idbs[i]] = static_cast<int>(i);
-  }
-  std::vector<std::vector<int>> adj(idbs.size());
-  for (const Rule& rule : program.rules()) {
-    int from = node_of.at(rule.head.pred);
-    for (const QAtom& a : rule.body) {
-      auto it = node_of.find(a.pred);
-      if (it != node_of.end()) adj[from].push_back(it->second);
-    }
-  }
-  int num_sccs = 0;
-  std::vector<int> scc = SccIds(idbs.size(), adj, &num_sccs);
-  RuleStrata out;
-  out.strata.resize(static_cast<size_t>(num_sccs));
-  // SccIds assigns dependencies smaller component ids, so ascending SCC
-  // order is dependency-first; rule order inside a stratum stays program
-  // order.
-  for (size_t ri = 0; ri < program.rules().size(); ++ri) {
-    int node = node_of.at(program.rules()[ri].head.pred);
-    out.strata[static_cast<size_t>(scc[node])].push_back(ri);
-  }
-  return out;
-}
-
-// --- Emptiness + constant-set analysis. ------------------------------------
-
-PredAbstract EmptinessDomain::Init(PredId p) const {
-  const Vocabulary& vocab = *program->vocab();
+/// Starting value of predicate `p`: bottom for IDBs and the EDB seed
+/// (every position top) for extensional predicates — or, with a concrete
+/// instance `edb`, the instance's actual per-position value sets (top
+/// above kMaxTrackedConsts) for every predicate, bottom where it has no
+/// facts. FPEval inputs may carry IDB facts too, and soundness requires
+/// the seed to cover them (rule contributions join in on top).
+PredAbstract Init(const Program& program, const Instance* edb, PredId p) {
+  const Vocabulary& vocab = *program.vocab();
   auto arity = static_cast<size_t>(vocab.arity(p));
   PredAbstract out;
   if (edb != nullptr) {
-    // Seed every predicate from the concrete instance: the input of
-    // FPEval may carry IDB facts too, and soundness requires the seed to
-    // cover them (rule contributions join in on top).
     const uint32_t rows = edb->NumRows(p);
     if (rows == 0) return out;  // bottom: no fact in the input
     out.nonempty = true;
@@ -138,19 +105,21 @@ PredAbstract EmptinessDomain::Init(PredId p) const {
     }
     return out;
   }
-  if (program->IsIdb(p)) return out;  // bottom: only rules populate IDBs
+  if (program.IsIdb(p)) return out;  // bottom: only rules populate IDBs
   // Unconstrained EDB predicate: possibly nonempty, every position top.
   out.nonempty = true;
   out.pos.assign(arity, PosAbstract{true, {}});
   return out;
 }
 
-bool EmptinessDomain::Transfer(const Program& program_in, const Rule& rule,
-                               size_t /*rule_index*/,
-                               const std::unordered_map<PredId, Value>& env,
-                               Value* head) const {
+/// Abstract evaluation of one rule under `env` (total over the program's
+/// predicates). Returns false when the rule provably contributes nothing;
+/// otherwise fills `*head`.
+bool Transfer(const Program& program, const Rule& rule,
+              const std::unordered_map<PredId, PredAbstract>& env,
+              PredAbstract* head) {
   std::vector<PosAbstract> var_val;
-  if (!EvalRuleBody(program_in, rule, env, &var_val, nullptr)) return false;
+  if (!EvalRuleBody(program, rule, env, &var_val, nullptr)) return false;
   std::vector<bool> in_body(rule.num_vars(), false);
   for (const QAtom& a : rule.body) {
     for (VarId v : a.args) {
@@ -172,7 +141,9 @@ bool EmptinessDomain::Transfer(const Program& program_in, const Rule& rule,
   return true;
 }
 
-bool EmptinessDomain::Join(Value* into, const Value& v) const {
+/// Least-upper-bound accumulation; returns true iff *into changed. The
+/// lattice has finite height, which makes the fixpoint terminate.
+bool Join(PredAbstract* into, const PredAbstract& v) {
   if (!v.nonempty) return false;
   if (!into->nonempty) {
     *into = v;
@@ -210,12 +181,32 @@ bool EmptinessDomain::Join(Value* into, const Value& v) const {
   return changed;
 }
 
+}  // namespace
+
+// --- Emptiness + constant-set analysis. ------------------------------------
+
 EmptinessResult AnalyzeEmptiness(const Program& program, const Instance* edb) {
-  EmptinessDomain domain;
-  domain.program = &program;
-  domain.edb = edb;
   EmptinessResult out;
-  out.preds = RunBottomUpFixpoint(program, domain);
+  const Vocabulary& vocab = *program.vocab();
+  for (PredId p = 0; p < static_cast<PredId>(vocab.size()); ++p) {
+    out.preds.emplace(p, Init(program, edb, p));
+  }
+  // Dependency-first, each stratum to its own fixpoint: re-fire its rules
+  // until a full sweep changes nothing.
+  for (const Stratification::Stratum& st : Stratify(program).strata) {
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (uint32_t ri : st.rules) {
+        const Rule& rule = program.rules()[ri];
+        PredAbstract head;
+        if (Transfer(program, rule, out.preds, &head) &&
+            Join(&out.preds.at(rule.head.pred), head)) {
+          changed = true;
+        }
+      }
+    }
+  }
   out.rule_dead.assign(program.rules().size(), false);
   out.dead_reasons.assign(program.rules().size(), DeadRuleReason{});
   for (size_t ri = 0; ri < program.rules().size(); ++ri) {

@@ -15,20 +15,17 @@
 
 namespace mondet {
 
-/// Abstract-interpretation dataflow analyses over datalog::Program.
-///
-/// The core is a generic bottom-up fixpoint engine (RunBottomUpFixpoint):
-/// a worklist over the strata of the IDB dependency graph — the same SCC
-/// stratification CompiledProgram evaluates with — iterating a pluggable
-/// transfer function per rule until the per-predicate abstract values
-/// stabilize. Three analyses are instantiated on top (docs/ANALYSIS.md,
-/// "Dataflow analyses"):
+/// Abstract-interpretation dataflow analyses over datalog::Program
+/// (docs/ANALYSIS.md, "Dataflow analyses"):
 ///
 ///   1. Emptiness + constant-set analysis (AnalyzeEmptiness): a
 ///      {bottom, small constant set, top} domain per (predicate, position)
 ///      computing which predicates are provably empty — and which argument
 ///      positions are restricted to a small value set — given the EDB
-///      vocabulary (optionally seeded from a concrete instance). Sound
+///      vocabulary (optionally seeded from a concrete instance). A
+///      bottom-up fixpoint over the strata of Stratify (datalog/strata.h),
+///      the ones CompiledProgram evaluates: each stratum's rules re-fire
+///      until the per-predicate abstract values stabilize. Sound
 ///      overapproximation: the concrete fixpoint of any instance
 ///      compatible with the seed is contained in the concretization
 ///      (tests/dataflow_soundness_test.cc pins this), so a rule flagged
@@ -43,61 +40,6 @@ namespace mondet {
 ///      of its facts on every database state (a homomorphism between the
 ///      rule bodies fixing the head, via base/homomorphism); a body atom
 ///      is redundant when the body folds onto the body without it.
-
-/// The rules of one program grouped into strata: SCCs of the IDB
-/// dependency graph in dependency-first topological order (the order
-/// CompiledProgram evaluates them in). Rules whose head predicates share
-/// an SCC share a stratum; rule indices inside a stratum keep program
-/// order so fixpoint iteration is deterministic.
-struct RuleStrata {
-  std::vector<std::vector<size_t>> strata;  // rule indices per stratum
-};
-RuleStrata ComputeRuleStrata(const Program& program);
-
-/// Generic bottom-up fixpoint: runs `domain` over the strata of `program`
-/// until every per-predicate abstract value is stable, and returns the
-/// final environment. The Domain concept:
-///
-///   struct Domain {
-///     using Value = ...;            // per-predicate abstract value
-///     // Starting value of predicate `p` (bottom for IDBs; the EDB seed
-///     // for extensional predicates).
-///     Value Init(PredId p) const;
-///     // Abstract evaluation of one rule under environment `env` (total
-///     // over the program's predicates). Returns false when the rule
-///     // provably contributes nothing; otherwise fills `*head`.
-///     bool Transfer(const Program&, const Rule&, size_t rule_index,
-///                   const std::unordered_map<PredId, Value>& env,
-///                   Value* head) const;
-///     // Least-upper-bound accumulation; returns true iff *into changed.
-///     // Must have finite ascending chains for termination.
-///     bool Join(Value* into, const Value& v) const;
-///   };
-template <typename Domain>
-std::unordered_map<PredId, typename Domain::Value> RunBottomUpFixpoint(
-    const Program& program, const Domain& domain) {
-  std::unordered_map<PredId, typename Domain::Value> env;
-  const Vocabulary& vocab = *program.vocab();
-  for (PredId p = 0; p < static_cast<PredId>(vocab.size()); ++p) {
-    env.emplace(p, domain.Init(p));
-  }
-  RuleStrata rs = ComputeRuleStrata(program);
-  for (const std::vector<size_t>& stratum : rs.strata) {
-    // Worklist over the stratum's rules: re-fire until a full sweep adds
-    // nothing. Termination: Join only moves up a finite-height lattice.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t ri : stratum) {
-        const Rule& rule = program.rules()[ri];
-        typename Domain::Value head;
-        if (!domain.Transfer(program, rule, ri, env, &head)) continue;
-        if (domain.Join(&env.at(rule.head.pred), head)) changed = true;
-      }
-    }
-  }
-  return env;
-}
 
 // --- Emptiness + constant-set analysis. ------------------------------------
 
@@ -124,28 +66,6 @@ struct PosAbstract {
 struct PredAbstract {
   bool nonempty = false;
   std::vector<PosAbstract> pos;  // arity entries; meaningful iff nonempty
-};
-
-/// The emptiness domain for RunBottomUpFixpoint. Exposed (rather than
-/// hidden in the .cc) so tests can run the generic engine directly.
-struct EmptinessDomain {
-  using Value = PredAbstract;
-
-  const Program* program = nullptr;
-  /// Optional concrete seed: every predicate (IDB facts may occur in
-  /// FPEval inputs) starts from the instance's actual per-position value
-  /// sets (top above kMaxTrackedConsts), and predicates without facts
-  /// start empty (EDB) or bottom (IDB). The analysis is then sound for
-  /// exactly this instance; without a seed it is sound for every
-  /// instance whose intensional relations start empty.
-  const Instance* edb = nullptr;
-
-  Value Init(PredId p) const;
-  bool Transfer(const Program& program_in, const Rule& rule,
-                size_t rule_index,
-                const std::unordered_map<PredId, Value>& env,
-                Value* head) const;
-  bool Join(Value* into, const Value& v) const;
 };
 
 /// Why one rule can never fire (AnalyzeEmptiness flags it dead).

@@ -9,9 +9,9 @@ namespace mondet {
 /// Iterative Tarjan SCC over a dense adjacency list. Components receive
 /// ids in pop order, so every component a node depends on (reaches) has a
 /// smaller id than the node's own component; processing components in
-/// ascending id order therefore visits dependencies first. Shared by the
-/// evaluator's stratification (eval_plan) and the static analyzer's
-/// recursion-structure report (analysis/).
+/// ascending id order therefore visits dependencies first. Its one caller
+/// is Stratify (datalog/strata.h), the stratification the evaluator, the
+/// dataflow analyses and the fragment checks all read.
 std::vector<int> SccIds(size_t n, const std::vector<std::vector<int>>& adj,
                         int* num_sccs);
 

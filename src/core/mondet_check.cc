@@ -2,177 +2,17 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "automata/product_walk.h"
 #include "base/check.h"
 #include "core/cq_automaton.h"
 #include "core/forward.h"
+#include "core/test_walk.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
 #include "datalog/fragment.h"
 
 namespace mondet {
-
-namespace {
-
-/// All expansions of a view definition up to `depth`, capped. Returns
-/// (expansions, exhaustive).
-std::pair<std::vector<Expansion>, bool> ViewExpansions(const View& view,
-                                                       int depth,
-                                                       size_t cap) {
-  std::vector<Expansion> out;
-  bool exhaustive = EnumeratePredExpansions(
-      view.definition.program, view.definition.goal, depth, cap,
-      [&](const Expansion& e) {
-        out.push_back(e);
-        return true;
-      });
-  return {std::move(out), exhaustive};
-}
-
-/// Builds the D' of the first `nfacts` image facts for one choice of
-/// per-fact view expansions: each view fact V(c) is replaced by the chosen
-/// expansion's facts, frontier unified with c and other elements fresh.
-/// Qi's elements come first, then each fact's fresh elements in fact
-/// order, so the D' of a prefix is a sub-instance of every D' that extends
-/// it, with the same element ids. Returns nullopt when some expansion's
-/// frontier cannot be unified with its fact's arguments.
-std::optional<Instance> BuildDPrime(
-    const VocabularyPtr& vocab, const std::vector<Fact>& image,
-    const std::vector<const Expansion*>& choice, size_t nfacts,
-    size_t base_elems) {
-  Instance dprime(vocab);
-  dprime.EnsureElements(base_elems);
-  for (size_t fi = 0; fi < nfacts; ++fi) {
-    const Fact& fact = image[fi];
-    const Expansion& exp = *choice[fi];
-    // Map the expansion's elements: frontier -> fact args, others fresh.
-    std::vector<ElemId> map(exp.inst.num_elements(), kNoElem);
-    for (size_t i = 0; i < exp.frontier.size(); ++i) {
-      ElemId from = exp.frontier[i];
-      if (map[from] != kNoElem && map[from] != fact.args[i]) {
-        return std::nullopt;  // frontier repeats, fact args differ
-      }
-      map[from] = fact.args[i];
-    }
-    for (ElemId e = 0; e < exp.inst.num_elements(); ++e) {
-      if (map[e] == kNoElem) map[e] = dprime.AddElement();
-    }
-    for (uint32_t fg = 0; fg < exp.inst.num_facts(); ++fg) {
-      const FactView f = exp.inst.ViewAt(fg);
-      std::vector<ElemId> args;
-      args.reserve(f.args.size());
-      for (ElemId a : f.args) args.push_back(map[a]);
-      dprime.AddFact(f.pred, args);
-    }
-  }
-  return dprime;
-}
-
-constexpr size_t kNoTest = static_cast<size_t>(-1);
-
-/// One expansion's block of canonical tests, walked as a trie. A depth-k
-/// node fixes the view expansions of image facts 0..k-1; its leaves are
-/// the tests numbered in mixed radix with fact 0 most significant, cut
-/// off at `size` tests; every fact has a choice and `size` is positive.
-///
-/// The walk is depth-first in test order and evaluates Q on the D' prefix
-/// of every node with two or more children in range. Q is monotone and a
-/// prefix is a sub-instance of every D' below it with the same element
-/// ids — Qi's, among them the frontier tuple c, come first — so when the
-/// prefix satisfies Q(c) every test below passes, and when the prefix
-/// cannot be built no test below can. Either way the subtree is skipped.
-/// The first failing leaf met is therefore the lowest failing test index.
-class TestBlockWalk {
- public:
-  TestBlockWalk(const VocabularyPtr& vocab, const std::vector<Fact>& image,
-                const Expansion& qi, PredId goal,
-                const CompiledProgram& compiled,
-                std::vector<const std::vector<Expansion>*> options,
-                size_t size)
-      : vocab_(vocab),
-        image_(image),
-        qi_(qi),
-        goal_(goal),
-        compiled_(compiled),
-        options_(std::move(options)),
-        size_(size),
-        span_(options_.size() + 1, 1),
-        choice_(options_.size(), nullptr) {
-    // span_[k]: leaves under a depth-k node, saturated at `size` (a child
-    // starting that far from its node's first leaf is out of range).
-    for (size_t k = options_.size(); k-- > 0;) {
-      const size_t r = options_[k]->size();
-      span_[k] = span_[k + 1] > size_ / r ? size_ : span_[k + 1] * r;
-    }
-  }
-
-  /// The lowest failing test index, or kNoTest.
-  size_t Run() { return Visit(0, 0); }
-
-  size_t evaluations() const { return evaluations_; }
-  /// The D' of the failing test Run returned.
-  Instance TakeFailure() { return std::move(*failure_); }
-
- private:
-  std::optional<Instance> Build(size_t nfacts) const {
-    return BuildDPrime(vocab_, image_, choice_, nfacts,
-                       qi_.inst.num_elements());
-  }
-
-  /// Does D' satisfy Q(c) for Qi's frontier tuple c? (The paper states
-  /// the Boolean case; the tuple version is the natural non-Boolean
-  /// extension.)
-  bool Holds(const Instance& dprime) {
-    ++evaluations_;
-    return compiled_.Eval(dprime).HasFact(goal_, qi_.frontier);
-  }
-
-  /// The lowest failing test index under the depth-`depth` node whose
-  /// first leaf is test `first`, or kNoTest.
-  size_t Visit(size_t depth, size_t first) {
-    if (depth == options_.size()) {
-      std::optional<Instance> dprime = Build(depth);
-      // An unbuildable choice is counted but never a failure.
-      if (!dprime || Holds(*dprime)) return kNoTest;
-      failure_ = std::move(dprime);
-      return first;
-    }
-    const std::vector<Expansion>& opts = *options_[depth];
-    const size_t child_span = span_[depth + 1];
-    const size_t children =
-        std::min(opts.size(), 1 + (size_ - first - 1) / child_span);
-    if (children >= 2) {
-      std::optional<Instance> prefix = Build(depth);
-      // MONDET_FAULT=skip-prefix-eval prunes without evaluating: unsound,
-      // for the fuzz harness' self-test.
-      if (!prefix || FaultInjected("skip-prefix-eval") || Holds(*prefix)) {
-        return kNoTest;
-      }
-    }
-    for (size_t j = 0; j < children; ++j) {
-      choice_[depth] = &opts[j];
-      const size_t t = Visit(depth + 1, first + j * child_span);
-      if (t != kNoTest) return t;
-    }
-    return kNoTest;
-  }
-
-  const VocabularyPtr& vocab_;
-  const std::vector<Fact>& image_;
-  const Expansion& qi_;
-  const PredId goal_;
-  const CompiledProgram& compiled_;
-  const std::vector<const std::vector<Expansion>*> options_;
-  const size_t size_;
-  std::vector<size_t> span_;
-  std::vector<const Expansion*> choice_;
-  size_t evaluations_ = 0;
-  std::optional<Instance> failure_;
-};
-
-}  // namespace
 
 MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
                                        const ViewSet& views,
@@ -220,14 +60,18 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   // The query program is evaluated on every candidate D'; compile it once.
   CompiledProgram compiled_query(query.program);
 
-  // Pre-enumerate view definition expansions.
+  // Pre-enumerate view definition expansions. A non-recursive derivation
+  // path visits distinct IDBs, so depth |IDBs| reaches every expansion.
   std::map<PredId, std::vector<Expansion>> view_exps;
   bool views_exhaustive = true;
   for (const View& v : views.views()) {
     auto [exps, exhaustive] =
         ViewExpansions(v, options.view_depth, options.max_tests_per_expansion);
-    views_exhaustive = views_exhaustive && exhaustive &&
-                       IsNonRecursive(v.definition.program);
+    views_exhaustive =
+        views_exhaustive && exhaustive &&
+        IsNonRecursive(v.definition.program) &&
+        options.view_depth >=
+            static_cast<int>(v.definition.program.Idbs().size());
     view_exps[v.pred] = std::move(exps);
   }
 
@@ -260,38 +104,18 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
     std::vector<Fact> image = views.Image(qi.inst).AllFacts();
     std::sort(image.begin(), image.end());
 
-    // Per-fact expansion choices; block size = min(Π choices, cap), the
-    // exact number of tests a sequential lexicographic walk would count.
+    // Per-fact expansion choices and the block of tests they span.
     std::vector<const std::vector<Expansion>*> options_per_fact;
     options_per_fact.reserve(image.size());
-    bool has_empty = false;
     for (const Fact& f : image) {
       options_per_fact.push_back(&view_exps.at(f.pred));
-      if (options_per_fact.back()->empty()) {
-        // No expansion of this view within the depth bound: cannot build
-        // any D' through this fact.
-        has_empty = true;
-      }
     }
-    const size_t cap = options.max_tests_per_expansion;
-    size_t block = 1;
-    if (has_empty) {
-      all_tests_built = false;
-      block = 0;
-    } else {
-      for (const auto* opts : options_per_fact) {
-        size_t c = opts->size();
-        if (block > cap / c) {
-          all_tests_built = false;
-          block = cap;
-          break;
-        }
-        block *= c;
-      }
-    }
+    const size_t block = TestBlockSize(
+        options_per_fact, options.max_tests_per_expansion, &all_tests_built);
 
     if (block == 0) continue;  // nothing to walk
-    TestBlockWalk walk(vocab, image, qi, query.goal, compiled_query,
+    TestBlockWalk walk(image, qi.inst.num_elements(), qi.frontier,
+                       query.goal, compiled_query,
                        std::move(options_per_fact), block);
     const size_t t_fail = walk.Run();
     result.evaluations += walk.evaluations();

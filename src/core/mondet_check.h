@@ -20,8 +20,8 @@ enum class Verdict {
   /// A failing canonical test was found: Q is NOT monotonically determined.
   kNotDetermined,
   /// All tests within the bounds succeeded but the enumeration was not
-  /// exhaustive (recursive query/views or caps hit): no counterexample up
-  /// to the bounds.
+  /// exhaustive (recursive query/views, depths below the ones that cover
+  /// every expansion, or caps hit): no counterexample up to the bounds.
   kUnknownBounded,
   /// The inputs fail a precondition (goal predicate defined by no rule,
   /// vocabulary mismatch, required fragment violated): see
@@ -80,14 +80,20 @@ struct MonDetResult {
 /// variables (Boolean queries have the empty tuple). Sound refuter for all
 /// of Datalog; exact decision when query and views are non-recursive and
 /// the bounds cover every expansion (in particular: the NP-complete CQ/CQ
-/// case of [21] and the Πp2 UCQ/UCQ case).
+/// case of [21] and the Πp2 UCQ/UCQ case). Determinacy is undecidable in
+/// general, so the verdict is kDetermined only when the search was
+/// exhaustive, i.e. when all of these hold:
+///   - the query is non-recursive and query_depth >= |IDBs of Q| + 1;
+///   - the enumeration of Q's approximations hit no cap;
+///   - every view definition is non-recursive, its expansions hit no cap
+///     and view_depth >= |IDBs of its definition| (a non-recursive
+///     derivation path visits distinct IDBs);
+///   - every approximation's block held all its tests: no fact without an
+///     expansion within view_depth, no product above
+///     max_tests_per_expansion.
 ///
-/// Each approximation's tests are the leaves of a trie over per-view-fact
-/// expansion choices, walked depth first in test order. Q is evaluated
-/// once on the D' prefix of every node with two or more children; Q is
-/// monotone and the prefix is a sub-instance of every D' below it, so a
-/// prefix satisfying Q(c) passes its whole subtree. This holds for tuples
-/// too: D' allocates c's elements (Qi's) before any fact's fresh ones.
+/// Each approximation's tests are walked as a trie pruned by monotonicity
+/// (TestBlockWalk, core/test_walk.h, which the chase separator shares).
 /// The result — verdict, counterexample, tests_run, expansions_tried — is
 /// that of evaluating every test in order up to the first failure.
 MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,

@@ -3,11 +3,9 @@
 #include <functional>
 #include <map>
 
-#include "base/check.h"
 #include "base/homomorphism.h"
+#include "core/test_walk.h"
 #include "datalog/approximation.h"
-#include "datalog/eval.h"
-#include "datalog/eval_plan.h"
 
 namespace mondet {
 
@@ -80,68 +78,21 @@ bool NpSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
 bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
                            const Instance& j, int view_depth,
                            size_t max_choices) {
-  const VocabularyPtr& vocab = query.program.vocab();
-  // The query program runs on every chase witness; compile it once.
-  CompiledProgram compiled_query(query.program);
-  // Pre-enumerate expansions of each view definition.
   std::map<PredId, std::vector<Expansion>> view_exps;
   for (const View& v : views.views()) {
-    std::vector<Expansion> exps;
-    EnumeratePredExpansions(v.definition.program, v.definition.goal,
-                            view_depth, max_choices,
-                            [&](const Expansion& e) {
-                              exps.push_back(e);
-                              return true;
-                            });
-    view_exps[v.pred] = std::move(exps);
+    view_exps[v.pred] = ViewExpansions(v, view_depth, max_choices).first;
   }
-  size_t nfacts = j.num_facts();
-  std::vector<const Expansion*> choice(nfacts, nullptr);
-  size_t tried = 0;
-  bool all_hold = true;
-  std::function<bool(size_t)> descend = [&](size_t fi) -> bool {
-    if (tried >= max_choices) return false;
-    if (fi == nfacts) {
-      ++tried;
-      Instance dprime(vocab);
-      dprime.EnsureElements(j.num_elements());
-      for (uint32_t i = 0; i < nfacts; ++i) {
-        const FactView fact = j.ViewAt(i);
-        const Expansion& exp = *choice[i];
-        std::vector<ElemId> map(exp.inst.num_elements(), kNoElem);
-        bool ok = true;
-        for (size_t p = 0; p < exp.frontier.size(); ++p) {
-          ElemId from = exp.frontier[p];
-          if (map[from] != kNoElem && map[from] != fact.args[p]) ok = false;
-          map[from] = fact.args[p];
-        }
-        if (!ok) return true;  // unbuildable choice; skip
-        for (ElemId e = 0; e < exp.inst.num_elements(); ++e) {
-          if (map[e] == kNoElem) map[e] = dprime.AddElement();
-        }
-        for (uint32_t fg = 0; fg < exp.inst.num_facts(); ++fg) {
-          const FactView f = exp.inst.ViewAt(fg);
-          std::vector<ElemId> args;
-          for (ElemId a : f.args) args.push_back(map[a]);
-          dprime.AddFact(f.pred, args);
-        }
-      }
-      if (compiled_query.Eval(dprime).NumRows(query.goal) == 0) {
-        all_hold = false;
-        return false;
-      }
-      return true;
-    }
-    const auto& options = view_exps.at(j.ViewAt(static_cast<uint32_t>(fi)).pred);
-    if (options.empty()) return true;  // no inverse within bound: skip fact
-    for (const Expansion& e : options) {
-      choice[fi] = &e;
-      if (!descend(fi + 1)) return false;
-    }
-    return true;
-  };
-  descend(0);
-  return all_hold;
+  // One block of canonical tests over J's facts in insertion order.
+  const std::vector<Fact> facts = j.AllFacts();
+  std::vector<const std::vector<Expansion>*> options;
+  options.reserve(facts.size());
+  for (const Fact& f : facts) options.push_back(&view_exps.at(f.pred));
+  const size_t block = TestBlockSize(options, max_choices);
+  if (block == 0) return true;  // no chase witness to refute Q on
+  const CompiledProgram compiled_query(query.program);
+  TestBlockWalk walk(facts, j.num_elements(), /*frontier=*/{}, query.goal,
+                     compiled_query, std::move(options), block);
+  return walk.Run() == kNoTest;
 }
 
 }  // namespace mondet

@@ -21,10 +21,15 @@ bool NpSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
 
 /// The co-NP-style separator via chasing with inverse view rules: J is
 /// expanded into base instances by replacing every J-fact with a choice of
-/// view-definition expansion over fresh nulls; accepts iff Q holds under
-/// EVERY choice (a failing choice is the co-NP refutation certificate).
-/// For CQ views there is exactly one choice and this is the PTime
-/// certain-answer separator.
+/// view-definition expansion (depth <= `view_depth`) over fresh nulls;
+/// accepts iff the Boolean Q holds under EVERY choice (a failing choice is
+/// the co-NP refutation certificate). For CQ views there is exactly one
+/// choice and this is the PTime certain-answer separator. The choices are
+/// canonical tests, walked as one block of the checker's trie
+/// (TestBlockWalk, core/test_walk.h) over J's facts in insertion order:
+/// only the first `max_choices` are tried (each view keeps at most
+/// `max_choices` expansions), and a J-fact whose view has no expansion
+/// within `view_depth` leaves none, so J is accepted.
 bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
                            const Instance& j, int view_depth,
                            size_t max_choices = 5000);

@@ -8,7 +8,6 @@
 
 #include "base/check.h"
 #include "base/homomorphism.h"
-#include "base/scc.h"
 
 namespace mondet {
 
@@ -56,41 +55,14 @@ std::string FormatEst(double v) {
 }  // namespace
 
 CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
-  // Dense node ids for the IDB predicates, sorted for determinism.
-  std::vector<PredId> idbs(program_.Idbs().begin(), program_.Idbs().end());
-  std::sort(idbs.begin(), idbs.end());
-  std::unordered_map<PredId, int> node_of;
-  for (size_t i = 0; i < idbs.size(); ++i) {
-    node_of[idbs[i]] = static_cast<int>(i);
-  }
-  // Edge P -> Q when Q occurs in the body of a rule with head P.
-  std::vector<std::vector<int>> adj(idbs.size());
-  for (const Rule& rule : program_.rules()) {
-    int from = node_of.at(rule.head.pred);
-    for (const QAtom& a : rule.body) {
-      auto it = node_of.find(a.pred);
-      if (it != node_of.end()) adj[from].push_back(it->second);
-    }
-  }
-  int num_sccs = 0;
-  std::vector<int> scc = SccIds(idbs.size(), adj, &num_sccs);
-  strata_.resize(num_sccs);
-  for (size_t i = 0; i < idbs.size(); ++i) {
-    strata_[scc[i]].preds.insert(idbs[i]);
-  }
-
-  for (const Rule& rule : program_.rules()) {
+  Stratification strat = Stratify(program_);
+  for (size_t ri = 0; ri < program_.rules().size(); ++ri) {
+    const Rule& rule = program_.rules()[ri];
     RulePlan plan;
     plan.head = rule.head;
     plan.body = rule.body;
     plan.num_vars = rule.num_vars();
-    int stratum = scc[node_of.at(rule.head.pred)];
-    const auto& stratum_preds = strata_[stratum].preds;
-    for (int i = 0; i < static_cast<int>(rule.body.size()); ++i) {
-      if (stratum_preds.count(rule.body[i].pred)) {
-        plan.recursive_atoms.push_back(i);
-      }
-    }
+    plan.recursive_atoms = std::move(strat.recursive_atoms[ri]);
     // Fixed planning inputs per delta seat (seat 0 = the initial full
     // join), so re-planning during a run rebuilds none of this.
     plan.seats.resize(1 + plan.recursive_atoms.size());
@@ -116,13 +88,10 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
       plan.orders.push_back(PlanOrder(plan, s, nullptr, nullptr));
       plan.est_rows.emplace_back();
     }
-    strata_[stratum].plans.push_back(static_cast<uint32_t>(plans_.size()));
-    if (!plan.recursive_atoms.empty()) strata_[stratum].recursive = true;
     plans_.push_back(std::move(plan));
   }
-  for (size_t si = 0; si < strata_.size(); ++si) {
-    for (PredId p : strata_[si].preds) stratum_of_[p] = si;
-  }
+  strata_ = std::move(strat.strata);
+  stratum_of_ = std::move(strat.stratum_of);
 }
 
 std::vector<uint32_t> CompiledProgram::PlanOrder(
@@ -221,18 +190,22 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       use_stats ? (options.stats ? options.stats : &live) : nullptr;
 
   // Runs one round of work items against `result` as it stood at the
-  // round's start, then merges their derivations into it in item order
-  // and returns the newly added facts (the delta) as global fact ids into
-  // `result`. Buffering until the merge is the semi-naive round barrier:
-  // a round joins only facts of earlier rounds.
+  // round's start, then merges their derivations into it in item order.
+  // Buffering until the merge is the semi-naive round barrier: a round
+  // joins only facts of earlier rounds. Eval only appends, so the round's
+  // new facts of the stratum's i-th predicate (the delta) are its rows
+  // from delta_first[i] to the end, in the order added.
+  std::vector<uint32_t> delta_first;
   auto run_round = [&](const std::vector<WorkItem>& items,
-                       StratumStats* ss) {
+                       const std::vector<PredId>& preds, StratumStats* ss) {
     std::vector<DerivedBuffer> derived(items.size());
     for (size_t i = 0; i < items.size(); ++i) {
-      RunKernel(*items[i].kernel, result, items[i].delta_rows,
+      RunKernel(*items[i].kernel, result, items[i].first, items[i].end,
                 &ss->join_probes, &derived[i]);
     }
-    std::vector<uint32_t> added;
+    delta_first.clear();
+    for (PredId p : preds) delta_first.push_back(result.NumRows(p));
+    bool grew = false;
     for (size_t i = 0; i < items.size(); ++i) {
       const JoinKernel& k = *items[i].kernel;
       const size_t ar = k.head_arity;
@@ -240,42 +213,40 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       for (size_t j = 0; j < derived[i].count; ++j) {
         if (result.AddFact(k.head_pred,
                            std::span<const ElemId>(a + j * ar, ar))) {
-          added.push_back(static_cast<uint32_t>(result.num_facts() - 1));
+          ++ss->facts_derived;
+          grew = true;
         }
       }
     }
-    ss->facts_derived += added.size();
-    return added;
+    return grew;
   };
 
   // Preds of the previous stratum, whose live counts go stale on entry to
   // the next one.
-  std::vector<PredId> prev_preds;
+  const std::vector<PredId>* prev_preds = nullptr;
 
   for (const Stratum& stratum : strata_) {
     StratumStats ss;
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<PredId> stratum_preds(stratum.preds.begin(),
-                                      stratum.preds.end());
-    std::sort(stratum_preds.begin(), stratum_preds.end());
-    if (live_stats && !prev_preds.empty()) {
-      for (PredId p : prev_preds) {
+    const std::vector<PredId>& stratum_preds = stratum.preds;
+    if (live_stats && prev_preds != nullptr) {
+      for (PredId p : *prev_preds) {
         ss.stats_facts_counted += result.NumRows(p);
       }
-      live.Refresh(result, prev_preds);
+      live.Refresh(result, *prev_preds);
     }
 
-    // The join orders this stratum runs with: per (plan-in-stratum, seat),
+    // The join orders this stratum runs with: per (rule-in-stratum, seat),
     // seat 0 = the initial full join, seat 1 + i = recursive atom i.
     // Planned from `planning` when set, else the stored orders.
     struct SeatPlan {
       std::vector<uint32_t> order;
       const JoinKernel* kernel = nullptr;  // null until the seat first runs
     };
-    std::vector<std::vector<SeatPlan>> seats(stratum.plans.size());
+    std::vector<std::vector<SeatPlan>> seats(stratum.rules.size());
     auto plan_seats = [&](bool initial) {
-      for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const RulePlan& plan = plans_[stratum.plans[k]];
+      for (size_t k = 0; k < stratum.rules.size(); ++k) {
+        const RulePlan& plan = plans_[stratum.rules[k]];
         auto& sp = seats[k];
         if (initial) sp.resize(1 + plan.recursive_atoms.size());
         // After round 0 the full join (seat 0) never runs again, so
@@ -296,7 +267,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     auto kernel_for = [&](size_t k, size_t s) -> const JoinKernel* {
       SeatPlan& sp = seats[k][s];
       if (sp.kernel != nullptr) return sp.kernel;
-      const RulePlan& plan = plans_[stratum.plans[k]];
+      const RulePlan& plan = plans_[stratum.rules[k]];
       for (const LoweredKernel& lk : plan.kernels) {
         if (lk.order == sp.order) return sp.kernel = &lk.kernel;
       }
@@ -321,15 +292,15 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     // result (lower strata are saturated; input IDB facts participate,
     // as in the paper's Prop. 4 usage).
     std::vector<WorkItem> round0;
-    round0.reserve(stratum.plans.size());
-    for (size_t k = 0; k < stratum.plans.size(); ++k) {
-      round0.push_back({kernel_for(k, 0), {}});
+    round0.reserve(stratum.rules.size());
+    for (size_t k = 0; k < stratum.rules.size(); ++k) {
+      round0.push_back({kernel_for(k, 0)});
     }
     ss.iterations = 1;
-    std::vector<uint32_t> delta = run_round(round0, &ss);
+    bool grew = run_round(round0, stratum_preds, &ss);
     // Delta rounds: each new derivation must use a previous-round fact in
     // some recursive body atom.
-    while (!delta.empty()) {
+    while (grew) {
       if (live_stats) {
         // A stratum relation appearing or doubling since the last plan
         // invalidates its estimates — but below kReplanMinFacts the joins
@@ -356,16 +327,9 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           ++ss.replans;
         }
       }
-      // Partition the delta's global ids into per-predicate row lists —
-      // the coordinates kernels consume directly.
-      std::unordered_map<PredId, std::vector<uint32_t>> by_pred;
-      for (uint32_t g : delta) {
-        const auto [p, row] = result.Locate(g);
-        by_pred[p].push_back(row);
-      }
       std::vector<WorkItem> items;
-      for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const RulePlan& plan = plans_[stratum.plans[k]];
+      for (size_t k = 0; k < stratum.rules.size(); ++k) {
+        const RulePlan& plan = plans_[stratum.rules[k]];
         for (int r = 0; r < static_cast<int>(plan.recursive_atoms.size());
              ++r) {
           // MONDET_FAULT=skip-delta-seat never schedules the last
@@ -375,14 +339,20 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
               r == static_cast<int>(plan.recursive_atoms.size()) - 1) {
             continue;
           }
-          auto it = by_pred.find(plan.body[plan.recursive_atoms[r]].pred);
-          if (it == by_pred.end()) continue;
-          items.push_back({kernel_for(k, 1 + r), it->second});
+          // A recursive atom's predicate is one of the stratum's.
+          const PredId p = plan.body[plan.recursive_atoms[r]].pred;
+          const size_t i = std::lower_bound(stratum_preds.begin(),
+                                            stratum_preds.end(), p) -
+                           stratum_preds.begin();
+          const uint32_t first = delta_first[i];
+          const uint32_t end = result.NumRows(p);
+          if (first == end) continue;
+          items.push_back({kernel_for(k, 1 + r), first, end});
         }
       }
       if (items.empty()) break;
       ++ss.iterations;
-      delta = run_round(items, &ss);
+      grew = run_round(items, stratum_preds, &ss);
     }
     ss.wall_seconds = SecondsSince(t0);
     run.iterations += ss.iterations;
@@ -391,7 +361,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     run.replans += ss.replans;
     run.stats_facts_counted += ss.stats_facts_counted;
     run.strata.push_back(std::move(ss));
-    prev_preds = std::move(stratum_preds);
+    prev_preds = &stratum_preds;
   }
   run.wall_seconds = SecondsSince(t_start);
   if (stats) stats->Accumulate(run);
@@ -568,7 +538,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
     // count of 1 and Maintain uses DRed for them.
     if (st.recursive) continue;
     std::unordered_map<Fact, uint64_t, FactHash, FactEq> dc;
-    for (uint32_t pi : st.plans) {
+    for (uint32_t pi : st.rules) {
       const RulePlan& plan = plans_[pi];
       const std::vector<uint8_t> current(plan.body.size(), 0);
       map.assign(plan.num_vars, kNoElem);
@@ -579,9 +549,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
       };
       MatchAtoms(plan, /*seat=*/-1, 0, current, fix, no_changes, map, count);
     }
-    std::vector<PredId> preds(st.preds.begin(), st.preds.end());
-    std::sort(preds.begin(), preds.end());
-    for (PredId p : preds) {
+    for (PredId p : st.preds) {
       const uint32_t n = fix.NumRows(p);
       for (uint32_t row = 0; row < n; ++row) {
         const FactView f{p, fix.Args(p, row)};
@@ -644,7 +612,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     // change on any body predicate. This skip is what makes small deltas
     // cheap — churn far from a stratum never re-runs its joins.
     bool touched = !base_ins_at[si].empty() || !base_del_at[si].empty();
-    for (uint32_t pi : st.plans) {
+    for (uint32_t pi : st.rules) {
       if (touched) break;
       for (const QAtom& a : plans_[pi].body) {
         auto it = changed.find(a.pred);
@@ -691,7 +659,7 @@ void CompiledProgram::MaintainCounting(
   for (const Fact* f : base_del) --dcount[*f];
   std::vector<ElemId> map, head;
   std::vector<uint8_t> read_old;
-  for (uint32_t pi : st.plans) {
+  for (uint32_t pi : st.rules) {
     const RulePlan& plan = plans_[pi];
     int64_t sign = 0;
     auto count = [&](const std::vector<ElemId>& mm) {
@@ -753,7 +721,7 @@ bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
                                   std::vector<ElemId>& map) const {
   // One surviving derivation is a witness: stop at the first match.
   auto witness = [](const std::vector<ElemId>&) { return false; };
-  for (uint32_t pi : strata_[si].plans) {
+  for (uint32_t pi : strata_[si].rules) {
     const RulePlan& plan = plans_[pi];
     if (plan.head.pred != pred) continue;
     map.assign(plan.num_vars, kNoElem);
@@ -776,13 +744,12 @@ void CompiledProgram::MaintainDRed(
   // Per plan of the stratum, the atoms over lower strata: they read the
   // old state (current − ins + del) while overdeleting. `current` reads
   // the current state everywhere.
-  std::vector<std::vector<uint8_t>> lower_old(st.plans.size());
+  std::vector<std::vector<uint8_t>> lower_old(st.rules.size());
   size_t max_body = 0;
-  for (size_t k = 0; k < st.plans.size(); ++k) {
-    const RulePlan& plan = plans_[st.plans[k]];
-    for (const QAtom& a : plan.body) {
-      lower_old[k].push_back(st.preds.count(a.pred) ? 0 : 1);
-    }
+  for (size_t k = 0; k < st.rules.size(); ++k) {
+    const RulePlan& plan = plans_[st.rules[k]];
+    lower_old[k].assign(plan.body.size(), 1);
+    for (int r : plan.recursive_atoms) lower_old[k][r] = 0;
     max_body = std::max(max_body, plan.body.size());
   }
   const std::vector<uint8_t> current(max_body, 0);
@@ -806,7 +773,7 @@ void CompiledProgram::MaintainDRed(
   };
   for (const Fact* f : base_del) overdelete(f->pred, f->args);
   auto seed_deletion = [&](size_t k, size_t i, std::span<const ElemId> df) {
-    const RulePlan& plan = plans_[st.plans[k]];
+    const RulePlan& plan = plans_[st.rules[k]];
     map.assign(plan.num_vars, kNoElem);
     if (!BindArgs(plan.body[i], df, map)) return;
     auto derive = [&](const std::vector<ElemId>& mm) {
@@ -817,8 +784,8 @@ void CompiledProgram::MaintainDRed(
     MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, changed,
                map, derive);
   };
-  for (size_t k = 0; k < st.plans.size(); ++k) {
-    const RulePlan& plan = plans_[st.plans[k]];
+  for (size_t k = 0; k < st.rules.size(); ++k) {
+    const RulePlan& plan = plans_[st.rules[k]];
     for (size_t i = 0; i < plan.body.size(); ++i) {
       if (!lower_old[k][i]) continue;
       auto it = changed.find(plan.body[i].pred);
@@ -831,8 +798,8 @@ void CompiledProgram::MaintainDRed(
   for (uint32_t g = 0; g < over.num_facts(); ++g) {
     const FactView f = over.ViewAt(g);
     seed.assign(f.args.begin(), f.args.end());
-    for (size_t k = 0; k < st.plans.size(); ++k) {
-      const RulePlan& plan = plans_[st.plans[k]];
+    for (size_t k = 0; k < st.rules.size(); ++k) {
+      const RulePlan& plan = plans_[st.rules[k]];
       for (int r : plan.recursive_atoms) {
         if (plan.body[r].pred != f.pred) continue;
         seed_deletion(k, static_cast<size_t>(r), seed);
@@ -880,7 +847,7 @@ void CompiledProgram::MaintainDRed(
   const uint32_t first_new = static_cast<uint32_t>(inst.num_facts());
   std::vector<ElemId> derived;  // one seed's head tuples, back to back
   auto seed_insertion = [&](size_t k, size_t i, std::span<const ElemId> df) {
-    const RulePlan& plan = plans_[st.plans[k]];
+    const RulePlan& plan = plans_[st.rules[k]];
     map.assign(plan.num_vars, kNoElem);
     if (!BindArgs(plan.body[i], df, map)) return;
     // Derivations are collected first and added after the enumeration:
@@ -901,8 +868,8 @@ void CompiledProgram::MaintainDRed(
     }
   };
   for (const Fact* f : base_ins) inst.AddFact(*f);
-  for (size_t k = 0; k < st.plans.size(); ++k) {
-    const RulePlan& plan = plans_[st.plans[k]];
+  for (size_t k = 0; k < st.rules.size(); ++k) {
+    const RulePlan& plan = plans_[st.rules[k]];
     for (size_t i = 0; i < plan.body.size(); ++i) {
       if (!lower_old[k][i]) continue;
       auto it = changed.find(plan.body[i].pred);
@@ -913,8 +880,8 @@ void CompiledProgram::MaintainDRed(
   for (uint32_t g = first_new; g < inst.num_facts(); ++g) {  // the frontier
     const FactView f = inst.ViewAt(g);
     seed.assign(f.args.begin(), f.args.end());
-    for (size_t k = 0; k < st.plans.size(); ++k) {
-      const RulePlan& plan = plans_[st.plans[k]];
+    for (size_t k = 0; k < st.rules.size(); ++k) {
+      const RulePlan& plan = plans_[st.rules[k]];
       for (int r : plan.recursive_atoms) {
         if (plan.body[r].pred != f.pred) continue;
         seed_insertion(k, static_cast<size_t>(r), seed);

@@ -14,6 +14,7 @@
 #include "base/stats.h"
 #include "datalog/kernel.h"
 #include "datalog/program.h"
+#include "datalog/strata.h"
 
 namespace mondet {
 
@@ -139,12 +140,13 @@ struct JoinOrderDesc {
 
 /// A Datalog program compiled for repeated semi-naive evaluation.
 ///
-/// Compilation groups the rules into strata — the SCCs of the IDB
-/// dependency graph, in topological order — and precomputes per-rule join
-/// orderings: one for the initial full join and one per recursive body
-/// atom (the semi-naive "delta" seat). Without statistics the compile-time
-/// orders come from the shared GreedyAtomOrder heuristic (EDB atoms
-/// first); BindStats re-plans them under the selectivity cost model. Eval
+/// Compilation takes its strata from Stratify (datalog/strata.h) — the
+/// SCCs of the IDB dependency graph, in topological order — and
+/// precomputes per-rule join orderings: one for the initial full join and
+/// one per recursive body atom (the semi-naive "delta" seat). Without
+/// statistics the compile-time orders come from the shared
+/// GreedyAtomOrder heuristic (EDB atoms first); BindStats re-plans them
+/// under the selectivity cost model. Eval
 /// runs these stored orders on inputs below EvalOptions::stats_min_facts
 /// and plans from live statistics from that size on.
 /// Construct once and Eval many times; the per-rule plans and strata are
@@ -232,7 +234,7 @@ class CompiledProgram {
     QAtom head;
     std::vector<QAtom> body;
     size_t num_vars = 0;
-    std::vector<int> recursive_atoms;  // body indices over same-SCC preds
+    std::vector<int> recursive_atoms;  // Stratify's, for this rule
     // seats[0]: the initial full join; seats[1 + i]: recursive_atoms[i]
     // as the delta seat. orders/est_rows align with seats; est_rows
     // entries are empty unless stats are bound.
@@ -246,11 +248,8 @@ class CompiledProgram {
     // work items hold stable while Eval appends.
     mutable std::list<LoweredKernel> kernels;
   };
-  struct Stratum {
-    std::vector<uint32_t> plans;       // indices into plans_, program order
-    std::unordered_set<PredId> preds;  // the SCC's predicates
-    bool recursive = false;  // some rule has a same-SCC body atom
-  };
+  // Its rule indices are indices into plans_ (plan index == rule index).
+  using Stratum = Stratification::Stratum;
   /// The recorded membership changes of one predicate during Maintain:
   /// `ins`/`del` in deterministic discovery order, `ins_set` for the
   /// old-state reconstruction (old = current − ins + del). Transparent
@@ -262,10 +261,11 @@ class CompiledProgram {
   };
   using ChangeMap = std::unordered_map<PredId, PredChange>;
   /// One unit of a semi-naive round: `*kernel` run as a full join, or
-  /// seeded from each of `delta_rows` (rows of its seat predicate).
+  /// seeded from each row in [first, end) of its seat predicate.
   struct WorkItem {
     const JoinKernel* kernel = nullptr;
-    std::span<const uint32_t> delta_rows;
+    uint32_t first = 0;
+    uint32_t end = 0;
   };
 
   /// Computes the join order for seat `seat` of `plan` (0 = full join,

@@ -1,10 +1,13 @@
 #include "datalog/fragment.h"
 
+#include <algorithm>
+
 #include "analysis/analyzer.h"
 #include "base/check.h"
 #include "cq/ucq.h"
 #include "datalog/approximation.h"
 #include "datalog/eval_plan.h"
+#include "datalog/strata.h"
 
 namespace mondet {
 
@@ -17,7 +20,10 @@ bool IsFrontierGuarded(const Program& program) {
 }
 
 bool IsNonRecursive(const Program& program) {
-  return InFragment(program, Fragment::kNonRecursive);
+  const Stratification strat = Stratify(program);
+  return std::none_of(
+      strat.strata.begin(), strat.strata.end(),
+      [](const Stratification::Stratum& st) { return st.recursive; });
 }
 
 BoundedContainment CheckDatalogContainmentBounded(const DatalogQuery& q1,

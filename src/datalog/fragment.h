@@ -10,9 +10,10 @@
 
 namespace mondet {
 
-// The boolean fragment gates are thin wrappers over the static analyzer
-// (analysis/analyzer.h): a negative answer always has concrete witnesses —
-// the offending rule and atoms — available via FragmentViolations.
+// The boolean fragment gates answer what the static analyzer
+// (analysis/analyzer.h) reports: a negative answer always has concrete
+// witnesses — the offending rule and atoms — available via
+// FragmentViolations.
 
 /// True if all intensional predicates have arity <= 1 (Monadic Datalog;
 /// arity-0 goal predicates of Boolean queries are permitted).
@@ -24,7 +25,8 @@ bool IsMonadic(const Program& program);
 bool IsFrontierGuarded(const Program& program);
 
 /// True if the program has no recursion through IDB predicates (i.e. the
-/// IDB dependency graph is acyclic), so the query is equivalent to a UCQ.
+/// IDB dependency graph is acyclic: no stratum of Stratify is recursive),
+/// so the query is equivalent to a UCQ.
 bool IsNonRecursive(const Program& program);
 
 /// Unfolds a non-recursive Datalog query into an equivalent UCQ.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 
 #include "base/check.h"
 
@@ -218,9 +219,8 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
   return k;
 }
 
-void RunKernel(const JoinKernel& k, const Instance& target,
-               std::span<const uint32_t> delta_rows, size_t* probes,
-               DerivedBuffer* out) {
+void RunKernel(const JoinKernel& k, const Instance& target, uint32_t first,
+               uint32_t end, size_t* probes, DerivedBuffer* out) {
   // The frame, then the tuple scratch: on the stack when both fit in 64
   // ElemIds, on the heap otherwise.
   ElemId stack[64];
@@ -239,7 +239,7 @@ void RunKernel(const JoinKernel& k, const Instance& target,
   }
   const KernelOp* seat = k.ops.data() + k.head_arity;
   const ElemId* base = target.FlatArgs(k.seat_pred).data();
-  for (uint32_t row : delta_rows) {
+  for (uint32_t row = first; row < end; ++row) {
     if (ApplyOps(seat, seat + k.seat_arity,
                  base + size_t{row} * k.seat_arity, frame)) {
       RunSteps(ctx, 0);

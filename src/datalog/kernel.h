@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "base/instance.h"
@@ -102,12 +101,12 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
 
 /// Runs kernel `k` over `target`, appending each derived head (not
 /// already in `target`) to `out` — a flat buffer, no per-fact allocation:
-/// once for the full-join kernel, otherwise once per row of `delta_rows`
-/// (rows of `k.seat_pred` in `target`). `*probes` grows by the candidate
-/// rows scanned (bucket sizes; 1 per membership test).
-void RunKernel(const JoinKernel& k, const Instance& target,
-               std::span<const uint32_t> delta_rows, size_t* probes,
-               DerivedBuffer* out);
+/// once for the full-join kernel (which ignores the row range), otherwise
+/// once per row in [first, end) of `k.seat_pred` in `target`. `*probes`
+/// grows by the candidate rows scanned (bucket sizes; 1 per membership
+/// test).
+void RunKernel(const JoinKernel& k, const Instance& target, uint32_t first,
+               uint32_t end, size_t* probes, DerivedBuffer* out);
 
 }  // namespace mondet
 

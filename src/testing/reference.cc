@@ -64,8 +64,13 @@ MonDetResult FlatMonDetReference(const DatalogQuery& query,
           exps.push_back(e);
           return true;
         });
-    views_exhaustive = views_exhaustive && exhaustive &&
-                       IsNonRecursive(v.definition.program);
+    // Non-recursive derivation paths visit distinct IDBs: depth |IDBs|
+    // covers every expansion.
+    views_exhaustive =
+        views_exhaustive && exhaustive &&
+        IsNonRecursive(v.definition.program) &&
+        options.view_depth >=
+            static_cast<int>(v.definition.program.Idbs().size());
   }
   std::vector<Expansion> expansions;
   const bool enumeration_complete = EnumerateExpansions(
@@ -104,6 +109,10 @@ MonDetResult FlatMonDetReference(const DatalogQuery& query,
           break;
         }
         block *= c->size();
+      }
+      if (block > cap) {  // an empty image's one test, at cap 0
+        block = cap;
+        all_tests_built = false;
       }
     }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/homomorphism.h"
 #include "datalog/approximation.h"
 #include "datalog/eval.h"
 #include "datalog/fragment.h"
 #include "datalog/parser.h"
+#include "datalog/strata.h"
+#include "testing/oracle.h"
 #include "tests/test_util.h"
 
 namespace mondet {
@@ -369,6 +373,169 @@ TEST(Approximation, DepthLimitsRespected) {
       });
   EXPECT_FALSE(exhaustive);  // cap of 5 hit before depth 20 exhausted
   EXPECT_EQ(count, 5u);
+}
+
+// --- Stratify: the one stratification every reader shares. -----------------
+
+Program MustParseProgram(const std::string& text, const VocabularyPtr& vocab) {
+  ParseResult parsed = ParseProgram(text, vocab);
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  return *parsed.program;
+}
+
+PredId Pred(const VocabularyPtr& vocab, const std::string& name) {
+  return *vocab->FindPredicate(name);
+}
+
+using Atoms = std::vector<int>;
+using Rules = std::vector<uint32_t>;
+
+TEST(Stratify, TransitiveClosure) {
+  auto vocab = MakeVocabulary();
+  Stratification s = Stratify(MustParseProgram(R"(
+    T(x,y) :- E(x,y).
+    T(x,z) :- T(x,y), E(y,z).
+  )",
+                                               vocab));
+  ASSERT_EQ(s.strata.size(), 1u);
+  EXPECT_EQ(s.strata[0].rules, (Rules{0, 1}));
+  EXPECT_EQ(s.strata[0].preds, std::vector<PredId>{Pred(vocab, "T")});
+  EXPECT_TRUE(s.strata[0].recursive);
+  EXPECT_EQ(s.stratum_of.at(Pred(vocab, "T")), 0u);
+  EXPECT_EQ(s.recursive_atoms, (std::vector<Atoms>{{}, {0}}));
+}
+
+TEST(Stratify, MutualRecursionSharesOneStratum) {
+  auto vocab = MakeVocabulary();
+  Stratification s = Stratify(MustParseProgram(R"(
+    Goal() :- A(x).
+    A(x) :- U(x).
+    A(x) :- R(x,y), B(y).
+    B(x) :- R(x,y), A(y).
+  )",
+                                               vocab));
+  const PredId goal = Pred(vocab, "Goal");
+  const PredId a = Pred(vocab, "A");
+  const PredId b = Pred(vocab, "B");
+  ASSERT_LT(a, b);
+  // Dependency-first: {A, B} before the Goal that reads them, whatever
+  // the rule order.
+  ASSERT_EQ(s.strata.size(), 2u);
+  EXPECT_EQ(s.strata[0].rules, (Rules{1, 2, 3}));
+  EXPECT_EQ(s.strata[0].preds, (std::vector<PredId>{a, b}));
+  EXPECT_TRUE(s.strata[0].recursive);
+  EXPECT_EQ(s.strata[1].rules, (Rules{0}));
+  EXPECT_EQ(s.strata[1].preds, std::vector<PredId>{goal});
+  EXPECT_FALSE(s.strata[1].recursive);
+  EXPECT_EQ(s.stratum_of.at(a), 0u);
+  EXPECT_EQ(s.stratum_of.at(b), 0u);
+  EXPECT_EQ(s.stratum_of.at(goal), 1u);
+  EXPECT_EQ(s.recursive_atoms, (std::vector<Atoms>{{}, {}, {1}, {1}}));
+}
+
+TEST(Stratify, SelfLoopIsRecursive) {
+  auto vocab = MakeVocabulary();
+  Stratification s = Stratify(MustParseProgram(R"(
+    P(x) :- U(x).
+    P(x) :- P(x), U(x).
+    Q(x) :- P(x).
+  )",
+                                               vocab));
+  ASSERT_EQ(s.strata.size(), 2u);
+  EXPECT_EQ(s.strata[0].preds, std::vector<PredId>{Pred(vocab, "P")});
+  EXPECT_TRUE(s.strata[0].recursive);
+  EXPECT_EQ(s.strata[1].preds, std::vector<PredId>{Pred(vocab, "Q")});
+  EXPECT_FALSE(s.strata[1].recursive);
+  EXPECT_EQ(s.recursive_atoms, (std::vector<Atoms>{{}, {0}, {}}));
+}
+
+TEST(Stratify, NonRecursiveChainOneStratumPerIdb) {
+  auto vocab = MakeVocabulary();
+  Stratification s = Stratify(MustParseProgram(R"(
+    C(x) :- B(x), U(x).
+    B(x) :- A(x).
+    A(x) :- U(x).
+  )",
+                                               vocab));
+  ASSERT_EQ(s.strata.size(), 3u);
+  const char* order[] = {"A", "B", "C"};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(s.strata[i].preds, std::vector<PredId>{Pred(vocab, order[i])});
+    EXPECT_EQ(s.strata[i].rules, (Rules{static_cast<uint32_t>(2 - i)}));
+    EXPECT_FALSE(s.strata[i].recursive);
+  }
+  EXPECT_EQ(s.recursive_atoms, (std::vector<Atoms>{{}, {}, {}}));
+}
+
+TEST(Stratify, LowerStratumAtomIsNotRecursive) {
+  // Goal reads the recursive T from a later stratum: T's atoms in Goal's
+  // rule are not delta seats.
+  auto vocab = MakeVocabulary();
+  Stratification s = Stratify(MustParseProgram(R"(
+    T(x,y) :- E(x,y).
+    T(x,z) :- T(x,y), E(y,z).
+    Goal() :- T(x,y), T(y,x).
+  )",
+                                               vocab));
+  ASSERT_EQ(s.strata.size(), 2u);
+  EXPECT_EQ(s.stratum_of.at(Pred(vocab, "T")), 0u);
+  EXPECT_EQ(s.stratum_of.at(Pred(vocab, "Goal")), 1u);
+  EXPECT_EQ(s.strata[1].rules, (Rules{2}));
+  EXPECT_FALSE(s.strata[1].recursive);
+  EXPECT_EQ(s.recursive_atoms, (std::vector<Atoms>{{}, {0}, {}}));
+}
+
+TEST(Stratify, NonLinearRuleListsBothAtoms) {
+  auto vocab = MakeVocabulary();
+  Stratification s = Stratify(MustParseProgram(R"(
+    T(x,y) :- E(x,y).
+    T(x,z) :- T(x,y), E(y,w), T(y,z).
+  )",
+                                               vocab));
+  ASSERT_EQ(s.strata.size(), 1u);
+  EXPECT_EQ(s.recursive_atoms, (std::vector<Atoms>{{}, {0, 2}}));
+}
+
+TEST(Stratify, GeneratedProgramsReadOnlyLowerOrOwnStrata) {
+  // Over the eval-differential generator's programs: every body IDB
+  // atom's stratum is at most its head's, with equality exactly for the
+  // listed recursive atoms; strata partition the rules and IDBs.
+  const testing::Oracle* oracle = testing::FindOracle("eval-differential");
+  ASSERT_NE(oracle, nullptr);
+  for (unsigned seed = 0; seed < 200; ++seed) {
+    const Program program = *oracle->Generate(seed).program;
+    const Stratification s = Stratify(program);
+    ASSERT_EQ(s.recursive_atoms.size(), program.rules().size());
+    size_t rules_seen = 0, preds_seen = 0;
+    for (size_t si = 0; si < s.strata.size(); ++si) {
+      const Stratification::Stratum& st = s.strata[si];
+      EXPECT_TRUE(std::is_sorted(st.preds.begin(), st.preds.end()));
+      EXPECT_TRUE(std::is_sorted(st.rules.begin(), st.rules.end()));
+      for (PredId p : st.preds) EXPECT_EQ(s.stratum_of.at(p), si);
+      bool recursive = false;
+      for (uint32_t ri : st.rules) {
+        EXPECT_EQ(s.stratum_of.at(program.rules()[ri].head.pred), si);
+        recursive = recursive || !s.recursive_atoms[ri].empty();
+      }
+      EXPECT_EQ(st.recursive, recursive) << "seed " << seed;
+      rules_seen += st.rules.size();
+      preds_seen += st.preds.size();
+    }
+    EXPECT_EQ(rules_seen, program.rules().size());
+    EXPECT_EQ(preds_seen, program.Idbs().size());
+    for (size_t ri = 0; ri < program.rules().size(); ++ri) {
+      const Rule& rule = program.rules()[ri];
+      const size_t head = s.stratum_of.at(rule.head.pred);
+      Atoms same;
+      for (size_t ai = 0; ai < rule.body.size(); ++ai) {
+        auto it = s.stratum_of.find(rule.body[ai].pred);
+        if (it == s.stratum_of.end()) continue;  // EDB
+        EXPECT_LE(it->second, head) << "seed " << seed << " rule " << ri;
+        if (it->second == head) same.push_back(static_cast<int>(ai));
+      }
+      EXPECT_EQ(same, s.recursive_atoms[ri]) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

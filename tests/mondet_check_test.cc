@@ -132,6 +132,58 @@ TEST(MonDetRecursive, ViewWithoutExpansionsWithinDepthBuildsNoTest) {
   }
 }
 
+TEST(MonDetRecursive, DeepNonRecursiveViewNotExhaustedBelowItsDepth) {
+  // V(x) also holds through the chain A1..A5 down to B: a non-recursive
+  // definition over six IDBs, so its expansions reach depth 6. The one
+  // test at the default view_depth 4 passes (it only sees V's C branch),
+  // which proves nothing; at depth 7 the B branch refutes.
+  for (int view_depth : {4, 7}) {
+    auto vocab = MakeVocabulary();
+    DatalogQuery q = MustParseQuery("Q() :- C(x).", "Q", vocab);
+    ViewSet views(vocab);
+    views.AddView("VV", MustParseQuery(R"(
+      V(x) :- C(x).
+      V(x) :- A1(x).
+      A1(x) :- A2(x).
+      A2(x) :- A3(x).
+      A3(x) :- A4(x).
+      A4(x) :- A5(x).
+      A5(x) :- B(x).
+    )",
+                                       "V", vocab));
+    MonDetOptions options;
+    options.view_depth = view_depth;
+    MonDetResult r = CheckMonotonicDeterminacy(q, views, options);
+    if (view_depth == 4) {
+      EXPECT_EQ(r.verdict, Verdict::kUnknownBounded);
+      EXPECT_EQ(r.tests_run, 1u);
+    } else {
+      EXPECT_EQ(r.verdict, Verdict::kNotDetermined);
+      ASSERT_TRUE(r.failure.has_value());
+      EXPECT_EQ(r.failure->dprime.DebugString(), "{B(e0)}");
+    }
+  }
+}
+
+TEST(MonDetRecursive, ZeroTestCapBuildsNoTest) {
+  // Q's one approximation has an empty view image: one test in the
+  // product, none within a cap of 0.
+  auto vocab = MakeVocabulary();
+  DatalogQuery q = MustParseQuery("Goal() :- R(x,y).", "Goal", vocab);
+  ViewSet views(vocab);
+  views.AddAtomicView("VU", vocab->AddPredicate("U", 1));
+  MonDetOptions options;
+  options.max_tests_per_expansion = 0;
+  MonDetResult r = CheckMonotonicDeterminacy(q, views, options);
+  EXPECT_EQ(r.verdict, Verdict::kUnknownBounded);
+  EXPECT_EQ(r.tests_run, 0u);
+  EXPECT_EQ(r.evaluations, 0u);
+  options.max_tests_per_expansion = 1;
+  r = CheckMonotonicDeterminacy(q, views, options);
+  EXPECT_EQ(r.verdict, Verdict::kNotDetermined);
+  EXPECT_EQ(r.tests_run, 1u);
+}
+
 // --- Pinned results of the canonical-test walk -----------------------------
 // Verdict, tests_run, expansions_tried and the counterexample D' equal
 // those of the test-by-test scan the pruned walk replaced (one Eval per

@@ -3,6 +3,7 @@
 #include "core/separator.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
+#include "reductions/thm7.h"
 #include "tests/test_util.h"
 
 namespace mondet {
@@ -105,6 +106,62 @@ TEST(ChaseSeparator, UcqViewChoicesAreConjunctive) {
   // A query satisfied under both choices is certain.
   DatalogQuery q2 = MustParseQuery("Q2() :- U(x).\nQ2() :- M(x).", "Q2", vocab);
   EXPECT_TRUE(ChaseSeparatorAccepts(q2, views, j, 3));
+}
+
+TEST(ChaseSeparator, CapKeepsFirstTestsInFactOrder) {
+  // J = {V(a), V(b), VR(a,b)} over the two-disjunct view: four chase
+  // witnesses, numbered with V(a)'s choice most significant (U before M).
+  // `max_choices` tries only the first ones, so each query's answer flips
+  // at its first failing witness: (U,M) fails "U(y)", (M,U) fails "U(x)",
+  // (M,M) fails "U(x) anywhere".
+  auto vocab = MakeVocabulary();
+  ParseResult def = ParseProgram("V(x) :- U(x).\nV(x) :- M(x).", vocab);
+  ASSERT_TRUE(def.ok());
+  ViewSet views(vocab);
+  PredId v = views.AddView("V", DatalogQuery(std::move(*def.program),
+                                             *vocab->FindPredicate("V")));
+  PredId vr = views.AddAtomicView("VR", vocab->AddPredicate("R", 2));
+  Instance j(vocab);
+  ElemId a = j.AddElement();
+  ElemId b = j.AddElement();
+  j.AddFact(v, {a});
+  j.AddFact(v, {b});
+  j.AddFact(vr, {a, b});
+  struct Pin {
+    const char* query;
+    bool accepts[5];  // max_choices 0..4
+  };
+  const Pin pins[] = {
+      {"Q() :- R(x,y), U(x).", {true, true, true, false, false}},
+      {"Q() :- R(x,y), U(y).", {true, true, false, false, false}},
+      {"Q() :- U(x).", {true, true, true, true, false}},
+  };
+  for (const Pin& pin : pins) {
+    DatalogQuery q = MustParseQuery(pin.query, "Q", vocab);
+    for (size_t cap = 0; cap < 5; ++cap) {
+      EXPECT_EQ(ChaseSeparatorAccepts(q, views, j, 3, cap), pin.accepts[cap])
+          << pin.query << " max_choices " << cap;
+    }
+  }
+}
+
+TEST(ChaseSeparator, Thm7DiamondChainsUnderSmallCaps) {
+  // Marked chains stay accepted and unmarked ones rejected from the first
+  // chase witness on; a cap of 0 tries none and accepts.
+  Thm7Gadget gadget = BuildThm7();
+  for (int n = 1; n <= 3; ++n) {
+    for (bool marked : {true, false}) {
+      Instance image = gadget.views.Image(gadget.DiamondChain(n, marked));
+      EXPECT_TRUE(ChaseSeparatorAccepts(gadget.query, gadget.views, image, 2,
+                                        /*max_choices=*/0));
+      for (size_t cap : {1, 2, 3}) {
+        EXPECT_EQ(ChaseSeparatorAccepts(gadget.query, gadget.views, image, 2,
+                                        cap),
+                  marked)
+            << "n=" << n << " marked=" << marked << " max_choices " << cap;
+      }
+    }
+  }
 }
 
 TEST(Separators, AgreeOnViewImages) {
