@@ -1,7 +1,6 @@
 #include "core/mondet_check.h"
 
 #include <algorithm>
-#include <map>
 
 #include "automata/product_walk.h"
 #include "base/check.h"
@@ -60,20 +59,9 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   // The query program is evaluated on every candidate D'; compile it once.
   CompiledProgram compiled_query(query.program);
 
-  // Pre-enumerate view definition expansions. A non-recursive derivation
-  // path visits distinct IDBs, so depth |IDBs| reaches every expansion.
-  std::map<PredId, std::vector<Expansion>> view_exps;
-  bool views_exhaustive = true;
-  for (const View& v : views.views()) {
-    auto [exps, exhaustive] =
-        ViewExpansions(v, options.view_depth, options.max_tests_per_expansion);
-    views_exhaustive =
-        views_exhaustive && exhaustive &&
-        IsNonRecursive(v.definition.program) &&
-        options.view_depth >=
-            static_cast<int>(v.definition.program.Idbs().size());
-    view_exps[v.pred] = std::move(exps);
-  }
+  // Pre-enumerate view definition expansions.
+  const auto [view_exps, views_exhaustive] = ViewExpansions(
+      views, options.view_depth, options.max_tests_per_expansion);
 
   bool query_exhaustive =
       IsNonRecursive(query.program) &&

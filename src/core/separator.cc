@@ -78,10 +78,8 @@ bool NpSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
 bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
                            const Instance& j, int view_depth,
                            size_t max_choices) {
-  std::map<PredId, std::vector<Expansion>> view_exps;
-  for (const View& v : views.views()) {
-    view_exps[v.pred] = ViewExpansions(v, view_depth, max_choices).first;
-  }
+  const std::map<PredId, std::vector<Expansion>> view_exps =
+      ViewExpansions(views, view_depth, max_choices).first;
   // One block of canonical tests over J's facts in insertion order.
   const std::vector<Fact> facts = j.AllFacts();
   std::vector<const std::vector<Expansion>*> options;

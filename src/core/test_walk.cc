@@ -3,20 +3,27 @@
 #include <algorithm>
 
 #include "base/check.h"
+#include "datalog/fragment.h"
 
 namespace mondet {
 
-std::pair<std::vector<Expansion>, bool> ViewExpansions(const View& view,
-                                                       int depth,
-                                                       size_t cap) {
-  std::vector<Expansion> out;
-  bool exhaustive = EnumeratePredExpansions(
-      view.definition.program, view.definition.goal, depth, cap,
-      [&](const Expansion& e) {
-        out.push_back(e);
-        return true;
-      });
-  return {std::move(out), exhaustive};
+std::pair<std::map<PredId, std::vector<Expansion>>, bool> ViewExpansions(
+    const ViewSet& views, int depth, size_t cap) {
+  std::pair<std::map<PredId, std::vector<Expansion>>, bool> out{{}, true};
+  for (const View& v : views.views()) {
+    const Program& def = v.definition.program;
+    std::vector<Expansion>& exps = out.first[v.pred];
+    const bool uncapped = EnumeratePredExpansions(
+        def, v.definition.goal, depth, cap, [&](const Expansion& e) {
+          exps.push_back(e);
+          return true;
+        });
+    if (!uncapped || !IsNonRecursive(def) ||
+        depth < static_cast<int>(def.Idbs().size())) {
+      out.second = false;
+    }
+  }
+  return out;
 }
 
 namespace {

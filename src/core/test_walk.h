@@ -2,6 +2,7 @@
 #define MONDET_CORE_TEST_WALK_H_
 
 #include <cstddef>
+#include <map>
 #include <optional>
 #include <span>
 #include <utility>
@@ -20,10 +21,13 @@ namespace mondet {
 // approximation's view image; the Sec. 7 chase separator
 // (ChaseSeparatorAccepts) runs it once, on J.
 
-/// All expansions of a view definition up to `depth`, capped at `cap`.
-/// Returns (expansions, exhaustive).
-std::pair<std::vector<Expansion>, bool> ViewExpansions(const View& view,
-                                                       int depth, size_t cap);
+/// Every view's expansions up to `depth` by view predicate, at most `cap`
+/// per view. The flag is true when these are all of them: no view hit the
+/// cap, and every definition is non-recursive with `depth` >= its number
+/// of IDBs (a non-recursive derivation path visits distinct IDBs, so that
+/// depth reaches every expansion).
+std::pair<std::map<PredId, std::vector<Expansion>>, bool> ViewExpansions(
+    const ViewSet& views, int depth, size_t cap);
 
 /// The number of tests a sequential lexicographic walk over these per-fact
 /// choices counts: min(Π |*options[i]|, cap), or 0 when some fact has no
