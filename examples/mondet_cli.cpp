@@ -287,7 +287,8 @@ int main(int argc, char** argv) {
                 maintained.image().num_facts(), image_ok ? "yes" : "NO");
     if (!image_ok) return 1;
 
-    MonDetResult recheck = maintained.RecheckVerdict(*query);
+    MonDetResult recheck =
+        CheckMonotonicDeterminacy(*query, maintained.views());
     std::printf("verdict over the maintained views: %s\n",
                 recheck.verdict == verdict.verdict ? "unchanged" : "CHANGED");
   }

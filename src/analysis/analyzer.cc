@@ -360,7 +360,6 @@ void FragmentCheck(Fragment fragment, const ProgramAnalyzer::Input& in,
 
 void PlanLintCheck(const ProgramAnalyzer::Input& in,
                    std::vector<Diagnostic>* out) {
-  if (!in.options.plan_lints) return;
   const Program& program = in.program;
   // Reuse the caller's compiled program when provided (mondet_cli passes
   // the one it is about to evaluate, so lint and run judge identical

@@ -60,10 +60,9 @@ struct AnalysisOptions {
   /// Goal predicate; enables the reachability checks "unused-predicate"
   /// and "unreachable-rule".
   std::optional<PredId> goal;
-  /// Compile the program and lint its join plans ("plan-cross-product").
-  bool plan_lints = true;
-  /// Reuse this compiled program for the plan lints instead of compiling
-  /// a fresh one; it must have been compiled from the analyzed program.
+  /// Reuse this compiled program for the plan lints ("plan-cross-product";
+  /// DisableCheck("plan-lints") skips them) instead of compiling a fresh
+  /// one; it must have been compiled from the analyzed program.
   /// When it carries bound statistics (CompiledProgram::BindStats) the
   /// cross-product lint reports the estimated row blowup, so the lint is
   /// judged against real numbers. Not owned; may be null.

@@ -16,8 +16,7 @@ Instance::Instance(const Instance& o)
       order_(o.order_),
       table_(o.table_),
       table_live_(o.table_live_),
-      table_used_(o.table_used_),
-      degree_(o.degree_) {
+      table_used_(o.table_used_) {
   // index_ mirrors preds_ in shape (EnsurePred sizes them together) but
   // every PosIndex starts unbuilt; see the header note on copy semantics.
   for (size_t p = 0; p < preds_.size(); ++p) index_[p].resize(preds_[p].arity);
@@ -32,15 +31,13 @@ Instance& Instance::operator=(const Instance& o) {
 }
 
 ElemId Instance::AddElement(std::string name) {
-  ElemId id = static_cast<ElemId>(num_elements_++);
-  // Unnamed elements store ""; element_name synthesizes "e<id>" on read.
-  names_.push_back(std::move(name));
-  degree_.push_back(0);
+  const ElemId id = static_cast<ElemId>(num_elements_++);
+  // Unnamed elements store nothing; element_name synthesizes "e<id>".
+  if (!name.empty()) {
+    names_.resize(id + 1);
+    names_[id] = std::move(name);
+  }
   return id;
-}
-
-void Instance::EnsureElements(size_t n) {
-  while (num_elements_ < n) AddElement();
 }
 
 Instance::PredStore& Instance::EnsurePred(PredId pred) {
@@ -130,7 +127,6 @@ bool Instance::AddFact(PredId pred, std::span<const ElemId> args) {
   st.counts.push_back(1);
   st.global_of.push_back(gid);
   order_.push_back((static_cast<uint64_t>(pred) << 32) | row);
-  for (ElemId a : args) degree_[a]++;
   // Keep built positional indexes current, so a fixpoint loop probing
   // between insertions never rebuilds.
   std::vector<PosIndex>& pix = index_[pred];
@@ -173,7 +169,6 @@ bool Instance::RemoveFact(PredId pred, std::span<const ElemId> args) {
     ix.slots[b[i]] = i;
     b.pop_back();
   }
-  for (ElemId a : args) degree_[a]--;
   table_[slot].gid = kTombSlot;
   --table_live_;
 
@@ -287,20 +282,15 @@ std::span<const uint32_t> Instance::BuildAndProbe(PredId pred, int pos,
 }
 
 std::vector<ElemId> Instance::ActiveDomain() const {
+  std::vector<char> used(num_elements_, 0);
+  for (const PredStore& st : preds_) {
+    for (ElemId a : st.data) used[a] = 1;
+  }
   std::vector<ElemId> out;
   for (ElemId e = 0; e < num_elements_; ++e) {
-    if (degree_[e] > 0) out.push_back(e);
+    if (used[e]) out.push_back(e);
   }
   return out;
-}
-
-bool Instance::InActiveDomain(ElemId e) const {
-  return e < num_elements_ && degree_[e] > 0;
-}
-
-size_t Instance::Degree(ElemId e) const {
-  MONDET_CHECK(e < num_elements_);
-  return degree_[e];
 }
 
 std::vector<ElemId> Instance::DisjointUnionWith(const Instance& other) {
@@ -322,7 +312,7 @@ std::vector<ElemId> Instance::DisjointUnionWith(const Instance& other) {
 Instance Instance::RestrictTo(const std::unordered_set<PredId>& preds) const {
   Instance out(vocab_);
   out.EnsureElements(num_elements_);
-  for (ElemId e = 0; e < num_elements_; ++e) out.names_[e] = names_[e];
+  out.names_ = names_;
   for (uint32_t g = 0; g < num_facts(); ++g) {
     const FactView f = ViewAt(g);
     if (preds.count(f.pred)) out.AddFact(f.pred, f.args);

@@ -141,18 +141,18 @@ class Instance {
   /// Creates a fresh element, optionally with a debug name.
   ElemId AddElement(std::string name = "");
 
-  /// Ensures at least n elements exist; returns nothing.
-  void EnsureElements(size_t n);
+  /// Ensures at least n elements exist (O(1): unnamed elements store
+  /// nothing).
+  void EnsureElements(size_t n) { num_elements_ = std::max(num_elements_, n); }
 
   size_t num_elements() const { return num_elements_; }
-  /// The element's debug name; elements created without one render as
-  /// "e<id>", synthesized here on demand (storing 4M default names was a
-  /// measurable construction cost in the checker's instance-churn loops).
+  /// The element's debug name; elements without one render as "e<id>",
+  /// synthesized here on demand. Names are stored only up to the last
+  /// named element, so an instance of unnamed elements (a scratch log, a
+  /// D', an Eval copy) keeps no per-element state at all.
   std::string element_name(ElemId e) const {
-    return names_[e].empty() ? "e" + std::to_string(e) : names_[e];
-  }
-  void set_element_name(ElemId e, std::string name) {
-    names_[e] = std::move(name);
+    return e < names_.size() && !names_[e].empty() ? names_[e]
+                                                   : "e" + std::to_string(e);
   }
 
   /// Adds a fact if not already present. Returns true if newly added.
@@ -167,7 +167,7 @@ class Instance {
   /// swap-and-pops in both id spaces — the last row of the predicate moves
   /// into the freed row, the last global id into the freed id — so ids,
   /// rows and iteration order are not stable across RemoveFact; every
-  /// internal index (positional buckets, degrees, the fact table) is
+  /// internal index (positional buckets, the fact table) is
   /// repaired in place in O(arity).
   bool RemoveFact(PredId pred, std::span<const ElemId> args);
   bool RemoveFact(PredId pred, const std::vector<ElemId>& args) {
@@ -258,14 +258,9 @@ class Instance {
     return {b.data(), b.size()};
   }
 
-  /// The active domain: elements occurring in some fact.
+  /// The active domain: elements occurring in some fact, ascending. A
+  /// scan of every argument arena (cold paths only).
   std::vector<ElemId> ActiveDomain() const;
-
-  /// True if the element occurs in some fact.
-  bool InActiveDomain(ElemId e) const;
-
-  /// Number of facts that mention element `e`.
-  size_t Degree(ElemId e) const;
 
   /// Copies all facts of `other` into this instance, mapping element `e` of
   /// `other` to a fresh element here. Returns the element translation.
@@ -322,6 +317,7 @@ class Instance {
 
   VocabularyPtr vocab_;
   size_t num_elements_ = 0;
+  // Element -> debug name, up to the last named element only.
   std::vector<std::string> names_;
   std::vector<PredStore> preds_;
   // Positional indexes, built lazily per (pred,pos) pair; mutable so the
@@ -335,7 +331,6 @@ class Instance {
   std::vector<TableSlot> table_;
   size_t table_live_ = 0;  // live entries
   size_t table_used_ = 0;  // live + tombstones
-  std::vector<uint32_t> degree_;
 };
 
 /// Renders a fact like "R(a,b)" using instance element names (or e<i>).

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "base/check.h"
 #include "base/homomorphism.h"
@@ -38,6 +39,21 @@ std::string EvalStats::Summary() const {
 }
 
 int ResolveEvalThreads(int) { return 1; }
+
+FactDelta ApplyBatch(const std::vector<Fact>& inserts,
+                     const std::vector<Fact>& deletes, Instance& base) {
+  FactDelta delta;
+  for (const Fact& f : inserts) {
+    if (base.AddFact(f)) delta.inserts.push_back(f);
+  }
+  // Inserts win: a raw insert listed among the deletes stays.
+  const std::unordered_set<Fact, FactHash> raw_ins(inserts.begin(),
+                                                   inserts.end());
+  for (const Fact& f : deletes) {
+    if (!raw_ins.count(f) && base.RemoveFact(f)) delta.deletes.push_back(f);
+  }
+  return delta;
+}
 
 namespace {
 
@@ -411,6 +427,13 @@ bool ViewLess(const FactView& a, const FactView& b) {
                                       b.args.begin(), b.args.end());
 }
 
+/// Calls `f(args)` for every row of `pred` in `inst`, in row order.
+template <class F>
+void ForEachRow(const Instance& inst, PredId pred, F&& f) {
+  const uint32_t n = inst.NumRows(pred);
+  for (uint32_t row = 0; row < n; ++row) f(inst.Args(pred, row));
+}
+
 /// `n` values of scratch: on the stack up to kInline, on the heap beyond
 /// (the parser accepts atoms of any arity).
 template <class T>
@@ -439,17 +462,13 @@ class Scratch {
 template <class Out>
 bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
                                  const std::vector<uint8_t>& read_old,
-                                 const Instance& inst, const ChangeMap& changed,
+                                 const Instance& inst, const ChangeLog& log,
                                  std::vector<ElemId>& map, Out&& out) const {
   if (static_cast<int>(k) == seat) ++k;
   if (k == plan.body.size()) return out(map);
   const QAtom& atom = plan.body[k];
   const size_t arity = atom.args.size();
-  const PredChange* pc = nullptr;
-  if (read_old[k]) {
-    auto it = changed.find(atom.pred);
-    if (it != changed.end()) pc = &it->second;
-  }
+  const bool old = read_old[k] && log.Touched(atom.pred);
   Scratch<ElemId> image(arity);  // the atom under `map`; kNoElem if unbound
   bool fully_bound = true;
   for (size_t pos = 0; pos < arity; ++pos) {
@@ -460,10 +479,10 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
   // (set semantics), so one membership probe replaces the bucket scan
   // and enumerates the same. An old-state read keeps the scan below: it
   // must skip the batch's insertions and replay its deletions.
-  if (fully_bound && pc == nullptr) {
+  if (fully_bound && !old) {
     return !inst.HasFact(atom.pred,
                          std::span<const ElemId>(image.data(), arity)) ||
-           MatchAtoms(plan, seat, k + 1, read_old, inst, changed, map, out);
+           MatchAtoms(plan, seat, k + 1, read_old, inst, log, map, out);
   }
   // Current-state candidates through the tightest index available for the
   // bound positions; an old-state read additionally skips
@@ -495,18 +514,13 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
       }
     }
     const bool go_on =
-        !match ||
-        MatchAtoms(plan, seat, k + 1, read_old, inst, changed, map, out);
+        !match || MatchAtoms(plan, seat, k + 1, read_old, inst, log, map, out);
     for (size_t i = 0; i < nb; ++i) map[bound[i]] = kNoElem;
     return go_on;
   };
   auto try_row = [&](uint32_t row) {
     const std::span<const ElemId> targs = inst.Args(atom.pred, row);
-    if (pc &&
-        pc->ins_set.find(FactView{atom.pred, targs}) != pc->ins_set.end()) {
-      return true;
-    }
-    return try_args(targs);
+    return (old && log.added.HasFact(atom.pred, targs)) || try_args(targs);
   };
   if (anchor < 0) {
     const uint32_t n = inst.NumRows(atom.pred);
@@ -518,9 +532,10 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
       if (!try_row(row)) return false;
     }
   }
-  if (pc) {
-    for (const Fact& df : pc->del) {
-      if (!try_args(df.args)) return false;
+  if (old) {
+    const uint32_t n = log.removed.NumRows(atom.pred);
+    for (uint32_t row = 0; row < n; ++row) {
+      if (!try_args(log.removed.Args(atom.pred, row))) return false;
     }
   }
   return true;
@@ -530,7 +545,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
                                       EvalStats* stats,
                                       const EvalOptions& options) const {
   Instance fix = Eval(input, stats, options);
-  const ChangeMap no_changes;
+  const ChangeLog no_changes(fix);
   std::vector<ElemId> map, head;
   for (const Stratum& st : strata_) {
     // Counting is unsound under recursion (a fact may transitively
@@ -571,17 +586,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
   auto t_start = std::chrono::steady_clock::now();
   inst.EnsureElements(base.num_elements());
   MaintainResult res;
-  ChangeMap changed;
-  std::function<void(const Fact&)> record_ins = [&](const Fact& f) {
-    PredChange& pc = changed[f.pred];
-    pc.ins.push_back(f);
-    pc.ins_set.insert(f);
-    res.inserts.push_back(f);
-  };
-  std::function<void(const Fact&)> record_del = [&](const Fact& f) {
-    changed[f.pred].del.push_back(f);
-    res.deletes.push_back(f);
-  };
+  ChangeLog log(inst);
 
   // Split the base delta by layer: EDB changes apply directly (EDB
   // membership *is* base membership), IDB base changes fold into their
@@ -594,7 +599,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
       base_ins_at[stratum_of_.at(f.pred)].push_back(&f);
     } else {
       MONDET_CHECK(inst.AddFact(f) && "Maintain: unnormalized insert");
-      record_ins(f);
+      log.added.AddFact(f);
     }
   }
   for (const Fact& f : delta.deletes) {
@@ -602,7 +607,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
       base_del_at[stratum_of_.at(f.pred)].push_back(&f);
     } else {
       MONDET_CHECK(inst.RemoveFact(f) && "Maintain: unnormalized delete");
-      record_del(f);
+      log.removed.AddFact(f);
     }
   }
 
@@ -615,9 +620,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     for (uint32_t pi : st.rules) {
       if (touched) break;
       for (const QAtom& a : plans_[pi].body) {
-        auto it = changed.find(a.pred);
-        if (it != changed.end() &&
-            (!it->second.ins.empty() || !it->second.del.empty())) {
+        if (log.Touched(a.pred)) {
           touched = true;
           break;
         }
@@ -625,13 +628,15 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     }
     if (!touched) continue;
     if (st.recursive) {
-      MaintainDRed(si, base, base_ins_at[si], base_del_at[si], inst, changed,
-                   &res, record_ins, record_del);
+      MaintainDRed(si, base, base_ins_at[si], base_del_at[si], inst, log,
+                   &res);
     } else {
-      MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, changed,
-                       record_ins, record_del);
+      MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, log);
     }
   }
+  // The log never loses a fact, so global-id order is record order.
+  res.inserts = log.added.AllFacts();
+  res.deletes = log.removed.AllFacts();
 
   if (stats) {
     EvalStats run;
@@ -649,8 +654,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
 void CompiledProgram::MaintainCounting(
     size_t si, const std::vector<const Fact*>& base_ins,
     const std::vector<const Fact*>& base_del, Instance& inst,
-    ChangeMap& changed, const std::function<void(const Fact&)>& record_ins,
-    const std::function<void(const Fact&)>& record_del) const {
+    ChangeLog& log) const {
   const Stratum& st = strata_[si];
   // Signed derivation-count deltas for this stratum's facts; base
   // membership counts as one more derivation.
@@ -671,20 +675,21 @@ void CompiledProgram::MaintainCounting(
     // old(A>i). Exact by telescoping — each appearing or disappearing
     // derivation is counted exactly once, whichever atoms changed.
     for (size_t i = 0; i < plan.body.size(); ++i) {
-      auto it = changed.find(plan.body[i].pred);
-      if (it == changed.end()) continue;
+      const PredId p = plan.body[i].pred;
+      if (!log.Touched(p)) continue;
       read_old.assign(plan.body.size(), 0);
       for (size_t j = i + 1; j < plan.body.size(); ++j) read_old[j] = 1;
-      auto seed = [&](const Fact& df, int64_t s) {
-        sign = s;
+      auto seed = [&](std::span<const ElemId> df) {
         map.assign(plan.num_vars, kNoElem);
-        if (BindArgs(plan.body[i], df.args, map)) {
-          MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, changed,
-                     map, count);
+        if (BindArgs(plan.body[i], df, map)) {
+          MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, log, map,
+                     count);
         }
       };
-      for (const Fact& df : it->second.ins) seed(df, +1);
-      for (const Fact& df : it->second.del) seed(df, -1);
+      sign = +1;
+      ForEachRow(log.added, p, seed);
+      sign = -1;
+      ForEachRow(log.removed, p, seed);
     }
   }
   // Apply the count deltas in sorted fact order so the instance mutation
@@ -704,10 +709,10 @@ void CompiledProgram::MaintainCounting(
     if (oldc == 0 && newc > 0) {
       MONDET_CHECK(inst.AddFact(f));
       inst.SetFactCount(f, static_cast<uint64_t>(newc));
-      record_ins(f);
+      log.added.AddFact(f);
     } else if (oldc > 0 && newc == 0) {
       MONDET_CHECK(inst.RemoveFact(f));
-      record_del(f);
+      log.removed.AddFact(f);
     } else if (newc > 0) {
       inst.SetFactCount(f, static_cast<uint64_t>(newc));
     }
@@ -716,7 +721,7 @@ void CompiledProgram::MaintainCounting(
 
 bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
                                   size_t si, const Instance& inst,
-                                  const ChangeMap& changed,
+                                  const ChangeLog& log,
                                   const std::vector<uint8_t>& current,
                                   std::vector<ElemId>& map) const {
   // One surviving derivation is a witness: stop at the first match.
@@ -726,8 +731,7 @@ bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
     if (plan.head.pred != pred) continue;
     map.assign(plan.num_vars, kNoElem);
     if (BindArgs(plan.head, args, map) &&
-        !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, changed, map,
-                    witness)) {
+        !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, log, map, witness)) {
       return true;
     }
   }
@@ -736,14 +740,12 @@ bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
 
 void CompiledProgram::MaintainDRed(
     size_t si, const Instance& base, const std::vector<const Fact*>& base_ins,
-    const std::vector<const Fact*>& base_del, Instance& inst,
-    ChangeMap& changed, MaintainResult* res,
-    const std::function<void(const Fact&)>& record_ins,
-    const std::function<void(const Fact&)>& record_del) const {
+    const std::vector<const Fact*>& base_del, Instance& inst, ChangeLog& log,
+    MaintainResult* res) const {
   const Stratum& st = strata_[si];
   // Per plan of the stratum, the atoms over lower strata: they read the
-  // old state (current − ins + del) while overdeleting. `current` reads
-  // the current state everywhere.
+  // old state (current − added + removed) while overdeleting. `current`
+  // reads the current state everywhere.
   std::vector<std::vector<uint8_t>> lower_old(st.rules.size());
   size_t max_body = 0;
   for (size_t k = 0; k < st.rules.size(); ++k) {
@@ -781,16 +783,15 @@ void CompiledProgram::MaintainDRed(
       overdelete(plan.head.pred, head);
       return true;
     };
-    MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, changed,
-               map, derive);
+    MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, log, map,
+               derive);
   };
   for (size_t k = 0; k < st.rules.size(); ++k) {
     const RulePlan& plan = plans_[st.rules[k]];
     for (size_t i = 0; i < plan.body.size(); ++i) {
       if (!lower_old[k][i]) continue;
-      auto it = changed.find(plan.body[i].pred);
-      if (it == changed.end() || it->second.del.empty()) continue;
-      for (const Fact& df : it->second.del) seed_deletion(k, i, df.args);
+      ForEachRow(log.removed, plan.body[i].pred,
+                 [&](std::span<const ElemId> df) { seed_deletion(k, i, df); });
     }
   }
   // The frontier: `over` grows while it is walked. AddFact may move its
@@ -829,7 +830,7 @@ void CompiledProgram::MaintainDRed(
       if (back[g]) continue;
       const FactView f = over.ViewAt(g);
       if (base.HasFact(f.pred, f.args) ||
-          Rederivable(f.pred, f.args, si, inst, changed, current, map)) {
+          Rederivable(f.pred, f.args, si, inst, log, current, map)) {
         MONDET_CHECK(inst.AddFact(f.pred, f.args));
         back[g] = 1;
         progress = true;
@@ -859,8 +860,7 @@ void CompiledProgram::MaintainDRed(
       ++n;
       return true;
     };
-    MatchAtoms(plan, static_cast<int>(i), 0, current, inst, changed, map,
-               derive);
+    MatchAtoms(plan, static_cast<int>(i), 0, current, inst, log, map, derive);
     const size_t ar = plan.head.args.size();
     for (size_t j = 0; j < n; ++j) {
       inst.AddFact(plan.head.pred,
@@ -872,9 +872,8 @@ void CompiledProgram::MaintainDRed(
     const RulePlan& plan = plans_[st.rules[k]];
     for (size_t i = 0; i < plan.body.size(); ++i) {
       if (!lower_old[k][i]) continue;
-      auto it = changed.find(plan.body[i].pred);
-      if (it == changed.end() || it->second.ins.empty()) continue;
-      for (const Fact& df : it->second.ins) seed_insertion(k, i, df.args);
+      ForEachRow(log.added, plan.body[i].pred,
+                 [&](std::span<const ElemId> df) { seed_insertion(k, i, df); });
     }
   }
   for (uint32_t g = first_new; g < inst.num_facts(); ++g) {  // the frontier
@@ -892,21 +891,21 @@ void CompiledProgram::MaintainDRed(
   // Net membership changes of this stratum: the overdeleted facts that
   // stayed out (neither rederived nor inserted again), and the inserted
   // facts that were not overdeleted (so absent before). Each list is
-  // recorded in sorted fact order, so the change lists — the
+  // logged in sorted fact order, so the change lists — the
   // lower-stratum deltas of later strata — are deterministic.
-  std::vector<FactView> gone, added;
+  std::vector<FactView> gone, fresh;
   for (uint32_t g = 0; g < num_over; ++g) {
     const FactView f = over.ViewAt(g);
     if (!back[g] && !inst.HasFact(f.pred, f.args)) gone.push_back(f);
   }
   for (uint32_t g = first_new; g < inst.num_facts(); ++g) {
     const FactView f = inst.ViewAt(g);
-    if (!over.HasFact(f.pred, f.args)) added.push_back(f);
+    if (!over.HasFact(f.pred, f.args)) fresh.push_back(f);
   }
   std::sort(gone.begin(), gone.end(), ViewLess);
-  std::sort(added.begin(), added.end(), ViewLess);
-  for (const FactView& f : gone) record_del(f.ToFact());
-  for (const FactView& f : added) record_ins(f.ToFact());
+  std::sort(fresh.begin(), fresh.end(), ViewLess);
+  for (const FactView& f : gone) log.removed.AddFact(f.pred, f.args);
+  for (const FactView& f : fresh) log.added.AddFact(f.pred, f.args);
 }
 
 }  // namespace mondet

@@ -2,12 +2,10 @@
 #define MONDET_DATALOG_EVAL_PLAN_H_
 
 #include <cstddef>
-#include <functional>
 #include <list>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/instance.h"
@@ -104,14 +102,23 @@ int ResolveEvalThreads(int requested);
 /// facts newly added to the base and `deletes` exactly the facts removed
 /// from it — disjoint, duplicate-free, and genuinely applied (callers
 /// drop duplicate inserts and deletes of absent facts; inserts win when
-/// one batch both inserts and deletes a fact). MaintainedImage::ApplyDelta
-/// performs this normalization for raw user batches.
+/// one batch both inserts and deletes a fact). ApplyBatch performs this
+/// normalization for raw batches.
 struct FactDelta {
   std::vector<Fact> inserts;
   std::vector<Fact> deletes;
 
   bool empty() const { return inserts.empty() && deletes.empty(); }
 };
+
+/// Applies one raw batch to `base` — new base = (old ∖ deletes) ∪
+/// inserts — and returns the FactDelta that actually happened. The batch
+/// need not be normalized: duplicate inserts, inserts of present facts
+/// and deletes of absent facts drop out, and a fact on both sides counts
+/// as inserted (an absent one is added, a present one stays). `base` sees
+/// the inserts in order, then the deletes.
+FactDelta ApplyBatch(const std::vector<Fact>& inserts,
+                     const std::vector<Fact>& deletes, Instance& base);
 
 /// Outcome of one Maintain call: the net membership changes of the
 /// materialized instance (every fact that appeared / disappeared, in the
@@ -250,16 +257,23 @@ class CompiledProgram {
   };
   // Its rule indices are indices into plans_ (plan index == rule index).
   using Stratum = Stratification::Stratum;
-  /// The recorded membership changes of one predicate during Maintain:
-  /// `ins`/`del` in deterministic discovery order, `ins_set` for the
-  /// old-state reconstruction (old = current − ins + del). Transparent
-  /// hashing so stored rows probe the set as FactViews, copy-free.
-  struct PredChange {
-    std::vector<Fact> ins;
-    std::vector<Fact> del;
-    std::unordered_set<Fact, FactHash, FactEq> ins_set;
+  /// Maintain's change log: the net membership changes recorded so far,
+  /// each in record order, over the fixpoint's vocabulary and elements.
+  /// The old state is current − added + removed. A stratum writes the log
+  /// only after its joins, so row spans into it stay valid while seeding.
+  struct ChangeLog {
+    Instance added;
+    Instance removed;
+
+    explicit ChangeLog(const Instance& inst)
+        : added(inst.vocab()), removed(inst.vocab()) {
+      added.EnsureElements(inst.num_elements());
+      removed.EnsureElements(inst.num_elements());
+    }
+    bool Touched(PredId pred) const {
+      return added.NumRows(pred) > 0 || removed.NumRows(pred) > 0;
+    }
   };
-  using ChangeMap = std::unordered_map<PredId, PredChange>;
   /// One unit of a semi-naive round: `*kernel` run as a full join, or
   /// seeded from each row in [first, end) of its seat predicate.
   struct WorkItem {
@@ -281,38 +295,34 @@ class CompiledProgram {
   /// calls `out(map)` once per complete match; `out` returns false to
   /// stop the enumeration early (rederivation checks need only a
   /// witness). Atoms flagged in `read_old` read the *old* state,
-  /// reconstructed from the current instance and the recorded changes
-  /// (current − ins + del); the rest read the current instance directly,
-  /// a fully bound one by a single membership probe. Returns false iff
+  /// reconstructed from the current instance and the change log (current
+  /// − added + removed); the rest read the current instance directly, a
+  /// fully bound one by a single membership probe. Returns false iff
   /// some `out` call stopped the enumeration. Defined and instantiated in
   /// eval_plan.cc only.
   template <class Out>
   bool MatchAtoms(const RulePlan& plan, int seat, size_t k,
                   const std::vector<uint8_t>& read_old, const Instance& inst,
-                  const ChangeMap& changed, std::vector<ElemId>& map,
+                  const ChangeLog& log, std::vector<ElemId>& map,
                   Out&& out) const;
 
   /// Counting maintenance of the non-recursive stratum `si` (see
-  /// Maintain); DRed maintenance of the recursive stratum `si`.
+  /// Maintain); DRed maintenance of the recursive stratum `si`. Both
+  /// append the stratum's net changes to `log`.
   void MaintainCounting(size_t si, const std::vector<const Fact*>& base_ins,
                         const std::vector<const Fact*>& base_del,
-                        Instance& inst, ChangeMap& changed,
-                        const std::function<void(const Fact&)>& record_ins,
-                        const std::function<void(const Fact&)>& record_del)
-      const;
+                        Instance& inst, ChangeLog& log) const;
   void MaintainDRed(size_t si, const Instance& base,
                     const std::vector<const Fact*>& base_ins,
                     const std::vector<const Fact*>& base_del, Instance& inst,
-                    ChangeMap& changed, MaintainResult* res,
-                    const std::function<void(const Fact&)>& record_ins,
-                    const std::function<void(const Fact&)>& record_del) const;
+                    ChangeLog& log, MaintainResult* res) const;
 
   /// True iff some rule of stratum `si` derives pred(args) over `inst`
   /// as-is. `current` is an all-zero read-old mask at least as long as
-  /// every body of the stratum, so `changed` is never read; `map` is
+  /// every body of the stratum, so `log` is never read; `map` is
   /// scratch.
   bool Rederivable(PredId pred, std::span<const ElemId> args, size_t si,
-                   const Instance& inst, const ChangeMap& changed,
+                   const Instance& inst, const ChangeLog& log,
                    const std::vector<uint8_t>& current,
                    std::vector<ElemId>& map) const;
 

@@ -1,9 +1,9 @@
 #include "testing/generator.h"
 
 #include <limits>
-#include <unordered_set>
 
 #include "base/check.h"
+#include "datalog/eval_plan.h"
 #include "datalog/parser.h"
 
 namespace mondet {
@@ -214,26 +214,6 @@ Fact RandomBaseFact(const GenProfile& p, const std::vector<PredId>& preds,
   return Fact(pred, std::move(args));
 }
 
-RawBatch NormalizeAndApply(const RawBatch& raw, Instance& base) {
-  std::unordered_set<Fact, FactHash> raw_ins_set(raw.inserts.begin(),
-                                                 raw.inserts.end());
-  RawBatch delta;
-  std::unordered_set<Fact, FactHash> seen_ins, seen_del;
-  for (const Fact& f : raw.inserts) {
-    if (!base.HasFact(f) && seen_ins.insert(f).second) {
-      delta.inserts.push_back(f);
-    }
-  }
-  for (const Fact& f : raw.deletes) {
-    if (base.HasFact(f) && !raw_ins_set.count(f) && seen_del.insert(f).second) {
-      delta.deletes.push_back(f);
-    }
-  }
-  for (const Fact& f : delta.inserts) MONDET_CHECK(base.AddFact(f));
-  for (const Fact& f : delta.deletes) MONDET_CHECK(base.RemoveFact(f));
-  return delta;
-}
-
 std::vector<RawBatch> RandomSchedule(const GenProfile& p,
                                      const std::vector<PredId>& churn_preds,
                                      const Instance& base, int steps,
@@ -259,7 +239,7 @@ std::vector<RawBatch> RandomSchedule(const GenProfile& p,
         raw.deletes.push_back(RandomBaseFact(p, churn_preds, p.elems, rng));
       }
     }
-    NormalizeAndApply(raw, work);
+    ApplyBatch(raw.inserts, raw.deletes, work);
     schedule.push_back(std::move(raw));
   }
   return schedule;

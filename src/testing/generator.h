@@ -93,7 +93,7 @@ Fact RandomBaseFact(const GenProfile& p, const std::vector<PredId>& preds,
 
 /// One raw insert/delete batch of a maintenance schedule, deliberately
 /// unnormalized: duplicate inserts, deletes of absent facts and facts on
-/// both sides are all legal (normalization is the documented caller
+/// both sides are all legal (ApplyBatch normalizes it into the FactDelta
 /// contract of CompiledProgram::Maintain).
 struct RawBatch {
   std::vector<Fact> inserts;
@@ -101,19 +101,13 @@ struct RawBatch {
 };
 
 /// `steps` raw batches drawn against the *evolving* base: each batch is
-/// normalized and applied to a working copy of `base` before the next is
+/// applied (ApplyBatch) to a working copy of `base` before the next is
 /// drawn (deletes sample live base facts), exactly as the historical
 /// maintenance oracle interleaved them.
 std::vector<RawBatch> RandomSchedule(const GenProfile& p,
                                      const std::vector<PredId>& churn_preds,
                                      const Instance& base, int steps,
                                      std::mt19937& rng);
-
-/// Normalizes one raw batch against `base` into the Maintain contract —
-/// inserts win over deletes, duplicates collapse, only absent facts are
-/// insertable and only present facts deletable — and applies it to `base`.
-/// Returns {inserts, deletes} actually applied.
-RawBatch NormalizeAndApply(const RawBatch& raw, Instance& base);
 
 /// A view definition the generator can serialize: either an atomic view
 /// over `atomic_base`, or a parsed Datalog definition (`text` + `goal`).

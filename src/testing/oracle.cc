@@ -298,10 +298,8 @@ class MaintenanceOracle : public Oracle {
 
     Instance m = compiled.Materialize(base, nullptr, opt);
     for (size_t step = 0; step < c.schedule.size(); ++step) {
-      RawBatch applied = NormalizeAndApply(c.schedule[step], base);
-      FactDelta delta;
-      delta.inserts = applied.inserts;
-      delta.deletes = applied.deletes;
+      const RawBatch& raw = c.schedule[step];
+      const FactDelta delta = ApplyBatch(raw.inserts, raw.deletes, base);
       compiled.Maintain(m, base, delta);
 
       const std::string tag = "step " + std::to_string(step);

@@ -12,11 +12,6 @@
 
 namespace mondet {
 
-// Forward-declared (core/ layers above views/): the verdict re-check
-// overloads are defined in maintained_image.cc.
-struct MonDetOptions;
-struct MonDetResult;
-
 /// Net view-image changes produced by one ApplyDelta batch: the facts
 /// the view image gained and lost, in the maintenance engine's
 /// deterministic order, plus the DRed counters of the underlying
@@ -61,11 +56,9 @@ class MaintainedImage {
   /// Creates a fresh element in the base (and image), as Instance does.
   ElemId AddElement(std::string name = "");
 
-  /// Applies one raw batch of base-fact mutations and maintains the
-  /// image. The batch need not be normalized: duplicate inserts, inserts
-  /// of present facts, and deletes of absent facts drop out, and a fact
-  /// appearing on both sides is treated as inserted (new base =
-  /// (old ∖ deletes) ∪ inserts). Facts may be over any predicate —
+  /// Applies one raw batch of base-fact mutations (ApplyBatch: it need
+  /// not be normalized, and a fact on both sides counts as inserted) and
+  /// maintains the image. Facts may be over any predicate —
   /// base-level IDB facts follow the FPEval convention (Prop. 4) — but
   /// must use existing elements. Returns the net change of the view
   /// image; `stats` (optional) accumulates the maintenance counters.
@@ -77,15 +70,6 @@ class MaintainedImage {
   /// (ViewSet::Image); the oracle the maintained image() is checked
   /// against.
   Instance FreshImage() const;
-
-  /// Re-runs the monotonic-determinacy check for `query` against the
-  /// views. The check is static — it depends on the query and view
-  /// definitions, not the maintained data — so this is how a stream
-  /// consumer re-validates that the maintained image still determines
-  /// the query answer after schema-visible churn.
-  MonDetResult RecheckVerdict(const DatalogQuery& query) const;
-  MonDetResult RecheckVerdict(const DatalogQuery& query,
-                              const MonDetOptions& options) const;
 
  private:
   ViewSet views_;

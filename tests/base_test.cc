@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -41,20 +42,52 @@ TEST(Instance, AddAndDeduplicateFacts) {
   EXPECT_FALSE(inst.HasFact(r, {a, a}));
 }
 
-TEST(Instance, ActiveDomainAndDegree) {
+TEST(Instance, ActiveDomainFollowsTheFacts) {
   auto vocab = MakeVocabulary();
   PredId r = vocab->AddPredicate("R", 2);
   Instance inst(vocab);
   ElemId a = inst.AddElement();
   ElemId b = inst.AddElement();
-  ElemId c = inst.AddElement();  // isolated
+  inst.AddElement();  // isolated
+  inst.AddFact(r, {b, b});
   inst.AddFact(r, {a, b});
-  auto adom = inst.ActiveDomain();
-  EXPECT_EQ(adom.size(), 2u);
-  EXPECT_TRUE(inst.InActiveDomain(a));
-  EXPECT_FALSE(inst.InActiveDomain(c));
-  EXPECT_EQ(inst.Degree(a), 1u);
-  EXPECT_EQ(inst.Degree(c), 0u);
+  EXPECT_EQ(inst.ActiveDomain(), (std::vector<ElemId>{a, b}));
+  // Removing a's last fact drops it; b keeps a fact.
+  ASSERT_TRUE(inst.RemoveFact(r, {a, b}));
+  EXPECT_EQ(inst.ActiveDomain(), std::vector<ElemId>{b});
+  ASSERT_TRUE(inst.RemoveFact(r, {b, b}));
+  EXPECT_TRUE(inst.ActiveDomain().empty());
+}
+
+TEST(Instance, ElementNamesSurviveCopyAndRestrictTo) {
+  auto vocab = MakeVocabulary();
+  PredId r = vocab->AddPredicate("R", 2);
+  PredId s = vocab->AddPredicate("S", 1);
+  Instance inst(vocab);
+  ElemId a = inst.AddElement("a");
+  ElemId b = inst.AddElement();  // unnamed, before a named one
+  inst.AddElement("c");
+  inst.EnsureElements(5);  // unnamed, past the last named one
+  inst.AddFact(r, {a, b});
+  inst.AddFact(s, {4});
+  auto names = [](const Instance& i) {
+    std::vector<std::string> out;
+    for (ElemId e = 0; e < i.num_elements(); ++e) {
+      out.push_back(i.element_name(e));
+    }
+    return out;
+  };
+  const std::vector<std::string> want{"a", "e1", "c", "e3", "e4"};
+  EXPECT_EQ(names(inst), want);
+  Instance copy = inst;
+  EXPECT_EQ(names(copy), want);
+  Instance restricted = inst.RestrictTo({s});
+  EXPECT_EQ(names(restricted), want);
+  // Naming a later element in the copy leaves the original alone.
+  EXPECT_EQ(copy.AddElement("f"), 5u);
+  EXPECT_EQ(copy.element_name(5), "f");
+  EXPECT_EQ(names(inst), want);
+  EXPECT_EQ(FactToString(restricted, Fact(s, {4})), "S(e4)");
 }
 
 TEST(Instance, PositionIndex) {

@@ -1,8 +1,8 @@
 // MaintainedImage: the maintained view image must stay bit-identical to
 // a from-scratch ViewSet::Image of the mutated base after every batch of
 // a curated insert/delete schedule, and the monotonic-determinacy
-// verdict re-checked through the maintained object must equal the
-// verdict computed fresh — before, during, and after churn. Pins the
+// verdict over the maintained object's views must equal the verdict
+// computed fresh — before, during, and after churn. Pins the
 // maintenance join's fully bound probe (old-state reads must keep
 // seeing the old state), atoms wider than its stack buffers, and the
 // exact fact and delta sequences of a churn-shaped write stream. Also
@@ -151,7 +151,8 @@ TEST(MaintainedImage, VerdictOverMaintainedViewsEqualsFresh) {
   ReachFixture fx;
   MonDetResult before = CheckMonotonicDeterminacy(fx.query, fx.views);
   MaintainedImage maintained(fx.views, fx.base);
-  EXPECT_EQ(maintained.RecheckVerdict(fx.query).verdict, before.verdict);
+  EXPECT_EQ(CheckMonotonicDeterminacy(fx.query, maintained.views()).verdict,
+            before.verdict);
 
   // Churn the data; the verdict is a property of query + view
   // definitions, so the re-check must agree with a fresh run after any
@@ -159,14 +160,7 @@ TEST(MaintainedImage, VerdictOverMaintainedViewsEqualsFresh) {
   ElemId d = maintained.AddElement("d");
   maintained.ApplyDelta({Fact(fx.r, {2, d})}, {Fact(fx.r, {0, 1})});
   ExpectImageFresh(maintained, "churned");
-  MonDetResult after = maintained.RecheckVerdict(fx.query);
-  EXPECT_EQ(after.verdict, before.verdict);
-  EXPECT_EQ(after.verdict,
-            CheckMonotonicDeterminacy(fx.query, fx.views).verdict);
-
-  // The options overload reaches the same checker.
-  MonDetOptions opts;
-  EXPECT_EQ(maintained.RecheckVerdict(fx.query, opts).verdict,
+  EXPECT_EQ(CheckMonotonicDeterminacy(fx.query, maintained.views()).verdict,
             before.verdict);
 }
 
@@ -185,10 +179,12 @@ TEST(MaintainedImage, NotDeterminedStaysNotDeterminedUnderChurn) {
   base.AddFact(r, {a, b});
 
   MaintainedImage maintained(views, base);
-  EXPECT_EQ(maintained.RecheckVerdict(q).verdict, Verdict::kNotDetermined);
+  EXPECT_EQ(CheckMonotonicDeterminacy(q, maintained.views()).verdict,
+            Verdict::kNotDetermined);
   maintained.ApplyDelta({Fact(s, {b})}, {Fact(r, {a, b})});
   ExpectImageFresh(maintained, "churned");
-  EXPECT_EQ(maintained.RecheckVerdict(q).verdict, Verdict::kNotDetermined);
+  EXPECT_EQ(CheckMonotonicDeterminacy(q, maintained.views()).verdict,
+            Verdict::kNotDetermined);
 }
 
 /// The content Maintain's contract is stated over: the fact set, sorted,
@@ -332,6 +328,118 @@ TEST(MaintainJoin, WideRulesRoundTrip) {
   MaintainResult res = ApplyAndCheck(compiled, m, base, {}, later, "delete");
   EXPECT_EQ(m.NumRows(w), before);
   EXPECT_GT(res.overdeleted, 0u);
+}
+
+// ApplyBatch normalizes a raw batch while applying it: duplicates,
+// inserts of present facts and deletes of absent facts drop out, an
+// absent fact on both sides is inserted, and a present one stays without
+// being deleted. The base sees the inserts in order, then the deletes.
+TEST(ApplyBatch, NormalizesWhileApplying) {
+  auto vocab = MakeVocabulary();
+  const PredId r = vocab->AddPredicate("R", 2);
+  const PredId s = vocab->AddPredicate("S", 1);
+  const PredId u = vocab->AddPredicate("U", 1);
+  Instance base(vocab);
+  const ElemId a = base.AddElement("a"), b = base.AddElement("b"),
+               c = base.AddElement("c");
+  for (const Fact& f :
+       {Fact(r, {a, b}), Fact(r, {b, c}), Fact(s, {a}), Fact(s, {b})}) {
+    base.AddFact(f);
+  }
+  const FactDelta delta = ApplyBatch(
+      {Fact(r, {c, a}), Fact(r, {c, a}), Fact(r, {b, c}), Fact(u, {a}),
+       Fact(s, {b})},
+      {Fact(s, {a}), Fact(s, {a}), Fact(s, {c}), Fact(u, {a}), Fact(s, {b})},
+      base);
+  EXPECT_EQ(delta.inserts, (std::vector<Fact>{Fact(r, {c, a}), Fact(u, {a})}));
+  EXPECT_EQ(delta.deletes, std::vector<Fact>{Fact(s, {a})});
+  // S(a) leaves by swap-and-pop: the last fact, U(a), takes its place.
+  EXPECT_EQ(base.AllFacts(),
+            (std::vector<Fact>{Fact(r, {a, b}), Fact(r, {b, c}), Fact(u, {a}),
+                               Fact(s, {b}), Fact(r, {c, a})}));
+
+  // A batch that changes nothing returns an empty delta.
+  EXPECT_TRUE(ApplyBatch({Fact(s, {b})}, {Fact(s, {c})}, base).empty());
+  EXPECT_EQ(base.num_facts(), 5u);
+}
+
+/// One MaintainResult as text: every net insert and delete in order,
+/// then the DRed counters.
+std::string ResultLine(const Instance& m, const MaintainResult& res) {
+  std::string line;
+  for (const Fact& f : res.inserts) line += "+" + FactToString(m, f);
+  for (const Fact& f : res.deletes) line += "-" + FactToString(m, f);
+  return line + " o=" + std::to_string(res.overdeleted) +
+         " r=" + std::to_string(res.rederived);
+}
+
+// The whole MaintainResult, EDB and IDB facts alike, across four layers:
+// the EDB, a counting stratum over an IDB (C2 reads C1), a DRed stratum
+// (T) and a counting stratum above it (Top). ChurnSequencesPinned sees
+// only the view-image projection; this pins the full lists in order.
+TEST(MaintainJoin, WholeResultPinned) {
+  auto vocab = MakeVocabulary();
+  ParseResult pr = ParseProgram(R"(
+    C1(x,y) :- E(x,y), A(x).
+    C2(x,y) :- C1(x,y), B(y).
+    T(x,y) :- C2(x,y).
+    T(x,z) :- C2(x,y), T(y,z).
+    Top(x) :- T(x,y), B(y).
+  )",
+                                vocab);
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  const PredId e = *vocab->FindPredicate("E");
+  const PredId a = *vocab->FindPredicate("A");
+  const PredId b = *vocab->FindPredicate("B");
+  const PredId c1 = *vocab->FindPredicate("C1");
+  const PredId t = *vocab->FindPredicate("T");
+  CompiledProgram compiled(*pr.program);
+  Instance base(vocab);
+  const ElemId va = base.AddElement("a"), vb = base.AddElement("b"),
+               vc = base.AddElement("c"), vd = base.AddElement("d"),
+               ve = base.AddElement("e");
+  for (const Fact& f :
+       {Fact(e, {va, vb}), Fact(e, {vb, vc}), Fact(e, {vc, vd}), Fact(a, {va}),
+        Fact(a, {vb}), Fact(a, {vc}), Fact(b, {vb}), Fact(b, {vc}),
+        Fact(b, {vd})}) {
+    base.AddFact(f);
+  }
+  Instance m = compiled.Materialize(base);
+  // Applies one normalized batch and renders its MaintainResult.
+  auto write = [&](std::vector<Fact> ins, std::vector<Fact> del,
+                   const std::string& tag) {
+    return ResultLine(m, ApplyAndCheck(compiled, m, base, std::move(ins),
+                                       std::move(del), tag));
+  };
+
+  // Inserts only: the chain grows past d and gains a shortcut a -> c.
+  EXPECT_EQ(write({Fact(e, {vd, ve}), Fact(a, {vd}), Fact(b, {ve}),
+                   Fact(e, {va, vc})},
+                  {}, "insert"),
+            "+E(d,e)+A(d)+B(e)+E(a,c)+C1(a,c)+C1(d,e)+C2(a,c)+C2(d,e)+T(a,e)"
+            "+T(b,e)+T(c,e)+T(d,e)+Top(d) o=0 r=0");
+  // Deletes only: cutting b -> c overdeletes every path through it; the
+  // ones the shortcut still carries come back.
+  EXPECT_EQ(write({}, {Fact(e, {vb, vc})}, "delete"),
+            "-E(b,c)-C1(b,c)-C2(b,c)-T(b,c)-T(b,d)-T(b,e)-Top(b) o=6 r=3");
+  // A joint write that rederives: b reaches d directly while c -> d goes,
+  // and T(c,e) survives the cut of d -> e through the new edge c -> e.
+  EXPECT_EQ(write({Fact(e, {vb, vd}), Fact(e, {vc, ve})},
+                  {Fact(e, {vc, vd}), Fact(b, {vc}), Fact(e, {vd, ve})},
+                  "joint"),
+            "+E(b,d)+E(c,e)+C1(b,d)+C1(c,e)+C2(b,d)+C2(c,e)+T(b,d)+Top(b)"
+            "-E(c,d)-B(c)-E(d,e)-C1(c,d)-C1(d,e)-C2(a,c)-C2(c,d)-C2(d,e)"
+            "-T(a,c)-T(a,e)-T(c,d)-T(d,e)-Top(d) o=6 r=1");
+  // Base IDB facts on both maintenance paths, next to an EDB delete.
+  EXPECT_EQ(write({Fact(t, {ve, va}), Fact(c1, {ve, vb})}, {Fact(a, {va})},
+                  "base idb"),
+            "+C1(e,b)+C2(e,b)+T(c,a)+T(c,b)+T(c,d)+T(e,a)+T(e,b)+T(e,d)"
+            "+Top(e)-A(a)-C1(a,b)-C1(a,c)-C2(a,b)-T(a,b)-T(a,d)-Top(a)"
+            " o=2 r=0");
+  // And their removal.
+  EXPECT_EQ(write({}, {Fact(t, {ve, va}), Fact(c1, {ve, vb})}, "drop idb"),
+            "-C1(e,b)-C2(e,b)-T(c,a)-T(c,b)-T(c,d)-T(e,a)-T(e,b)-T(e,d)"
+            "-Top(e) o=6 r=0");
 }
 
 // A perfbench `churn`-shaped write stream: a 50-node graph in which every
