@@ -2,7 +2,7 @@
 # Fault-injection gate for the fuzz harness: a deliberately broken
 # engine must be *caught* and the failure must *shrink*.
 #
-# Five faults, two in the evaluator and one each in the maintenance
+# Six faults, three in the evaluator and one each in the maintenance
 # engine, the product walk and the checker:
 #
 #   MONDET_FAULT=skip-delta-seat makes the semi-naive evaluator drop the
@@ -14,6 +14,14 @@
 #   candidate row of every enumeration (src/datalog/kernel.cc), so
 #   derivations whose match sits in a bucket's last row are lost —
 #   caught by the eval-differential oracle against the naive reference.
+#
+#   MONDET_FAULT=skip-continuation-seat makes the evaluator's in-place
+#   continuation (CompiledProgram::EvalFrom, src/datalog/eval_plan.cc)
+#   never seed a body atom over an EDB or lower-stratum predicate, so
+#   derivations through facts appended after a fixpoint are lost —
+#   caught by the eval-differential oracle's continuation arm, which
+#   splits each input, evaluates the first part and continues over the
+#   rest.
 #
 #   MONDET_FAULT=skip-rederive makes DRed's rederive phase revive
 #   nothing (CompiledProgram::MaintainDRed, src/datalog/eval_plan.cc), so
@@ -30,7 +38,7 @@
 #   antichain-inclusion oracle's three-way agreement contract.
 #
 #   MONDET_FAULT=skip-prefix-eval makes the canonical-test walk of
-#   CheckMonotonicDeterminacy (src/core/mondet_check.cc) prune every
+#   CheckMonotonicDeterminacy (src/core/test_walk.cc) prune every
 #   branching trie node whose D' prefix builds, without evaluating Q on
 #   it, so failing tests below are never run — caught by the
 #   mondet-parallel oracle, which compares the walk against the flat
@@ -129,6 +137,7 @@ run_phase() {
 
 run_phase eval-differential skip-delta-seat || exit 1
 run_phase eval-differential skip-kernel-row || exit 1
+run_phase eval-differential skip-continuation-seat || exit 1
 run_phase maintenance-differential skip-rederive || exit 1
 run_phase antichain-inclusion skip-antichain-prune nta || exit 1
 run_phase mondet-parallel skip-prefix-eval || exit 1

@@ -82,7 +82,8 @@ fi
 # block partway; datalog_test and analysis_test pin Stratify
 # (datalog/strata.cc), whose per-rule index lists feed the evaluator's
 # delta seats, the dataflow fixpoint and the fragment witnesses, and the
-# goldens built on them; fuzz_isolation_test drives
+# goldens built on them, and EvalFrom's edges; base_test also covers
+# Instance::Rollback, the walk's checkpoint; fuzz_isolation_test drives
 # the fuzz harness' per-case step over a test oracle that trips
 # MONDET_CHECK, so every check runs in a forked child (testing/fuzz.cc)
 # and the abort must come back as a reported, shrunk failure.
@@ -121,16 +122,17 @@ fi
 # Fault-injection gate: deliberately broken engines
 # (MONDET_FAULT=skip-delta-seat drops the last recursive delta seat;
 # MONDET_FAULT=skip-kernel-row trims the last row of every join kernel
-# enumeration; MONDET_FAULT=skip-rederive makes DRed's rederive phase
-# revive nothing; MONDET_FAULT=skip-antichain-prune makes the product
-# walk's subsumption prune, shared by NtaIncluded and Thm 5,
-# bidirectional, i.e. unsound; MONDET_FAULT=skip-prefix-eval makes the
-# checker's canonical-test walk prune subtrees without evaluating their
-# prefix) must be caught by the eval-differential (the first two),
-# maintenance-differential, antichain-inclusion and mondet-parallel
-# oracles within the smoke seed budget and shrunk to <= 5 rules (<= 6
-# NTA transitions) — proof the harness detects and the shrinker
-# reduces, not just that everything is green.
+# enumeration; MONDET_FAULT=skip-continuation-seat makes EvalFrom never
+# seed an EDB or lower-stratum atom; MONDET_FAULT=skip-rederive makes
+# DRed's rederive phase revive nothing; MONDET_FAULT=skip-antichain-prune
+# makes the product walk's subsumption prune, shared by NtaIncluded and
+# Thm 5, bidirectional, i.e. unsound; MONDET_FAULT=skip-prefix-eval
+# makes the checker's canonical-test walk prune subtrees without
+# evaluating their prefix) must be caught by the eval-differential (the
+# first three), maintenance-differential, antichain-inclusion and
+# mondet-parallel oracles within the smoke seed budget and shrunk to
+# <= 5 rules (<= 6 NTA transitions) — proof the harness detects and the
+# shrinker reduces, not just that everything is green.
 ./scripts/check_fuzz_fault.sh ./build-asan/tools/mondet-fuzz
 
 echo "tier1: OK"

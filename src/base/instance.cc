@@ -212,6 +212,37 @@ bool Instance::RemoveFact(PredId pred, std::span<const ElemId> args) {
   return true;
 }
 
+void Instance::Rollback(const Checkpoint& mark) {
+  MONDET_CHECK(mark.facts <= order_.size() &&
+               mark.elements <= num_elements_);
+  while (order_.size() > mark.facts) {
+    const uint32_t gid = static_cast<uint32_t>(order_.size()) - 1;
+    const auto [pred, row] = Locate(gid);
+    PredStore& st = preds_[pred];
+    const uint32_t arity = st.arity;
+    // LIFO: the newest fact is the last row of its predicate.
+    MONDET_CHECK(row + 1 == st.counts.size() &&
+                 "Instance::Rollback: a fact was removed since the mark");
+    const std::span<const ElemId> args = Args(pred, row);
+    table_[FindSlot(pred, args, HashFactKey(pred, args))].gid = kTombSlot;
+    --table_live_;
+    // ... and the last entry of every built bucket it sits in.
+    std::vector<PosIndex>& pix = index_[pred];
+    for (uint32_t pos = 0; pos < arity; ++pos) {
+      PosIndex& ix = pix[pos];
+      if (!ix.built) continue;
+      ix.buckets[args[pos]].pop_back();
+      ix.slots.pop_back();
+    }
+    st.data.resize(st.data.size() - arity);
+    st.counts.pop_back();
+    st.global_of.pop_back();
+    order_.pop_back();
+  }
+  num_elements_ = mark.elements;
+  if (names_.size() > num_elements_) names_.resize(num_elements_);
+}
+
 uint64_t Instance::FactCount(const Fact& f) const {
   if (table_.empty()) return 0;
   const size_t slot = FindSlot(f.pred, f.args, HashFactKey(f.pred, f.args));
@@ -291,22 +322,6 @@ std::vector<ElemId> Instance::ActiveDomain() const {
     if (used[e]) out.push_back(e);
   }
   return out;
-}
-
-std::vector<ElemId> Instance::DisjointUnionWith(const Instance& other) {
-  MONDET_CHECK(vocab_.get() == other.vocab_.get());
-  std::vector<ElemId> translation(other.num_elements());
-  for (ElemId e = 0; e < other.num_elements(); ++e) {
-    translation[e] = AddElement(other.element_name(e) + "'");
-  }
-  std::vector<ElemId> args;
-  for (uint32_t g = 0; g < other.num_facts(); ++g) {
-    const FactView f = other.ViewAt(g);
-    args.clear();
-    for (ElemId a : f.args) args.push_back(translation[a]);
-    AddFact(f.pred, args);
-  }
-  return translation;
 }
 
 Instance Instance::RestrictTo(const std::unordered_set<PredId>& preds) const {

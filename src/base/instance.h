@@ -175,6 +175,25 @@ class Instance {
   }
   bool RemoveFact(const Fact& f) { return RemoveFact(f.pred, f.args); }
 
+  /// A checkpoint: the fact and element counts at the time of Mark().
+  struct Checkpoint {
+    size_t facts = 0;
+    size_t elements = 0;
+  };
+  Checkpoint Mark() const { return {order_.size(), num_elements_}; }
+
+  /// Returns the instance to `mark`: removes the facts added since, newest
+  /// first, then the elements. Requires that no fact was removed since
+  /// `mark` (RemoveFact, or a Rollback to an earlier checkpoint). Facts
+  /// then leave in LIFO order, so each removal pops the last global id,
+  /// the last row of its predicate and the last entry of each built
+  /// positional bucket — no swap, and every fact left keeps its id and
+  /// row. Its table slot becomes a tombstone, as in RemoveFact: AddFact
+  /// reuses tombstones and its rehash drops them, so add/rollback cycles
+  /// do not grow the table. Element ids are a counter, so dropping
+  /// elements frees only the names of named ones.
+  void Rollback(const Checkpoint& mark);
+
   bool HasFact(PredId pred, std::span<const ElemId> args) const;
   bool HasFact(PredId pred, const std::vector<ElemId>& args) const {
     return HasFact(pred, std::span<const ElemId>(args));
@@ -261,11 +280,6 @@ class Instance {
   /// The active domain: elements occurring in some fact, ascending. A
   /// scan of every argument arena (cold paths only).
   std::vector<ElemId> ActiveDomain() const;
-
-  /// Copies all facts of `other` into this instance, mapping element `e` of
-  /// `other` to a fresh element here. Returns the element translation.
-  /// Both instances must share the same Vocabulary object.
-  std::vector<ElemId> DisjointUnionWith(const Instance& other);
 
   /// Returns the subinstance containing only facts over the given predicate
   /// set (the restriction F|Σ' of the paper). Elements are preserved.

@@ -52,6 +52,11 @@ inline constexpr size_t kNoTest = static_cast<size_t>(-1);
 /// satisfies Q(c) every test below passes, and when the prefix cannot be
 /// built no test below can. Either way the subtree is skipped. The first
 /// failing leaf met is therefore the lowest failing test index.
+///
+/// The prefixes live in one working instance: a child appends its fact's
+/// expansion, is walked, and is rolled back. An evaluation continues Q's
+/// fixpoint from the last evaluated ancestor's (CompiledProgram::EvalFrom)
+/// over the facts appended since.
 class TestBlockWalk {
  public:
   /// `compiled` is Q's program; every D' is built over its vocabulary.
@@ -62,27 +67,27 @@ class TestBlockWalk {
                 size_t size);
 
   /// The lowest failing test index, or kNoTest.
-  size_t Run() { return Visit(0, 0); }
+  size_t Run() { return Visit(0, 0, 0); }
 
   size_t evaluations() const { return evaluations_; }
   /// The D' of the failing test Run returned.
   Instance TakeFailure() { return std::move(*failure_); }
 
  private:
-  /// The D' of facts 0..nfacts-1 under the current choices (BuildDPrime
-  /// in test_walk.cc), or nullopt when some frontier does not unify.
-  std::optional<Instance> Build(size_t nfacts) const;
-
-  /// Does D' satisfy Q(c)? (The paper states the Boolean case; the tuple
-  /// version is the natural non-Boolean extension.)
-  bool Holds(const Instance& dprime) {
+  /// Does the working D' satisfy Q(c)? Its facts below `fixpoint_end`
+  /// are a fixpoint of Q (none at the first evaluation). (The paper
+  /// states the Boolean case; the tuple version is the natural
+  /// non-Boolean extension.)
+  bool Holds(uint32_t fixpoint_end) {
     ++evaluations_;
-    return compiled_.Eval(dprime).HasFact(goal_, frontier_);
+    compiled_.EvalFrom(work_, fixpoint_end);
+    return work_.HasFact(goal_, frontier_);
   }
 
   /// The lowest failing test index under the depth-`depth` node whose
-  /// first leaf is test `first`, or kNoTest.
-  size_t Visit(size_t depth, size_t first);
+  /// first leaf is test `first`, or kNoTest. The working instance holds
+  /// the node's prefix, a fixpoint of Q below `fixpoint_end`.
+  size_t Visit(size_t depth, size_t first, uint32_t fixpoint_end);
 
   const std::vector<Fact>& facts_;
   const size_t base_elems_;
@@ -93,6 +98,8 @@ class TestBlockWalk {
   const size_t size_;
   std::vector<size_t> span_;
   std::vector<const Expansion*> choice_;
+  Instance work_;               // the current prefix, plus derived facts
+  std::vector<ElemId> map_;     // AppendExpansion's scratch
   size_t evaluations_ = 0;
   std::optional<Instance> failure_;
 };

@@ -62,6 +62,25 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The first row of `pred` whose global id is at least `first_new`. With
+/// nothing removed since the facts below `first_new` were added, every
+/// later row's id is at least `first_new` too, so the rows from it on are
+/// exactly the predicate's facts from `first_new` on.
+uint32_t FirstRowFrom(const Instance& inst, PredId pred, uint32_t first_new) {
+  uint32_t lo = 0;
+  uint32_t hi = inst.NumRows(pred);
+  if (hi == 0 || inst.GlobalOf(pred, hi - 1) < first_new) return hi;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (inst.GlobalOf(pred, mid) < first_new) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 std::string FormatEst(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3g", v);
@@ -81,27 +100,16 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
     plan.recursive_atoms = std::move(strat.recursive_atoms[ri]);
     // Fixed planning inputs per delta seat (seat 0 = the initial full
     // join), so re-planning during a run rebuilds none of this.
-    plan.seats.resize(1 + plan.recursive_atoms.size());
-    for (size_t s = 0; s < plan.seats.size(); ++s) {
-      SeatShape& shape = plan.seats[s];
-      const int skip = s == 0 ? -1 : plan.recursive_atoms[s - 1];
-      shape.bound0.assign(plan.num_vars, false);
-      if (skip >= 0) {
-        for (VarId v : rule.body[skip].args) shape.bound0[v] = true;
-      }
-      for (int i = 0; i < static_cast<int>(rule.body.size()); ++i) {
-        if (i == skip) continue;
-        const QAtom& a = rule.body[i];
-        shape.sub.push_back(std::vector<ElemId>(a.args.begin(), a.args.end()));
-        shape.back.push_back(static_cast<uint32_t>(i));
-      }
+    plan.seats.push_back(MakeSeatShape(plan, -1));
+    for (int r : plan.recursive_atoms) {
+      plan.seats.push_back(MakeSeatShape(plan, r));
     }
     // Compile-time join orders, one per seat. With no instance at hand,
     // the relation-size estimate just prefers EDB atoms, which stay fixed
     // while the IDB relations grow toward the fixpoint; BindStats and
     // Eval's live planner replace these with selectivity-scored orders.
-    for (size_t s = 0; s < plan.seats.size(); ++s) {
-      plan.orders.push_back(PlanOrder(plan, s, nullptr, nullptr));
+    for (const SeatShape& shape : plan.seats) {
+      plan.orders.push_back(PlanOrder(plan, shape, nullptr, nullptr));
       plan.est_rows.emplace_back();
     }
     plans_.push_back(std::move(plan));
@@ -110,10 +118,25 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
   stratum_of_ = std::move(strat.stratum_of);
 }
 
+CompiledProgram::SeatShape CompiledProgram::MakeSeatShape(
+    const RulePlan& plan, int seat) {
+  SeatShape shape;
+  shape.bound0.assign(plan.num_vars, false);
+  if (seat >= 0) {
+    for (VarId v : plan.body[seat].args) shape.bound0[v] = true;
+  }
+  for (int i = 0; i < static_cast<int>(plan.body.size()); ++i) {
+    if (i == seat) continue;
+    const QAtom& a = plan.body[i];
+    shape.sub.push_back(std::vector<ElemId>(a.args.begin(), a.args.end()));
+    shape.back.push_back(static_cast<uint32_t>(i));
+  }
+  return shape;
+}
+
 std::vector<uint32_t> CompiledProgram::PlanOrder(
-    const RulePlan& plan, size_t seat, const Stats* stats,
+    const RulePlan& plan, const SeatShape& shape, const Stats* stats,
     std::vector<double>* est_rows) const {
-  const SeatShape& shape = plan.seats[seat];
   std::vector<uint32_t> sub_order;
   if (stats != nullptr) {
     sub_order = SelectivityAtomOrder(
@@ -142,7 +165,8 @@ std::vector<uint32_t> CompiledProgram::PlanOrder(
 void CompiledProgram::BindStats(const Stats& stats) {
   for (RulePlan& plan : plans_) {
     for (size_t s = 0; s < plan.seats.size(); ++s) {
-      plan.orders[s] = PlanOrder(plan, s, &stats, &plan.est_rows[s]);
+      plan.orders[s] = PlanOrder(plan, plan.seats[s], &stats,
+                                 &plan.est_rows[s]);
     }
   }
 }
@@ -183,22 +207,49 @@ std::string CompiledProgram::DescribePlansText() const {
   return os.str();
 }
 
+const JoinKernel* CompiledProgram::AtomSeatKernel(const RulePlan& plan,
+                                                  int atom) const {
+  if (plan.atom_seats.empty()) plan.atom_seats.resize(plan.body.size());
+  std::optional<JoinKernel>& kernel = plan.atom_seats[atom];
+  if (!kernel) {
+    kernel = BuildKernel(
+        plan.head, plan.body, plan.num_vars, atom,
+        PlanOrder(plan, MakeSeatShape(plan, atom), nullptr, nullptr));
+  }
+  return &*kernel;
+}
+
 Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
                                const EvalOptions& options) const {
   auto t_start = std::chrono::steady_clock::now();
   Instance result = input;
+  RunStrata(result, 0, options, t_start, stats);
+  return result;
+}
+
+void CompiledProgram::EvalFrom(Instance& inst, uint32_t first_new,
+                               EvalStats* stats) const {
+  RunStrata(inst, first_new, EvalOptions{}, std::chrono::steady_clock::now(),
+            stats);
+}
+
+void CompiledProgram::RunStrata(Instance& result, uint32_t first_new,
+                                const EvalOptions& options,
+                                std::chrono::steady_clock::time_point t_start,
+                                EvalStats* stats) const {
   EvalStats run;
 
   // Which statistics drive planning this run. A caller-supplied snapshot
   // plans every stratum once (stale-tolerant). Otherwise an input of at
-  // least stats_min_facts facts collects live stats from the evolving
+  // least stats_min_facts new facts collects live stats from the evolving
   // result and re-plans as relations grow, and a smaller one runs the
   // stored orders as-is. Live statistics are exact at every planning
   // point: a stratum only grows its own predicates, so recounting the
   // previous stratum's on entry and the stratum's own at each re-plan
   // (Stats::Refresh) covers every change since Collect.
-  const bool use_stats = options.stats != nullptr ||
-                         input.num_facts() >= options.stats_min_facts;
+  const bool use_stats =
+      options.stats != nullptr ||
+      result.num_facts() - first_new >= options.stats_min_facts;
   const bool live_stats = use_stats && options.stats == nullptr;
   Stats live;
   if (live_stats) live = Stats::Collect(result);
@@ -268,8 +319,9 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
         // After round 0 the full join (seat 0) never runs again, so
         // re-planning skips it.
         for (size_t s = initial ? 0 : 1; s < sp.size(); ++s) {
-          sp[s].order = planning ? PlanOrder(plan, s, planning, nullptr)
-                                 : plan.orders[s];
+          sp[s].order = planning
+                            ? PlanOrder(plan, plan.seats[s], planning, nullptr)
+                            : plan.orders[s];
           sp[s].kernel = nullptr;  // kernel_for looks the new order up
         }
       }
@@ -304,13 +356,39 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       }
     }
 
-    // Initial round: every rule of the stratum joins the full current
-    // result (lower strata are saturated; input IDB facts participate,
-    // as in the paper's Prop. 4 usage).
+    // Initial round of a full run: every rule of the stratum joins the
+    // full current result (lower strata are saturated; input IDB facts
+    // participate, as in the paper's Prop. 4 usage). Of a continuation:
+    // a derivation the fixpoint below `first_new` lacks uses some new
+    // fact, so every body atom with new rows seeds from them, at its
+    // delta seat if recursive and at its atom seat otherwise.
+    // MONDET_FAULT=skip-continuation-seat never seeds the atom seats, so
+    // derivations through new EDB or lower-stratum facts are lost — the
+    // eval-differential oracle's continuation arm must catch it.
     std::vector<WorkItem> round0;
     round0.reserve(stratum.rules.size());
     for (size_t k = 0; k < stratum.rules.size(); ++k) {
-      round0.push_back({kernel_for(k, 0)});
+      if (first_new == 0) {
+        round0.push_back({kernel_for(k, 0)});
+        continue;
+      }
+      const RulePlan& plan = plans_[stratum.rules[k]];
+      const std::vector<int>& rec = plan.recursive_atoms;  // in body order
+      size_t r = 0;
+      for (int i = 0; i < static_cast<int>(plan.body.size()); ++i) {
+        const bool recursive = r < rec.size() && rec[r] == i;
+        const PredId p = plan.body[i].pred;
+        const uint32_t first = FirstRowFrom(result, p, first_new);
+        const uint32_t end = result.NumRows(p);
+        if (first < end) {
+          if (recursive) {
+            round0.push_back({kernel_for(k, 1 + r), first, end});
+          } else if (!FaultInjected("skip-continuation-seat")) {
+            round0.push_back({AtomSeatKernel(plan, i), first, end});
+          }
+        }
+        if (recursive) ++r;
+      }
     }
     ss.iterations = 1;
     bool grew = run_round(round0, stratum_preds, &ss);
@@ -381,7 +459,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   }
   run.wall_seconds = SecondsSince(t_start);
   if (stats) stats->Accumulate(run);
-  return result;
 }
 
 namespace {

@@ -1,8 +1,11 @@
 #ifndef MONDET_DATALOG_EVAL_PLAN_H_
 #define MONDET_DATALOG_EVAL_PLAN_H_
 
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <list>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -37,12 +40,14 @@ struct EvalOptions {
   /// compile-time EDB-first greedy ones, or the ones BindStats set. The
   /// per-run cost — one Collect with a sort per column plus a
   /// SelectivityAtomOrder pass per rule — takes tens of µs, which
-  /// dominates a µs-scale eval outright (the checker's canonical-test
-  /// loops issue thousands of those), so the gate sits at 64 facts. Set to
-  /// 0 to force live planning on any input (the differential tests do), or
-  /// to the largest size_t to run the stored orders on any input (the
-  /// plan-differential oracle's second arm and the _StaticPlan bench rows
-  /// do); a caller-supplied `stats` snapshot bypasses the gate.
+  /// dominates a µs-scale eval outright (a view image of a small query
+  /// approximation is one), so the gate sits at 64 facts. EvalFrom
+  /// applies it to the facts a continuation adds, so the checker's walk,
+  /// which adds a few expansions per evaluation, runs the stored orders.
+  /// Set to 0 to force live planning on any input (the differential tests
+  /// do), or to the largest size_t to run the stored orders on any input
+  /// (the plan-differential oracle's second arm and the _StaticPlan bench
+  /// rows do); a caller-supplied `stats` snapshot bypasses the gate.
   size_t stats_min_facts = 64;
   /// Ignored: Eval has no dataflow pass. Kept only because
   /// perfbench/cpp/check_workload.cc sets it; it goes with the next
@@ -159,10 +164,11 @@ struct JoinOrderDesc {
 /// Construct once and Eval many times; the per-rule plans and strata are
 /// reused across calls — and the same object serves the analyzer's plan
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
-/// identical plans. Eval joins through compiled kernels (datalog/kernel.h),
-/// lowering each (rule, seat, join order) on first use into a cache this
-/// object keeps for its lifetime. Eval is const but fills that cache, so
-/// one object must not be evaluated from two threads at once.
+/// identical plans. Eval and EvalFrom join through compiled kernels
+/// (datalog/kernel.h), lowering each (rule, seat, join order) on first use
+/// into a cache this object keeps for its lifetime. They are const but
+/// fill that cache, so one object must not be evaluated from two threads
+/// at once.
 class CompiledProgram {
  public:
   explicit CompiledProgram(const Program& program);
@@ -182,6 +188,21 @@ class CompiledProgram {
   /// When `stats` is non-null the run's counters are accumulated into it.
   Instance Eval(const Instance& input, EvalStats* stats = nullptr,
                 const EvalOptions& options = {}) const;
+
+  /// Continues semi-naive evaluation in place: afterwards `inst` holds
+  /// FPEval of its facts. The facts below global id `first_new` must be a
+  /// fixpoint of this program, and no fact may have been removed since,
+  /// so each predicate's new facts are a suffix of its rows. Each
+  /// stratum, in order, seeds every body atom whose predicate has new
+  /// rows (an EDB, a lower stratum's or its own) from them, joining the
+  /// other atoms over the whole instance, then runs the usual delta
+  /// rounds. `first_new == 0` is Eval's run, in place and at default
+  /// options (its initial round is the full join, so empty-body rules
+  /// fire); otherwise the result equals Eval's as a set, in another fact
+  /// order. The planner's size gate counts the new facts. When `stats`
+  /// is non-null the run's counters are accumulated into it.
+  void EvalFrom(Instance& inst, uint32_t first_new,
+                EvalStats* stats = nullptr) const;
 
   /// Eval plus derivation counting: the fixpoint of `input` whose facts
   /// carry exact derivation counts (Instance::FactCount: number of rule
@@ -254,6 +275,11 @@ class CompiledProgram {
     // cache is never invalidated; list nodes keep the addresses a round's
     // work items hold stable while Eval appends.
     mutable std::list<LoweredKernel> kernels;
+    // EvalFrom's seats at non-recursive body atoms, by body index: the
+    // kernel seeded at that atom under its compile-time order, lowered on
+    // first use. Empty until the rule first needs one, then sized once,
+    // so the kernels' addresses stay put.
+    mutable std::vector<std::optional<JoinKernel>> atom_seats;
   };
   // Its rule indices are indices into plans_ (plan index == rule index).
   using Stratum = Stratification::Stratum;
@@ -282,13 +308,30 @@ class CompiledProgram {
     uint32_t end = 0;
   };
 
-  /// Computes the join order for seat `seat` of `plan` (0 = full join,
-  /// 1 + i = recursive atom i): selectivity-scored when `stats` is set,
-  /// EDB-first greedy otherwise. `est_rows`, if non-null, receives the
-  /// per-step estimates (cleared when no stats).
-  std::vector<uint32_t> PlanOrder(const RulePlan& plan, size_t seat,
-                                  const Stats* stats,
+  /// The planning inputs of `plan`'s rule seeded at body atom `seat` (-1
+  /// = the full join).
+  static SeatShape MakeSeatShape(const RulePlan& plan, int seat);
+
+  /// Computes the join order for seat `shape` of `plan`:
+  /// selectivity-scored when `stats` is set, EDB-first greedy otherwise.
+  /// `est_rows`, if non-null, receives the per-step estimates (cleared
+  /// when no stats).
+  std::vector<uint32_t> PlanOrder(const RulePlan& plan,
+                                  const SeatShape& shape, const Stats* stats,
                                   std::vector<double>* est_rows) const;
+
+  /// The kernel seeded at non-recursive body atom `atom` of `plan` under
+  /// the compile-time order: looked up in O(1), lowered on first use.
+  const JoinKernel* AtomSeatKernel(const RulePlan& plan, int atom) const;
+
+  /// The stratum loop Eval and EvalFrom share: evaluates every stratum,
+  /// in order, over `result`, whose facts below `first_new` are a
+  /// fixpoint (see EvalFrom; 0 = a full run). Accumulates the run's
+  /// counters, timed from `t_start`, into `stats` if non-null.
+  void RunStrata(Instance& result, uint32_t first_new,
+                 const EvalOptions& options,
+                 std::chrono::steady_clock::time_point t_start,
+                 EvalStats* stats) const;
 
   /// The maintenance engine's join: matches body atoms k.. of `plan` in
   /// body order (skipping `seat`, whose variables `map` pre-binds) and

@@ -142,16 +142,96 @@ TEST(Instance, RestrictTo) {
   EXPECT_TRUE(restricted.HasFact(s, {a}));
 }
 
-TEST(Instance, DisjointUnion) {
+TEST(Instance, RollbackRestoresTheMarkedState) {
   auto vocab = MakeVocabulary();
   PredId r = vocab->AddPredicate("R", 2);
-  Instance a = MakePath(vocab, r, 2);
-  Instance b = MakePath(vocab, r, 3);
-  size_t before = a.num_elements();
-  auto translation = a.DisjointUnionWith(b);
-  EXPECT_EQ(a.num_elements(), before + b.num_elements());
-  EXPECT_EQ(a.num_facts(), 5u);
-  EXPECT_EQ(translation.size(), b.num_elements());
+  PredId s = vocab->AddPredicate("S", 1);
+  PredId t = vocab->AddPredicate("T", 0);
+  Instance inst(vocab);
+  ElemId a = inst.AddElement("a");
+  ElemId b = inst.AddElement();
+  ElemId c = inst.AddElement("c");
+  inst.AddFact(r, {a, b});
+  inst.AddFact(s, {a});
+  inst.AddFact(r, {b, a});
+  inst.AddFact(r, {c, a});
+  inst.AddFact(s, {c});
+  EXPECT_EQ(inst.RowsWith(r, 0, a).size(), 1u);  // built before the mark
+  // A removal before the mark reorders rows and ids; that is allowed.
+  ASSERT_TRUE(inst.RemoveFact(r, {a, b}));
+  const std::vector<Fact> facts = inst.AllFacts();
+  const Instance::Checkpoint mark = inst.Mark();
+  EXPECT_EQ(mark.facts, 4u);
+  EXPECT_EQ(mark.elements, 3u);
+
+  ElemId d = inst.AddElement("d");
+  ElemId e = inst.AddElement();
+  EXPECT_TRUE(inst.AddFact(r, {a, d}));
+  EXPECT_FALSE(inst.AddFact(r, {b, a}));  // duplicate: not added
+  EXPECT_TRUE(inst.AddFact(s, {d}));
+  EXPECT_TRUE(inst.AddFact(t, std::vector<ElemId>{}));
+  EXPECT_TRUE(inst.AddFact(r, {d, e}));
+  EXPECT_EQ(inst.RowsWith(r, 1, a).size(), 2u);  // built after the mark
+  EXPECT_TRUE(inst.AddFact(r, {e, a}));
+  EXPECT_EQ(inst.RowsWith(r, 0, a).size(), 1u);
+  EXPECT_EQ(inst.RowsWith(r, 1, a).size(), 3u);
+
+  inst.Rollback(mark);
+  EXPECT_EQ(inst.AllFacts(), facts);  // same facts, same order
+  EXPECT_EQ(inst.NumRows(r), 2u);
+  EXPECT_EQ(inst.NumRows(s), 2u);
+  EXPECT_EQ(inst.NumRows(t), 0u);
+  EXPECT_TRUE(inst.HasFact(r, {b, a}));
+  EXPECT_TRUE(inst.HasFact(s, {c}));
+  EXPECT_FALSE(inst.HasFact(r, {a, b}));
+  EXPECT_FALSE(inst.HasFact(t, std::vector<ElemId>{}));
+  EXPECT_EQ(inst.num_elements(), 3u);
+  EXPECT_EQ(inst.element_name(a), "a");
+  EXPECT_EQ(inst.element_name(c), "c");
+  // Built indexes lost exactly the rolled-back rows.
+  for (ElemId v : {a, b, c}) {
+    for (int pos = 0; pos < 2; ++pos) {
+      std::vector<uint32_t> want;
+      for (uint32_t row = 0; row < inst.NumRows(r); ++row) {
+        if (inst.Args(r, row)[pos] == v) want.push_back(row);
+      }
+      const auto got = inst.RowsWith(r, pos, v);
+      std::vector<uint32_t> sorted(got.begin(), got.end());
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, want) << "pos " << pos << " value " << v;
+    }
+  }
+  EXPECT_TRUE(inst.RowsWith(r, 1, d).empty());
+  // The dropped ids come back fresh: d's name went with it.
+  EXPECT_EQ(inst.AddElement(), d);
+  EXPECT_EQ(inst.element_name(d), "e3");
+  EXPECT_TRUE(inst.AddFact(r, {a, d}));
+  EXPECT_EQ(inst.RowsWith(r, 1, d).size(), 1u);
+}
+
+TEST(Instance, RepeatedAddAndRollback) {
+  auto vocab = MakeVocabulary();
+  PredId r = vocab->AddPredicate("R", 2);
+  PredId s = vocab->AddPredicate("S", 1);
+  Instance inst = MakePath(vocab, r, 8);  // elements 0..8
+  inst.AddFact(s, {0});
+  EXPECT_EQ(inst.RowsWith(r, 0, 3).size(), 1u);
+  const std::vector<Fact> facts = inst.AllFacts();
+  for (int cycle = 0; cycle < 10000; ++cycle) {
+    const Instance::Checkpoint mark = inst.Mark();
+    const ElemId x = inst.AddElement();
+    const ElemId y = static_cast<ElemId>(cycle % 9);
+    ASSERT_TRUE(inst.AddFact(r, {y, x}));
+    ASSERT_TRUE(inst.AddFact(s, {x}));
+    ASSERT_TRUE(inst.AddFact(r, {x, x}));
+    ASSERT_EQ(inst.RowsWith(r, 0, y).size(), y == 8 ? 1u : 2u);
+    inst.Rollback(mark);
+    ASSERT_FALSE(inst.HasFact(r, {y, x}));
+    ASSERT_EQ(inst.num_facts(), facts.size());
+    ASSERT_EQ(inst.num_elements(), 9u);
+  }
+  EXPECT_EQ(inst.AllFacts(), facts);
+  EXPECT_EQ(inst.RowsWith(r, 0, 3).size(), 1u);
 }
 
 TEST(Gaifman, PathRadiusAndConnectivity) {

@@ -5,10 +5,12 @@
 #include "base/homomorphism.h"
 #include "datalog/approximation.h"
 #include "datalog/eval.h"
+#include "datalog/eval_plan.h"
 #include "datalog/fragment.h"
 #include "datalog/parser.h"
 #include "datalog/strata.h"
 #include "testing/oracle.h"
+#include "testing/reference.h"
 #include "tests/test_util.h"
 
 namespace mondet {
@@ -251,6 +253,107 @@ TEST(Eval, InputIdbFactsRespected) {
   inst.AddFact(p, {2});
   Instance fixpoint = FpEval(q.program, inst);
   EXPECT_TRUE(fixpoint.HasFact(p, {0}));
+}
+
+// ---------- EvalFrom: the in-place continuation --------------------------
+
+/// `got` holds exactly the facts of `want`.
+void ExpectSameFacts(const Instance& want, const Instance& got) {
+  EXPECT_EQ(got.num_facts(), want.num_facts());
+  for (uint32_t g = 0; g < want.num_facts(); ++g) {
+    EXPECT_TRUE(got.HasFact(want.FactAt(g)))
+        << FactToString(want, want.FactAt(g));
+  }
+}
+
+TEST(EvalFrom, FromZeroIsEvalSoEmptyBodyRulesFire) {
+  auto vocab = MakeVocabulary();
+  DatalogQuery q = MustParseQuery(R"(
+    Start.
+    P(x) :- U(x), Start().
+    P(x) :- R(x,y), P(y).
+    Goal() :- P(x).
+  )",
+                                  "Goal", vocab);
+  const CompiledProgram compiled(q.program);
+  Instance empty(vocab);
+  empty.EnsureElements(2);
+  compiled.EvalFrom(empty, 0);
+  EXPECT_EQ(empty.AllFacts(), compiled.Eval(Instance(vocab)).AllFacts());
+  EXPECT_TRUE(empty.HasFact(*vocab->FindPredicate("Start"),
+                            std::vector<ElemId>{}));
+
+  PredId r = *vocab->FindPredicate("R");
+  PredId u = *vocab->FindPredicate("U");
+  Instance inst = MakePath(vocab, r, 3);
+  inst.AddFact(u, {3});
+  EvalStats want_stats, got_stats;
+  const Instance want = compiled.Eval(inst, &want_stats);
+  compiled.EvalFrom(inst, 0, &got_stats);
+  EXPECT_EQ(inst.AllFacts(), want.AllFacts());  // the same sequence
+  EXPECT_EQ(got_stats.iterations, want_stats.iterations);
+  EXPECT_EQ(got_stats.facts_derived, want_stats.facts_derived);
+  EXPECT_EQ(got_stats.join_probes, want_stats.join_probes);
+}
+
+TEST(EvalFrom, SeedsNewFactsOfLowerStrataAndOfTheStratumItself) {
+  auto vocab = MakeVocabulary();
+  DatalogQuery q = MustParseQuery(kReach, "Goal", vocab);
+  const CompiledProgram compiled(q.program);
+  PredId r = *vocab->FindPredicate("R");
+  PredId u = *vocab->FindPredicate("U");
+  PredId p = *vocab->FindPredicate("P");
+  PredId goal = *vocab->FindPredicate("Goal");
+  // 0 -> 1 -> 2 -> 3 and 4 -> 5, with U(5): only 4 and 5 reach U.
+  Instance inst(vocab);
+  inst.EnsureElements(6);
+  for (ElemId x : {0u, 1u, 2u, 4u}) inst.AddFact(r, {x, x + 1});
+  inst.AddFact(u, {5});
+  Instance whole = inst;
+  compiled.EvalFrom(inst, 0);
+  EXPECT_FALSE(inst.HasFact(p, {0}));
+  EXPECT_TRUE(inst.HasFact(goal, {4}));
+
+  // New input facts after the split: P(3), of the recursive stratum's own
+  // IDB, and R(5,0), an EDB edge joining the chains.
+  const uint32_t first_new = static_cast<uint32_t>(inst.num_facts());
+  for (const Fact& f : {Fact(p, {3}), Fact(r, {5, 0})}) {
+    ASSERT_TRUE(inst.AddFact(f));
+    whole.AddFact(f);
+  }
+  EvalStats stats;
+  compiled.EvalFrom(inst, first_new, &stats);
+  ExpectSameFacts(NaiveFpEval(q.program, whole), inst);
+  EXPECT_TRUE(inst.HasFact(goal, {0}));
+  // The run counts exactly the facts it added, none of the fixpoint's.
+  EXPECT_EQ(stats.facts_derived, inst.num_facts() - first_new - 2);
+}
+
+TEST(EvalFrom, LargeContinuationPlansLive) {
+  auto vocab = MakeVocabulary();
+  DatalogQuery q = MustParseQuery(R"(
+    T(x,y) :- E(x,y).
+    T(x,z) :- T(x,y), E(y,z).
+    Goal(x) :- T(x,x).
+  )",
+                                  "Goal", vocab);
+  const CompiledProgram compiled(q.program);
+  PredId e = *vocab->FindPredicate("E");
+  const Instance whole = RandomInstance(vocab, {e}, 30, 150, 11);
+  Instance inst(vocab);
+  inst.EnsureElements(whole.num_elements());
+  const uint32_t split = 40;
+  for (uint32_t g = 0; g < split; ++g) inst.AddFact(whole.FactAt(g));
+  compiled.EvalFrom(inst, 0);
+  const uint32_t first_new = static_cast<uint32_t>(inst.num_facts());
+  for (uint32_t g = split; g < whole.num_facts(); ++g) {
+    inst.AddFact(whole.FactAt(g));
+  }
+  ASSERT_GE(inst.num_facts() - first_new, EvalOptions{}.stats_min_facts);
+  EvalStats stats;
+  compiled.EvalFrom(inst, first_new, &stats);
+  EXPECT_GT(stats.stats_facts_counted, 0u);  // planned from live statistics
+  ExpectSameFacts(compiled.Eval(whole), inst);
 }
 
 TEST(Fragment, MonadicDetection) {
