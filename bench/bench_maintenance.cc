@@ -59,13 +59,16 @@ struct ChurnWorkload {
   }
 };
 
-/// DRed's provisional deletions and revivals per iteration: the totals
-/// of the timed loop depend on how many iterations it ran.
-void SetDRedCounters(benchmark::State& state, const EvalStats& stats) {
+/// DRed's provisional deletions and revivals and the maintenance join's
+/// rows and membership probes, per iteration: the totals of the timed
+/// loop depend on how many iterations it ran.
+void SetMaintainCounters(benchmark::State& state, const EvalStats& stats) {
   state.counters["overdeleted"] = benchmark::Counter(
       static_cast<double>(stats.overdeleted), benchmark::Counter::kAvgIterations);
   state.counters["rederived"] = benchmark::Counter(
       static_cast<double>(stats.rederived), benchmark::Counter::kAvgIterations);
+  state.counters["probes"] = benchmark::Counter(
+      static_cast<double>(stats.join_probes), benchmark::Counter::kAvgIterations);
 }
 
 /// The headline contract, checked once after the timed loop: the
@@ -99,7 +102,7 @@ void BM_Maintenance_ChurnMaintain(benchmark::State& state) {
   state.counters["image_facts"] =
       static_cast<double>(maintained.image().num_facts());
   state.counters["touched_per_cycle"] = static_cast<double>(touched);
-  SetDRedCounters(state, stats);
+  SetMaintainCounters(state, stats);
   LabelImageCheck(state, maintained);
 }
 BENCHMARK(BM_Maintenance_ChurnMaintain)->Arg(64)->Arg(256)->Arg(512);
@@ -172,7 +175,7 @@ void BM_Maintenance_DenseSwap(benchmark::State& state) {
   }
   state.counters["image_facts"] =
       static_cast<double>(maintained.image().num_facts());
-  SetDRedCounters(state, stats);
+  SetMaintainCounters(state, stats);
   LabelImageCheck(state, maintained);
 }
 BENCHMARK(BM_Maintenance_DenseSwap)->Arg(50);

@@ -540,7 +540,8 @@ template <class Out>
 bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
                                  const std::vector<uint8_t>& read_old,
                                  const Instance& inst, const ChangeLog& log,
-                                 std::vector<ElemId>& map, Out&& out) const {
+                                 size_t& probes, std::vector<ElemId>& map,
+                                 Out&& out) const {
   if (static_cast<int>(k) == seat) ++k;
   if (k == plan.body.size()) return out(map);
   const QAtom& atom = plan.body[k];
@@ -557,9 +558,11 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
   // and enumerates the same. An old-state read keeps the scan below: it
   // must skip the batch's insertions and replay its deletions.
   if (fully_bound && !old) {
+    ++probes;
     return !inst.HasFact(atom.pred,
                          std::span<const ElemId>(image.data(), arity)) ||
-           MatchAtoms(plan, seat, k + 1, read_old, inst, log, map, out);
+           MatchAtoms(plan, seat, k + 1, read_old, inst, log, probes, map,
+                      out);
   }
   // Current-state candidates through the tightest index available for the
   // bound positions; an old-state read additionally skips
@@ -590,12 +593,13 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
         match = map[v] == args[pos];
       }
     }
-    const bool go_on =
-        !match || MatchAtoms(plan, seat, k + 1, read_old, inst, log, map, out);
+    const bool go_on = !match || MatchAtoms(plan, seat, k + 1, read_old, inst,
+                                            log, probes, map, out);
     for (size_t i = 0; i < nb; ++i) map[bound[i]] = kNoElem;
     return go_on;
   };
   auto try_row = [&](uint32_t row) {
+    ++probes;
     const std::span<const ElemId> targs = inst.Args(atom.pred, row);
     return (old && log.added.HasFact(atom.pred, targs)) || try_args(targs);
   };
@@ -612,6 +616,7 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
   if (old) {
     const uint32_t n = log.removed.NumRows(atom.pred);
     for (uint32_t row = 0; row < n; ++row) {
+      ++probes;
       if (!try_args(log.removed.Args(atom.pred, row))) return false;
     }
   }
@@ -623,6 +628,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
                                       const EvalOptions& options) const {
   Instance fix = Eval(input, stats, options);
   const ChangeLog no_changes(fix);
+  size_t probes = 0;
   std::vector<ElemId> map, head;
   for (const Stratum& st : strata_) {
     // Counting is unsound under recursion (a fact may transitively
@@ -639,7 +645,8 @@ Instance CompiledProgram::Materialize(const Instance& input,
         ++CountOf(dc, plan.head.pred, head);
         return true;
       };
-      MatchAtoms(plan, /*seat=*/-1, 0, current, fix, no_changes, map, count);
+      MatchAtoms(plan, /*seat=*/-1, 0, current, fix, no_changes, probes, map,
+                 count);
     }
     for (PredId p : st.preds) {
       const uint32_t n = fix.NumRows(p);
@@ -654,6 +661,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
       }
     }
   }
+  if (stats) stats->join_probes += probes;
   return fix;
 }
 
@@ -664,6 +672,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
   inst.EnsureElements(base.num_elements());
   MaintainResult res;
   ChangeLog log(inst);
+  EvalStats run;  // the DRed counters and the join work, summed
 
   // Split the base delta by layer: EDB changes apply directly (EDB
   // membership *is* base membership), IDB base changes fold into their
@@ -706,22 +715,22 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     if (!touched) continue;
     if (st.recursive) {
       MaintainDRed(si, base, base_ins_at[si], base_del_at[si], inst, log,
-                   &res);
+                   run);
     } else {
-      MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, log);
+      MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, log,
+                       run.join_probes);
     }
   }
   // The log never loses a fact, so global-id order is record order.
   res.inserts = log.added.AllFacts();
   res.deletes = log.removed.AllFacts();
+  res.overdeleted = run.overdeleted;
+  res.rederived = run.rederived;
 
   if (stats) {
-    EvalStats run;
     run.iterations = 1;
     run.facts_derived = res.inserts.size();
     run.facts_retracted = res.deletes.size();
-    run.overdeleted = res.overdeleted;
-    run.rederived = res.rederived;
     run.wall_seconds = SecondsSince(t_start);
     stats->Accumulate(run);
   }
@@ -730,8 +739,8 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
 
 void CompiledProgram::MaintainCounting(
     size_t si, const std::vector<const Fact*>& base_ins,
-    const std::vector<const Fact*>& base_del, Instance& inst,
-    ChangeLog& log) const {
+    const std::vector<const Fact*>& base_del, Instance& inst, ChangeLog& log,
+    size_t& probes) const {
   const Stratum& st = strata_[si];
   // Signed derivation-count deltas for this stratum's facts; base
   // membership counts as one more derivation.
@@ -759,8 +768,8 @@ void CompiledProgram::MaintainCounting(
       auto seed = [&](std::span<const ElemId> df) {
         map.assign(plan.num_vars, kNoElem);
         if (BindArgs(plan.body[i], df, map)) {
-          MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, log, map,
-                     count);
+          MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, log, probes,
+                     map, count);
         }
       };
       sign = +1;
@@ -800,6 +809,7 @@ bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
                                   size_t si, const Instance& inst,
                                   const ChangeLog& log,
                                   const std::vector<uint8_t>& current,
+                                  size_t& probes,
                                   std::vector<ElemId>& map) const {
   // One surviving derivation is a witness: stop at the first match.
   auto witness = [](const std::vector<ElemId>&) { return false; };
@@ -808,7 +818,8 @@ bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
     if (plan.head.pred != pred) continue;
     map.assign(plan.num_vars, kNoElem);
     if (BindArgs(plan.head, args, map) &&
-        !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, log, map, witness)) {
+        !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, log, probes, map,
+                    witness)) {
       return true;
     }
   }
@@ -818,7 +829,7 @@ bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
 void CompiledProgram::MaintainDRed(
     size_t si, const Instance& base, const std::vector<const Fact*>& base_ins,
     const std::vector<const Fact*>& base_del, Instance& inst, ChangeLog& log,
-    MaintainResult* res) const {
+    EvalStats& run) const {
   const Stratum& st = strata_[si];
   // Per plan of the stratum, the atoms over lower strata: they read the
   // old state (current − added + removed) while overdeleting. `current`
@@ -860,8 +871,8 @@ void CompiledProgram::MaintainDRed(
       overdelete(plan.head.pred, head);
       return true;
     };
-    MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, log, map,
-               derive);
+    MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, log,
+               run.join_probes, map, derive);
   };
   for (size_t k = 0; k < st.rules.size(); ++k) {
     const RulePlan& plan = plans_[st.rules[k]];
@@ -898,7 +909,7 @@ void CompiledProgram::MaintainDRed(
     const FactView f = over.ViewAt(g);
     MONDET_CHECK(inst.RemoveFact(f.pred, f.args));
   }
-  res->overdeleted += num_over;
+  run.overdeleted += num_over;
   std::vector<char> back(num_over, 0);
   bool progress = !FaultInjected("skip-rederive");
   while (progress) {
@@ -907,11 +918,12 @@ void CompiledProgram::MaintainDRed(
       if (back[g]) continue;
       const FactView f = over.ViewAt(g);
       if (base.HasFact(f.pred, f.args) ||
-          Rederivable(f.pred, f.args, si, inst, log, current, map)) {
+          Rederivable(f.pred, f.args, si, inst, log, current,
+                      run.join_probes, map)) {
         MONDET_CHECK(inst.AddFact(f.pred, f.args));
         back[g] = 1;
         progress = true;
-        ++res->rederived;
+        ++run.rederived;
       }
     }
   }
@@ -937,7 +949,8 @@ void CompiledProgram::MaintainDRed(
       ++n;
       return true;
     };
-    MatchAtoms(plan, static_cast<int>(i), 0, current, inst, log, map, derive);
+    MatchAtoms(plan, static_cast<int>(i), 0, current, inst, log,
+               run.join_probes, map, derive);
     const size_t ar = plan.head.args.size();
     for (size_t j = 0; j < n; ++j) {
       inst.AddFact(plan.head.pred,

@@ -72,7 +72,8 @@ struct StratumStats {
 /// EvalStats, so one struct can aggregate several runs (as the bench
 /// harnesses do); `strata` gets one entry appended per stratum evaluated.
 /// Maintain fills the retraction counters (facts_retracted, overdeleted,
-/// rederived), which stay zero on the insert-only Eval path.
+/// rederived), which stay zero on the insert-only Eval path; its
+/// join_probes are the rows and membership probes of its join.
 struct EvalStats {
   size_t iterations = 0;
   size_t facts_derived = 0;
@@ -340,25 +341,28 @@ class CompiledProgram {
   /// witness). Atoms flagged in `read_old` read the *old* state,
   /// reconstructed from the current instance and the change log (current
   /// − added + removed); the rest read the current instance directly, a
-  /// fully bound one by a single membership probe. Returns false iff
-  /// some `out` call stopped the enumeration. Defined and instantiated in
+  /// fully bound one by a single membership probe. Adds each candidate
+  /// row and each membership probe to `probes`. Returns false iff some
+  /// `out` call stopped the enumeration. Defined and instantiated in
   /// eval_plan.cc only.
   template <class Out>
   bool MatchAtoms(const RulePlan& plan, int seat, size_t k,
                   const std::vector<uint8_t>& read_old, const Instance& inst,
-                  const ChangeLog& log, std::vector<ElemId>& map,
-                  Out&& out) const;
+                  const ChangeLog& log, size_t& probes,
+                  std::vector<ElemId>& map, Out&& out) const;
 
   /// Counting maintenance of the non-recursive stratum `si` (see
   /// Maintain); DRed maintenance of the recursive stratum `si`. Both
-  /// append the stratum's net changes to `log`.
+  /// append the stratum's net changes to `log` and add their join work
+  /// to `probes` / `run.join_probes`; DRed also adds its counters to
+  /// `run`.
   void MaintainCounting(size_t si, const std::vector<const Fact*>& base_ins,
                         const std::vector<const Fact*>& base_del,
-                        Instance& inst, ChangeLog& log) const;
+                        Instance& inst, ChangeLog& log, size_t& probes) const;
   void MaintainDRed(size_t si, const Instance& base,
                     const std::vector<const Fact*>& base_ins,
                     const std::vector<const Fact*>& base_del, Instance& inst,
-                    ChangeLog& log, MaintainResult* res) const;
+                    ChangeLog& log, EvalStats& run) const;
 
   /// True iff some rule of stratum `si` derives pred(args) over `inst`
   /// as-is. `current` is an all-zero read-old mask at least as long as
@@ -366,7 +370,7 @@ class CompiledProgram {
   /// scratch.
   bool Rederivable(PredId pred, std::span<const ElemId> args, size_t si,
                    const Instance& inst, const ChangeLog& log,
-                   const std::vector<uint8_t>& current,
+                   const std::vector<uint8_t>& current, size_t& probes,
                    std::vector<ElemId>& map) const;
 
   Program program_;
