@@ -23,11 +23,13 @@
 #   splits each input, evaluates the first part and continues over the
 #   rest.
 #
-#   MONDET_FAULT=skip-rederive makes DRed's rederive phase revive
-#   nothing (CompiledProgram::MaintainDRed, src/datalog/eval_plan.cc), so
-#   overdeleted facts that still have a derivation are lost from the
-#   maintained fixpoint — caught by the maintenance-differential oracle
-#   against a from-scratch Materialize.
+#   MONDET_FAULT=skip-stratum-proof makes the Backward/Forward search of
+#   recursive-stratum maintenance (CompiledProgram::MaintainBF,
+#   src/datalog/eval_plan.cc) accept no derivation that uses a fact of
+#   the stratum itself, so facts whose every proof runs through the
+#   stratum are disproved and lost from the maintained fixpoint — caught
+#   by the maintenance-differential oracle against a from-scratch
+#   Materialize.
 #
 #   MONDET_FAULT=skip-antichain-prune makes the subsumption prune of the
 #   lazy product walk bidirectional (src/automata/product_walk.h): it
@@ -138,7 +140,7 @@ run_phase() {
 run_phase eval-differential skip-delta-seat || exit 1
 run_phase eval-differential skip-kernel-row || exit 1
 run_phase eval-differential skip-continuation-seat || exit 1
-run_phase maintenance-differential skip-rederive || exit 1
+run_phase maintenance-differential skip-stratum-proof || exit 1
 run_phase antichain-inclusion skip-antichain-prune nta || exit 1
 run_phase mondet-parallel skip-prefix-eval || exit 1
 exit 0

@@ -55,10 +55,12 @@ fi
 # the naive reference and checks the plans bound statistics pick for
 # cross products; maintenance_differential_test is the
 # maintained-vs-recomputed fixpoint oracle for incremental view
-# maintenance (counting + DRed over randomized insert/delete schedules);
-# mondet_maintained_test pins the maintenance join's fully bound probe,
-# atoms past its 16-entry stack buffers (the heap fallback) and the fact
-# and delta sequences of a churn-shaped write stream;
+# maintenance (counting + Backward/Forward over randomized insert/delete
+# schedules); mondet_maintained_test pins the maintenance join's fully
+# bound probe, atoms past its 16-entry stack buffers (the heap
+# fallback), the Backward/Forward search's hazards (a 200,000-deep proof
+# on its explicit stack among them) and the fact and delta sequences of
+# a churn-shaped write stream;
 # mondet_parallel_test is the walk-vs-flat oracle for the checker: the
 # monotonicity-pruned trie walk of the canonical tests against the flat
 # test-by-test scan (same verdict, counterexample and counters);
@@ -123,8 +125,10 @@ fi
 # (MONDET_FAULT=skip-delta-seat drops the last recursive delta seat;
 # MONDET_FAULT=skip-kernel-row trims the last row of every join kernel
 # enumeration; MONDET_FAULT=skip-continuation-seat makes EvalFrom never
-# seed an EDB or lower-stratum atom; MONDET_FAULT=skip-rederive makes
-# DRed's rederive phase revive nothing; MONDET_FAULT=skip-antichain-prune
+# seed an EDB or lower-stratum atom; MONDET_FAULT=skip-stratum-proof
+# makes the Backward/Forward search of recursive-stratum maintenance
+# accept no derivation through the stratum's own facts;
+# MONDET_FAULT=skip-antichain-prune
 # makes the product walk's subsumption prune, shared by NtaIncluded and
 # Thm 5, bidirectional, i.e. unsound; MONDET_FAULT=skip-prefix-eval
 # makes the checker's canonical-test walk prune subtrees without

@@ -243,17 +243,18 @@ void Instance::Rollback(const Checkpoint& mark) {
   if (names_.size() > num_elements_) names_.resize(num_elements_);
 }
 
-uint64_t Instance::FactCount(const Fact& f) const {
+uint64_t Instance::FactCount(PredId pred, std::span<const ElemId> args) const {
   if (table_.empty()) return 0;
-  const size_t slot = FindSlot(f.pred, f.args, HashFactKey(f.pred, f.args));
+  const size_t slot = FindSlot(pred, args, HashFactKey(pred, args));
   if (slot == kNoSlot) return 0;
   const auto [p, row] = Locate(table_[slot].gid);
   return preds_[p].counts[row];
 }
 
-void Instance::SetFactCount(const Fact& f, uint64_t count) {
+void Instance::SetFactCount(PredId pred, std::span<const ElemId> args,
+                            uint64_t count) {
   MONDET_CHECK(!table_.empty());
-  const size_t slot = FindSlot(f.pred, f.args, HashFactKey(f.pred, f.args));
+  const size_t slot = FindSlot(pred, args, HashFactKey(pred, args));
   MONDET_CHECK(slot != kNoSlot);
   MONDET_CHECK(count > 0);
   const auto [p, row] = Locate(table_[slot].gid);

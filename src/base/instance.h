@@ -204,8 +204,13 @@ class Instance {
   /// number of distinct derivations (plus one for base membership) that
   /// support the fact. Facts start at 1; the count is bookkeeping only
   /// and has no effect on set semantics. Zero for absent facts.
-  uint64_t FactCount(const Fact& f) const;
-  void SetFactCount(const Fact& f, uint64_t count);
+  uint64_t FactCount(PredId pred, std::span<const ElemId> args) const;
+  uint64_t FactCount(const Fact& f) const { return FactCount(f.pred, f.args); }
+  void SetFactCount(PredId pred, std::span<const ElemId> args,
+                    uint64_t count);
+  void SetFactCount(const Fact& f, uint64_t count) {
+    SetFactCount(f.pred, f.args, count);
+  }
 
   size_t num_facts() const { return order_.size(); }
 

@@ -479,11 +479,11 @@ bool BindArgs(const QAtom& atom, std::span<const ElemId> args,
   return true;
 }
 
-/// The image of `head` under `map`, written into `out`.
-void WriteHead(const QAtom& head, const std::vector<ElemId>& map,
-               std::vector<ElemId>& out) {
-  out.resize(head.args.size());
-  for (size_t pos = 0; pos < out.size(); ++pos) out[pos] = map[head.args[pos]];
+/// The image of `atom` under `map`, written into `out`.
+void WriteImage(const QAtom& atom, const std::vector<ElemId>& map,
+                std::vector<ElemId>& out) {
+  out.resize(atom.args.size());
+  for (size_t pos = 0; pos < out.size(); ++pos) out[pos] = map[atom.args[pos]];
 }
 
 /// The entry of `counts` for pred(args), inserted at zero on a miss: the
@@ -503,6 +503,35 @@ bool ViewLess(const FactView& a, const FactView& b) {
   return std::lexicographical_compare(a.args.begin(), a.args.end(),
                                       b.args.begin(), b.args.end());
 }
+
+/// Facts back to back in one argument arena: a queue or a stack of facts
+/// that allocates nothing per fact once warm. A view is valid until the
+/// next Push.
+class FactList {
+ public:
+  void Push(PredId pred, std::span<const ElemId> args) {
+    preds_.push_back(pred);
+    args_.insert(args_.end(), args.begin(), args.end());
+    ends_.push_back(static_cast<uint32_t>(args_.size()));
+  }
+  size_t size() const { return preds_.size(); }
+  FactView operator[](size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {preds_[i], std::span<const ElemId>(args_.data() + begin,
+                                               ends_[i] - begin)};
+  }
+  /// Keeps the first `n` facts.
+  void Truncate(size_t n) {
+    preds_.resize(n);
+    ends_.resize(n);
+    args_.resize(n == 0 ? 0 : ends_[n - 1]);
+  }
+
+ private:
+  std::vector<PredId> preds_;
+  std::vector<uint32_t> ends_;
+  std::vector<ElemId> args_;
+};
 
 /// Calls `f(args)` for every row of `pred` in `inst`, in row order.
 template <class F>
@@ -633,7 +662,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
   for (const Stratum& st : strata_) {
     // Counting is unsound under recursion (a fact may transitively
     // support itself), so recursive SCC strata keep the membership-only
-    // count of 1 and Maintain uses DRed for them.
+    // count of 1 and Maintain uses Backward/Forward for them.
     if (st.recursive) continue;
     std::unordered_map<Fact, uint64_t, FactHash, FactEq> dc;
     for (uint32_t pi : st.rules) {
@@ -641,7 +670,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
       const std::vector<uint8_t> current(plan.body.size(), 0);
       map.assign(plan.num_vars, kNoElem);
       auto count = [&](const std::vector<ElemId>& mm) {
-        WriteHead(plan.head, mm, head);
+        WriteImage(plan.head, mm, head);
         ++CountOf(dc, plan.head.pred, head);
         return true;
       };
@@ -672,12 +701,12 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
   inst.EnsureElements(base.num_elements());
   MaintainResult res;
   ChangeLog log(inst);
-  EvalStats run;  // the DRed counters and the join work, summed
+  EvalStats run;  // the B/F counters and the join work, summed
 
   // Split the base delta by layer: EDB changes apply directly (EDB
   // membership *is* base membership), IDB base changes fold into their
   // own stratum's pass — as ±1 derivation-count contributions on the
-  // counting path, as seeds on the DRed path.
+  // counting path, as candidates or seeds on the Backward/Forward path.
   std::vector<std::vector<const Fact*>> base_ins_at(strata_.size());
   std::vector<std::vector<const Fact*>> base_del_at(strata_.size());
   for (const Fact& f : delta.inserts) {
@@ -714,8 +743,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     }
     if (!touched) continue;
     if (st.recursive) {
-      MaintainDRed(si, base, base_ins_at[si], base_del_at[si], inst, log,
-                   run);
+      MaintainBF(si, base, base_ins_at[si], base_del_at[si], inst, log, run);
     } else {
       MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, log,
                        run.join_probes);
@@ -753,7 +781,7 @@ void CompiledProgram::MaintainCounting(
     const RulePlan& plan = plans_[pi];
     int64_t sign = 0;
     auto count = [&](const std::vector<ElemId>& mm) {
-      WriteHead(plan.head, mm, head);
+      WriteImage(plan.head, mm, head);
       CountOf(dcount, plan.head.pred, head) += sign;
       return true;
     };
@@ -805,35 +833,15 @@ void CompiledProgram::MaintainCounting(
   }
 }
 
-bool CompiledProgram::Rederivable(PredId pred, std::span<const ElemId> args,
-                                  size_t si, const Instance& inst,
-                                  const ChangeLog& log,
-                                  const std::vector<uint8_t>& current,
-                                  size_t& probes,
-                                  std::vector<ElemId>& map) const {
-  // One surviving derivation is a witness: stop at the first match.
-  auto witness = [](const std::vector<ElemId>&) { return false; };
-  for (uint32_t pi : strata_[si].rules) {
-    const RulePlan& plan = plans_[pi];
-    if (plan.head.pred != pred) continue;
-    map.assign(plan.num_vars, kNoElem);
-    if (BindArgs(plan.head, args, map) &&
-        !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, log, probes, map,
-                    witness)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void CompiledProgram::MaintainDRed(
+void CompiledProgram::MaintainBF(
     size_t si, const Instance& base, const std::vector<const Fact*>& base_ins,
     const std::vector<const Fact*>& base_del, Instance& inst, ChangeLog& log,
     EvalStats& run) const {
   const Stratum& st = strata_[si];
   // Per plan of the stratum, the atoms over lower strata: they read the
-  // old state (current − added + removed) while overdeleting. `current`
-  // reads the current state everywhere.
+  // old state (current − added + removed) while seeding candidates.
+  // `current` reads the current state everywhere: the new lower strata
+  // and, until the disproved facts go, the old stratum relations.
   std::vector<std::vector<uint8_t>> lower_old(st.rules.size());
   size_t max_body = 0;
   for (size_t k = 0; k < st.rules.size(); ++k) {
@@ -843,32 +851,34 @@ void CompiledProgram::MaintainDRed(
     max_body = std::max(max_body, plan.body.size());
   }
   const std::vector<uint8_t> current(max_body, 0);
-  std::vector<ElemId> map, head, seed;
+  std::vector<ElemId> map, head, atom_args, seed;
 
-  // Overdelete: every stratum fact with some old-state derivation that
-  // uses a deleted fact — seeded from lower-stratum membership deletions
-  // and base-deleted stratum facts, propagated semi-naively through the
-  // SCC. Lower predicates read the old state; stratum predicates read
-  // the instance, which still holds the old stratum relations here
-  // (classic DRed joins over the full old database, which is what makes
-  // the deletion an over-approximation). `over` holds the overdeleted
-  // facts, deduplicated by its fact table, in discovery order (its
-  // global ids), which fixes every later phase's order.
-  Instance over(inst.vocab());
-  over.EnsureElements(inst.num_elements());
-  auto overdelete = [&](PredId pred, std::span<const ElemId> args) {
-    if (!over.HasFact(pred, args) && inst.HasFact(pred, args)) {
-      over.AddFact(pred, args);
-    }
+  // The memo: every stratum fact the backward search visited, with its
+  // state as the count. A fact never removed keeps its global id.
+  constexpr uint64_t kChecked = 1, kProved = 2, kDisproved = 3;
+  Instance memo(inst.vocab());
+  memo.EnsureElements(inst.num_elements());
+  // The memo state of `atom`'s image under `mm` (0 = not visited); the
+  // image is left in atom_args.
+  auto state_of = [&](const QAtom& atom, const std::vector<ElemId>& mm) {
+    WriteImage(atom, mm, atom_args);
+    return memo.FactCount(atom.pred, atom_args);
   };
-  for (const Fact* f : base_del) overdelete(f->pred, f->args);
-  auto seed_deletion = [&](size_t k, size_t i, std::span<const ElemId> df) {
+
+  // Candidates: the stratum facts that may have lost their last
+  // derivation. Seeded from the base-deleted stratum facts and the heads
+  // of old-state derivations through a lower-stratum removal, then
+  // through every disproved fact. Lower atoms read the old state; stratum
+  // atoms read the instance, which still holds the old stratum relations.
+  FactList candidates;
+  for (const Fact* f : base_del) candidates.Push(f->pred, f->args);
+  auto seed_candidates = [&](size_t k, size_t i, std::span<const ElemId> df) {
     const RulePlan& plan = plans_[st.rules[k]];
     map.assign(plan.num_vars, kNoElem);
     if (!BindArgs(plan.body[i], df, map)) return;
     auto derive = [&](const std::vector<ElemId>& mm) {
-      WriteHead(plan.head, mm, head);
-      overdelete(plan.head.pred, head);
+      WriteImage(plan.head, mm, head);
+      candidates.Push(plan.head.pred, head);
       return true;
     };
     MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, log,
@@ -879,54 +889,157 @@ void CompiledProgram::MaintainDRed(
     for (size_t i = 0; i < plan.body.size(); ++i) {
       if (!lower_old[k][i]) continue;
       ForEachRow(log.removed, plan.body[i].pred,
-                 [&](std::span<const ElemId> df) { seed_deletion(k, i, df); });
+                 [&](std::span<const ElemId> df) { seed_candidates(k, i, df); });
     }
   }
-  // The frontier: `over` grows while it is walked. AddFact may move its
-  // arena, so each fact seeds from a copy.
-  for (uint32_t g = 0; g < over.num_facts(); ++g) {
-    const FactView f = over.ViewAt(g);
-    seed.assign(f.args.begin(), f.args.end());
-    for (size_t k = 0; k < st.rules.size(); ++k) {
+
+  // Proves the checked fact at memo id `g` and forward-chains: every
+  // checked, unproved head of a derivation whose stratum atoms are all
+  // proved (its lower atoms read the new state) is proved too,
+  // transitively. A worklist, not recursion.
+  FactList proved;
+  auto prove = [&](uint32_t g) {
+    const auto [p, row] = memo.Locate(g);
+    memo.SetCountAt(p, row, kProved);
+    proved.Push(p, memo.Args(p, row));
+    while (proved.size() > 0) {
+      const FactView f = proved[proved.size() - 1];
+      const PredId pred = f.pred;
+      seed.assign(f.args.begin(), f.args.end());
+      proved.Truncate(proved.size() - 1);
+      for (size_t k = 0; k < st.rules.size(); ++k) {
+        const RulePlan& plan = plans_[st.rules[k]];
+        for (int r : plan.recursive_atoms) {
+          if (plan.body[r].pred != pred) continue;
+          map.assign(plan.num_vars, kNoElem);
+          if (!BindArgs(plan.body[r], seed, map)) continue;
+          auto chain = [&](const std::vector<ElemId>& mm) {
+            for (int j : plan.recursive_atoms) {
+              if (j != r && state_of(plan.body[j], mm) != kProved) return true;
+            }
+            WriteImage(plan.head, mm, head);
+            if (memo.FactCount(plan.head.pred, head) == kChecked) {
+              memo.SetFactCount(plan.head.pred, head, kProved);
+              proved.Push(plan.head.pred, head);
+            }
+            return true;
+          };
+          MatchAtoms(plan, r, 0, current, inst, log, run.join_probes, map,
+                     chain);
+        }
+      }
+    }
+  };
+
+  // The backward search's explicit stack. A frame is a checked fact and
+  // the unvisited stratum atoms of its derivations, pending[first, end),
+  // still to check from `next` on.
+  struct Frame {
+    uint32_t fact;  // memo id
+    uint32_t first, next, end;
+  };
+  std::vector<Frame> stack;
+  FactList pending;
+  // MONDET_FAULT=skip-stratum-proof makes the backward search accept no
+  // derivation that uses a fact of the stratum, so facts whose every
+  // proof runs through the stratum are disproved and lost — the
+  // maintenance-differential oracle must catch it.
+  const bool skip_stratum_proof = FaultInjected("skip-stratum-proof");
+  // Visits the unvisited stratum fact pred(args): marks it checked, then
+  // proves it at once if the new base holds it or some derivation over
+  // the new lower state and the facts not disproved has every stratum
+  // atom proved — a derivation whose support an earlier Check proved is
+  // seen only here. Otherwise pushes a frame over the unvisited stratum
+  // atoms of those derivations.
+  auto visit = [&](PredId pred, std::span<const ElemId> args) {
+    memo.AddFact(pred, args);
+    const uint32_t g = static_cast<uint32_t>(memo.num_facts() - 1);
+    const FactView f = memo.ViewAt(g);  // stable: the memo only reads now
+    const uint32_t first = static_cast<uint32_t>(pending.size());
+    bool at_once = base.HasFact(f.pred, f.args);
+    for (size_t k = 0; k < st.rules.size() && !at_once; ++k) {
       const RulePlan& plan = plans_[st.rules[k]];
-      for (int r : plan.recursive_atoms) {
-        if (plan.body[r].pred != f.pred) continue;
-        seed_deletion(k, static_cast<size_t>(r), seed);
+      if (plan.head.pred != f.pred ||
+          (skip_stratum_proof && !plan.recursive_atoms.empty())) {
+        continue;
+      }
+      map.assign(plan.num_vars, kNoElem);
+      if (!BindArgs(plan.head, f.args, map)) continue;
+      auto derivation = [&](const std::vector<ElemId>& mm) {
+        bool all_proved = true;
+        for (int r : plan.recursive_atoms) {
+          const uint64_t s = state_of(plan.body[r], mm);
+          if (s == kDisproved) return true;
+          all_proved = all_proved && s == kProved;
+        }
+        if (all_proved) return false;
+        for (int r : plan.recursive_atoms) {
+          if (state_of(plan.body[r], mm) == 0) {
+            pending.Push(plan.body[r].pred, atom_args);
+          }
+        }
+        return true;
+      };
+      at_once = !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, log,
+                            run.join_probes, map, derivation);
+    }
+    if (at_once) {
+      pending.Truncate(first);
+      prove(g);
+    } else {
+      stack.push_back({g, first, first, static_cast<uint32_t>(pending.size())});
+    }
+  };
+
+  // Check each candidate still in the instance and not yet visited: a
+  // depth-first backward search that checks the stratum atoms of each
+  // derivation in turn and leaves a fact once it is proved. When it
+  // returns, every fact it checked and did not prove has no proof over
+  // the new lower state and the facts not disproved: it is disproved, and
+  // the heads of old-state derivations through it become candidates.
+  uint32_t num_disproved = 0;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const FactView cand = candidates[c];
+    if (memo.FactCount(cand.pred, cand.args) != 0 ||
+        !inst.HasFact(cand.pred, cand.args)) {
+      continue;
+    }
+    const uint32_t first = static_cast<uint32_t>(memo.num_facts());
+    visit(cand.pred, cand.args);
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      const auto [p, row] = memo.Locate(top.fact);
+      if (memo.CountAt(p, row) == kProved || top.next == top.end) {
+        pending.Truncate(top.first);
+        stack.pop_back();
+        continue;
+      }
+      const FactView g = pending[top.next++];
+      if (memo.FactCount(g.pred, g.args) == 0) visit(g.pred, g.args);
+    }
+    for (uint32_t g = first; g < memo.num_facts(); ++g) {
+      const auto [p, row] = memo.Locate(g);
+      if (memo.CountAt(p, row) != kChecked) continue;
+      memo.SetCountAt(p, row, kDisproved);
+      ++num_disproved;
+      for (size_t k = 0; k < st.rules.size(); ++k) {
+        const RulePlan& plan = plans_[st.rules[k]];
+        for (int r : plan.recursive_atoms) {
+          if (plan.body[r].pred != p) continue;
+          seed_candidates(k, static_cast<size_t>(r), memo.Args(p, row));
+        }
       }
     }
   }
 
-  // Remove, then rederive: a provisionally-deleted fact survives if the
-  // new base holds it or some rule still derives it over the current
-  // state (lower strata new, this stratum minus the provisional
-  // deletions). Revivals enable more revivals: passes over `over` in
-  // its order, each seeing the revivals before it, to a fixpoint.
-  // MONDET_FAULT=skip-rederive revives nothing, so facts that keep a
-  // derivation are lost — the maintenance-differential oracle must
-  // catch it.
-  const uint32_t num_over = static_cast<uint32_t>(over.num_facts());
-  for (uint32_t g = 0; g < num_over; ++g) {
-    const FactView f = over.ViewAt(g);
-    MONDET_CHECK(inst.RemoveFact(f.pred, f.args));
-  }
-  run.overdeleted += num_over;
-  std::vector<char> back(num_over, 0);
-  bool progress = !FaultInjected("skip-rederive");
-  while (progress) {
-    progress = false;
-    for (uint32_t g = 0; g < num_over; ++g) {
-      if (back[g]) continue;
-      const FactView f = over.ViewAt(g);
-      if (base.HasFact(f.pred, f.args) ||
-          Rederivable(f.pred, f.args, si, inst, log, current,
-                      run.join_probes, map)) {
-        MONDET_CHECK(inst.AddFact(f.pred, f.args));
-        back[g] = 1;
-        progress = true;
-        ++run.rederived;
-      }
+  // Remove the disproved facts, in memo order.
+  for (uint32_t g = 0; g < memo.num_facts(); ++g) {
+    const auto [p, row] = memo.Locate(g);
+    if (memo.CountAt(p, row) == kDisproved) {
+      MONDET_CHECK(inst.RemoveFact(p, memo.Args(p, row)));
     }
   }
+  run.overdeleted += num_disproved;
 
   // Insert: semi-naive from the inserted seeds — base-inserted stratum
   // facts and lower-stratum membership insertions at every matching body
@@ -978,19 +1091,26 @@ void CompiledProgram::MaintainDRed(
     }
   }
 
-  // Net membership changes of this stratum: the overdeleted facts that
-  // stayed out (neither rederived nor inserted again), and the inserted
-  // facts that were not overdeleted (so absent before). Each list is
-  // logged in sorted fact order, so the change lists — the
-  // lower-stratum deltas of later strata — are deterministic.
+  // Net membership changes of this stratum: the disproved facts the
+  // insert phase did not put back (old ∖ new), and the inserted facts the
+  // memo never saw (new ∖ old: every old fact the insert phase could add
+  // was disproved). Each list is logged in sorted fact order, so the
+  // change lists — the lower-stratum deltas of later strata — are
+  // deterministic.
   std::vector<FactView> gone, fresh;
-  for (uint32_t g = 0; g < num_over; ++g) {
-    const FactView f = over.ViewAt(g);
-    if (!back[g] && !inst.HasFact(f.pred, f.args)) gone.push_back(f);
+  for (uint32_t g = 0; g < memo.num_facts(); ++g) {
+    const auto [p, row] = memo.Locate(g);
+    if (memo.CountAt(p, row) != kDisproved) continue;
+    const FactView f{p, memo.Args(p, row)};
+    if (inst.HasFact(f.pred, f.args)) {
+      ++run.rederived;
+    } else {
+      gone.push_back(f);
+    }
   }
   for (uint32_t g = first_new; g < inst.num_facts(); ++g) {
     const FactView f = inst.ViewAt(g);
-    if (!over.HasFact(f.pred, f.args)) fresh.push_back(f);
+    if (!memo.HasFact(f.pred, f.args)) fresh.push_back(f);
   }
   std::sort(gone.begin(), gone.end(), ViewLess);
   std::sort(fresh.begin(), fresh.end(), ViewLess);

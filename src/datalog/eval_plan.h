@@ -78,8 +78,8 @@ struct EvalStats {
   size_t iterations = 0;
   size_t facts_derived = 0;
   size_t facts_retracted = 0;  // facts removed by Maintain
-  size_t overdeleted = 0;      // DRed: provisional deletions
-  size_t rederived = 0;        // DRed: provisional deletions revived
+  size_t overdeleted = 0;      // Maintain: facts disproved and removed
+  size_t rederived = 0;        // Maintain: of those, put back
   size_t join_probes = 0;
   size_t replans = 0;
   // Always 0: Eval skips no rules. Kept only because
@@ -128,14 +128,15 @@ FactDelta ApplyBatch(const std::vector<Fact>& inserts,
 
 /// Outcome of one Maintain call: the net membership changes of the
 /// materialized instance (every fact that appeared / disappeared, in the
-/// deterministic order they were recorded) plus the DRed counters.
-/// Consumers project these deltas further — MaintainedImage filters them
-/// to the view predicates to keep the view image current.
+/// deterministic order they were recorded) plus the Backward/Forward
+/// counters of the recursive strata. Consumers project these deltas
+/// further — MaintainedImage filters them to the view predicates to keep
+/// the view image current.
 struct MaintainResult {
   std::vector<Fact> inserts;  // net facts added to the materialization
   std::vector<Fact> deletes;  // net facts removed from it
-  size_t overdeleted = 0;     // DRed provisional deletions across strata
-  size_t rederived = 0;       // provisional deletions that came back
+  size_t overdeleted = 0;     // facts disproved and removed, all strata
+  size_t rederived = 0;       // of those, put back by the insert phase
 };
 
 /// Description of one precomputed join order of a CompiledProgram, for
@@ -210,7 +211,7 @@ class CompiledProgram {
   /// derivations, plus one for base membership) for every non-recursive
   /// stratum. Facts of recursive SCC strata keep count 1 — counting is
   /// unsound under recursion (a fact may support itself), which is
-  /// exactly why Maintain switches to DRed there.
+  /// exactly why Maintain switches to Backward/Forward there.
   Instance Materialize(const Instance& input, EvalStats* stats = nullptr,
                        const EvalOptions& options = {}) const;
 
@@ -222,11 +223,18 @@ class CompiledProgram {
   /// exact membership changes (see FactDelta).
   /// Non-recursive strata are maintained by counting (the ordered-delta
   /// join formula adjusts derivation counts; membership follows count
-  /// zero-crossings), recursive SCC strata by delete-rederive (DRed):
-  /// overdelete over the old state, remove, rederive survivors, then
-  /// semi-naive insertion. Single-threaded and deterministic: the same
-  /// schedule always yields the same instance and counts. When `stats` is
-  /// non-null the call's counters accumulate into it.
+  /// zero-crossings), recursive SCC strata by Backward/Forward (Motik,
+  /// Nenov, Piro, Horrocks, AAAI 2015): each fact that may have lost a
+  /// derivation is kept if a backward search finds it another proof over
+  /// the new lower strata and the stratum facts not disproved, and
+  /// disproved otherwise; the disproved facts go, then semi-naive
+  /// insertion runs. A write touches the facts that lost a derivation and
+  /// their proofs, not the whole strongly connected closure. The net
+  /// changes (old ∖ new, then new ∖ old, per stratum in sorted fact order)
+  /// do not depend on the search order. Single-threaded and
+  /// deterministic: the same schedule always yields the same instance and
+  /// counts. When `stats` is non-null the call's counters accumulate into
+  /// it.
   MaintainResult Maintain(Instance& inst, const Instance& base,
                           const FactDelta& delta,
                           EvalStats* stats = nullptr) const;
@@ -352,26 +360,17 @@ class CompiledProgram {
                   std::vector<ElemId>& map, Out&& out) const;
 
   /// Counting maintenance of the non-recursive stratum `si` (see
-  /// Maintain); DRed maintenance of the recursive stratum `si`. Both
-  /// append the stratum's net changes to `log` and add their join work
-  /// to `probes` / `run.join_probes`; DRed also adds its counters to
-  /// `run`.
+  /// Maintain); Backward/Forward maintenance of the recursive stratum
+  /// `si`. Both append the stratum's net changes to `log` and add their
+  /// join work to `probes` / `run.join_probes`; B/F also adds its
+  /// counters to `run`.
   void MaintainCounting(size_t si, const std::vector<const Fact*>& base_ins,
                         const std::vector<const Fact*>& base_del,
                         Instance& inst, ChangeLog& log, size_t& probes) const;
-  void MaintainDRed(size_t si, const Instance& base,
-                    const std::vector<const Fact*>& base_ins,
-                    const std::vector<const Fact*>& base_del, Instance& inst,
-                    ChangeLog& log, EvalStats& run) const;
-
-  /// True iff some rule of stratum `si` derives pred(args) over `inst`
-  /// as-is. `current` is an all-zero read-old mask at least as long as
-  /// every body of the stratum, so `log` is never read; `map` is
-  /// scratch.
-  bool Rederivable(PredId pred, std::span<const ElemId> args, size_t si,
-                   const Instance& inst, const ChangeLog& log,
-                   const std::vector<uint8_t>& current, size_t& probes,
-                   std::vector<ElemId>& map) const;
+  void MaintainBF(size_t si, const Instance& base,
+                  const std::vector<const Fact*>& base_ins,
+                  const std::vector<const Fact*>& base_del, Instance& inst,
+                  ChangeLog& log, EvalStats& run) const;
 
   Program program_;
   std::vector<RulePlan> plans_;

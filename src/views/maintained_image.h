@@ -14,13 +14,13 @@ namespace mondet {
 
 /// Net view-image changes produced by one ApplyDelta batch: the facts
 /// the view image gained and lost, in the maintenance engine's
-/// deterministic order, plus the DRed counters of the underlying
-/// fixpoint maintenance.
+/// deterministic order, plus the Backward/Forward counters of the
+/// underlying fixpoint maintenance (see MaintainResult).
 struct ImageDelta {
   std::vector<Fact> inserts;
   std::vector<Fact> deletes;
-  size_t overdeleted = 0;  // DRed provisional deletions (all strata)
-  size_t rederived = 0;    // provisional deletions that came back
+  size_t overdeleted = 0;  // facts disproved and removed (all strata)
+  size_t rederived = 0;    // of those, put back by the insert phase
 
   bool empty() const { return inserts.empty() && deletes.empty(); }
 };

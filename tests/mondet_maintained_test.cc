@@ -60,7 +60,7 @@ void ExpectImageFresh(const MaintainedImage& maintained,
 
 /// Curated fixture: recursive reachability query over a path, with two
 /// atomic views and a recursive transitive-closure view (so schedules
-/// drive both the counting and the DRed maintenance paths).
+/// drive both the counting and the Backward/Forward maintenance paths).
 struct ReachFixture {
   VocabularyPtr vocab = MakeVocabulary();
   DatalogQuery query;
@@ -114,8 +114,8 @@ TEST(MaintainedImage, MatchesFreshImageAfterEveryBatch) {
   EXPECT_EQ(grow.inserts.size(), 5u);
   EXPECT_TRUE(grow.deletes.empty());
 
-  // Cut the chain at b: every VT path through the edge disappears, via
-  // the DRed overdelete/rederive cycle.
+  // Cut the chain at b: every VT path through the edge disappears; the
+  // backward search finds no other proof and disproves them.
   ImageDelta cut = maintained.ApplyDelta({}, {Fact(fx.r, {b, c})});
   ExpectImageFresh(maintained, "cut");
   EXPECT_FALSE(maintained.base().HasFact(fx.r, {b, c}));
@@ -214,6 +214,16 @@ MaintainResult ApplyAndCheck(const CompiledProgram& compiled,
   return res;
 }
 
+/// One MaintainResult as text: every net insert and delete in order,
+/// then the counters (facts disproved, and of those put back).
+std::string ResultLine(const Instance& m, const MaintainResult& res) {
+  std::string line;
+  for (const Fact& f : res.inserts) line += "+" + FactToString(m, f);
+  for (const Fact& f : res.deletes) line += "-" + FactToString(m, f);
+  return line + " o=" + std::to_string(res.overdeleted) +
+         " r=" + std::to_string(res.rederived);
+}
+
 // Counting reads the atoms after the seat in the old state. A fully
 // bound atom there must not see B(a), inserted in the same batch as
 // A(a): H(a) gains one derivation, not two. A current-state probe in
@@ -238,11 +248,12 @@ TEST(MaintainJoin, CountingOldStateReadsSkipTheBatch) {
   EXPECT_FALSE(m.HasFact(Fact(h, {x})));
 }
 
-// DRed overdeletes over the old state of the lower strata: deleting
-// A(a) and B(a) together must overdelete T(a) (each seed finds the
-// other fact among the deletions) and with it T(b). A current-state
-// probe finds neither, overdeletes nothing and keeps both rows.
-TEST(MaintainJoin, DRedOldStateReadsSeeJointDeletes) {
+// Backward/Forward seeds its candidates over the old state of the lower
+// strata: deleting A(a) and B(a) together must make T(a) a candidate
+// (each seed finds the other fact among the deletions), disprove it and
+// with it T(b). A current-state probe finds neither, checks nothing and
+// keeps both rows.
+TEST(MaintainJoin, CandidateSeedsSeeJointDeletes) {
   auto vocab = MakeVocabulary();
   ParseResult pr = ParseProgram(R"(
     T(x) :- A(x), B(x).
@@ -270,6 +281,115 @@ TEST(MaintainJoin, DRedOldStateReadsSeeJointDeletes) {
   EXPECT_EQ(res.rederived, 0u);
 }
 
+/// Reachability from Src over E. The edge atom comes first: Maintain's
+/// join visits body atoms in order, so the backward search, which binds
+/// the head, finds E(x,y) by its bound position instead of scanning every
+/// Reach row.
+struct ReachProgram {
+  VocabularyPtr vocab = MakeVocabulary();
+  ParseResult pr = ParseProgram(R"(
+    Reach(y) :- Src(y).
+    Reach(y) :- E(x,y), Reach(x).
+  )",
+                                vocab);
+  PredId src = *vocab->FindPredicate("Src");
+  PredId e = *vocab->FindPredicate("E");
+  PredId reach = *vocab->FindPredicate("Reach");
+};
+
+// Backward/Forward hazard: a fact checked while its only support is an
+// ancestor still being checked. Cutting s -> f makes Reach(f) the one
+// candidate; its first derivation runs through g, whose only support is
+// f itself, so Reach(g) is left checked and unproved. The second
+// derivation, through h, proves Reach(f), and the forward chaining must
+// then prove Reach(g) too, or it is disproved and lost.
+TEST(MaintainJoin, CheckedFactProvedThroughItsAncestor) {
+  ReachProgram rp;
+  ASSERT_TRUE(rp.pr.ok()) << rp.pr.error;
+  CompiledProgram compiled(*rp.pr.program);
+  Instance base(rp.vocab);
+  const ElemId s = base.AddElement("s"), f = base.AddElement("f"),
+               g = base.AddElement("g"), h = base.AddElement("h");
+  // E(g,f) is f's first in-edge in row order; the cut edge is E's last
+  // row, so removing it moves no row.
+  for (const Fact& fact :
+       {Fact(rp.e, {g, f}), Fact(rp.e, {f, g}), Fact(rp.e, {s, h}),
+        Fact(rp.e, {h, f}), Fact(rp.e, {s, f}), Fact(rp.src, {s})}) {
+    base.AddFact(fact);
+  }
+  Instance m = compiled.Materialize(base);
+  ASSERT_EQ(m.NumRows(rp.reach), 4u);
+
+  MaintainResult res =
+      ApplyAndCheck(compiled, m, base, {}, {Fact(rp.e, {s, f})}, "cut");
+  EXPECT_EQ(ResultLine(m, res), "-E(s,f) o=0 r=0");
+}
+
+// Backward/Forward hazard: a fact whose support an earlier top-level
+// Check proved. Cutting s -> a and s -> b makes Reach(a), then Reach(b)
+// candidates. The first Check proves Reach(a) through m; Reach(b)'s one
+// derivation left runs through Reach(a), already proved and so never
+// checked again: only the one-step test at the visit proves Reach(b).
+TEST(MaintainJoin, SupportProvedByAnEarlierCheck) {
+  ReachProgram rp;
+  ASSERT_TRUE(rp.pr.ok()) << rp.pr.error;
+  CompiledProgram compiled(*rp.pr.program);
+  Instance base(rp.vocab);
+  const ElemId s = base.AddElement("s"), a = base.AddElement("a"),
+               b = base.AddElement("b"), mid = base.AddElement("m");
+  for (const Fact& fact :
+       {Fact(rp.e, {s, mid}), Fact(rp.e, {mid, a}), Fact(rp.e, {a, b}),
+        Fact(rp.e, {s, a}), Fact(rp.e, {s, b}), Fact(rp.src, {s})}) {
+    base.AddFact(fact);
+  }
+  Instance m = compiled.Materialize(base);
+  ASSERT_EQ(m.NumRows(rp.reach), 4u);
+
+  MaintainResult res = ApplyAndCheck(
+      compiled, m, base, {}, {Fact(rp.e, {s, a}), Fact(rp.e, {s, b})}, "cut");
+  EXPECT_EQ(ResultLine(m, res), "-E(s,a)-E(s,b) o=0 r=0");
+}
+
+// Backward/Forward keeps its search off the call stack: over a chain
+// 0 -> 1 -> ... -> n, cutting n-1 -> n next to the bypass n-2 -> n
+// leaves Reach(n) one proof, n - 1 facts deep, and the search checks
+// every one of them. Then the bypass goes too and Reach(n) is disproved.
+TEST(MaintainJoin, DeepProofOffTheCallStack) {
+  ReachProgram rp;
+  ASSERT_TRUE(rp.pr.ok()) << rp.pr.error;
+  CompiledProgram compiled(*rp.pr.program);
+  constexpr ElemId n = 200000;
+  Instance base(rp.vocab);
+  base.EnsureElements(n + 1);
+  for (ElemId i = 0; i < n; ++i) base.AddFact(rp.e, {i, i + 1});
+  base.AddFact(rp.e, {n - 2, n});
+  // Without a source nothing is reachable; inserting it derives the
+  // chain in the insert phase's frontier loop, one fact per step.
+  Instance m = compiled.Materialize(base);
+  ASSERT_EQ(m.NumRows(rp.reach), 0u);
+  ASSERT_TRUE(base.AddFact(rp.src, {0}));
+  compiled.Maintain(m, base, FactDelta{{Fact(rp.src, {0})}, {}});
+  ASSERT_EQ(m.NumRows(rp.reach), n + 1);
+
+  const Fact cut(rp.e, {n - 1, n});
+  ASSERT_TRUE(base.RemoveFact(cut));
+  EvalStats stats;
+  MaintainResult res = compiled.Maintain(m, base, FactDelta{{}, {cut}}, &stats);
+  EXPECT_EQ(res.deletes, std::vector<Fact>{cut});
+  EXPECT_TRUE(res.inserts.empty());
+  EXPECT_EQ(res.overdeleted, 0u);
+  EXPECT_EQ(m.NumRows(rp.reach), n + 1);
+  // Every fact of the proof was visited: at least one probe each.
+  EXPECT_GT(stats.join_probes, static_cast<size_t>(n));
+
+  const Fact bypass(rp.e, {n - 2, n});
+  ASSERT_TRUE(base.RemoveFact(bypass));
+  res = compiled.Maintain(m, base, FactDelta{{}, {bypass}});
+  EXPECT_EQ(res.deletes, (std::vector<Fact>{bypass, Fact(rp.reach, {n})}));
+  EXPECT_EQ(res.overdeleted, 1u);
+  EXPECT_EQ(m.NumRows(rp.reach), n);
+}
+
 // "x1,x2,...,x16,<first>" with x1 renamed to `first`: seventeen
 // positions, sixteen distinct variables, the first one repeated last.
 std::string Args17(const std::string& first) {
@@ -279,8 +399,8 @@ std::string Args17(const std::string& first) {
 }
 
 // Atoms wider than the buffers Maintain's join keeps on the stack, with
-// a repeated variable, through both engines: W is recursive (DRed), V
-// counts. The shape of EvalRegression.WideRulesRunThroughKernels.
+// a repeated variable, through both engines: W is recursive
+// (Backward/Forward), V counts. The shape of EvalRegression.WideRulesRunThroughKernels.
 TEST(MaintainJoin, WideRulesRoundTrip) {
   auto vocab = MakeVocabulary();
   const PredId e = vocab->AddPredicate("E", 17);
@@ -363,20 +483,12 @@ TEST(ApplyBatch, NormalizesWhileApplying) {
   EXPECT_EQ(base.num_facts(), 5u);
 }
 
-/// One MaintainResult as text: every net insert and delete in order,
-/// then the DRed counters.
-std::string ResultLine(const Instance& m, const MaintainResult& res) {
-  std::string line;
-  for (const Fact& f : res.inserts) line += "+" + FactToString(m, f);
-  for (const Fact& f : res.deletes) line += "-" + FactToString(m, f);
-  return line + " o=" + std::to_string(res.overdeleted) +
-         " r=" + std::to_string(res.rederived);
-}
-
 // The whole MaintainResult, EDB and IDB facts alike, across four layers:
-// the EDB, a counting stratum over an IDB (C2 reads C1), a DRed stratum
-// (T) and a counting stratum above it (Top). ChurnSequencesPinned sees
-// only the view-image projection; this pins the full lists in order.
+// the EDB, a counting stratum over an IDB (C2 reads C1), a
+// Backward/Forward stratum (T) and a counting stratum above it (Top).
+// ChurnSequencesPinned sees only the view-image projection; this pins the
+// full lists in order. The lists were taken under DRed, the maintenance
+// Backward/Forward replaced; only the o=/r= counters were re-taken.
 TEST(MaintainJoin, WholeResultPinned) {
   auto vocab = MakeVocabulary();
   ParseResult pr = ParseProgram(R"(
@@ -418,18 +530,20 @@ TEST(MaintainJoin, WholeResultPinned) {
                   {}, "insert"),
             "+E(d,e)+A(d)+B(e)+E(a,c)+C1(a,c)+C1(d,e)+C2(a,c)+C2(d,e)+T(a,e)"
             "+T(b,e)+T(c,e)+T(d,e)+Top(d) o=0 r=0");
-  // Deletes only: cutting b -> c overdeletes every path through it; the
-  // ones the shortcut still carries come back.
+  // Deletes only: cutting b -> c disproves the three paths from b; the
+  // paths from a through c keep a proof over the shortcut.
   EXPECT_EQ(write({}, {Fact(e, {vb, vc})}, "delete"),
-            "-E(b,c)-C1(b,c)-C2(b,c)-T(b,c)-T(b,d)-T(b,e)-Top(b) o=6 r=3");
-  // A joint write that rederives: b reaches d directly while c -> d goes,
-  // and T(c,e) survives the cut of d -> e through the new edge c -> e.
+            "-E(b,c)-C1(b,c)-C2(b,c)-T(b,c)-T(b,d)-T(b,e)-Top(b) o=3 r=0");
+  // A joint write that puts a disproved fact back: b reaches d directly
+  // while c -> d goes, so T(a,d) has no proof over the old paths but the
+  // insert phase derives it again through the new T(b,d); T(c,e) keeps a
+  // proof through the new edge c -> e.
   EXPECT_EQ(write({Fact(e, {vb, vd}), Fact(e, {vc, ve})},
                   {Fact(e, {vc, vd}), Fact(b, {vc}), Fact(e, {vd, ve})},
                   "joint"),
             "+E(b,d)+E(c,e)+C1(b,d)+C1(c,e)+C2(b,d)+C2(c,e)+T(b,d)+Top(b)"
             "-E(c,d)-B(c)-E(d,e)-C1(c,d)-C1(d,e)-C2(a,c)-C2(c,d)-C2(d,e)"
-            "-T(a,c)-T(a,e)-T(c,d)-T(d,e)-Top(d) o=6 r=1");
+            "-T(a,c)-T(a,e)-T(c,d)-T(d,e)-Top(d) o=5 r=1");
   // Base IDB facts on both maintenance paths, next to an EDB delete.
   EXPECT_EQ(write({Fact(t, {ve, va}), Fact(c1, {ve, vb})}, {Fact(a, {va})},
                   "base idb"),
@@ -444,11 +558,13 @@ TEST(MaintainJoin, WholeResultPinned) {
 
 // A perfbench `churn`-shaped write stream: a 50-node graph in which every
 // node has in- and out-degree 3, so the closure view holds all 2,500
-// pairs, and 12 edge swaps, each overdeleting and rederiving most of it.
-// Pins a digest, taken before the maintenance join was tuned, of every
-// ImageDelta in order and of the maintained fixpoint in insertion order
-// with counts: the row order, the change lists and the DRed counters
-// are part of the result, not only the fact set.
+// pairs, and 12 edge swaps. The closure keeps all 2,500 pairs through
+// every swap, so Backward/Forward proves every candidate: nothing is
+// disproved or put back. Two digests:
+//   - every ImageDelta in order, taken under DRed, the maintenance this
+//     engine replaced; the change lists must not depend on the engine;
+//   - the maintained fixpoint in insertion order with counts, taken
+//     under Backward/Forward: the row order is part of the result.
 TEST(MaintainedImage, ChurnSequencesPinned) {
   auto vocab = MakeVocabulary();
   const PredId r = vocab->AddPredicate("R", 2);
@@ -495,8 +611,7 @@ TEST(MaintainedImage, ChurnSequencesPinned) {
   MaintainedImage maintained(views, base);
   ASSERT_EQ(maintained.image().NumRows(vt_pred), kNodes * kNodes);
 
-  std::string trace;
-  size_t rederived = 0;
+  std::string deltas;
   for (int step = 0; step < 12; ++step) {
     // Swap (a,b), (c,d) for (a,d), (c,b): every degree stays 3.
     size_t i = 0, j = 0;
@@ -513,24 +628,27 @@ TEST(MaintainedImage, ChurnSequencesPinned) {
     ImageDelta delta = maintained.ApplyDelta(
         {Fact(r, {a, d}), Fact(r, {c, b})}, {Fact(r, {a, b}), Fact(r, {c, d})});
     for (const Fact& f : delta.inserts) {
-      trace += "+" + FactToString(maintained.image(), f);
+      deltas += "+" + FactToString(maintained.image(), f);
     }
     for (const Fact& f : delta.deletes) {
-      trace += "-" + FactToString(maintained.image(), f);
+      deltas += "-" + FactToString(maintained.image(), f);
     }
-    trace += " o=" + std::to_string(delta.overdeleted) +
-             " r=" + std::to_string(delta.rederived) + "\n";
-    rederived += delta.rederived;
+    deltas += "\n";
+    const std::string tag = "swap " + std::to_string(step);
+    ExpectImageFresh(maintained, tag);
+    EXPECT_EQ(maintained.image().NumRows(vt_pred), kNodes * kNodes) << tag;
+    EXPECT_EQ(delta.overdeleted, 0u) << tag;
+    EXPECT_EQ(delta.rederived, 0u) << tag;
   }
+  std::string fixpoint;
   const Instance& fix = maintained.fixpoint();
   for (uint32_t g = 0; g < fix.num_facts(); ++g) {
     const auto [p, row] = fix.Locate(g);
-    trace += FactToString(fix, fix.ViewAt(g)) + "x" +
-             std::to_string(fix.CountAt(p, row)) + ";";
+    fixpoint += FactToString(fix, fix.ViewAt(g)) + "x" +
+                std::to_string(fix.CountAt(p, row)) + ";";
   }
-  ExpectImageFresh(maintained, "churn");
-  EXPECT_GT(rederived, 12u * kNodes * kNodes / 2);
-  EXPECT_EQ(testing::Fnv1a(trace), 0x323742a20f7c81b9ull);
+  EXPECT_EQ(testing::Fnv1a(deltas), 0xadf7236cd10cc99bull);
+  EXPECT_EQ(testing::Fnv1a(fixpoint), 0xdc7c3ae9aab1bc89ull);
 }
 
 TEST(ParseStream, BatchesElementsAndSigns) {
