@@ -945,14 +945,14 @@ void CompiledProgram::MaintainBF(
   // proof runs through the stratum are disproved and lost — the
   // maintenance-differential oracle must catch it.
   const bool skip_stratum_proof = FaultInjected("skip-stratum-proof");
-  // Visits the unvisited stratum fact pred(args): marks it checked, then
-  // proves it at once if the new base holds it or some derivation over
-  // the new lower state and the facts not disproved has every stratum
-  // atom proved — a derivation whose support an earlier Check proved is
-  // seen only here. Otherwise pushes a frame over the unvisited stratum
-  // atoms of those derivations.
+  // Visits pred(args) if it is new to the memo: marks it checked (one
+  // probe answers "visited?" and marks), then proves it at once if the
+  // new base holds it or some derivation over the new lower state and the
+  // facts not disproved has every stratum atom proved — a derivation
+  // whose support an earlier Check proved is seen only here. Otherwise
+  // pushes a frame over the unvisited stratum atoms of those derivations.
   auto visit = [&](PredId pred, std::span<const ElemId> args) {
-    memo.AddFact(pred, args);
+    if (!memo.AddFact(pred, args)) return;
     const uint32_t g = static_cast<uint32_t>(memo.num_facts() - 1);
     const FactView f = memo.ViewAt(g);  // stable: the memo only reads now
     const uint32_t first = static_cast<uint32_t>(pending.size());
@@ -1000,10 +1000,7 @@ void CompiledProgram::MaintainBF(
   uint32_t num_disproved = 0;
   for (size_t c = 0; c < candidates.size(); ++c) {
     const FactView cand = candidates[c];
-    if (memo.FactCount(cand.pred, cand.args) != 0 ||
-        !inst.HasFact(cand.pred, cand.args)) {
-      continue;
-    }
+    if (!inst.HasFact(cand.pred, cand.args)) continue;
     const uint32_t first = static_cast<uint32_t>(memo.num_facts());
     visit(cand.pred, cand.args);
     while (!stack.empty()) {
@@ -1015,7 +1012,7 @@ void CompiledProgram::MaintainBF(
         continue;
       }
       const FactView g = pending[top.next++];
-      if (memo.FactCount(g.pred, g.args) == 0) visit(g.pred, g.args);
+      visit(g.pred, g.args);
     }
     for (uint32_t g = first; g < memo.num_facts(); ++g) {
       const auto [p, row] = memo.Locate(g);
