@@ -3,12 +3,13 @@
 // recomputation of the same image. The workload is transitive closure
 // over an n-node path — the image carries Θ(n²) facts while cutting and
 // re-adding the head edge only touches the Θ(n) paths through it, so
-// maintenance (counting + DRed) must beat recompute by a widening margin
-// as n grows. bench_snapshot.sh records both families in
+// maintenance (counting + Backward/Forward) must beat recompute by a
+// widening margin as n grows. bench_snapshot.sh records both families in
 // BENCH_maintenance.json; the acceptance bar is maintain ≥ 2x recompute
-// on these small-delta steps. The path rows never rederive; the dense
-// row (perfbench `churn`'s graph shape) overdeletes and rederives the
-// whole closure on every write.
+// on these small-delta steps. The path rows disprove every candidate, so
+// the backward search saves nothing there; the dense row (perfbench
+// `churn`'s graph shape) keeps its whole strongly connected closure, and
+// the search proves every candidate without removing a fact.
 
 #include <benchmark/benchmark.h>
 
@@ -40,8 +41,8 @@ struct ChurnWorkload {
     PredId u = vocab->AddPredicate("U", 1);
     views.AddAtomicView("VR", r);
     views.AddAtomicView("VU", u);
-    // Recursive transitive-closure view: its maintenance runs the DRed
-    // delete-rederive path; the atomic views run the counting path.
+    // Recursive transitive-closure view: its maintenance runs the
+    // Backward/Forward path; the atomic views run the counting path.
     std::vector<Diagnostic> diags;
     auto vt = ParseQuery(R"(
       VT0(x,y) :- R(x,y).
@@ -59,9 +60,9 @@ struct ChurnWorkload {
   }
 };
 
-/// DRed's provisional deletions and revivals and the maintenance join's
-/// rows and membership probes, per iteration: the totals of the timed
-/// loop depend on how many iterations it ran.
+/// The facts Backward/Forward disproved and put back, and the
+/// maintenance join's rows and membership probes, per iteration: the
+/// totals of the timed loop depend on how many iterations it ran.
 void SetMaintainCounters(benchmark::State& state, const EvalStats& stats) {
   state.counters["overdeleted"] = benchmark::Counter(
       static_cast<double>(stats.overdeleted), benchmark::Counter::kAvgIterations);
@@ -85,9 +86,9 @@ void LabelImageCheck(benchmark::State& state,
 }
 
 /// One churn cycle: cut the head edge, then restore it. Net zero, so the
-/// workload is stable across iterations; each half-batch retracts /
-/// rederives the Θ(n) closure facts through the edge out of the Θ(n²)
-/// image.
+/// workload is stable across iterations; the cut disproves and the
+/// restore re-inserts the Θ(n) closure facts through the edge out of the
+/// Θ(n²) image.
 void BM_Maintenance_ChurnMaintain(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   ChurnWorkload w(n);
@@ -161,8 +162,9 @@ struct DenseWorkload {
   }
 };
 
-/// One edge swap and its inverse per iteration: each write overdeletes
-/// the n² closure facts and rederives nearly all of them.
+/// One edge swap and its inverse per iteration: each write makes the
+/// closure facts through the two removed edges candidates (about 2n) and
+/// proves every one of them, so nothing is removed.
 void BM_Maintenance_DenseSwap(benchmark::State& state) {
   DenseWorkload w(static_cast<int>(state.range(0)));
   MaintainedImage maintained(w.views, w.base);
