@@ -745,8 +745,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     if (st.recursive) {
       MaintainBF(si, base, base_ins_at[si], base_del_at[si], inst, log, run);
     } else {
-      MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, log,
-                       run.join_probes);
+      MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, log, run);
     }
   }
   // The log never loses a fact, so global-id order is record order.
@@ -768,7 +767,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
 void CompiledProgram::MaintainCounting(
     size_t si, const std::vector<const Fact*>& base_ins,
     const std::vector<const Fact*>& base_del, Instance& inst, ChangeLog& log,
-    size_t& probes) const {
+    EvalStats& run) const {
   const Stratum& st = strata_[si];
   // Signed derivation-count deltas for this stratum's facts; base
   // membership counts as one more derivation.
@@ -796,8 +795,8 @@ void CompiledProgram::MaintainCounting(
       auto seed = [&](std::span<const ElemId> df) {
         map.assign(plan.num_vars, kNoElem);
         if (BindArgs(plan.body[i], df, map)) {
-          MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, log, probes,
-                     map, count);
+          MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, log,
+                     run.join_probes, map, count);
         }
       };
       sign = +1;
@@ -997,7 +996,6 @@ void CompiledProgram::MaintainBF(
   // returns, every fact it checked and did not prove has no proof over
   // the new lower state and the facts not disproved: it is disproved, and
   // the heads of old-state derivations through it become candidates.
-  uint32_t num_disproved = 0;
   for (size_t c = 0; c < candidates.size(); ++c) {
     const FactView cand = candidates[c];
     if (!inst.HasFact(cand.pred, cand.args)) continue;
@@ -1018,7 +1016,6 @@ void CompiledProgram::MaintainBF(
       const auto [p, row] = memo.Locate(g);
       if (memo.CountAt(p, row) != kChecked) continue;
       memo.SetCountAt(p, row, kDisproved);
-      ++num_disproved;
       for (size_t k = 0; k < st.rules.size(); ++k) {
         const RulePlan& plan = plans_[st.rules[k]];
         for (int r : plan.recursive_atoms) {
@@ -1034,9 +1031,9 @@ void CompiledProgram::MaintainBF(
     const auto [p, row] = memo.Locate(g);
     if (memo.CountAt(p, row) == kDisproved) {
       MONDET_CHECK(inst.RemoveFact(p, memo.Args(p, row)));
+      ++run.overdeleted;
     }
   }
-  run.overdeleted += num_disproved;
 
   // Insert: semi-naive from the inserted seeds — base-inserted stratum
   // facts and lower-stratum membership insertions at every matching body

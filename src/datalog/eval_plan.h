@@ -345,11 +345,11 @@ class CompiledProgram {
   /// The maintenance engine's join: matches body atoms k.. of `plan` in
   /// body order (skipping `seat`, whose variables `map` pre-binds) and
   /// calls `out(map)` once per complete match; `out` returns false to
-  /// stop the enumeration early (rederivation checks need only a
-  /// witness). Atoms flagged in `read_old` read the *old* state,
-  /// reconstructed from the current instance and the change log (current
-  /// − added + removed); the rest read the current instance directly, a
-  /// fully bound one by a single membership probe. Adds each candidate
+  /// stop the enumeration early (the backward search stops at a
+  /// derivation that proves its fact). Atoms flagged in `read_old` read
+  /// the *old* state, reconstructed from the current instance and the
+  /// change log (current − added + removed); the rest read the current
+  /// instance directly, a fully bound one by a single membership probe. Adds each candidate
   /// row and each membership probe to `probes`. Returns false iff some
   /// `out` call stopped the enumeration. Defined and instantiated in
   /// eval_plan.cc only.
@@ -362,11 +362,10 @@ class CompiledProgram {
   /// Counting maintenance of the non-recursive stratum `si` (see
   /// Maintain); Backward/Forward maintenance of the recursive stratum
   /// `si`. Both append the stratum's net changes to `log` and add their
-  /// join work to `probes` / `run.join_probes`; B/F also adds its
-  /// counters to `run`.
+  /// join work (and B/F its counters) to `run`.
   void MaintainCounting(size_t si, const std::vector<const Fact*>& base_ins,
                         const std::vector<const Fact*>& base_del,
-                        Instance& inst, ChangeLog& log, size_t& probes) const;
+                        Instance& inst, ChangeLog& log, EvalStats& run) const;
   void MaintainBF(size_t si, const Instance& base,
                   const std::vector<const Fact*>& base_ins,
                   const std::vector<const Fact*>& base_del, Instance& inst,
