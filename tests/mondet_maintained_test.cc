@@ -287,14 +287,14 @@ TEST(MaintainJoin, CandidateSeedsSeeJointDeletes) {
 /// Reach row.
 struct ReachProgram {
   VocabularyPtr vocab = MakeVocabulary();
+  PredId src = vocab->AddPredicate("Src", 1);
+  PredId e = vocab->AddPredicate("E", 2);
+  PredId reach = vocab->AddPredicate("Reach", 1);
   ParseResult pr = ParseProgram(R"(
     Reach(y) :- Src(y).
     Reach(y) :- E(x,y), Reach(x).
   )",
                                 vocab);
-  PredId src = *vocab->FindPredicate("Src");
-  PredId e = *vocab->FindPredicate("E");
-  PredId reach = *vocab->FindPredicate("Reach");
 };
 
 // Backward/Forward hazard: a fact checked while its only support is an
