@@ -68,8 +68,9 @@ void SetMaintainCounters(benchmark::State& state, const EvalStats& stats) {
       static_cast<double>(stats.overdeleted), benchmark::Counter::kAvgIterations);
   state.counters["rederived"] = benchmark::Counter(
       static_cast<double>(stats.rederived), benchmark::Counter::kAvgIterations);
-  state.counters["probes"] = benchmark::Counter(
-      static_cast<double>(stats.join_probes), benchmark::Counter::kAvgIterations);
+  state.counters["probes"] =
+      benchmark::Counter(static_cast<double>(stats.join_probes),
+                         benchmark::Counter::kAvgIterations);
 }
 
 /// The headline contract, checked once after the timed loop: the

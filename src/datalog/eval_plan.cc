@@ -888,7 +888,9 @@ void CompiledProgram::MaintainBF(
     for (size_t i = 0; i < plan.body.size(); ++i) {
       if (!lower_old[k][i]) continue;
       ForEachRow(log.removed, plan.body[i].pred,
-                 [&](std::span<const ElemId> df) { seed_candidates(k, i, df); });
+                 [&](std::span<const ElemId> df) {
+                   seed_candidates(k, i, df);
+                 });
     }
   }
 

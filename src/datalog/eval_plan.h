@@ -349,10 +349,10 @@ class CompiledProgram {
   /// derivation that proves its fact). Atoms flagged in `read_old` read
   /// the *old* state, reconstructed from the current instance and the
   /// change log (current − added + removed); the rest read the current
-  /// instance directly, a fully bound one by a single membership probe. Adds each candidate
-  /// row and each membership probe to `probes`. Returns false iff some
-  /// `out` call stopped the enumeration. Defined and instantiated in
-  /// eval_plan.cc only.
+  /// instance directly, a fully bound one by a single membership probe.
+  /// Adds each candidate row and each membership probe to `probes`.
+  /// Returns false iff some `out` call stopped the enumeration. Defined
+  /// and instantiated in eval_plan.cc only.
   template <class Out>
   bool MatchAtoms(const RulePlan& plan, int seat, size_t k,
                   const std::vector<uint8_t>& read_old, const Instance& inst,

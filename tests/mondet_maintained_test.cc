@@ -400,7 +400,8 @@ std::string Args17(const std::string& first) {
 
 // Atoms wider than the buffers Maintain's join keeps on the stack, with
 // a repeated variable, through both engines: W is recursive
-// (Backward/Forward), V counts. The shape of EvalRegression.WideRulesRunThroughKernels.
+// (Backward/Forward), V counts. The shape of
+// EvalRegression.WideRulesRunThroughKernels.
 TEST(MaintainJoin, WideRulesRoundTrip) {
   auto vocab = MakeVocabulary();
   const PredId e = vocab->AddPredicate("E", 17);
