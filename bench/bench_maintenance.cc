@@ -17,6 +17,7 @@
 #include <chrono>
 #include <numeric>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -182,6 +183,55 @@ void BM_Maintenance_DenseSwap(benchmark::State& state) {
   LabelImageCheck(state, maintained);
 }
 BENCHMARK(BM_Maintenance_DenseSwap)->Arg(50);
+
+/// A non-recursive projection view with fan-in: V(y) :- R(x,z), S(z,y).
+/// over 50 middles z, each with `fan_in` R(x,z) facts (the same `fan_in`
+/// sources x for every z) and one S(z,y) fact of its own y, so each of the
+/// 50 V facts has `fan_in` derivations.
+struct ProjectionWorkload {
+  static constexpr ElemId kMiddles = 50;
+  VocabularyPtr vocab = MakeVocabulary();
+  ViewSet views;
+  Instance base;
+  Fact s_fact;
+
+  explicit ProjectionWorkload(int fan_in)
+      : views(vocab), base(vocab), s_fact(0, {}) {
+    const PredId r = vocab->AddPredicate("R", 2);
+    const PredId s = vocab->AddPredicate("S", 2);
+    std::string error;
+    auto v = ParseCq("V(y) :- R(x,z), S(z,y).", vocab, &error);
+    views.AddCqView("V", *v);
+    const ElemId sources = static_cast<ElemId>(fan_in);
+    base.EnsureElements(sources + 2 * kMiddles);
+    for (ElemId z = 0; z < kMiddles; ++z) {
+      for (ElemId x = 0; x < sources; ++x) {
+        base.AddFact(r, {x, sources + z});
+      }
+      base.AddFact(s, {sources + z, sources + kMiddles + z});
+    }
+    s_fact = Fact(s, {sources, sources + kMiddles});
+  }
+};
+
+/// One S fact deleted and re-inserted per iteration: the delete takes its
+/// V fact's last derivations away, the insert gives them back.
+void BM_Maintenance_ProjectionChurn(benchmark::State& state) {
+  ProjectionWorkload w(static_cast<int>(state.range(0)));
+  MaintainedImage maintained(w.views, w.base);
+  EvalStats stats;
+  for (auto _ : state) {
+    ImageDelta cut = maintained.ApplyDelta({}, {w.s_fact}, &stats);
+    ImageDelta mend = maintained.ApplyDelta({w.s_fact}, {}, &stats);
+    benchmark::DoNotOptimize(cut);
+    benchmark::DoNotOptimize(mend);
+  }
+  state.counters["image_facts"] =
+      static_cast<double>(maintained.image().num_facts());
+  SetMaintainCounters(state, stats);
+  LabelImageCheck(state, maintained);
+}
+BENCHMARK(BM_Maintenance_ProjectionChurn)->Arg(80);
 
 /// The same churn cycle answered by from-scratch recomputation: mutate
 /// the base, rebuild the whole view image, restore, rebuild again.
