@@ -3,13 +3,16 @@
 // recomputation of the same image. The workload is transitive closure
 // over an n-node path — the image carries Θ(n²) facts while cutting and
 // re-adding the head edge only touches the Θ(n) paths through it, so
-// maintenance (counting + Backward/Forward) must beat recompute by a
-// widening margin as n grows. bench_snapshot.sh records both families in
-// BENCH_maintenance.json; the acceptance bar is maintain ≥ 2x recompute
-// on these small-delta steps. The path rows disprove every candidate, so
-// the backward search saves nothing there; the dense row (perfbench
-// `churn`'s graph shape) keeps its whole strongly connected closure, and
-// the search proves every candidate without removing a fact.
+// maintenance (Backward/Forward on every stratum) must beat recompute by
+// a widening margin as n grows. bench_snapshot.sh records both families
+// in BENCH_maintenance.json; the acceptance bar is maintain ≥ 2x
+// recompute on these small-delta steps. The path rows disprove every
+// candidate, so the backward search saves nothing there; the dense row
+// (perfbench `churn`'s graph shape) keeps its whole strongly connected
+// closure, and the search proves every closure candidate without
+// removing a closure fact. The projection row is a non-recursive view
+// with fan-in, where each delete disproves one fact by one head-bound
+// join.
 
 #include <benchmark/benchmark.h>
 
@@ -42,8 +45,9 @@ struct ChurnWorkload {
     PredId u = vocab->AddPredicate("U", 1);
     views.AddAtomicView("VR", r);
     views.AddAtomicView("VU", u);
-    // Recursive transitive-closure view: its maintenance runs the
-    // Backward/Forward path; the atomic views run the counting path.
+    // Recursive transitive-closure view next to the atomic ones: the
+    // backward search proves or disproves closure paths, an atomic view
+    // fact goes with its base fact.
     std::vector<Diagnostic> diags;
     auto vt = ParseQuery(R"(
       VT0(x,y) :- R(x,y).

@@ -28,8 +28,8 @@
 //
 // Each non-empty `.stream` line is one batch of raw inserts (+) and
 // deletes (-) against the instance; batches are applied in order to a
-// MaintainedImage (incremental view maintenance: counting +
-// Backward/Forward), the per-batch net view-image change is reported,
+// MaintainedImage (incremental view maintenance: Backward/Forward on
+// every stratum), the per-batch net view-image change is reported,
 // and at the end the maintained image is cross-checked against a
 // from-scratch recompute and the monotonic-determinacy verdict is
 // re-checked.

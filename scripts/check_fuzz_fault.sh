@@ -24,12 +24,11 @@
 #   rest.
 #
 #   MONDET_FAULT=skip-stratum-proof makes the Backward/Forward search of
-#   recursive-stratum maintenance (CompiledProgram::MaintainBF,
-#   src/datalog/eval_plan.cc) accept no derivation that uses a fact of
-#   the stratum itself, so facts whose every proof runs through the
-#   stratum are disproved and lost from the maintained fixpoint — caught
-#   by the maintenance-differential oracle against a from-scratch
-#   Materialize.
+#   maintenance (CompiledProgram::MaintainBF, src/datalog/eval_plan.cc)
+#   accept no derivation that uses a fact of the stratum itself, so
+#   facts whose every proof runs through the stratum are disproved and
+#   lost from the maintained fixpoint — caught by the
+#   maintenance-differential oracle against a from-scratch Eval.
 #
 #   MONDET_FAULT=skip-antichain-prune makes the subsumption prune of the
 #   lazy product walk bidirectional (src/automata/product_walk.h): it

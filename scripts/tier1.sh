@@ -55,12 +55,12 @@ fi
 # the naive reference and checks the plans bound statistics pick for
 # cross products; maintenance_differential_test is the
 # maintained-vs-recomputed fixpoint oracle for incremental view
-# maintenance (counting + Backward/Forward over randomized insert/delete
-# schedules); mondet_maintained_test pins the maintenance join's fully
-# bound probe, atoms past its 16-entry stack buffers (the heap
-# fallback), the Backward/Forward search's hazards (a 200,000-deep proof
-# on its explicit stack among them) and the fact and delta sequences of
-# a churn-shaped write stream;
+# maintenance (Backward/Forward on every stratum over randomized
+# insert/delete schedules); mondet_maintained_test pins the maintenance
+# join's fully bound probe, atoms past its 16-entry stack buffers (the
+# heap fallback), the Backward/Forward search's hazards (a 200,000-deep
+# proof on its explicit stack among them), its head-first join orders
+# and the fact and delta sequences of a churn-shaped write stream;
 # mondet_parallel_test is the walk-vs-flat oracle for the checker: the
 # monotonicity-pruned trie walk of the canonical tests against the flat
 # test-by-test scan (same verdict, counterexample and counters);

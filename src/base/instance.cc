@@ -46,7 +46,7 @@ Instance::PredStore& Instance::EnsurePred(PredId pred) {
     index_.resize(vocab_->size());
   }
   PredStore& st = preds_[pred];
-  if (st.counts.empty() && st.arity == 0) {
+  if (st.global_of.empty() && st.arity == 0) {
     st.arity = static_cast<uint32_t>(vocab_->arity(pred));
     index_[pred].resize(st.arity);
   }
@@ -122,9 +122,8 @@ bool Instance::AddFact(PredId pred, std::span<const ElemId> args) {
   ++table_live_;
 
   PredStore& st = EnsurePred(pred);
-  const uint32_t row = static_cast<uint32_t>(st.counts.size());
+  const uint32_t row = static_cast<uint32_t>(st.global_of.size());
   st.data.insert(st.data.end(), args.begin(), args.end());
-  st.counts.push_back(1);
   st.global_of.push_back(gid);
   order_.push_back((static_cast<uint64_t>(pred) << 32) | row);
   // Keep built positional indexes current, so a fixpoint loop probing
@@ -141,9 +140,10 @@ bool Instance::AddFact(PredId pred, std::span<const ElemId> args) {
   return true;
 }
 
-bool Instance::HasFact(PredId pred, std::span<const ElemId> args) const {
-  if (table_.empty()) return false;
-  return FindSlot(pred, args, HashFactKey(pred, args)) != kNoSlot;
+uint32_t Instance::FindFact(PredId pred, std::span<const ElemId> args) const {
+  if (table_.empty()) return kNoFact;
+  const size_t slot = FindSlot(pred, args, HashFactKey(pred, args));
+  return slot == kNoSlot ? kNoFact : table_[slot].gid;
 }
 
 bool Instance::RemoveFact(PredId pred, std::span<const ElemId> args) {
@@ -154,7 +154,7 @@ bool Instance::RemoveFact(PredId pred, std::span<const ElemId> args) {
   const auto [p, row] = Locate(gid);
   PredStore& st = preds_[pred];
   const uint32_t arity = st.arity;
-  const uint32_t rlast = static_cast<uint32_t>(st.counts.size()) - 1;
+  const uint32_t rlast = static_cast<uint32_t>(st.global_of.size()) - 1;
 
   // 1. Unhook `row` from every built positional index: O(1) swap-and-pop
   //    inside its bucket via the row -> bucket-slot map.
@@ -185,13 +185,11 @@ bool Instance::RemoveFact(PredId pred, std::span<const ElemId> args) {
     }
     std::copy_n(st.data.begin() + static_cast<size_t>(rlast) * arity, arity,
                 st.data.begin() + static_cast<size_t>(row) * arity);
-    st.counts[row] = st.counts[rlast];
     const uint32_t moved_gid = st.global_of[rlast];
     st.global_of[row] = moved_gid;
     order_[moved_gid] = (static_cast<uint64_t>(pred) << 32) | row;
   }
   st.data.resize(st.data.size() - arity);
-  st.counts.pop_back();
   st.global_of.pop_back();
   for (uint32_t pos = 0; pos < arity; ++pos) {
     if (pix[pos].built) pix[pos].slots.pop_back();
@@ -221,7 +219,7 @@ void Instance::Rollback(const Checkpoint& mark) {
     PredStore& st = preds_[pred];
     const uint32_t arity = st.arity;
     // LIFO: the newest fact is the last row of its predicate.
-    MONDET_CHECK(row + 1 == st.counts.size() &&
+    MONDET_CHECK(row + 1 == st.global_of.size() &&
                  "Instance::Rollback: a fact was removed since the mark");
     const std::span<const ElemId> args = Args(pred, row);
     table_[FindSlot(pred, args, HashFactKey(pred, args))].gid = kTombSlot;
@@ -235,35 +233,11 @@ void Instance::Rollback(const Checkpoint& mark) {
       ix.slots.pop_back();
     }
     st.data.resize(st.data.size() - arity);
-    st.counts.pop_back();
     st.global_of.pop_back();
     order_.pop_back();
   }
   num_elements_ = mark.elements;
   if (names_.size() > num_elements_) names_.resize(num_elements_);
-}
-
-uint64_t Instance::FactCount(PredId pred, std::span<const ElemId> args) const {
-  if (table_.empty()) return 0;
-  const size_t slot = FindSlot(pred, args, HashFactKey(pred, args));
-  if (slot == kNoSlot) return 0;
-  const auto [p, row] = Locate(table_[slot].gid);
-  return preds_[p].counts[row];
-}
-
-void Instance::SetFactCount(PredId pred, std::span<const ElemId> args,
-                            uint64_t count) {
-  MONDET_CHECK(!table_.empty());
-  const size_t slot = FindSlot(pred, args, HashFactKey(pred, args));
-  MONDET_CHECK(slot != kNoSlot);
-  MONDET_CHECK(count > 0);
-  const auto [p, row] = Locate(table_[slot].gid);
-  preds_[p].counts[row] = count;
-}
-
-void Instance::SetCountAt(PredId pred, uint32_t row, uint64_t count) {
-  MONDET_CHECK(count > 0);
-  preds_[pred].counts[row] = count;
 }
 
 std::vector<Fact> Instance::AllFacts() const {
@@ -277,7 +251,7 @@ void Instance::BuildPosIndex(PredId pred, int pos) const {
   const PredStore& st = preds_[pred];
   PosIndex& ix = index_[pred][pos];
   ix.built = true;
-  const uint32_t rows = static_cast<uint32_t>(st.counts.size());
+  const uint32_t rows = static_cast<uint32_t>(st.global_of.size());
   const uint32_t arity = st.arity;
   const ElemId* col = st.data.data() + pos;
   // Counting-sort build: count per-value occurrences, reserve each bucket
@@ -305,7 +279,7 @@ void Instance::BuildPosIndex(PredId pred, int pos) const {
 
 std::span<const uint32_t> Instance::BuildAndProbe(PredId pred, int pos,
                                                   ElemId val) const {
-  if (pred >= preds_.size() || preds_[pred].counts.empty()) return {};
+  if (pred >= preds_.size() || preds_[pred].global_of.empty()) return {};
   if (!index_[pred][pos].built) BuildPosIndex(pred, pos);
   const PosIndex& ix = index_[pred][pos];
   if (val >= ix.buckets.size()) return {};

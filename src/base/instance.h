@@ -115,8 +115,8 @@ struct FactEq {
 ///
 /// Storage is columnar, struct-of-arrays at the relation level: each
 /// predicate owns one flat ElemId arena in which row r occupies
-/// [r*arity, (r+1)*arity), plus parallel per-row vectors (derivation
-/// counts, global ids). Facts are addressed two ways:
+/// [r*arity, (r+1)*arity), plus a parallel per-row vector of global ids.
+/// Facts are addressed two ways:
 ///   - by *global id* 0..num_facts()-1 in insertion order (ViewAt/FactAt),
 ///     the order the determinism contracts are phrased in;
 ///   - by *(pred, row)* with row 0..NumRows(pred)-1 (Args/RowsWith), the
@@ -194,23 +194,20 @@ class Instance {
   /// elements frees only the names of named ones.
   void Rollback(const Checkpoint& mark);
 
-  bool HasFact(PredId pred, std::span<const ElemId> args) const;
+  /// FindFact's answer for an absent fact.
+  static constexpr uint32_t kNoFact = 0xFFFFFFFFu;
+  /// The global id of pred(args), or kNoFact if the instance lacks it: one
+  /// probe of the fact table. A caller can key per-fact state by it (the
+  /// maintenance engine's memo, which never removes a fact, does).
+  uint32_t FindFact(PredId pred, std::span<const ElemId> args) const;
+
+  bool HasFact(PredId pred, std::span<const ElemId> args) const {
+    return FindFact(pred, args) != kNoFact;
+  }
   bool HasFact(PredId pred, const std::vector<ElemId>& args) const {
     return HasFact(pred, std::span<const ElemId>(args));
   }
   bool HasFact(const Fact& f) const { return HasFact(f.pred, f.args); }
-
-  /// Per-fact derivation count, used by the maintenance engine: the
-  /// number of distinct derivations (plus one for base membership) that
-  /// support the fact. Facts start at 1; the count is bookkeeping only
-  /// and has no effect on set semantics. Zero for absent facts.
-  uint64_t FactCount(PredId pred, std::span<const ElemId> args) const;
-  uint64_t FactCount(const Fact& f) const { return FactCount(f.pred, f.args); }
-  void SetFactCount(PredId pred, std::span<const ElemId> args,
-                    uint64_t count);
-  void SetFactCount(const Fact& f, uint64_t count) {
-    SetFactCount(f.pred, f.args, count);
-  }
 
   size_t num_facts() const { return order_.size(); }
 
@@ -236,7 +233,7 @@ class Instance {
   /// Rows currently stored for `pred` (0 for a predicate with no facts).
   uint32_t NumRows(PredId pred) const {
     return pred < preds_.size()
-               ? static_cast<uint32_t>(preds_[pred].counts.size())
+               ? static_cast<uint32_t>(preds_[pred].global_of.size())
                : 0;
   }
 
@@ -258,12 +255,6 @@ class Instance {
   uint32_t GlobalOf(PredId pred, uint32_t row) const {
     return preds_[pred].global_of[row];
   }
-
-  /// Derivation count by (pred, row) coordinates.
-  uint64_t CountAt(PredId pred, uint32_t row) const {
-    return preds_[pred].counts[row];
-  }
-  void SetCountAt(PredId pred, uint32_t row, uint64_t count);
 
   /// Rows of `pred` whose argument at `pos` equals `val`, in row (=
   /// insertion) order. Backed by a dense per-(pred,pos) bucket index,
@@ -297,8 +288,7 @@ class Instance {
   /// Columnar storage of one relation.
   struct PredStore {
     uint32_t arity = 0;              // cached vocab arity
-    std::vector<ElemId> data;        // row-major argument arena
-    std::vector<uint64_t> counts;    // row -> derivation count
+    std::vector<ElemId> data;         // row-major argument arena
     std::vector<uint32_t> global_of;  // row -> global fact id
   };
   /// Dense (val -> rows) index of one (pred, pos) pair. `slots[row]` is
@@ -345,8 +335,8 @@ class Instance {
   mutable std::vector<std::vector<PosIndex>> index_;
   // Global id -> packed (pred << 32 | row); insertion order.
   std::vector<uint64_t> order_;
-  // Open-addressing fact table: membership, counts lookup, and the hook
-  // RemoveFact needs to find and repair the swapped-in fact.
+  // Open-addressing fact table: membership, global-id lookup, and the
+  // hook RemoveFact needs to find and repair the swapped-in fact.
   std::vector<TableSlot> table_;
   size_t table_live_ = 0;  // live entries
   size_t table_used_ = 0;  // live + tombstones

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "base/check.h"
@@ -112,6 +111,15 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
       plan.orders.push_back(PlanOrder(plan, shape, nullptr, nullptr));
       plan.est_rows.emplace_back();
     }
+    // Maintain's orders, planned the same way: the backward check binds
+    // the head, a seeded join its seat atom.
+    SeatShape check = MakeSeatShape(plan, -1);
+    for (VarId v : plan.head.args) check.bound0[v] = true;
+    plan.check_order = PlanOrder(plan, check, nullptr, nullptr);
+    for (int i = 0; i < static_cast<int>(plan.body.size()); ++i) {
+      plan.seeded_orders.push_back(
+          PlanOrder(plan, MakeSeatShape(plan, i), nullptr, nullptr));
+    }
     plans_.push_back(std::move(plan));
   }
   strata_ = std::move(strat.strata);
@@ -212,9 +220,8 @@ const JoinKernel* CompiledProgram::AtomSeatKernel(const RulePlan& plan,
   if (plan.atom_seats.empty()) plan.atom_seats.resize(plan.body.size());
   std::optional<JoinKernel>& kernel = plan.atom_seats[atom];
   if (!kernel) {
-    kernel = BuildKernel(
-        plan.head, plan.body, plan.num_vars, atom,
-        PlanOrder(plan, MakeSeatShape(plan, atom), nullptr, nullptr));
+    kernel = BuildKernel(plan.head, plan.body, plan.num_vars, atom,
+                         plan.seeded_orders[atom]);
   }
   return &*kernel;
 }
@@ -486,17 +493,6 @@ void WriteImage(const QAtom& atom, const std::vector<ElemId>& map,
   for (size_t pos = 0; pos < out.size(); ++pos) out[pos] = map[atom.args[pos]];
 }
 
-/// The entry of `counts` for pred(args), inserted at zero on a miss: the
-/// only allocation a derivation makes is a new key's.
-template <class V>
-V& CountOf(std::unordered_map<Fact, V, FactHash, FactEq>& counts, PredId pred,
-           std::span<const ElemId> args) {
-  const FactView key{pred, args};
-  auto it = counts.find(key);
-  if (it == counts.end()) it = counts.emplace(key.ToFact(), V{}).first;
-  return it->second;
-}
-
 /// Lexicographic (pred, args) order, as Fact::operator<.
 bool ViewLess(const FactView& a, const FactView& b) {
   if (a.pred != b.pred) return a.pred < b.pred;
@@ -566,16 +562,16 @@ class Scratch {
 }  // namespace
 
 template <class Out>
-bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
+bool CompiledProgram::MatchAtoms(const RulePlan& plan,
+                                 std::span<const uint32_t> order, size_t k,
                                  const std::vector<uint8_t>& read_old,
                                  const Instance& inst, const ChangeLog& log,
                                  size_t& probes, std::vector<ElemId>& map,
                                  Out&& out) const {
-  if (static_cast<int>(k) == seat) ++k;
-  if (k == plan.body.size()) return out(map);
-  const QAtom& atom = plan.body[k];
+  if (k == order.size()) return out(map);
+  const QAtom& atom = plan.body[order[k]];
   const size_t arity = atom.args.size();
-  const bool old = read_old[k] && log.Touched(atom.pred);
+  const bool old = read_old[order[k]] && log.Touched(atom.pred);
   Scratch<ElemId> image(arity);  // the atom under `map`; kNoElem if unbound
   bool fully_bound = true;
   for (size_t pos = 0; pos < arity; ++pos) {
@@ -590,7 +586,7 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
     ++probes;
     return !inst.HasFact(atom.pred,
                          std::span<const ElemId>(image.data(), arity)) ||
-           MatchAtoms(plan, seat, k + 1, read_old, inst, log, probes, map,
+           MatchAtoms(plan, order, k + 1, read_old, inst, log, probes, map,
                       out);
   }
   // Current-state candidates through the tightest index available for the
@@ -622,8 +618,8 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
         match = map[v] == args[pos];
       }
     }
-    const bool go_on = !match || MatchAtoms(plan, seat, k + 1, read_old, inst,
-                                            log, probes, map, out);
+    const bool go_on = !match || MatchAtoms(plan, order, k + 1, read_old,
+                                            inst, log, probes, map, out);
     for (size_t i = 0; i < nb; ++i) map[bound[i]] = kNoElem;
     return go_on;
   };
@@ -652,48 +648,6 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan, int seat, size_t k,
   return true;
 }
 
-Instance CompiledProgram::Materialize(const Instance& input,
-                                      EvalStats* stats,
-                                      const EvalOptions& options) const {
-  Instance fix = Eval(input, stats, options);
-  const ChangeLog no_changes(fix);
-  size_t probes = 0;
-  std::vector<ElemId> map, head;
-  for (const Stratum& st : strata_) {
-    // Counting is unsound under recursion (a fact may transitively
-    // support itself), so recursive SCC strata keep the membership-only
-    // count of 1 and Maintain uses Backward/Forward for them.
-    if (st.recursive) continue;
-    std::unordered_map<Fact, uint64_t, FactHash, FactEq> dc;
-    for (uint32_t pi : st.rules) {
-      const RulePlan& plan = plans_[pi];
-      const std::vector<uint8_t> current(plan.body.size(), 0);
-      map.assign(plan.num_vars, kNoElem);
-      auto count = [&](const std::vector<ElemId>& mm) {
-        WriteImage(plan.head, mm, head);
-        ++CountOf(dc, plan.head.pred, head);
-        return true;
-      };
-      MatchAtoms(plan, /*seat=*/-1, 0, current, fix, no_changes, probes, map,
-                 count);
-    }
-    for (PredId p : st.preds) {
-      const uint32_t n = fix.NumRows(p);
-      for (uint32_t row = 0; row < n; ++row) {
-        const FactView f{p, fix.Args(p, row)};
-        auto it = dc.find(f);
-        uint64_t c = (it != dc.end() ? it->second : 0) +
-                     (input.HasFact(p, f.args) ? 1 : 0);
-        // Every fixpoint fact has base membership or a rule derivation.
-        MONDET_CHECK(c > 0 && "Materialize: unsupported fixpoint fact");
-        fix.SetCountAt(p, row, c);
-      }
-    }
-  }
-  if (stats) stats->join_probes += probes;
-  return fix;
-}
-
 MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
                                          const FactDelta& delta,
                                          EvalStats* stats) const {
@@ -705,8 +659,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
 
   // Split the base delta by layer: EDB changes apply directly (EDB
   // membership *is* base membership), IDB base changes fold into their
-  // own stratum's pass — as ±1 derivation-count contributions on the
-  // counting path, as candidates or seeds on the Backward/Forward path.
+  // own stratum's pass as candidates or insertion seeds.
   std::vector<std::vector<const Fact*>> base_ins_at(strata_.size());
   std::vector<std::vector<const Fact*>> base_del_at(strata_.size());
   for (const Fact& f : delta.inserts) {
@@ -742,11 +695,7 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
       }
     }
     if (!touched) continue;
-    if (st.recursive) {
-      MaintainBF(si, base, base_ins_at[si], base_del_at[si], inst, log, run);
-    } else {
-      MaintainCounting(si, base_ins_at[si], base_del_at[si], inst, log, run);
-    }
+    MaintainBF(si, base, base_ins_at[si], base_del_at[si], inst, log, run);
   }
   // The log never loses a fact, so global-id order is record order.
   res.inserts = log.added.AllFacts();
@@ -762,74 +711,6 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     stats->Accumulate(run);
   }
   return res;
-}
-
-void CompiledProgram::MaintainCounting(
-    size_t si, const std::vector<const Fact*>& base_ins,
-    const std::vector<const Fact*>& base_del, Instance& inst, ChangeLog& log,
-    EvalStats& run) const {
-  const Stratum& st = strata_[si];
-  // Signed derivation-count deltas for this stratum's facts; base
-  // membership counts as one more derivation.
-  std::unordered_map<Fact, int64_t, FactHash, FactEq> dcount;
-  for (const Fact* f : base_ins) ++dcount[*f];
-  for (const Fact* f : base_del) --dcount[*f];
-  std::vector<ElemId> map, head;
-  std::vector<uint8_t> read_old;
-  for (uint32_t pi : st.rules) {
-    const RulePlan& plan = plans_[pi];
-    int64_t sign = 0;
-    auto count = [&](const std::vector<ElemId>& mm) {
-      WriteImage(plan.head, mm, head);
-      CountOf(dcount, plan.head.pred, head) += sign;
-      return true;
-    };
-    // Ordered-delta formula: Δ(A1 ⋈ … ⋈ Ak) = Σ_i new(A<i) ⋈ Δi ⋈
-    // old(A>i). Exact by telescoping — each appearing or disappearing
-    // derivation is counted exactly once, whichever atoms changed.
-    for (size_t i = 0; i < plan.body.size(); ++i) {
-      const PredId p = plan.body[i].pred;
-      if (!log.Touched(p)) continue;
-      read_old.assign(plan.body.size(), 0);
-      for (size_t j = i + 1; j < plan.body.size(); ++j) read_old[j] = 1;
-      auto seed = [&](std::span<const ElemId> df) {
-        map.assign(plan.num_vars, kNoElem);
-        if (BindArgs(plan.body[i], df, map)) {
-          MatchAtoms(plan, static_cast<int>(i), 0, read_old, inst, log,
-                     run.join_probes, map, count);
-        }
-      };
-      sign = +1;
-      ForEachRow(log.added, p, seed);
-      sign = -1;
-      ForEachRow(log.removed, p, seed);
-    }
-  }
-  // Apply the count deltas in sorted fact order so the instance mutation
-  // sequence — and with it the stored fact order — is deterministic.
-  std::vector<const std::pair<const Fact, int64_t>*> items;
-  items.reserve(dcount.size());
-  for (const auto& item : dcount) {
-    if (item.second != 0) items.push_back(&item);
-  }
-  std::sort(items.begin(), items.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* item : items) {
-    const Fact& f = item->first;
-    const int64_t oldc = static_cast<int64_t>(inst.FactCount(f));
-    const int64_t newc = oldc + item->second;
-    MONDET_CHECK(newc >= 0 && "Maintain: derivation count went negative");
-    if (oldc == 0 && newc > 0) {
-      MONDET_CHECK(inst.AddFact(f));
-      inst.SetFactCount(f, static_cast<uint64_t>(newc));
-      log.added.AddFact(f);
-    } else if (oldc > 0 && newc == 0) {
-      MONDET_CHECK(inst.RemoveFact(f));
-      log.removed.AddFact(f);
-    } else if (newc > 0) {
-      inst.SetFactCount(f, static_cast<uint64_t>(newc));
-    }
-  }
 }
 
 void CompiledProgram::MaintainBF(
@@ -852,16 +733,23 @@ void CompiledProgram::MaintainBF(
   const std::vector<uint8_t> current(max_body, 0);
   std::vector<ElemId> map, head, atom_args, seed;
 
-  // The memo: every stratum fact the backward search visited, with its
-  // state as the count. A fact never removed keeps its global id.
-  constexpr uint64_t kChecked = 1, kProved = 2, kDisproved = 3;
+  // The memo: every stratum fact the backward search visited, and its
+  // state, one byte per memo id. The memo never removes a fact, so a
+  // global id found once stays the fact's.
+  constexpr uint8_t kUnvisited = 0, kChecked = 1, kProved = 2, kDisproved = 3;
   Instance memo(inst.vocab());
   memo.EnsureElements(inst.num_elements());
-  // The memo state of `atom`'s image under `mm` (0 = not visited); the
-  // image is left in atom_args.
+  std::vector<uint8_t> state;  // memo id -> state
+  // The memo state of pred(args), found by one probe.
+  auto state_at = [&](PredId pred, std::span<const ElemId> args) -> uint8_t {
+    const uint32_t g = memo.FindFact(pred, args);
+    return g == Instance::kNoFact ? kUnvisited : state[g];
+  };
+  // The memo state of `atom`'s image under `mm`; the image is left in
+  // atom_args.
   auto state_of = [&](const QAtom& atom, const std::vector<ElemId>& mm) {
     WriteImage(atom, mm, atom_args);
-    return memo.FactCount(atom.pred, atom_args);
+    return state_at(atom.pred, atom_args);
   };
 
   // Candidates: the stratum facts that may have lost their last
@@ -869,18 +757,21 @@ void CompiledProgram::MaintainBF(
   // of old-state derivations through a lower-stratum removal, then
   // through every disproved fact. Lower atoms read the old state; stratum
   // atoms read the instance, which still holds the old stratum relations.
-  FactList candidates;
-  for (const Fact* f : base_del) candidates.Push(f->pred, f->args);
+  // A fact set in first-seen order: the many derivations a fan-in gives
+  // one head make it a candidate once.
+  Instance candidates(inst.vocab());
+  candidates.EnsureElements(inst.num_elements());
+  for (const Fact* f : base_del) candidates.AddFact(*f);
   auto seed_candidates = [&](size_t k, size_t i, std::span<const ElemId> df) {
     const RulePlan& plan = plans_[st.rules[k]];
     map.assign(plan.num_vars, kNoElem);
     if (!BindArgs(plan.body[i], df, map)) return;
     auto derive = [&](const std::vector<ElemId>& mm) {
       WriteImage(plan.head, mm, head);
-      candidates.Push(plan.head.pred, head);
+      candidates.AddFact(plan.head.pred, head);
       return true;
     };
-    MatchAtoms(plan, static_cast<int>(i), 0, lower_old[k], inst, log,
+    MatchAtoms(plan, plan.seeded_orders[i], 0, lower_old[k], inst, log,
                run.join_probes, map, derive);
   };
   for (size_t k = 0; k < st.rules.size(); ++k) {
@@ -900,9 +791,9 @@ void CompiledProgram::MaintainBF(
   // transitively. A worklist, not recursion.
   FactList proved;
   auto prove = [&](uint32_t g) {
-    const auto [p, row] = memo.Locate(g);
-    memo.SetCountAt(p, row, kProved);
-    proved.Push(p, memo.Args(p, row));
+    state[g] = kProved;
+    const FactView fact = memo.ViewAt(g);
+    proved.Push(fact.pred, fact.args);
     while (proved.size() > 0) {
       const FactView f = proved[proved.size() - 1];
       const PredId pred = f.pred;
@@ -919,14 +810,15 @@ void CompiledProgram::MaintainBF(
               if (j != r && state_of(plan.body[j], mm) != kProved) return true;
             }
             WriteImage(plan.head, mm, head);
-            if (memo.FactCount(plan.head.pred, head) == kChecked) {
-              memo.SetFactCount(plan.head.pred, head, kProved);
+            const uint32_t h = memo.FindFact(plan.head.pred, head);
+            if (h != Instance::kNoFact && state[h] == kChecked) {
+              state[h] = kProved;
               proved.Push(plan.head.pred, head);
             }
             return true;
           };
-          MatchAtoms(plan, r, 0, current, inst, log, run.join_probes, map,
-                     chain);
+          MatchAtoms(plan, plan.seeded_orders[r], 0, current, inst, log,
+                     run.join_probes, map, chain);
         }
       }
     }
@@ -954,6 +846,7 @@ void CompiledProgram::MaintainBF(
   // pushes a frame over the unvisited stratum atoms of those derivations.
   auto visit = [&](PredId pred, std::span<const ElemId> args) {
     if (!memo.AddFact(pred, args)) return;
+    state.push_back(kChecked);
     const uint32_t g = static_cast<uint32_t>(memo.num_facts() - 1);
     const FactView f = memo.ViewAt(g);  // stable: the memo only reads now
     const uint32_t first = static_cast<uint32_t>(pending.size());
@@ -969,19 +862,19 @@ void CompiledProgram::MaintainBF(
       auto derivation = [&](const std::vector<ElemId>& mm) {
         bool all_proved = true;
         for (int r : plan.recursive_atoms) {
-          const uint64_t s = state_of(plan.body[r], mm);
+          const uint8_t s = state_of(plan.body[r], mm);
           if (s == kDisproved) return true;
           all_proved = all_proved && s == kProved;
         }
         if (all_proved) return false;
         for (int r : plan.recursive_atoms) {
-          if (state_of(plan.body[r], mm) == 0) {
+          if (state_of(plan.body[r], mm) == kUnvisited) {
             pending.Push(plan.body[r].pred, atom_args);
           }
         }
         return true;
       };
-      at_once = !MatchAtoms(plan, /*seat=*/-1, 0, current, inst, log,
+      at_once = !MatchAtoms(plan, plan.check_order, 0, current, inst, log,
                             run.join_probes, map, derivation);
     }
     if (at_once) {
@@ -997,16 +890,16 @@ void CompiledProgram::MaintainBF(
   // derivation in turn and leaves a fact once it is proved. When it
   // returns, every fact it checked and did not prove has no proof over
   // the new lower state and the facts not disproved: it is disproved, and
-  // the heads of old-state derivations through it become candidates.
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const FactView cand = candidates[c];
+  // the heads of old-state derivations through it become candidates
+  // (appended while the loop runs, never during a visit).
+  for (uint32_t c = 0; c < candidates.num_facts(); ++c) {
+    const FactView cand = candidates.ViewAt(c);
     if (!inst.HasFact(cand.pred, cand.args)) continue;
     const uint32_t first = static_cast<uint32_t>(memo.num_facts());
     visit(cand.pred, cand.args);
     while (!stack.empty()) {
       Frame& top = stack.back();
-      const auto [p, row] = memo.Locate(top.fact);
-      if (memo.CountAt(p, row) == kProved || top.next == top.end) {
+      if (state[top.fact] == kProved || top.next == top.end) {
         pending.Truncate(top.first);
         stack.pop_back();
         continue;
@@ -1015,14 +908,14 @@ void CompiledProgram::MaintainBF(
       visit(g.pred, g.args);
     }
     for (uint32_t g = first; g < memo.num_facts(); ++g) {
-      const auto [p, row] = memo.Locate(g);
-      if (memo.CountAt(p, row) != kChecked) continue;
-      memo.SetCountAt(p, row, kDisproved);
+      if (state[g] != kChecked) continue;
+      state[g] = kDisproved;
+      const FactView f = memo.ViewAt(g);
       for (size_t k = 0; k < st.rules.size(); ++k) {
         const RulePlan& plan = plans_[st.rules[k]];
         for (int r : plan.recursive_atoms) {
-          if (plan.body[r].pred != p) continue;
-          seed_candidates(k, static_cast<size_t>(r), memo.Args(p, row));
+          if (plan.body[r].pred != f.pred) continue;
+          seed_candidates(k, static_cast<size_t>(r), f.args);
         }
       }
     }
@@ -1030,11 +923,10 @@ void CompiledProgram::MaintainBF(
 
   // Remove the disproved facts, in memo order.
   for (uint32_t g = 0; g < memo.num_facts(); ++g) {
-    const auto [p, row] = memo.Locate(g);
-    if (memo.CountAt(p, row) == kDisproved) {
-      MONDET_CHECK(inst.RemoveFact(p, memo.Args(p, row)));
-      ++run.overdeleted;
-    }
+    if (state[g] != kDisproved) continue;
+    const FactView f = memo.ViewAt(g);
+    MONDET_CHECK(inst.RemoveFact(f.pred, f.args));
+    ++run.overdeleted;
   }
 
   // Insert: semi-naive from the inserted seeds — base-inserted stratum
@@ -1058,7 +950,7 @@ void CompiledProgram::MaintainBF(
       ++n;
       return true;
     };
-    MatchAtoms(plan, static_cast<int>(i), 0, current, inst, log,
+    MatchAtoms(plan, plan.seeded_orders[i], 0, current, inst, log,
                run.join_probes, map, derive);
     const size_t ar = plan.head.args.size();
     for (size_t j = 0; j < n; ++j) {
@@ -1095,9 +987,8 @@ void CompiledProgram::MaintainBF(
   // deterministic.
   std::vector<FactView> gone, fresh;
   for (uint32_t g = 0; g < memo.num_facts(); ++g) {
-    const auto [p, row] = memo.Locate(g);
-    if (memo.CountAt(p, row) != kDisproved) continue;
-    const FactView f{p, memo.Args(p, row)};
+    if (state[g] != kDisproved) continue;
+    const FactView f = memo.ViewAt(g);
     if (inst.HasFact(f.pred, f.args)) {
       ++run.rederived;
     } else {

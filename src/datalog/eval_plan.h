@@ -127,13 +127,12 @@ FactDelta ApplyBatch(const std::vector<Fact>& inserts,
                      const std::vector<Fact>& deletes, Instance& base);
 
 /// Outcome of one Maintain call: the net membership changes of the
-/// materialized instance (every fact that appeared / disappeared, in the
+/// maintained fixpoint (every fact that appeared / disappeared, in the
 /// deterministic order they were recorded) plus the Backward/Forward
-/// counters of the recursive strata. Consumers project these deltas
-/// further — MaintainedImage filters them to the view predicates to keep
-/// the view image current.
+/// counters. Consumers project these deltas further — MaintainedImage
+/// filters them to the view predicates to keep the view image current.
 struct MaintainResult {
-  std::vector<Fact> inserts;  // net facts added to the materialization
+  std::vector<Fact> inserts;  // net facts added to the fixpoint
   std::vector<Fact> deletes;  // net facts removed from it
   size_t overdeleted = 0;     // facts disproved and removed, all strata
   size_t rederived = 0;       // of those, put back by the insert phase
@@ -206,35 +205,26 @@ class CompiledProgram {
   void EvalFrom(Instance& inst, uint32_t first_new,
                 EvalStats* stats = nullptr) const;
 
-  /// Eval plus derivation counting: the fixpoint of `input` whose facts
-  /// carry exact derivation counts (Instance::FactCount: number of rule
-  /// derivations, plus one for base membership) for every non-recursive
-  /// stratum. Facts of recursive SCC strata keep count 1 — counting is
-  /// unsound under recursion (a fact may support itself), which is
-  /// exactly why Maintain switches to Backward/Forward there.
-  Instance Materialize(const Instance& input, EvalStats* stats = nullptr,
-                       const EvalOptions& options = {}) const;
-
   /// Incremental view maintenance: updates `inst` in place so it equals
-  /// Materialize(base) for the *new* base — as a fact set, with every
-  /// derivation count — given that it equaled Materialize of the old base
-  /// (the headline contract, tests/maintenance_differential_test.cc).
-  /// `base` is the already-mutated new base instance; `delta` lists its
-  /// exact membership changes (see FactDelta).
-  /// Non-recursive strata are maintained by counting (the ordered-delta
-  /// join formula adjusts derivation counts; membership follows count
-  /// zero-crossings), recursive SCC strata by Backward/Forward (Motik,
-  /// Nenov, Piro, Horrocks, AAAI 2015): each fact that may have lost a
-  /// derivation is kept if a backward search finds it another proof over
-  /// the new lower strata and the stratum facts not disproved, and
-  /// disproved otherwise; the disproved facts go, then semi-naive
-  /// insertion runs. A write touches the facts that lost a derivation and
-  /// their proofs, not the whole strongly connected closure. The net
-  /// changes (old ∖ new, then new ∖ old, per stratum in sorted fact order)
-  /// do not depend on the search order. Single-threaded and
-  /// deterministic: the same schedule always yields the same instance and
-  /// counts. When `stats` is non-null the call's counters accumulate into
-  /// it.
+  /// Eval(base) for the *new* base as a fact set, given that it equaled
+  /// Eval of the old base as a fact set (the headline contract,
+  /// tests/maintenance_differential_test.cc). `base` is the
+  /// already-mutated new base instance; `delta` lists its exact
+  /// membership changes (see FactDelta).
+  /// Every stratum is maintained by Backward/Forward (Motik, Nenov, Piro,
+  /// Horrocks, AAAI 2015): each fact that may have lost a derivation is
+  /// kept if a backward search finds it another proof over the new lower
+  /// strata and the stratum facts not disproved, and disproved otherwise;
+  /// the disproved facts go, then semi-naive insertion runs. A write
+  /// touches the facts that lost a derivation and their proofs, not the
+  /// whole strongly connected closure. A non-recursive stratum is the
+  /// case without stratum atoms: a candidate stays if and only if the new
+  /// base holds it or one head-bound join over the new lower strata finds
+  /// a derivation. The net changes (old ∖ new, then new ∖ old, per
+  /// stratum in sorted fact order) do not depend on the search order.
+  /// Single-threaded and deterministic: the same schedule always yields
+  /// the same instance, in the same row order. When `stats` is non-null
+  /// the call's counters accumulate into it.
   MaintainResult Maintain(Instance& inst, const Instance& base,
                           const FactDelta& delta,
                           EvalStats* stats = nullptr) const;
@@ -289,6 +279,14 @@ class CompiledProgram {
     // first use. Empty until the rule first needs one, then sized once,
     // so the kernels' addresses stay put.
     mutable std::vector<std::optional<JoinKernel>> atom_seats;
+    // Maintain's join orders, planned like the compile-time ones
+    // (MakeSeatShape/PlanOrder): check_order for the backward check, with
+    // the head's variables bound, and seeded_orders[i] for a join seeded
+    // at body atom i, with that atom's variables bound. Each lists every
+    // body atom but the seat, so Maintain's work does not depend on the
+    // order a rule's body is written in.
+    std::vector<uint32_t> check_order;
+    std::vector<std::vector<uint32_t>> seeded_orders;
   };
   // Its rule indices are indices into plans_ (plan index == rule index).
   using Stratum = Stratification::Stratum;
@@ -330,7 +328,8 @@ class CompiledProgram {
                                   std::vector<double>* est_rows) const;
 
   /// The kernel seeded at non-recursive body atom `atom` of `plan` under
-  /// the compile-time order: looked up in O(1), lowered on first use.
+  /// its compile-time order, seeded_orders[atom]: looked up in O(1),
+  /// lowered on first use.
   const JoinKernel* AtomSeatKernel(const RulePlan& plan, int atom) const;
 
   /// The stratum loop Eval and EvalFrom share: evaluates every stratum,
@@ -342,30 +341,26 @@ class CompiledProgram {
                  std::chrono::steady_clock::time_point t_start,
                  EvalStats* stats) const;
 
-  /// The maintenance engine's join: matches body atoms k.. of `plan` in
-  /// body order (skipping `seat`, whose variables `map` pre-binds) and
-  /// calls `out(map)` once per complete match; `out` returns false to
-  /// stop the enumeration early (the backward search stops at a
-  /// derivation that proves its fact). Atoms flagged in `read_old` read
-  /// the *old* state, reconstructed from the current instance and the
-  /// change log (current − added + removed); the rest read the current
-  /// instance directly, a fully bound one by a single membership probe.
-  /// Adds each candidate row and each membership probe to `probes`.
-  /// Returns false iff some `out` call stopped the enumeration. Defined
-  /// and instantiated in eval_plan.cc only.
+  /// The maintenance engine's join: matches the body atoms order[k..] of
+  /// `plan` in that order (the seat, whose variables `map` pre-binds, is
+  /// not in it) and calls `out(map)` once per complete match; `out`
+  /// returns false to stop the enumeration early (the backward search
+  /// stops at a derivation that proves its fact). Atoms flagged in
+  /// `read_old` (by body index) read the *old* state, reconstructed from
+  /// the current instance and the change log (current − added + removed);
+  /// the rest read the current instance directly, a fully bound one by a
+  /// single membership probe. Adds each candidate row and each membership
+  /// probe to `probes`. Returns false iff some `out` call stopped the
+  /// enumeration. Defined and instantiated in eval_plan.cc only.
   template <class Out>
-  bool MatchAtoms(const RulePlan& plan, int seat, size_t k,
-                  const std::vector<uint8_t>& read_old, const Instance& inst,
-                  const ChangeLog& log, size_t& probes,
+  bool MatchAtoms(const RulePlan& plan, std::span<const uint32_t> order,
+                  size_t k, const std::vector<uint8_t>& read_old,
+                  const Instance& inst, const ChangeLog& log, size_t& probes,
                   std::vector<ElemId>& map, Out&& out) const;
 
-  /// Counting maintenance of the non-recursive stratum `si` (see
-  /// Maintain); Backward/Forward maintenance of the recursive stratum
-  /// `si`. Both append the stratum's net changes to `log` and add their
-  /// join work (and B/F its counters) to `run`.
-  void MaintainCounting(size_t si, const std::vector<const Fact*>& base_ins,
-                        const std::vector<const Fact*>& base_del,
-                        Instance& inst, ChangeLog& log, EvalStats& run) const;
+  /// Backward/Forward maintenance of stratum `si` (see Maintain): appends
+  /// the stratum's net changes to `log` and adds its join work and
+  /// counters to `run`.
   void MaintainBF(size_t si, const Instance& base,
                   const std::vector<const Fact*>& base_ins,
                   const std::vector<const Fact*>& base_del, Instance& inst,

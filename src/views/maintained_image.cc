@@ -10,7 +10,7 @@ MaintainedImage::MaintainedImage(ViewSet views, Instance base)
     : views_(std::move(views)),
       view_preds_(views_.ViewPreds()),
       base_(std::move(base)),
-      fix_(views_.Compiled().Materialize(base_)),
+      fix_(views_.Compiled().Eval(base_)),
       image_(fix_.RestrictTo(view_preds_)) {}
 
 ElemId MaintainedImage::AddElement(std::string name) {

@@ -27,11 +27,10 @@ struct ImageDelta {
 
 /// A view image V(I) maintained under an insert/delete stream.
 ///
-/// Holds the base instance I, the materialized fixpoint of the combined
-/// view program with derivation counts (CompiledProgram::Materialize),
-/// and the projection of that fixpoint to the view predicates — kept
-/// current incrementally by CompiledProgram::Maintain rather than
-/// recomputed per batch. The correctness contract is inherited from
+/// Holds the base instance I, the fixpoint of the combined view program
+/// (CompiledProgram::Eval), and the projection of that fixpoint to the
+/// view predicates — kept current incrementally by
+/// CompiledProgram::Maintain rather than recomputed per batch. The correctness contract is inherited from
 /// Maintain: after every batch, image() is bit-identical to
 /// ViewSet::Image of the current base (FreshImage() recomputes it from
 /// scratch for cross-checking), so any verdict or rewriting computed over
@@ -39,7 +38,7 @@ struct ImageDelta {
 /// evaluation.
 class MaintainedImage {
  public:
-  /// Materializes the initial fixpoint of `base` under the combined view
+  /// Evaluates the initial fixpoint of `base` under the combined view
   /// program.
   MaintainedImage(ViewSet views, Instance base);
 
@@ -49,8 +48,8 @@ class MaintainedImage {
   /// The maintained view image V(base), over the same elements as base().
   const Instance& image() const { return image_; }
 
-  /// The maintained full fixpoint (view image plus per-view auxiliary
-  /// IDBs), with derivation counts.
+  /// The maintained full fixpoint (the base, the view image and the
+  /// per-view auxiliary IDBs).
   const Instance& fixpoint() const { return fix_; }
 
   /// Creates a fresh element in the base (and image), as Instance does.
