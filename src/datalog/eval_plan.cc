@@ -757,18 +757,20 @@ void CompiledProgram::MaintainBF(
   // of old-state derivations through a lower-stratum removal, then
   // through every disproved fact. Lower atoms read the old state; stratum
   // atoms read the instance, which still holds the old stratum relations.
-  // A fact set in first-seen order: the many derivations a fan-in gives
-  // one head make it a candidate once.
-  Instance candidates(inst.vocab());
-  candidates.EnsureElements(inst.num_elements());
-  for (const Fact* f : base_del) candidates.AddFact(*f);
+  FactList candidates;
+  for (const Fact* f : base_del) candidates.Push(f->pred, f->args);
   auto seed_candidates = [&](size_t k, size_t i, std::span<const ElemId> df) {
     const RulePlan& plan = plans_[st.rules[k]];
     map.assign(plan.num_vars, kNoElem);
     if (!BindArgs(plan.body[i], df, map)) return;
     auto derive = [&](const std::vector<ElemId>& mm) {
       WriteImage(plan.head, mm, head);
-      candidates.AddFact(plan.head.pred, head);
+      // The derivations of one seed that differ only in variables the
+      // head drops (a fan-in) come back to back: queue their head once.
+      const size_t n = candidates.size();
+      if (n == 0 || !(candidates[n - 1] == FactView{plan.head.pred, head})) {
+        candidates.Push(plan.head.pred, head);
+      }
       return true;
     };
     MatchAtoms(plan, plan.seeded_orders[i], 0, lower_old[k], inst, log,
@@ -890,10 +892,9 @@ void CompiledProgram::MaintainBF(
   // derivation in turn and leaves a fact once it is proved. When it
   // returns, every fact it checked and did not prove has no proof over
   // the new lower state and the facts not disproved: it is disproved, and
-  // the heads of old-state derivations through it become candidates
-  // (appended while the loop runs, never during a visit).
-  for (uint32_t c = 0; c < candidates.num_facts(); ++c) {
-    const FactView cand = candidates.ViewAt(c);
+  // the heads of old-state derivations through it become candidates.
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const FactView cand = candidates[c];
     if (!inst.HasFact(cand.pred, cand.args)) continue;
     const uint32_t first = static_cast<uint32_t>(memo.num_facts());
     visit(cand.pred, cand.args);
