@@ -287,7 +287,7 @@ class Instance {
  private:
   /// Columnar storage of one relation.
   struct PredStore {
-    uint32_t arity = 0;              // cached vocab arity
+    uint32_t arity = 0;               // cached vocab arity
     std::vector<ElemId> data;         // row-major argument arena
     std::vector<uint32_t> global_of;  // row -> global fact id
   };

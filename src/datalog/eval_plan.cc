@@ -111,15 +111,6 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
       plan.orders.push_back(PlanOrder(plan, shape, nullptr, nullptr));
       plan.est_rows.emplace_back();
     }
-    // Maintain's orders, planned the same way: the backward check binds
-    // the head, a seeded join its seat atom.
-    SeatShape check = MakeSeatShape(plan, -1);
-    for (VarId v : plan.head.args) check.bound0[v] = true;
-    plan.check_order = PlanOrder(plan, check, nullptr, nullptr);
-    for (int i = 0; i < static_cast<int>(plan.body.size()); ++i) {
-      plan.seeded_orders.push_back(
-          PlanOrder(plan, MakeSeatShape(plan, i), nullptr, nullptr));
-    }
     plans_.push_back(std::move(plan));
   }
   strata_ = std::move(strat.strata);
@@ -220,10 +211,25 @@ const JoinKernel* CompiledProgram::AtomSeatKernel(const RulePlan& plan,
   if (plan.atom_seats.empty()) plan.atom_seats.resize(plan.body.size());
   std::optional<JoinKernel>& kernel = plan.atom_seats[atom];
   if (!kernel) {
-    kernel = BuildKernel(plan.head, plan.body, plan.num_vars, atom,
-                         plan.seeded_orders[atom]);
+    kernel = BuildKernel(
+        plan.head, plan.body, plan.num_vars, atom,
+        PlanOrder(plan, MakeSeatShape(plan, atom), nullptr, nullptr));
   }
   return &*kernel;
+}
+
+const std::vector<uint32_t>& CompiledProgram::MatchOrder(const RulePlan& plan,
+                                                         int seat) const {
+  if (plan.match_orders.empty()) {
+    SeatShape check = MakeSeatShape(plan, -1);
+    for (VarId v : plan.head.args) check.bound0[v] = true;
+    plan.match_orders.push_back(PlanOrder(plan, check, nullptr, nullptr));
+    for (int i = 0; i < static_cast<int>(plan.body.size()); ++i) {
+      plan.match_orders.push_back(
+          PlanOrder(plan, MakeSeatShape(plan, i), nullptr, nullptr));
+    }
+  }
+  return plan.match_orders[1 + seat];
 }
 
 Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
@@ -773,8 +779,8 @@ void CompiledProgram::MaintainBF(
       }
       return true;
     };
-    MatchAtoms(plan, plan.seeded_orders[i], 0, lower_old[k], inst, log,
-               run.join_probes, map, derive);
+    MatchAtoms(plan, MatchOrder(plan, static_cast<int>(i)), 0, lower_old[k],
+               inst, log, run.join_probes, map, derive);
   };
   for (size_t k = 0; k < st.rules.size(); ++k) {
     const RulePlan& plan = plans_[st.rules[k]];
@@ -819,7 +825,7 @@ void CompiledProgram::MaintainBF(
             }
             return true;
           };
-          MatchAtoms(plan, plan.seeded_orders[r], 0, current, inst, log,
+          MatchAtoms(plan, MatchOrder(plan, r), 0, current, inst, log,
                      run.join_probes, map, chain);
         }
       }
@@ -876,8 +882,8 @@ void CompiledProgram::MaintainBF(
         }
         return true;
       };
-      at_once = !MatchAtoms(plan, plan.check_order, 0, current, inst, log,
-                            run.join_probes, map, derivation);
+      at_once = !MatchAtoms(plan, MatchOrder(plan, -1), 0, current, inst,
+                            log, run.join_probes, map, derivation);
     }
     if (at_once) {
       pending.Truncate(first);
@@ -951,8 +957,8 @@ void CompiledProgram::MaintainBF(
       ++n;
       return true;
     };
-    MatchAtoms(plan, plan.seeded_orders[i], 0, current, inst, log,
-               run.join_probes, map, derive);
+    MatchAtoms(plan, MatchOrder(plan, static_cast<int>(i)), 0, current, inst,
+               log, run.join_probes, map, derive);
     const size_t ar = plan.head.args.size();
     for (size_t j = 0; j < n; ++j) {
       inst.AddFact(plan.head.pred,

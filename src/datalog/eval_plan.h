@@ -279,14 +279,11 @@ class CompiledProgram {
     // first use. Empty until the rule first needs one, then sized once,
     // so the kernels' addresses stay put.
     mutable std::vector<std::optional<JoinKernel>> atom_seats;
-    // Maintain's join orders, planned like the compile-time ones
-    // (MakeSeatShape/PlanOrder): check_order for the backward check, with
-    // the head's variables bound, and seeded_orders[i] for a join seeded
-    // at body atom i, with that atom's variables bound. Each lists every
-    // body atom but the seat, so Maintain's work does not depend on the
-    // order a rule's body is written in.
-    std::vector<uint32_t> check_order;
-    std::vector<std::vector<uint32_t>> seeded_orders;
+    // Maintain's join orders (see MatchOrder): [0] for the backward check,
+    // [1 + i] for a join seeded at body atom i. Empty until Maintain
+    // first joins the rule, then sized once, so evaluating programs
+    // that are never maintained plans none of them.
+    mutable std::vector<std::vector<uint32_t>> match_orders;
   };
   // Its rule indices are indices into plans_ (plan index == rule index).
   using Stratum = Stratification::Stratum;
@@ -328,8 +325,7 @@ class CompiledProgram {
                                   std::vector<double>* est_rows) const;
 
   /// The kernel seeded at non-recursive body atom `atom` of `plan` under
-  /// its compile-time order, seeded_orders[atom]: looked up in O(1),
-  /// lowered on first use.
+  /// the compile-time order: looked up in O(1), lowered on first use.
   const JoinKernel* AtomSeatKernel(const RulePlan& plan, int atom) const;
 
   /// The stratum loop Eval and EvalFrom share: evaluates every stratum,
@@ -340,6 +336,16 @@ class CompiledProgram {
                  const EvalOptions& options,
                  std::chrono::steady_clock::time_point t_start,
                  EvalStats* stats) const;
+
+  /// Maintain's join order for `plan` seeded at body atom `seat`, or for
+  /// the backward check (seat -1), planned like the compile-time orders
+  /// (MakeSeatShape/PlanOrder) with the seat's variables, or the head's,
+  /// bound: a greedy order over the bound variables, so Maintain's work
+  /// does not depend on the order a rule's body is written in. Lists
+  /// every body atom but the seat. Every seat of the rule is planned on
+  /// its first call.
+  const std::vector<uint32_t>& MatchOrder(const RulePlan& plan,
+                                          int seat) const;
 
   /// The maintenance engine's join: matches the body atoms order[k..] of
   /// `plan` in that order (the seat, whose variables `map` pre-binds, is

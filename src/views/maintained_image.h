@@ -30,12 +30,12 @@ struct ImageDelta {
 /// Holds the base instance I, the fixpoint of the combined view program
 /// (CompiledProgram::Eval), and the projection of that fixpoint to the
 /// view predicates — kept current incrementally by
-/// CompiledProgram::Maintain rather than recomputed per batch. The correctness contract is inherited from
-/// Maintain: after every batch, image() is bit-identical to
-/// ViewSet::Image of the current base (FreshImage() recomputes it from
-/// scratch for cross-checking), so any verdict or rewriting computed over
-/// the maintained image agrees with one computed over a fresh
-/// evaluation.
+/// CompiledProgram::Maintain rather than recomputed per batch. The
+/// correctness contract is inherited from Maintain: after every batch,
+/// image() equals ViewSet::Image of the current base as a fact set
+/// (FreshImage() recomputes it from scratch for cross-checking), so any
+/// verdict or rewriting computed over the maintained image agrees with
+/// one computed over a fresh evaluation.
 class MaintainedImage {
  public:
   /// Evaluates the initial fixpoint of `base` under the combined view
