@@ -771,8 +771,9 @@ void CompiledProgram::MaintainBF(
     if (!BindArgs(plan.body[i], df, map)) return;
     auto derive = [&](const std::vector<ElemId>& mm) {
       WriteImage(plan.head, mm, head);
-      // The derivations of one seed that differ only in variables the
-      // head drops (a fan-in) come back to back: queue their head once.
+      // Derivations of one seed that differ only in variables the head
+      // drops (a fan-in) tend to come back to back: queue their head
+      // once. Any other repeat is skipped by the memo at its visit.
       const size_t n = candidates.size();
       if (n == 0 || !(candidates[n - 1] == FactView{plan.head.pred, head})) {
         candidates.Push(plan.head.pred, head);

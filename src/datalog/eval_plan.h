@@ -167,9 +167,10 @@ struct JoinOrderDesc {
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
 /// identical plans. Eval and EvalFrom join through compiled kernels
 /// (datalog/kernel.h), lowering each (rule, seat, join order) on first use
-/// into a cache this object keeps for its lifetime. They are const but
-/// fill that cache, so one object must not be evaluated from two threads
-/// at once.
+/// into a cache this object keeps for its lifetime, and Maintain plans its
+/// join orders on first use the same way. They are const but fill those
+/// caches, so one object must not be evaluated or maintained from two
+/// threads at once.
 class CompiledProgram {
  public:
   explicit CompiledProgram(const Program& program);

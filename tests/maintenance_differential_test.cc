@@ -2,8 +2,9 @@
 // (CompiledProgram::Maintain): on randomized programs and randomized
 // insert/delete schedules, the maintained fixpoint must equal a
 // from-scratch Eval of the current base, as a fact set over the same
-// elements, after *every* prefix of the schedule. Raw batches deliberately contain duplicate inserts and
-// deletes of absent facts (normalization is the caller contract).
+// elements, after *every* prefix of the schedule. Raw batches
+// deliberately contain duplicate inserts and deletes of absent facts
+// (normalization is the caller contract).
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `maintenance-differential`);

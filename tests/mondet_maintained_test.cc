@@ -4,8 +4,9 @@
 // verdict over the maintained object's views must equal the verdict
 // computed fresh — before, during, and after churn. Pins the
 // maintenance join's fully bound probe (old-state reads must keep
-// seeing the old state), atoms wider than its stack buffers, and the
-// exact fact and delta sequences of a churn-shaped write stream. Also
+// seeing the old state), its head-first join orders, atoms wider than
+// its stack buffers, and the exact fact and delta sequences of a
+// churn-shaped write stream. Also
 // covers ParseStream, the textual stream format feeding the CLI's
 // `.stream` section.
 
