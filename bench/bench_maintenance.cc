@@ -3,16 +3,19 @@
 // recomputation of the same image. The workload is transitive closure
 // over an n-node path — the image carries Θ(n²) facts while cutting and
 // re-adding the head edge only touches the Θ(n) paths through it, so
-// maintenance (Backward/Forward on every stratum) must beat recompute by
-// a widening margin as n grows. bench_snapshot.sh records both families
-// in BENCH_maintenance.json; the acceptance bar is maintain ≥ 2x
-// recompute on these small-delta steps. The path rows disprove every
-// candidate, so the backward search saves nothing there; the dense row
-// (perfbench `churn`'s graph shape) keeps its whole strongly connected
-// closure, and the search proves every closure candidate without
-// removing a closure fact. The projection row is a non-recursive view
-// with fan-in, where each delete disproves one fact by one head-bound
-// join.
+// maintenance (Backward/Forward deletion on every stratum, then the
+// evaluator's stratum loop continued from the write's new rows) must
+// beat recompute by a widening margin as n grows. bench_snapshot.sh
+// records both families in BENCH_maintenance.json; the acceptance bar is
+// maintain ≥ 2x recompute on these small-delta steps. The path rows
+// disprove every candidate, so the backward search saves nothing there,
+// and each mend inserts the Θ(n) closure facts in the continuation's
+// delta rounds; the dense row (perfbench `churn`'s graph shape) keeps
+// its whole strongly connected closure, and the search proves every
+// closure candidate without removing a closure fact. The projection row
+// is a non-recursive view with fan-in, where each delete disproves one
+// fact by one head-bound join and each insert derives it again at the
+// continuation's atom seat.
 
 #include <benchmark/benchmark.h>
 
@@ -65,9 +68,10 @@ struct ChurnWorkload {
   }
 };
 
-/// The facts Backward/Forward disproved and put back, and the
-/// maintenance join's rows and membership probes, per iteration: the
-/// totals of the timed loop depend on how many iterations it ran.
+/// The facts Backward/Forward disproved and of those the continuation put
+/// back, and the probes (the deletion join's rows and membership probes
+/// plus the continuation's kernel probes), per iteration: the totals of
+/// the timed loop depend on how many iterations it ran.
 void SetMaintainCounters(benchmark::State& state, const EvalStats& stats) {
   state.counters["overdeleted"] = benchmark::Counter(
       static_cast<double>(stats.overdeleted), benchmark::Counter::kAvgIterations);

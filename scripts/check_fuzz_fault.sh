@@ -2,8 +2,9 @@
 # Fault-injection gate for the fuzz harness: a deliberately broken
 # engine must be *caught* and the failure must *shrink*.
 #
-# Six faults, three in the evaluator and one each in the maintenance
-# engine, the product walk and the checker:
+# Seven phases over six faults: three faults in the evaluator and one
+# each in the maintenance engine, the product walk and the checker; the
+# continuation fault runs against two oracles:
 #
 #   MONDET_FAULT=skip-delta-seat makes the semi-naive evaluator drop the
 #   last recursive delta seat of every rule (src/datalog/eval_plan.cc),
@@ -16,12 +17,14 @@
 #   caught by the eval-differential oracle against the naive reference.
 #
 #   MONDET_FAULT=skip-continuation-seat makes the evaluator's in-place
-#   continuation (CompiledProgram::EvalFrom, src/datalog/eval_plan.cc)
+#   continuation (CompiledProgram::RunStrata from new rows, run by
+#   EvalFrom and by Maintain's insertion, src/datalog/eval_plan.cc)
 #   never seed a body atom over an EDB or lower-stratum predicate, so
 #   derivations through facts appended after a fixpoint are lost —
 #   caught by the eval-differential oracle's continuation arm, which
 #   splits each input, evaluates the first part and continues over the
-#   rest.
+#   rest, and, since every write's insertion is such a continuation, by
+#   the maintenance-differential oracle.
 #
 #   MONDET_FAULT=skip-stratum-proof makes the Backward/Forward search of
 #   maintenance (CompiledProgram::MaintainBF, src/datalog/eval_plan.cc)
@@ -139,6 +142,7 @@ run_phase() {
 run_phase eval-differential skip-delta-seat || exit 1
 run_phase eval-differential skip-kernel-row || exit 1
 run_phase eval-differential skip-continuation-seat || exit 1
+run_phase maintenance-differential skip-continuation-seat || exit 1
 run_phase maintenance-differential skip-stratum-proof || exit 1
 run_phase antichain-inclusion skip-antichain-prune nta || exit 1
 run_phase mondet-parallel skip-prefix-eval || exit 1

@@ -55,12 +55,14 @@ fi
 # the naive reference and checks the plans bound statistics pick for
 # cross products; maintenance_differential_test is the
 # maintained-vs-recomputed fixpoint oracle for incremental view
-# maintenance (Backward/Forward on every stratum over randomized
-# insert/delete schedules); mondet_maintained_test pins the maintenance
-# join's fully bound probe, atoms past its 16-entry stack buffers (the
-# heap fallback), the Backward/Forward search's hazards (a 200,000-deep
-# proof on its explicit stack among them), its head-first join orders
-# and the fact and delta sequences of a churn-shaped write stream;
+# maintenance (Backward/Forward deletion on every stratum, then the
+# stratum loop's continuation, over randomized insert/delete
+# schedules); mondet_maintained_test pins the deletion join's fully
+# bound probe and its replay of the removed facts, atoms past its
+# 16-entry stack buffers (the heap fallback), the Backward/Forward
+# search's hazards (a 200,000-deep proof on its explicit stack among
+# them), its head-first join orders and the fact and delta sequences of
+# a churn-shaped write stream;
 # mondet_parallel_test is the walk-vs-flat oracle for the checker: the
 # monotonicity-pruned trie walk of the canonical tests against the flat
 # test-by-test scan (same verdict, counterexample and counters);
@@ -124,17 +126,20 @@ fi
 # Fault-injection gate: deliberately broken engines
 # (MONDET_FAULT=skip-delta-seat drops the last recursive delta seat;
 # MONDET_FAULT=skip-kernel-row trims the last row of every join kernel
-# enumeration; MONDET_FAULT=skip-continuation-seat makes EvalFrom never
-# seed an EDB or lower-stratum atom; MONDET_FAULT=skip-stratum-proof
-# makes the Backward/Forward search of recursive-stratum maintenance
-# accept no derivation through the stratum's own facts;
+# enumeration; MONDET_FAULT=skip-continuation-seat makes the
+# continuation that EvalFrom and Maintain's insertion run never seed an
+# EDB or lower-stratum atom; MONDET_FAULT=skip-stratum-proof makes the
+# Backward/Forward search of maintenance accept no derivation through
+# the stratum's own facts;
 # MONDET_FAULT=skip-antichain-prune
 # makes the product walk's subsumption prune, shared by NtaIncluded and
 # Thm 5, bidirectional, i.e. unsound; MONDET_FAULT=skip-prefix-eval
 # makes the checker's canonical-test walk prune subtrees without
-# evaluating their prefix) must be caught by the eval-differential (the
-# first three), maintenance-differential, antichain-inclusion and
-# mondet-parallel oracles within the smoke seed budget and shrunk to
+# evaluating their prefix) must be caught — seven phases: the
+# eval-differential oracle catches the first three faults, the
+# maintenance-differential oracle skip-continuation-seat and
+# skip-stratum-proof, the antichain-inclusion and mondet-parallel
+# oracles the last two — within the smoke seed budget and shrunk to
 # <= 5 rules (<= 6 NTA transitions) — proof the harness detects and the
 # shrinker reduces, not just that everything is green.
 ./scripts/check_fuzz_fault.sh ./build-asan/tools/mondet-fuzz

@@ -17,7 +17,7 @@ namespace mondet {
 
 /// A single ground fact R(c1..cn), as an owning value. The store keeps
 /// facts columnar (see Instance); Fact is the exchange currency of deltas,
-/// change logs and tests.
+/// maintenance results and tests.
 struct Fact {
   PredId pred = kNoPred;
   std::vector<ElemId> args;

@@ -236,18 +236,27 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
                                const EvalOptions& options) const {
   auto t_start = std::chrono::steady_clock::now();
   Instance result = input;
-  RunStrata(result, 0, options, t_start, stats);
+  RunStrata(result, {}, result.num_facts(), options, t_start, stats);
   return result;
 }
 
 void CompiledProgram::EvalFrom(Instance& inst, uint32_t first_new,
                                EvalStats* stats) const {
-  RunStrata(inst, first_new, EvalOptions{}, std::chrono::steady_clock::now(),
-            stats);
+  auto t_start = std::chrono::steady_clock::now();
+  std::vector<uint32_t> first_row;
+  if (first_new > 0) {
+    first_row.resize(inst.vocab()->size());
+    for (PredId p = 0; p < first_row.size(); ++p) {
+      first_row[p] = FirstRowFrom(inst, p, first_new);
+    }
+  }
+  RunStrata(inst, first_row, inst.num_facts() - first_new, EvalOptions{},
+            t_start, stats);
 }
 
-void CompiledProgram::RunStrata(Instance& result, uint32_t first_new,
-                                const EvalOptions& options,
+void CompiledProgram::RunStrata(Instance& result,
+                                std::span<const uint32_t> first_row,
+                                size_t new_facts, const EvalOptions& options,
                                 std::chrono::steady_clock::time_point t_start,
                                 EvalStats* stats) const {
   EvalStats run;
@@ -261,8 +270,7 @@ void CompiledProgram::RunStrata(Instance& result, uint32_t first_new,
   // previous stratum's on entry and the stratum's own at each re-plan
   // (Stats::Refresh) covers every change since Collect.
   const bool use_stats =
-      options.stats != nullptr ||
-      result.num_facts() - first_new >= options.stats_min_facts;
+      options.stats != nullptr || new_facts >= options.stats_min_facts;
   const bool live_stats = use_stats && options.stats == nullptr;
   Stats live;
   if (live_stats) live = Stats::Collect(result);
@@ -372,16 +380,17 @@ void CompiledProgram::RunStrata(Instance& result, uint32_t first_new,
     // Initial round of a full run: every rule of the stratum joins the
     // full current result (lower strata are saturated; input IDB facts
     // participate, as in the paper's Prop. 4 usage). Of a continuation:
-    // a derivation the fixpoint below `first_new` lacks uses some new
-    // fact, so every body atom with new rows seeds from them, at its
-    // delta seat if recursive and at its atom seat otherwise.
+    // a derivation the rows before `first_row` lack uses some new row, so
+    // every body atom with new rows seeds from them, at its delta seat if
+    // recursive and at its atom seat otherwise.
     // MONDET_FAULT=skip-continuation-seat never seeds the atom seats, so
     // derivations through new EDB or lower-stratum facts are lost — the
-    // eval-differential oracle's continuation arm must catch it.
+    // eval-differential oracle's continuation arm and the
+    // maintenance-differential oracle must catch it.
     std::vector<WorkItem> round0;
     round0.reserve(stratum.rules.size());
     for (size_t k = 0; k < stratum.rules.size(); ++k) {
-      if (first_new == 0) {
+      if (first_row.empty()) {
         round0.push_back({kernel_for(k, 0)});
         continue;
       }
@@ -391,7 +400,7 @@ void CompiledProgram::RunStrata(Instance& result, uint32_t first_new,
       for (int i = 0; i < static_cast<int>(plan.body.size()); ++i) {
         const bool recursive = r < rec.size() && rec[r] == i;
         const PredId p = plan.body[i].pred;
-        const uint32_t first = FirstRowFrom(result, p, first_new);
+        const uint32_t first = first_row[p];
         const uint32_t end = result.NumRows(p);
         if (first < end) {
           if (recursive) {
@@ -570,34 +579,31 @@ class Scratch {
 template <class Out>
 bool CompiledProgram::MatchAtoms(const RulePlan& plan,
                                  std::span<const uint32_t> order, size_t k,
-                                 const std::vector<uint8_t>& read_old,
-                                 const Instance& inst, const ChangeLog& log,
-                                 size_t& probes, std::vector<ElemId>& map,
-                                 Out&& out) const {
+                                 const Instance& inst, const Instance& removed,
+                                 bool replay, size_t& probes,
+                                 std::vector<ElemId>& map, Out&& out) const {
   if (k == order.size()) return out(map);
   const QAtom& atom = plan.body[order[k]];
   const size_t arity = atom.args.size();
-  const bool old = read_old[order[k]] && log.Touched(atom.pred);
+  const bool old = replay && removed.NumRows(atom.pred) > 0;
   Scratch<ElemId> image(arity);  // the atom under `map`; kNoElem if unbound
   bool fully_bound = true;
   for (size_t pos = 0; pos < arity; ++pos) {
     image[pos] = map[atom.args[pos]];
     fully_bound = fully_bound && image[pos] != kNoElem;
   }
-  // A fully bound atom over the current state matches at most one row
-  // (set semantics), so one membership probe replaces the bucket scan
-  // and enumerates the same. An old-state read keeps the scan below: it
-  // must skip the batch's insertions and replay its deletions.
+  // A fully bound atom over the instance alone matches at most one row
+  // (set semantics), so one membership probe replaces the bucket scan and
+  // enumerates the same. A replayed read keeps the scan below.
   if (fully_bound && !old) {
     ++probes;
     return !inst.HasFact(atom.pred,
                          std::span<const ElemId>(image.data(), arity)) ||
-           MatchAtoms(plan, order, k + 1, read_old, inst, log, probes, map,
+           MatchAtoms(plan, order, k + 1, inst, removed, replay, probes, map,
                       out);
   }
-  // Current-state candidates through the tightest index available for the
-  // bound positions; an old-state read additionally skips
-  // facts inserted since the old snapshot and replays the deleted ones.
+  // Instance candidates through the tightest index available for the
+  // bound positions; a replayed read then tries the removed facts too.
   std::span<const uint32_t> candidates;
   int anchor = -1;
   for (int pos = 0; pos < static_cast<int>(arity); ++pos) {
@@ -613,6 +619,7 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan,
   // Binds the atom to `args` and matches the rest; returns false when
   // the enumeration must stop (out() vetoed).
   auto try_args = [&](std::span<const ElemId> args) {
+    ++probes;
     size_t nb = 0;
     bool match = true;
     for (size_t pos = 0; pos < arity && match; ++pos) {
@@ -624,31 +631,26 @@ bool CompiledProgram::MatchAtoms(const RulePlan& plan,
         match = map[v] == args[pos];
       }
     }
-    const bool go_on = !match || MatchAtoms(plan, order, k + 1, read_old,
-                                            inst, log, probes, map, out);
+    const bool go_on =
+        !match || MatchAtoms(plan, order, k + 1, inst, removed, replay,
+                             probes, map, out);
     for (size_t i = 0; i < nb; ++i) map[bound[i]] = kNoElem;
     return go_on;
-  };
-  auto try_row = [&](uint32_t row) {
-    ++probes;
-    const std::span<const ElemId> targs = inst.Args(atom.pred, row);
-    return (old && log.added.HasFact(atom.pred, targs)) || try_args(targs);
   };
   if (anchor < 0) {
     const uint32_t n = inst.NumRows(atom.pred);
     for (uint32_t row = 0; row < n; ++row) {
-      if (!try_row(row)) return false;
+      if (!try_args(inst.Args(atom.pred, row))) return false;
     }
   } else {
     for (uint32_t row : candidates) {
-      if (!try_row(row)) return false;
+      if (!try_args(inst.Args(atom.pred, row))) return false;
     }
   }
   if (old) {
-    const uint32_t n = log.removed.NumRows(atom.pred);
+    const uint32_t n = removed.NumRows(atom.pred);
     for (uint32_t row = 0; row < n; ++row) {
-      ++probes;
-      if (!try_args(log.removed.Args(atom.pred, row))) return false;
+      if (!try_args(removed.Args(atom.pred, row))) return false;
     }
   }
   return true;
@@ -660,83 +662,107 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
   auto t_start = std::chrono::steady_clock::now();
   inst.EnsureElements(base.num_elements());
   MaintainResult res;
-  ChangeLog log(inst);
   EvalStats run;  // the B/F counters and the join work, summed
+  // Every fact the write takes out of the fixpoint: the EDB deletes in
+  // batch order, then each stratum's disproved facts in sorted fact order.
+  Instance removed(inst.vocab());
+  removed.EnsureElements(inst.num_elements());
 
-  // Split the base delta by layer: EDB changes apply directly (EDB
-  // membership *is* base membership), IDB base changes fold into their
-  // own stratum's pass as candidates or insertion seeds.
-  std::vector<std::vector<const Fact*>> base_ins_at(strata_.size());
+  // EDB membership *is* base membership: the deletes go, then the inserts
+  // are appended, so each EDB predicate's new rows are its last. IDB base
+  // deletes are candidates of their stratum's B/F pass.
   std::vector<std::vector<const Fact*>> base_del_at(strata_.size());
-  for (const Fact& f : delta.inserts) {
-    if (program_.IsIdb(f.pred)) {
-      base_ins_at[stratum_of_.at(f.pred)].push_back(&f);
-    } else {
-      MONDET_CHECK(inst.AddFact(f) && "Maintain: unnormalized insert");
-      log.added.AddFact(f);
-    }
-  }
   for (const Fact& f : delta.deletes) {
     if (program_.IsIdb(f.pred)) {
       base_del_at[stratum_of_.at(f.pred)].push_back(&f);
     } else {
       MONDET_CHECK(inst.RemoveFact(f) && "Maintain: unnormalized delete");
-      log.removed.AddFact(f);
+      removed.AddFact(f);
     }
+  }
+  std::vector<uint32_t> first_row(inst.vocab()->size());
+  for (PredId p = 0; p < first_row.size(); ++p) first_row[p] = inst.NumRows(p);
+  for (const Fact& f : delta.inserts) {
+    if (program_.IsIdb(f.pred)) continue;
+    MONDET_CHECK(inst.AddFact(f) && "Maintain: unnormalized insert");
+    res.inserts.push_back(f);
   }
 
+  // Delete: B/F on every stratum a deletion reaches; a write far from a
+  // stratum never runs its joins. B/F only removes, so afterwards every
+  // derivation over the rows left has its head in the instance: a
+  // disproved fact has none over the facts not disproved and the lower
+  // state B/F read, and a fact the old fixpoint lacked has none over old
+  // facts.
   for (size_t si = 0; si < strata_.size(); ++si) {
-    const Stratum& st = strata_[si];
-    // Skip untouched strata: no base changes here and no membership
-    // change on any body predicate. This skip is what makes small deltas
-    // cheap — churn far from a stratum never re-runs its joins.
-    bool touched = !base_ins_at[si].empty() || !base_del_at[si].empty();
-    for (uint32_t pi : st.rules) {
-      if (touched) break;
+    bool reached = !base_del_at[si].empty();
+    for (uint32_t pi : strata_[si].rules) {
       for (const QAtom& a : plans_[pi].body) {
-        if (log.Touched(a.pred)) {
-          touched = true;
-          break;
-        }
+        reached = reached || removed.NumRows(a.pred) > 0;
       }
     }
-    if (!touched) continue;
-    MaintainBF(si, base, base_ins_at[si], base_del_at[si], inst, log, run);
+    if (reached) MaintainBF(si, base, base_del_at[si], inst, removed, run);
   }
-  // The log never loses a fact, so global-id order is record order.
-  res.inserts = log.added.AllFacts();
-  res.deletes = log.removed.AllFacts();
+
+  // Insert: append the IDB base inserts and continue the fixpoint from
+  // each predicate's new rows, the EDB inserts and these, in the stratum
+  // loop Eval runs. It puts back a disproved fact whose only proofs run
+  // through a fact the write created.
+  for (const Stratum& st : strata_) {
+    for (PredId p : st.preds) first_row[p] = inst.NumRows(p);
+  }
+  size_t new_facts = res.inserts.size();
+  for (const Fact& f : delta.inserts) {
+    if (program_.IsIdb(f.pred) && inst.AddFact(f)) ++new_facts;
+  }
+  EvalStats cont;
+  RunStrata(inst, first_row, new_facts, EvalOptions{}, t_start, &cont);
+  run.join_probes += cont.join_probes;
+
+  // Net changes: the removed facts not back (old ∖ new), then the new
+  // IDB facts not removed (new ∖ old), per stratum in sorted fact order,
+  // after the EDB inserts.
+  for (uint32_t g = 0; g < removed.num_facts(); ++g) {
+    const FactView f = removed.ViewAt(g);
+    if (inst.HasFact(f.pred, f.args)) {
+      ++res.rederived;
+    } else {
+      res.deletes.push_back(f.ToFact());
+    }
+  }
+  std::vector<FactView> fresh;
+  for (const Stratum& st : strata_) {
+    fresh.clear();
+    for (PredId p : st.preds) {
+      for (uint32_t row = first_row[p]; row < inst.NumRows(p); ++row) {
+        const FactView f{p, inst.Args(p, row)};
+        if (!removed.HasFact(f.pred, f.args)) fresh.push_back(f);
+      }
+    }
+    std::sort(fresh.begin(), fresh.end(), ViewLess);
+    for (const FactView& f : fresh) res.inserts.push_back(f.ToFact());
+  }
   res.overdeleted = run.overdeleted;
-  res.rederived = run.rederived;
 
   if (stats) {
     run.iterations = 1;
     run.facts_derived = res.inserts.size();
     run.facts_retracted = res.deletes.size();
+    run.rederived = res.rederived;
     run.wall_seconds = SecondsSince(t_start);
     stats->Accumulate(run);
   }
   return res;
 }
 
-void CompiledProgram::MaintainBF(
-    size_t si, const Instance& base, const std::vector<const Fact*>& base_ins,
-    const std::vector<const Fact*>& base_del, Instance& inst, ChangeLog& log,
-    EvalStats& run) const {
+void CompiledProgram::MaintainBF(size_t si, const Instance& base,
+                                 const std::vector<const Fact*>& base_del,
+                                 Instance& inst, Instance& removed,
+                                 EvalStats& run) const {
+  // The search reads the instance: the new EDB, the lower strata after
+  // their deletions (their new facts come with the continuation) and the
+  // stratum's facts, of which it ignores those it has disproved.
   const Stratum& st = strata_[si];
-  // Per plan of the stratum, the atoms over lower strata: they read the
-  // old state (current − added + removed) while seeding candidates.
-  // `current` reads the current state everywhere: the new lower strata
-  // and, until the disproved facts go, the old stratum relations.
-  std::vector<std::vector<uint8_t>> lower_old(st.rules.size());
-  size_t max_body = 0;
-  for (size_t k = 0; k < st.rules.size(); ++k) {
-    const RulePlan& plan = plans_[st.rules[k]];
-    lower_old[k].assign(plan.body.size(), 1);
-    for (int r : plan.recursive_atoms) lower_old[k][r] = 0;
-    max_body = std::max(max_body, plan.body.size());
-  }
-  const std::vector<uint8_t> current(max_body, 0);
   std::vector<ElemId> map, head, atom_args, seed;
 
   // The memo: every stratum fact the backward search visited, and its
@@ -760,9 +786,10 @@ void CompiledProgram::MaintainBF(
 
   // Candidates: the stratum facts that may have lost their last
   // derivation. Seeded from the base-deleted stratum facts and the heads
-  // of old-state derivations through a lower-stratum removal, then
-  // through every disproved fact. Lower atoms read the old state; stratum
-  // atoms read the instance, which still holds the old stratum relations.
+  // of old-state derivations through a removed lower fact, then through
+  // every disproved fact. Seeds replay `removed`, which holds no fact of
+  // this stratum yet, so they read the old state plus the batch's EDB
+  // inserts; the instance still holds the old stratum relations.
   FactList candidates;
   for (const Fact* f : base_del) candidates.Push(f->pred, f->args);
   auto seed_candidates = [&](size_t k, size_t i, std::span<const ElemId> df) {
@@ -780,14 +807,13 @@ void CompiledProgram::MaintainBF(
       }
       return true;
     };
-    MatchAtoms(plan, MatchOrder(plan, static_cast<int>(i)), 0, lower_old[k],
-               inst, log, run.join_probes, map, derive);
+    MatchAtoms(plan, MatchOrder(plan, static_cast<int>(i)), 0, inst, removed,
+               true, run.join_probes, map, derive);
   };
   for (size_t k = 0; k < st.rules.size(); ++k) {
     const RulePlan& plan = plans_[st.rules[k]];
     for (size_t i = 0; i < plan.body.size(); ++i) {
-      if (!lower_old[k][i]) continue;
-      ForEachRow(log.removed, plan.body[i].pred,
+      ForEachRow(removed, plan.body[i].pred,
                  [&](std::span<const ElemId> df) {
                    seed_candidates(k, i, df);
                  });
@@ -796,7 +822,7 @@ void CompiledProgram::MaintainBF(
 
   // Proves the checked fact at memo id `g` and forward-chains: every
   // checked, unproved head of a derivation whose stratum atoms are all
-  // proved (its lower atoms read the new state) is proved too,
+  // proved (its lower atoms read the instance) is proved too,
   // transitively. A worklist, not recursion.
   FactList proved;
   auto prove = [&](uint32_t g) {
@@ -826,7 +852,7 @@ void CompiledProgram::MaintainBF(
             }
             return true;
           };
-          MatchAtoms(plan, MatchOrder(plan, r), 0, current, inst, log,
+          MatchAtoms(plan, MatchOrder(plan, r), 0, inst, removed, false,
                      run.join_probes, map, chain);
         }
       }
@@ -849,7 +875,7 @@ void CompiledProgram::MaintainBF(
   const bool skip_stratum_proof = FaultInjected("skip-stratum-proof");
   // Visits pred(args) if it is new to the memo: marks it checked (one
   // probe answers "visited?" and marks), then proves it at once if the
-  // new base holds it or some derivation over the new lower state and the
+  // new base holds it or some derivation over the lower state and the
   // facts not disproved has every stratum atom proved — a derivation
   // whose support an earlier Check proved is seen only here. Otherwise
   // pushes a frame over the unvisited stratum atoms of those derivations.
@@ -883,8 +909,8 @@ void CompiledProgram::MaintainBF(
         }
         return true;
       };
-      at_once = !MatchAtoms(plan, MatchOrder(plan, -1), 0, current, inst,
-                            log, run.join_probes, map, derivation);
+      at_once = !MatchAtoms(plan, MatchOrder(plan, -1), 0, inst, removed,
+                            false, run.join_probes, map, derivation);
     }
     if (at_once) {
       pending.Truncate(first);
@@ -898,7 +924,7 @@ void CompiledProgram::MaintainBF(
   // depth-first backward search that checks the stratum atoms of each
   // derivation in turn and leaves a fact once it is proved. When it
   // returns, every fact it checked and did not prove has no proof over
-  // the new lower state and the facts not disproved: it is disproved, and
+  // the lower state and the facts not disproved: it is disproved, and
   // the heads of old-state derivations through it become candidates.
   for (size_t c = 0; c < candidates.size(); ++c) {
     const FactView cand = candidates[c];
@@ -929,88 +955,18 @@ void CompiledProgram::MaintainBF(
     }
   }
 
-  // Remove the disproved facts, in memo order.
+  // Remove the disproved facts and append them to `removed`, in sorted
+  // fact order.
+  std::vector<FactView> gone;
   for (uint32_t g = 0; g < memo.num_facts(); ++g) {
-    if (state[g] != kDisproved) continue;
-    const FactView f = memo.ViewAt(g);
-    MONDET_CHECK(inst.RemoveFact(f.pred, f.args));
-    ++run.overdeleted;
-  }
-
-  // Insert: semi-naive from the inserted seeds — base-inserted stratum
-  // facts and lower-stratum membership insertions at every matching body
-  // atom — joining the other atoms over the new state. Enumerating every
-  // seed against the full new state may revisit a derivation; set
-  // semantics absorbs that. This phase only adds, so the facts it adds
-  // are the global ids from `first_new` on, in the order added.
-  const uint32_t first_new = static_cast<uint32_t>(inst.num_facts());
-  std::vector<ElemId> derived;  // one seed's head tuples, back to back
-  auto seed_insertion = [&](size_t k, size_t i, std::span<const ElemId> df) {
-    const RulePlan& plan = plans_[st.rules[k]];
-    map.assign(plan.num_vars, kNoElem);
-    if (!BindArgs(plan.body[i], df, map)) return;
-    // Derivations are collected first and added after the enumeration:
-    // AddFact mutates the very indexes MatchAtoms is iterating.
-    derived.clear();
-    size_t n = 0;
-    auto derive = [&](const std::vector<ElemId>& mm) {
-      for (VarId v : plan.head.args) derived.push_back(mm[v]);
-      ++n;
-      return true;
-    };
-    MatchAtoms(plan, MatchOrder(plan, static_cast<int>(i)), 0, current, inst,
-               log, run.join_probes, map, derive);
-    const size_t ar = plan.head.args.size();
-    for (size_t j = 0; j < n; ++j) {
-      inst.AddFact(plan.head.pred,
-                   std::span<const ElemId>(derived.data() + j * ar, ar));
-    }
-  };
-  for (const Fact* f : base_ins) inst.AddFact(*f);
-  for (size_t k = 0; k < st.rules.size(); ++k) {
-    const RulePlan& plan = plans_[st.rules[k]];
-    for (size_t i = 0; i < plan.body.size(); ++i) {
-      if (!lower_old[k][i]) continue;
-      ForEachRow(log.added, plan.body[i].pred,
-                 [&](std::span<const ElemId> df) { seed_insertion(k, i, df); });
-    }
-  }
-  for (uint32_t g = first_new; g < inst.num_facts(); ++g) {  // the frontier
-    const FactView f = inst.ViewAt(g);
-    seed.assign(f.args.begin(), f.args.end());
-    for (size_t k = 0; k < st.rules.size(); ++k) {
-      const RulePlan& plan = plans_[st.rules[k]];
-      for (int r : plan.recursive_atoms) {
-        if (plan.body[r].pred != f.pred) continue;
-        seed_insertion(k, static_cast<size_t>(r), seed);
-      }
-    }
-  }
-
-  // Net membership changes of this stratum: the disproved facts the
-  // insert phase did not put back (old ∖ new), and the inserted facts the
-  // memo never saw (new ∖ old: every old fact the insert phase could add
-  // was disproved). Each list is logged in sorted fact order, so the
-  // change lists — the lower-stratum deltas of later strata — are
-  // deterministic.
-  std::vector<FactView> gone, fresh;
-  for (uint32_t g = 0; g < memo.num_facts(); ++g) {
-    if (state[g] != kDisproved) continue;
-    const FactView f = memo.ViewAt(g);
-    if (inst.HasFact(f.pred, f.args)) {
-      ++run.rederived;
-    } else {
-      gone.push_back(f);
-    }
-  }
-  for (uint32_t g = first_new; g < inst.num_facts(); ++g) {
-    const FactView f = inst.ViewAt(g);
-    if (!memo.HasFact(f.pred, f.args)) fresh.push_back(f);
+    if (state[g] == kDisproved) gone.push_back(memo.ViewAt(g));
   }
   std::sort(gone.begin(), gone.end(), ViewLess);
-  std::sort(fresh.begin(), fresh.end(), ViewLess);
-  for (const FactView& f : gone) log.removed.AddFact(f.pred, f.args);
-  for (const FactView& f : fresh) log.added.AddFact(f.pred, f.args);
+  for (const FactView& f : gone) {
+    MONDET_CHECK(inst.RemoveFact(f.pred, f.args));
+    removed.AddFact(f.pred, f.args);
+  }
+  run.overdeleted += gone.size();
 }
 
 }  // namespace mondet

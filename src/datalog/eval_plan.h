@@ -41,9 +41,10 @@ struct EvalOptions {
   /// per-run cost — one Collect with a sort per column plus a
   /// SelectivityAtomOrder pass per rule — takes tens of µs, which
   /// dominates a µs-scale eval outright (a view image of a small query
-  /// approximation is one), so the gate sits at 64 facts. EvalFrom
-  /// applies it to the facts a continuation adds, so the checker's walk,
-  /// which adds a few expansions per evaluation, runs the stored orders.
+  /// approximation is one), so the gate sits at 64 facts. EvalFrom and
+  /// Maintain apply it to the facts a continuation adds, so the checker's
+  /// walk, which adds a few expansions per evaluation, and a small write
+  /// run the stored orders.
   /// Set to 0 to force live planning on any input (the differential tests
   /// do), or to the largest size_t to run the stored orders on any input
   /// (the plan-differential oracle's second arm and the _StaticPlan bench
@@ -73,7 +74,8 @@ struct StratumStats {
 /// harnesses do); `strata` gets one entry appended per stratum evaluated.
 /// Maintain fills the retraction counters (facts_retracted, overdeleted,
 /// rederived), which stay zero on the insert-only Eval path; its
-/// join_probes are the rows and membership probes of its join.
+/// join_probes are the rows and membership probes of its deletion join
+/// plus the kernel probes of its continuation.
 struct EvalStats {
   size_t iterations = 0;
   size_t facts_derived = 0;
@@ -128,14 +130,14 @@ FactDelta ApplyBatch(const std::vector<Fact>& inserts,
 
 /// Outcome of one Maintain call: the net membership changes of the
 /// maintained fixpoint (every fact that appeared / disappeared, in the
-/// deterministic order they were recorded) plus the Backward/Forward
+/// deterministic order Maintain lists them) plus the Backward/Forward
 /// counters. Consumers project these deltas further — MaintainedImage
 /// filters them to the view predicates to keep the view image current.
 struct MaintainResult {
   std::vector<Fact> inserts;  // net facts added to the fixpoint
   std::vector<Fact> deletes;  // net facts removed from it
   size_t overdeleted = 0;     // facts disproved and removed, all strata
-  size_t rederived = 0;       // of those, put back by the insert phase
+  size_t rederived = 0;       // of those, put back by the continuation
 };
 
 /// Description of one precomputed join order of a CompiledProgram, for
@@ -165,12 +167,12 @@ struct JoinOrderDesc {
 /// Construct once and Eval many times; the per-rule plans and strata are
 /// reused across calls — and the same object serves the analyzer's plan
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
-/// identical plans. Eval and EvalFrom join through compiled kernels
-/// (datalog/kernel.h), lowering each (rule, seat, join order) on first use
-/// into a cache this object keeps for its lifetime, and Maintain plans its
-/// join orders on first use the same way. They are const but fill those
-/// caches, so one object must not be evaluated or maintained from two
-/// threads at once.
+/// identical plans. Eval, EvalFrom and Maintain's insertion join through
+/// compiled kernels (datalog/kernel.h), lowering each (rule, seat, join
+/// order) on first use into a cache this object keeps for its lifetime,
+/// and Maintain plans its deletion join's orders on first use the same
+/// way. They are const but fill those caches, so one object must not be
+/// evaluated or maintained from two threads at once.
 class CompiledProgram {
  public:
   explicit CompiledProgram(const Program& program);
@@ -194,15 +196,14 @@ class CompiledProgram {
   /// Continues semi-naive evaluation in place: afterwards `inst` holds
   /// FPEval of its facts. The facts below global id `first_new` must be a
   /// fixpoint of this program, and no fact may have been removed since,
-  /// so each predicate's new facts are a suffix of its rows. Each
-  /// stratum, in order, seeds every body atom whose predicate has new
-  /// rows (an EDB, a lower stratum's or its own) from them, joining the
-  /// other atoms over the whole instance, then runs the usual delta
-  /// rounds. `first_new == 0` is Eval's run, in place and at default
-  /// options (its initial round is the full join, so empty-body rules
-  /// fire); otherwise the result equals Eval's as a set, in another fact
-  /// order. The planner's size gate counts the new facts. When `stats`
-  /// is non-null the run's counters are accumulated into it.
+  /// so each predicate's new facts are a suffix of its rows, found by a
+  /// binary search over their global ids; the stratum loop then runs
+  /// from those rows (see RunStrata). `first_new == 0` is Eval's run, in
+  /// place and at default options (its initial round is the full join,
+  /// so empty-body rules fire); otherwise the result equals Eval's as a
+  /// set, in another fact order. The planner's size gate counts the new
+  /// facts. When `stats` is non-null the run's counters are accumulated
+  /// into it.
   void EvalFrom(Instance& inst, uint32_t first_new,
                 EvalStats* stats = nullptr) const;
 
@@ -212,17 +213,25 @@ class CompiledProgram {
   /// tests/maintenance_differential_test.cc). `base` is the
   /// already-mutated new base instance; `delta` lists its exact
   /// membership changes (see FactDelta).
-  /// Every stratum is maintained by Backward/Forward (Motik, Nenov, Piro,
-  /// Horrocks, AAAI 2015): each fact that may have lost a derivation is
-  /// kept if a backward search finds it another proof over the new lower
-  /// strata and the stratum facts not disproved, and disproved otherwise;
-  /// the disproved facts go, then semi-naive insertion runs. A write
-  /// touches the facts that lost a derivation and their proofs, not the
-  /// whole strongly connected closure. A non-recursive stratum is the
-  /// case without stratum atoms: a candidate stays if and only if the new
-  /// base holds it or one head-bound join over the new lower strata finds
-  /// a derivation. The net changes (old ∖ new, then new ∖ old, per
-  /// stratum in sorted fact order) do not depend on the search order.
+  /// A write deletes, then inserts. The EDB deletes go and the EDB
+  /// inserts are appended. Then every stratum a deletion reaches is
+  /// maintained by Backward/Forward (Motik, Nenov, Piro, Horrocks, AAAI
+  /// 2015), which only deletes: each fact that may have lost a derivation
+  /// is kept if a backward search finds it another proof over the new
+  /// EDB, the lower strata after their deletions and the stratum facts
+  /// not disproved, and disproved and removed otherwise. A write touches
+  /// the facts that lost a derivation and their proofs, not the whole
+  /// strongly connected closure. A non-recursive stratum is the case
+  /// without stratum atoms: a candidate stays if and only if the new base
+  /// holds it or one head-bound join over the lower strata finds a
+  /// derivation. Afterwards every derivation over the rows left has its
+  /// head in the instance, so the IDB base inserts are appended and the
+  /// stratum loop Eval runs continues the fixpoint from each predicate's
+  /// new rows (RunStrata, at default options): all insertion runs on the
+  /// compiled kernels, and it puts back a disproved fact whose only
+  /// proofs run through a fact the write created. The net changes (the
+  /// removed facts not put back, then the new facts, per stratum in
+  /// sorted fact order) do not depend on the search order.
   /// Single-threaded and deterministic: the same schedule always yields
   /// the same instance, in the same row order. When `stats` is non-null
   /// the call's counters accumulate into it.
@@ -275,36 +284,20 @@ class CompiledProgram {
     // cache is never invalidated; list nodes keep the addresses a round's
     // work items hold stable while Eval appends.
     mutable std::list<LoweredKernel> kernels;
-    // EvalFrom's seats at non-recursive body atoms, by body index: the
-    // kernel seeded at that atom under its compile-time order, lowered on
-    // first use. Empty until the rule first needs one, then sized once,
-    // so the kernels' addresses stay put.
+    // The continuation's seats at non-recursive body atoms (EvalFrom's
+    // and Maintain's), by body index: the kernel seeded at that atom
+    // under its compile-time order, lowered on first use. Empty until the
+    // rule first needs one, then sized once, so the kernels' addresses
+    // stay put.
     mutable std::vector<std::optional<JoinKernel>> atom_seats;
-    // Maintain's join orders (see MatchOrder): [0] for the backward check,
-    // [1 + i] for a join seeded at body atom i. Empty until Maintain
-    // first joins the rule, then sized once, so evaluating programs
-    // that are never maintained plans none of them.
+    // B/F's join orders (see MatchOrder): [0] for the backward check,
+    // [1 + i] for a join seeded at body atom i. Empty until B/F first
+    // joins the rule, then sized once, so evaluating programs that are
+    // never maintained plans none of them.
     mutable std::vector<std::vector<uint32_t>> match_orders;
   };
   // Its rule indices are indices into plans_ (plan index == rule index).
   using Stratum = Stratification::Stratum;
-  /// Maintain's change log: the net membership changes recorded so far,
-  /// each in record order, over the fixpoint's vocabulary and elements.
-  /// The old state is current − added + removed. A stratum writes the log
-  /// only after its joins, so row spans into it stay valid while seeding.
-  struct ChangeLog {
-    Instance added;
-    Instance removed;
-
-    explicit ChangeLog(const Instance& inst)
-        : added(inst.vocab()), removed(inst.vocab()) {
-      added.EnsureElements(inst.num_elements());
-      removed.EnsureElements(inst.num_elements());
-    }
-    bool Touched(PredId pred) const {
-      return added.NumRows(pred) > 0 || removed.NumRows(pred) > 0;
-    }
-  };
   /// One unit of a semi-naive round: `*kernel` run as a full join, or
   /// seeded from each row in [first, end) of its seat predicate.
   struct WorkItem {
@@ -329,49 +322,55 @@ class CompiledProgram {
   /// the compile-time order: looked up in O(1), lowered on first use.
   const JoinKernel* AtomSeatKernel(const RulePlan& plan, int atom) const;
 
-  /// The stratum loop Eval and EvalFrom share: evaluates every stratum,
-  /// in order, over `result`, whose facts below `first_new` are a
-  /// fixpoint (see EvalFrom; 0 = a full run). Accumulates the run's
-  /// counters, timed from `t_start`, into `stats` if non-null.
-  void RunStrata(Instance& result, uint32_t first_new,
-                 const EvalOptions& options,
+  /// The stratum loop Eval, EvalFrom and Maintain share: evaluates every
+  /// stratum, in order, over `result`. Empty `first_row` is a full run.
+  /// Otherwise `first_row[p]` is the first new row of predicate p, and
+  /// every derivation over the rows before them must have its head in
+  /// `result`. Then a derivation the result lacks uses some new row, so
+  /// each stratum seeds every body atom whose predicate has new rows (an
+  /// EDB, a lower stratum's or its own) from them, joining the other atoms
+  /// over the whole instance, before the usual delta rounds; the new rows
+  /// of a lower stratum include what it derived in this run.
+  /// `new_facts` is the number of new facts, which the planner's size
+  /// gate counts. Accumulates the run's counters, timed from `t_start`,
+  /// into `stats` if non-null.
+  void RunStrata(Instance& result, std::span<const uint32_t> first_row,
+                 size_t new_facts, const EvalOptions& options,
                  std::chrono::steady_clock::time_point t_start,
                  EvalStats* stats) const;
 
-  /// Maintain's join order for `plan` seeded at body atom `seat`, or for
-  /// the backward check (seat -1), planned like the compile-time orders
+  /// B/F's join order for `plan` seeded at body atom `seat`, or for the
+  /// backward check (seat -1), planned like the compile-time orders
   /// (MakeSeatShape/PlanOrder) with the seat's variables, or the head's,
-  /// bound: a greedy order over the bound variables, so Maintain's work
-  /// does not depend on the order a rule's body is written in. Lists
-  /// every body atom but the seat. Every seat of the rule is planned on
-  /// its first call.
+  /// bound: a greedy order over the bound variables, so B/F's work does
+  /// not depend on the order a rule's body is written in. Lists every
+  /// body atom but the seat. Every seat of the rule is planned on its
+  /// first call.
   const std::vector<uint32_t>& MatchOrder(const RulePlan& plan,
                                           int seat) const;
 
-  /// The maintenance engine's join: matches the body atoms order[k..] of
+  /// Backward/Forward's join: matches the body atoms order[k..] of
   /// `plan` in that order (the seat, whose variables `map` pre-binds, is
   /// not in it) and calls `out(map)` once per complete match; `out`
   /// returns false to stop the enumeration early (the backward search
-  /// stops at a derivation that proves its fact). Atoms flagged in
-  /// `read_old` (by body index) read the *old* state, reconstructed from
-  /// the current instance and the change log (current − added + removed);
-  /// the rest read the current instance directly, a fully bound one by a
-  /// single membership probe. Adds each candidate row and each membership
-  /// probe to `probes`. Returns false iff some `out` call stopped the
-  /// enumeration. Defined and instantiated in eval_plan.cc only.
+  /// stops at a derivation that proves its fact). Each atom reads `inst`,
+  /// a fully bound one by a single membership probe; with `replay` it
+  /// also reads its rows of `removed`, the facts the write has removed so
+  /// far. Adds each candidate row and each membership probe to `probes`.
+  /// Returns false iff some `out` call stopped the enumeration. Defined
+  /// and instantiated in eval_plan.cc only.
   template <class Out>
   bool MatchAtoms(const RulePlan& plan, std::span<const uint32_t> order,
-                  size_t k, const std::vector<uint8_t>& read_old,
-                  const Instance& inst, const ChangeLog& log, size_t& probes,
-                  std::vector<ElemId>& map, Out&& out) const;
+                  size_t k, const Instance& inst, const Instance& removed,
+                  bool replay, size_t& probes, std::vector<ElemId>& map,
+                  Out&& out) const;
 
-  /// Backward/Forward maintenance of stratum `si` (see Maintain): appends
-  /// the stratum's net changes to `log` and adds its join work and
-  /// counters to `run`.
+  /// Backward/Forward deletion in stratum `si` (see Maintain): removes
+  /// the stratum's disproved facts from `inst`, appends them to `removed`
+  /// in sorted fact order, and adds its join work and counters to `run`.
   void MaintainBF(size_t si, const Instance& base,
-                  const std::vector<const Fact*>& base_ins,
                   const std::vector<const Fact*>& base_del, Instance& inst,
-                  ChangeLog& log, EvalStats& run) const;
+                  Instance& removed, EvalStats& run) const;
 
   Program program_;
   std::vector<RulePlan> plans_;

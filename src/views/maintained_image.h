@@ -20,7 +20,7 @@ struct ImageDelta {
   std::vector<Fact> inserts;
   std::vector<Fact> deletes;
   size_t overdeleted = 0;  // facts disproved and removed (all strata)
-  size_t rederived = 0;    // of those, put back by the insert phase
+  size_t rederived = 0;    // of those, put back by the continuation
 
   bool empty() const { return inserts.empty() && deletes.empty(); }
 };

@@ -215,9 +215,10 @@ std::string ResultLine(const Instance& m, const MaintainResult& res) {
 }
 
 // A joint insert and a joint delete of both body facts of H(a): the
-// delete seeds candidates over the old state, where each seed must find
-// the other fact among the deletions, so H(a) is disproved and goes.
-TEST(MaintainJoin, OldStateReadsSkipTheBatch) {
+// delete seeds candidates over the old state, which replays the removed
+// facts, so each seed finds the other fact among the deletions, and H(a)
+// is disproved and goes.
+TEST(MaintainJoin, OldStateReadsReplayTheRemovedFacts) {
   auto vocab = MakeVocabulary();
   ParseResult pr = ParseProgram("H(x) :- A(x), B(x).", vocab);
   ASSERT_TRUE(pr.ok()) << pr.error;
@@ -349,7 +350,7 @@ TEST(MaintainJoin, DeepProofOffTheCallStack) {
   for (ElemId i = 0; i < n; ++i) base.AddFact(rp.e, {i, i + 1});
   base.AddFact(rp.e, {n - 2, n});
   // Without a source nothing is reachable; inserting it derives the
-  // chain in the insert phase's frontier loop, one fact per step.
+  // chain in the continuation's delta rounds, one fact per round.
   Instance m = compiled.Eval(base);
   ASSERT_EQ(m.NumRows(rp.reach), 0u);
   ASSERT_TRUE(base.AddFact(rp.src, {0}));
@@ -558,8 +559,9 @@ TEST(ApplyBatch, NormalizesWhileApplying) {
 // ChurnSequencesPinned sees only the view-image projection; this pins the
 // full lists in order. The lists were taken under DRed, with derivation
 // counting on the non-recursive strata; both engines were replaced by
-// Backward/Forward on every stratum, and only the o=/r= counters were
-// re-taken (o= now counts the disproved facts of every stratum).
+// Backward/Forward on every stratum, and insertion by the stratum loop's
+// continuation, and only the o=/r= counters were re-taken (o= counts the
+// disproved facts of every stratum, r= those of them put back).
 TEST(MaintainJoin, WholeResultPinned) {
   auto vocab = MakeVocabulary();
   ParseResult pr = ParseProgram(R"(
@@ -605,16 +607,18 @@ TEST(MaintainJoin, WholeResultPinned) {
   // paths from a through c keep a proof over the shortcut.
   EXPECT_EQ(write({}, {Fact(e, {vb, vc})}, "delete"),
             "-E(b,c)-C1(b,c)-C2(b,c)-T(b,c)-T(b,d)-T(b,e)-Top(b) o=6 r=0");
-  // A joint write that puts a disproved fact back: b reaches d directly
-  // while c -> d goes, so T(a,d) has no proof over the old paths but the
-  // insert phase derives it again through the new T(b,d); T(c,e) keeps a
-  // proof through the new edge c -> e.
+  // A joint write that puts disproved facts back: b reaches d directly
+  // while c -> d goes, so T(a,d) has no proof over the old paths, and the
+  // continuation derives it again through the new T(b,d). T(c,e)'s one
+  // proof left runs through C2(c,e), new over the new edge c -> e; the
+  // backward search does not see a lower stratum's new facts, so T(c,e)
+  // and with it Top(c) are disproved, and the continuation puts them back.
   EXPECT_EQ(write({Fact(e, {vb, vd}), Fact(e, {vc, ve})},
                   {Fact(e, {vc, vd}), Fact(b, {vc}), Fact(e, {vd, ve})},
                   "joint"),
             "+E(b,d)+E(c,e)+C1(b,d)+C1(c,e)+C2(b,d)+C2(c,e)+T(b,d)+Top(b)"
             "-E(c,d)-B(c)-E(d,e)-C1(c,d)-C1(d,e)-C2(a,c)-C2(c,d)-C2(d,e)"
-            "-T(a,c)-T(a,e)-T(c,d)-T(d,e)-Top(d) o=11 r=1");
+            "-T(a,c)-T(a,e)-T(c,d)-T(d,e)-Top(d) o=13 r=3");
   // Base IDB facts on both maintenance paths, next to an EDB delete.
   EXPECT_EQ(write({Fact(t, {ve, va}), Fact(c1, {ve, vb})}, {Fact(a, {va})},
                   "base idb"),
@@ -637,8 +641,9 @@ TEST(MaintainJoin, WholeResultPinned) {
 //     counting, the maintenance this engine replaced; the change lists
 //     must not depend on the engine;
 //   - the maintained fixpoint in insertion order, taken under
-//     Backward/Forward on every stratum: the row order is part of the
-//     result.
+//     Backward/Forward deletion followed by the stratum loop's
+//     continuation, with each write's EDB deletes before its inserts: the
+//     row order is part of the result.
 TEST(MaintainedImage, ChurnSequencesPinned) {
   auto vocab = MakeVocabulary();
   const PredId r = vocab->AddPredicate("R", 2);
@@ -720,7 +725,7 @@ TEST(MaintainedImage, ChurnSequencesPinned) {
     fixpoint += FactToString(fix, fix.ViewAt(g)) + ";";
   }
   EXPECT_EQ(testing::Fnv1a(deltas), 0xadf7236cd10cc99bull);
-  EXPECT_EQ(testing::Fnv1a(fixpoint), 0x542695805507aa45ull);
+  EXPECT_EQ(testing::Fnv1a(fixpoint), 0x37a38eabcb1f3be7ull);
 }
 
 TEST(ParseStream, BatchesElementsAndSigns) {
