@@ -10,9 +10,10 @@
 // maintain ≥ 2x recompute on these small-delta steps. The path rows
 // disprove every candidate, so the backward search saves nothing there,
 // and each mend inserts the Θ(n) closure facts in the continuation's
-// delta rounds; the dense row (perfbench `churn`'s graph shape) keeps
-// its whole strongly connected closure, and the search proves every
-// closure candidate without removing a closure fact. The projection row
+// delta rounds; the dense row (perfbench `churn`'s graph shape, a series
+// of edge swaps on four graphs) keeps its whole strongly connected
+// closure, and the search proves every closure candidate without
+// removing a closure fact. The projection row
 // is a non-recursive view with fan-in, where each delete disproves one
 // fact by one head-bound join and each insert derives it again at the
 // continuation's atom seat.
@@ -21,8 +22,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,29 +73,35 @@ struct ChurnWorkload {
 
 /// The facts Backward/Forward disproved and of those the continuation put
 /// back, and the probes (the deletion join's rows and membership probes
-/// plus the continuation's kernel probes), per iteration: the totals of
-/// the timed loop depend on how many iterations it ran.
-void SetMaintainCounters(benchmark::State& state, const EvalStats& stats) {
-  state.counters["overdeleted"] = benchmark::Counter(
-      static_cast<double>(stats.overdeleted), benchmark::Counter::kAvgIterations);
-  state.counters["rederived"] = benchmark::Counter(
-      static_cast<double>(stats.rederived), benchmark::Counter::kAvgIterations);
-  state.counters["probes"] =
-      benchmark::Counter(static_cast<double>(stats.join_probes),
-                         benchmark::Counter::kAvgIterations);
+/// plus the continuation's kernel probes), per iteration, or per write
+/// for a row of `writes` writes per iteration: the totals of the timed
+/// loop depend on how many iterations it ran.
+void SetMaintainCounters(benchmark::State& state, const EvalStats& stats,
+                         int writes = 1) {
+  auto per = [&](size_t total) {
+    return benchmark::Counter(static_cast<double>(total) / writes,
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["overdeleted"] = per(stats.overdeleted);
+  state.counters["rederived"] = per(stats.rederived);
+  state.counters["probes"] = per(stats.join_probes);
 }
 
-/// The headline contract, checked once after the timed loop: the
-/// maintained image is bit-identical (as a set) to a recompute.
-void LabelImageCheck(benchmark::State& state,
-                     const MaintainedImage& maintained) {
+/// Whether the maintained image is bit-identical (as a set) to a
+/// recompute.
+bool ImageFresh(const MaintainedImage& maintained) {
   Instance fresh = maintained.FreshImage();
   std::vector<Fact> got = maintained.image().AllFacts();
   std::vector<Fact> want = fresh.AllFacts();
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
-  state.SetLabel(got == want ? "maintained image == recomputed image"
-                             : "MAINTENANCE DIVERGED");
+  return got == want;
+}
+
+/// The headline contract, checked once after the timed loop.
+void LabelImageCheck(benchmark::State& state, bool fresh) {
+  state.SetLabel(fresh ? "maintained image == recomputed image"
+                       : "MAINTENANCE DIVERGED");
 }
 
 /// One churn cycle: cut the head edge, then restore it. Net zero, so the
@@ -114,21 +123,26 @@ void BM_Maintenance_ChurnMaintain(benchmark::State& state) {
       static_cast<double>(maintained.image().num_facts());
   state.counters["touched_per_cycle"] = static_cast<double>(touched);
   SetMaintainCounters(state, stats);
-  LabelImageCheck(state, maintained);
+  LabelImageCheck(state, ImageFresh(maintained));
 }
 BENCHMARK(BM_Maintenance_ChurnMaintain)->Arg(64)->Arg(256)->Arg(512);
 
 /// perfbench `churn`'s graph: n nodes, each of in- and out-degree 3 (the
 /// union of three random permutations that share no edge), so the
-/// closure is strongly connected and holds all n² pairs, and one fixed
-/// edge swap (a,b), (c,d) → (a,d), (c,b) that keeps every degree.
+/// closure is strongly connected and holds all n² pairs, and kSwaps edge
+/// swaps (a,b), (c,d) → (a,d), (c,b) that keep every degree, each drawn
+/// on the graph as built. Graph and swaps follow from `seed`.
 struct DenseWorkload {
+  static constexpr int kSwaps = 8;
+  struct Swap {
+    std::vector<Fact> out, in;
+  };
   VocabularyPtr vocab = MakeVocabulary();
   ViewSet views;
   Instance base;
-  std::vector<Fact> swap_out, swap_in;
+  std::vector<Swap> swaps;
 
-  explicit DenseWorkload(int n) : views(vocab), base(vocab) {
+  DenseWorkload(int n, uint64_t seed) : views(vocab), base(vocab) {
     const PredId r = vocab->AddPredicate("R", 2);
     const PredId u = vocab->AddPredicate("U", 1);
     views.AddAtomicView("VR", r);
@@ -142,7 +156,7 @@ struct DenseWorkload {
     views.AddView("VT", *vt);
     const ElemId nodes = static_cast<ElemId>(n);
     base.EnsureElements(nodes);
-    std::mt19937_64 rng(1);
+    std::mt19937_64 rng(seed);
     std::vector<ElemId> target(nodes);
     for (int k = 0; k < 3; ++k) {
       for (bool clash = true; clash;) {
@@ -158,37 +172,68 @@ struct DenseWorkload {
       for (ElemId x = 0; x < nodes; ++x) base.AddFact(r, {x, target[x]});
     }
     for (ElemId x = 0; x < nodes; x += 6) base.AddFact(u, {x});
-    const std::span<const ElemId> ab = base.Args(r, 0);
-    for (uint32_t row = 1; swap_in.empty(); ++row) {
-      const std::span<const ElemId> cd = base.Args(r, row);
+    const uint32_t edges = base.NumRows(r);
+    while (swaps.size() < kSwaps) {
+      const std::span<const ElemId> ab = base.Args(r, rng() % edges);
+      const std::span<const ElemId> cd = base.Args(r, rng() % edges);
       const Fact ad(r, {ab[0], cd[1]}), cb(r, {cd[0], ab[1]});
       if (ab[0] == cd[0] || ab[1] == cd[1] || base.HasFact(ad) ||
           base.HasFact(cb)) {
         continue;
       }
-      swap_out = {Fact(r, {ab[0], ab[1]}), Fact(r, {cd[0], cd[1]})};
-      swap_in = {ad, cb};
+      swaps.push_back({{Fact(r, {ab[0], ab[1]}), Fact(r, {cd[0], cd[1]})},
+                       {ad, cb}});
     }
   }
 };
 
-/// One edge swap and its inverse per iteration: each write makes the
-/// closure facts through the two removed edges candidates (about 2n) and
-/// proves every one of them, so nothing is removed.
+/// Every swap of four graphs (seeds 1-4), each followed by its inverse,
+/// per iteration: 64 writes. Each write makes the closure facts through
+/// its two removed edges candidates (about 2n) and proves every one of
+/// them, so what it disproves are the two edges' VR facts. A single
+/// swap's join work follows the order of its graph's buckets; an average
+/// over many swaps follows the engine. Every iteration maintains fresh
+/// copies of the four graphs (untimed), so the work, and with it every
+/// counter, is the same whatever the iteration count. The counters and
+/// `s_per_write` are per write.
 void BM_Maintenance_DenseSwap(benchmark::State& state) {
-  DenseWorkload w(static_cast<int>(state.range(0)));
-  MaintainedImage maintained(w.views, w.base);
+  constexpr int kGraphs = 4;
+  constexpr int kWrites = 2 * kGraphs * DenseWorkload::kSwaps;
+  std::vector<DenseWorkload> graphs;
+  graphs.reserve(kGraphs);
+  for (int g = 0; g < kGraphs; ++g) {
+    graphs.emplace_back(static_cast<int>(state.range(0)), g + 1);
+  }
+  std::vector<MaintainedImage> maintained;
+  maintained.reserve(kGraphs);
   EvalStats stats;
   for (auto _ : state) {
-    ImageDelta swap = maintained.ApplyDelta(w.swap_in, w.swap_out, &stats);
-    ImageDelta back = maintained.ApplyDelta(w.swap_out, w.swap_in, &stats);
-    benchmark::DoNotOptimize(swap);
-    benchmark::DoNotOptimize(back);
+    state.PauseTiming();
+    maintained.clear();
+    for (const DenseWorkload& w : graphs) {
+      maintained.emplace_back(w.views, w.base);
+    }
+    state.ResumeTiming();
+    for (int g = 0; g < kGraphs; ++g) {
+      for (const DenseWorkload::Swap& s : graphs[g].swaps) {
+        ImageDelta swap = maintained[g].ApplyDelta(s.in, s.out, &stats);
+        ImageDelta back = maintained[g].ApplyDelta(s.out, s.in, &stats);
+        benchmark::DoNotOptimize(swap);
+        benchmark::DoNotOptimize(back);
+      }
+    }
   }
-  state.counters["image_facts"] =
-      static_cast<double>(maintained.image().num_facts());
-  SetMaintainCounters(state, stats);
-  LabelImageCheck(state, maintained);
+  size_t image_facts = 0;
+  for (const MaintainedImage& m : maintained) {
+    image_facts += m.image().num_facts();
+  }
+  state.counters["image_facts"] = static_cast<double>(image_facts);
+  SetMaintainCounters(state, stats, kWrites);
+  state.counters["s_per_write"] = benchmark::Counter(
+      kWrites, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+  LabelImageCheck(state, std::all_of(maintained.begin(), maintained.end(),
+                                     ImageFresh));
 }
 BENCHMARK(BM_Maintenance_DenseSwap)->Arg(50);
 
@@ -237,7 +282,7 @@ void BM_Maintenance_ProjectionChurn(benchmark::State& state) {
   state.counters["image_facts"] =
       static_cast<double>(maintained.image().num_facts());
   SetMaintainCounters(state, stats);
-  LabelImageCheck(state, maintained);
+  LabelImageCheck(state, ImageFresh(maintained));
 }
 BENCHMARK(BM_Maintenance_ProjectionChurn)->Arg(80);
 
