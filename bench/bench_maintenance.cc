@@ -72,8 +72,8 @@ struct ChurnWorkload {
 };
 
 /// The facts Backward/Forward disproved and of those the continuation put
-/// back, and the probes (the deletion join's rows and membership probes
-/// plus the continuation's kernel probes), per iteration, or per write
+/// back, and the probes (the kernel probes of Backward/Forward's joins
+/// and of the continuation), per iteration, or per write
 /// for a row of `writes` writes per iteration: the totals of the timed
 /// loop depend on how many iterations it ran.
 void SetMaintainCounters(benchmark::State& state, const EvalStats& stats,

@@ -15,6 +15,11 @@
 #   candidate row of every enumeration (src/datalog/kernel.cc), so
 #   derivations whose match sits in a bucket's last row are lost —
 #   caught by the eval-differential oracle against the naive reference.
+#   The kernels also run Maintain's Backward/Forward joins, so the
+#   fault reaches its candidate seeds, backward checks and forward
+#   chaining too, and the maintenance-differential oracle flags it as
+#   well; the phase stays on eval-differential, which reaches every
+#   kernel Eval runs.
 #
 #   MONDET_FAULT=skip-continuation-seat makes the evaluator's in-place
 #   continuation (CompiledProgram::RunStrata from new rows, run by

@@ -57,12 +57,13 @@ fi
 # maintained-vs-recomputed fixpoint oracle for incremental view
 # maintenance (Backward/Forward deletion on every stratum, then the
 # stratum loop's continuation, over randomized insert/delete
-# schedules); mondet_maintained_test pins the deletion join's fully
-# bound probe and its replay of the removed facts, atoms past its
-# 16-entry stack buffers (the heap fallback), the Backward/Forward
-# search's hazards (a 200,000-deep proof on its explicit stack among
-# them), its head-first join orders and the fact and delta sequences of
-# a churn-shaped write stream;
+# schedules); mondet_maintained_test pins where Backward/Forward seeds
+# its candidates (from each fact while it is still in the instance),
+# rules past the kernel frame's 64 stack ElemIds (the heap frame, in
+# every join of a write), the Backward/Forward search's hazards (a
+# 200,000-deep proof on its explicit stack among them), its head-first
+# join orders and the fact and delta sequences of a churn-shaped write
+# stream;
 # mondet_parallel_test is the walk-vs-flat oracle for the checker: the
 # monotonicity-pruned trie walk of the canonical tests against the flat
 # test-by-test scan (same verdict, counterexample and counters);

@@ -208,28 +208,22 @@ std::string CompiledProgram::DescribePlansText() const {
 
 const JoinKernel* CompiledProgram::AtomSeatKernel(const RulePlan& plan,
                                                   int atom) const {
-  if (plan.atom_seats.empty()) plan.atom_seats.resize(plan.body.size());
-  std::optional<JoinKernel>& kernel = plan.atom_seats[atom];
+  // One slot per body atom, then the head's.
+  if (plan.atom_seats.empty()) plan.atom_seats.resize(plan.body.size() + 1);
+  std::optional<JoinKernel>& kernel =
+      plan.atom_seats[atom < 0 ? plan.body.size() : atom];
   if (!kernel) {
-    kernel = BuildKernel(
-        plan.head, plan.body, plan.num_vars, atom,
-        PlanOrder(plan, MakeSeatShape(plan, atom), nullptr, nullptr));
+    SeatShape shape = MakeSeatShape(plan, atom);
+    const QAtom* seat = &plan.head;
+    if (atom < 0) {
+      for (VarId v : plan.head.args) shape.bound0[v] = true;
+    } else {
+      seat = &plan.body[atom];
+    }
+    kernel = BuildKernel(plan.head, plan.body, plan.num_vars, seat,
+                         PlanOrder(plan, shape, nullptr, nullptr));
   }
   return &*kernel;
-}
-
-const std::vector<uint32_t>& CompiledProgram::MatchOrder(const RulePlan& plan,
-                                                         int seat) const {
-  if (plan.match_orders.empty()) {
-    SeatShape check = MakeSeatShape(plan, -1);
-    for (VarId v : plan.head.args) check.bound0[v] = true;
-    plan.match_orders.push_back(PlanOrder(plan, check, nullptr, nullptr));
-    for (int i = 0; i < static_cast<int>(plan.body.size()); ++i) {
-      plan.match_orders.push_back(
-          PlanOrder(plan, MakeSeatShape(plan, i), nullptr, nullptr));
-    }
-  }
-  return plan.match_orders[1 + seat];
 }
 
 Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
@@ -360,9 +354,10 @@ void CompiledProgram::RunStrata(Instance& result,
       for (const LoweredKernel& lk : plan.kernels) {
         if (lk.order == sp.order) return sp.kernel = &lk.kernel;
       }
-      const int seat_atom = s == 0 ? -1 : plan.recursive_atoms[s - 1];
+      const QAtom* seat =
+          s == 0 ? nullptr : &plan.body[plan.recursive_atoms[s - 1]];
       plan.kernels.push_back({sp.order, BuildKernel(plan.head, plan.body,
-                                                    plan.num_vars, seat_atom,
+                                                    plan.num_vars, seat,
                                                     sp.order)});
       return sp.kernel = &plan.kernels.back().kernel;
     };
@@ -485,27 +480,14 @@ void CompiledProgram::RunStrata(Instance& result,
 
 namespace {
 
-/// Binds the variables of `atom` to the argument tuple `args`. Returns
-/// false on a clash (a repeated variable or a pre-bound one disagreeing
-/// with `args`); the caller resets `map` either way.
-bool BindArgs(const QAtom& atom, std::span<const ElemId> args,
-              std::vector<ElemId>& map) {
-  for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-    ElemId& img = map[atom.args[pos]];
-    if (img == kNoElem) {
-      img = args[pos];
-    } else if (img != args[pos]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The image of `atom` under `map`, written into `out`.
-void WriteImage(const QAtom& atom, const std::vector<ElemId>& map,
+/// The image of `atom` under the binding frame `frame`, written into
+/// `out`.
+void WriteImage(const QAtom& atom, std::span<const ElemId> frame,
                 std::vector<ElemId>& out) {
   out.resize(atom.args.size());
-  for (size_t pos = 0; pos < out.size(); ++pos) out[pos] = map[atom.args[pos]];
+  for (size_t pos = 0; pos < out.size(); ++pos) {
+    out[pos] = frame[atom.args[pos]];
+  }
 }
 
 /// Lexicographic (pred, args) order, as Fact::operator<.
@@ -515,14 +497,22 @@ bool ViewLess(const FactView& a, const FactView& b) {
                                       b.args.begin(), b.args.end());
 }
 
+}  // namespace
+
 /// Facts back to back in one argument arena: a queue or a stack of facts
 /// that allocates nothing per fact once warm. A view is valid until the
 /// next Push.
-class FactList {
+class CompiledProgram::FactList {
  public:
   void Push(PredId pred, std::span<const ElemId> args) {
     preds_.push_back(pred);
     args_.insert(args_.end(), args.begin(), args.end());
+    ends_.push_back(static_cast<uint32_t>(args_.size()));
+  }
+  /// Pushes the image of `atom` under the binding frame `frame`.
+  void Push(const QAtom& atom, std::span<const ElemId> frame) {
+    preds_.push_back(atom.pred);
+    for (VarId v : atom.args) args_.push_back(frame[v]);
     ends_.push_back(static_cast<uint32_t>(args_.size()));
   }
   size_t size() const { return preds_.size(); }
@@ -544,118 +534,6 @@ class FactList {
   std::vector<ElemId> args_;
 };
 
-/// Calls `f(args)` for every row of `pred` in `inst`, in row order.
-template <class F>
-void ForEachRow(const Instance& inst, PredId pred, F&& f) {
-  const uint32_t n = inst.NumRows(pred);
-  for (uint32_t row = 0; row < n; ++row) f(inst.Args(pred, row));
-}
-
-/// `n` values of scratch: on the stack up to kInline, on the heap beyond
-/// (the parser accepts atoms of any arity).
-template <class T>
-class Scratch {
- public:
-  explicit Scratch(size_t n) {
-    if (n > kInline) {
-      heap_.resize(n);
-      data_ = heap_.data();
-    }
-  }
-  Scratch(const Scratch&) = delete;
-  Scratch& operator=(const Scratch&) = delete;
-  T* data() { return data_; }
-  T& operator[](size_t i) { return data_[i]; }
-
- private:
-  static constexpr size_t kInline = 16;
-  T local_[kInline] = {};
-  std::vector<T> heap_;
-  T* data_ = local_;
-};
-
-}  // namespace
-
-template <class Out>
-bool CompiledProgram::MatchAtoms(const RulePlan& plan,
-                                 std::span<const uint32_t> order, size_t k,
-                                 const Instance& inst, const Instance& removed,
-                                 bool replay, size_t& probes,
-                                 std::vector<ElemId>& map, Out&& out) const {
-  if (k == order.size()) return out(map);
-  const QAtom& atom = plan.body[order[k]];
-  const size_t arity = atom.args.size();
-  const bool old = replay && removed.NumRows(atom.pred) > 0;
-  Scratch<ElemId> image(arity);  // the atom under `map`; kNoElem if unbound
-  bool fully_bound = true;
-  for (size_t pos = 0; pos < arity; ++pos) {
-    image[pos] = map[atom.args[pos]];
-    fully_bound = fully_bound && image[pos] != kNoElem;
-  }
-  // A fully bound atom over the instance alone matches at most one row
-  // (set semantics), so one membership probe replaces the bucket scan and
-  // enumerates the same. A replayed read keeps the scan below.
-  if (fully_bound && !old) {
-    ++probes;
-    return !inst.HasFact(atom.pred,
-                         std::span<const ElemId>(image.data(), arity)) ||
-           MatchAtoms(plan, order, k + 1, inst, removed, replay, probes, map,
-                      out);
-  }
-  // Instance candidates through the tightest index available for the
-  // bound positions; a replayed read then tries the removed facts too.
-  std::span<const uint32_t> candidates;
-  int anchor = -1;
-  for (int pos = 0; pos < static_cast<int>(arity); ++pos) {
-    const ElemId img = image[pos];
-    if (img == kNoElem) continue;
-    const std::span<const uint32_t> idx = inst.RowsWith(atom.pred, pos, img);
-    if (anchor < 0 || idx.size() < candidates.size()) {
-      candidates = idx;
-      anchor = pos;
-    }
-  }
-  Scratch<VarId> bound(arity);  // the variables one candidate binds
-  // Binds the atom to `args` and matches the rest; returns false when
-  // the enumeration must stop (out() vetoed).
-  auto try_args = [&](std::span<const ElemId> args) {
-    ++probes;
-    size_t nb = 0;
-    bool match = true;
-    for (size_t pos = 0; pos < arity && match; ++pos) {
-      const VarId v = atom.args[pos];
-      if (map[v] == kNoElem) {
-        map[v] = args[pos];
-        bound[nb++] = v;
-      } else {
-        match = map[v] == args[pos];
-      }
-    }
-    const bool go_on =
-        !match || MatchAtoms(plan, order, k + 1, inst, removed, replay,
-                             probes, map, out);
-    for (size_t i = 0; i < nb; ++i) map[bound[i]] = kNoElem;
-    return go_on;
-  };
-  if (anchor < 0) {
-    const uint32_t n = inst.NumRows(atom.pred);
-    for (uint32_t row = 0; row < n; ++row) {
-      if (!try_args(inst.Args(atom.pred, row))) return false;
-    }
-  } else {
-    for (uint32_t row : candidates) {
-      if (!try_args(inst.Args(atom.pred, row))) return false;
-    }
-  }
-  if (old) {
-    const uint32_t n = removed.NumRows(atom.pred);
-    for (uint32_t row = 0; row < n; ++row) {
-      if (!try_args(removed.Args(atom.pred, row))) return false;
-    }
-  }
-  return true;
-}
-
 MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
                                          const FactDelta& delta,
                                          EvalStats* stats) const {
@@ -663,22 +541,36 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
   inst.EnsureElements(base.num_elements());
   MaintainResult res;
   EvalStats run;  // the B/F counters and the join work, summed
-  // Every fact the write takes out of the fixpoint: the EDB deletes in
-  // batch order, then each stratum's disproved facts in sorted fact order.
+  // Every fact the write takes out of the fixpoint, for the net changes:
+  // the EDB deletes in batch order, then each stratum's disproved facts in
+  // sorted fact order.
   Instance removed(inst.vocab());
   removed.EnsureElements(inst.num_elements());
 
-  // EDB membership *is* base membership: the deletes go, then the inserts
-  // are appended, so each EDB predicate's new rows are its last. IDB base
-  // deletes are candidates of their stratum's B/F pass.
-  std::vector<std::vector<const Fact*>> base_del_at(strata_.size());
+  // Each stratum's candidates, the facts that may have lost a derivation,
+  // seeded from each fact before it goes, while every other fact of an old
+  // derivation through it is still in the instance: first the
+  // base-deleted IDB facts, then the heads of the derivations through
+  // each EDB delete, found while all of them are still there.
+  std::vector<FactList> candidates(strata_.size());
   for (const Fact& f : delta.deletes) {
     if (program_.IsIdb(f.pred)) {
-      base_del_at[stratum_of_.at(f.pred)].push_back(&f);
-    } else {
-      MONDET_CHECK(inst.RemoveFact(f) && "Maintain: unnormalized delete");
-      removed.AddFact(f);
+      candidates[stratum_of_.at(f.pred)].Push(f.pred, f.args);
     }
+  }
+  for (const Fact& f : delta.deletes) {
+    if (!program_.IsIdb(f.pred)) {
+      SeedCandidates(0, FactView{f.pred, f.args}, inst, candidates,
+                     run.join_probes);
+    }
+  }
+
+  // EDB membership *is* base membership: the deletes go, then the inserts
+  // are appended, so each EDB predicate's new rows are its last.
+  for (const Fact& f : delta.deletes) {
+    if (program_.IsIdb(f.pred)) continue;
+    MONDET_CHECK(inst.RemoveFact(f) && "Maintain: unnormalized delete");
+    removed.AddFact(f);
   }
   std::vector<uint32_t> first_row(inst.vocab()->size());
   for (PredId p = 0; p < first_row.size(); ++p) first_row[p] = inst.NumRows(p);
@@ -688,20 +580,16 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
     res.inserts.push_back(f);
   }
 
-  // Delete: B/F on every stratum a deletion reaches; a write far from a
+  // Delete: B/F on every stratum with a candidate; a write far from a
   // stratum never runs its joins. B/F only removes, so afterwards every
   // derivation over the rows left has its head in the instance: a
   // disproved fact has none over the facts not disproved and the lower
   // state B/F read, and a fact the old fixpoint lacked has none over old
   // facts.
   for (size_t si = 0; si < strata_.size(); ++si) {
-    bool reached = !base_del_at[si].empty();
-    for (uint32_t pi : strata_[si].rules) {
-      for (const QAtom& a : plans_[pi].body) {
-        reached = reached || removed.NumRows(a.pred) > 0;
-      }
+    if (candidates[si].size() > 0) {
+      MaintainBF(si, base, candidates, inst, removed, run);
     }
-    if (reached) MaintainBF(si, base, base_del_at[si], inst, removed, run);
   }
 
   // Insert: append the IDB base inserts and continue the fixpoint from
@@ -755,15 +643,42 @@ MaintainResult CompiledProgram::Maintain(Instance& inst, const Instance& base,
   return res;
 }
 
+void CompiledProgram::SeedCandidates(size_t from, const FactView& fact,
+                                     const Instance& inst,
+                                     std::vector<FactList>& candidates,
+                                     size_t& probes) const {
+  for (size_t si = from; si < strata_.size(); ++si) {
+    FactList& queue = candidates[si];
+    for (uint32_t pi : strata_[si].rules) {
+      const RulePlan& plan = plans_[pi];
+      auto derive = [&](std::span<const ElemId> frame) {
+        // Derivations of one seed that differ only in variables the head
+        // drops (a fan-in) tend to come back to back: a head equal to the
+        // one queued before it is dropped again. The memo skips any other
+        // repeat at its visit.
+        queue.Push(plan.head, frame);
+        const size_t n = queue.size();
+        if (n > 1 && queue[n - 1] == queue[n - 2]) queue.Truncate(n - 1);
+        return true;
+      };
+      for (size_t i = 0; i < plan.body.size(); ++i) {
+        if (plan.body[i].pred != fact.pred) continue;
+        MatchKernel(*AtomSeatKernel(plan, static_cast<int>(i)), inst,
+                    fact.args, &probes, derive);
+      }
+    }
+  }
+}
+
 void CompiledProgram::MaintainBF(size_t si, const Instance& base,
-                                 const std::vector<const Fact*>& base_del,
+                                 std::vector<FactList>& candidates,
                                  Instance& inst, Instance& removed,
                                  EvalStats& run) const {
   // The search reads the instance: the new EDB, the lower strata after
   // their deletions (their new facts come with the continuation) and the
   // stratum's facts, of which it ignores those it has disproved.
   const Stratum& st = strata_[si];
-  std::vector<ElemId> map, head, atom_args, seed;
+  std::vector<ElemId> head, atom_args, seed;
 
   // The memo: every stratum fact the backward search visited, and its
   // state, one byte per memo id. The memo never removes a fact, so a
@@ -777,48 +692,12 @@ void CompiledProgram::MaintainBF(size_t si, const Instance& base,
     const uint32_t g = memo.FindFact(pred, args);
     return g == Instance::kNoFact ? kUnvisited : state[g];
   };
-  // The memo state of `atom`'s image under `mm`; the image is left in
+  // The memo state of `atom`'s image under `frame`; the image is left in
   // atom_args.
-  auto state_of = [&](const QAtom& atom, const std::vector<ElemId>& mm) {
-    WriteImage(atom, mm, atom_args);
+  auto state_of = [&](const QAtom& atom, std::span<const ElemId> frame) {
+    WriteImage(atom, frame, atom_args);
     return state_at(atom.pred, atom_args);
   };
-
-  // Candidates: the stratum facts that may have lost their last
-  // derivation. Seeded from the base-deleted stratum facts and the heads
-  // of old-state derivations through a removed lower fact, then through
-  // every disproved fact. Seeds replay `removed`, which holds no fact of
-  // this stratum yet, so they read the old state plus the batch's EDB
-  // inserts; the instance still holds the old stratum relations.
-  FactList candidates;
-  for (const Fact* f : base_del) candidates.Push(f->pred, f->args);
-  auto seed_candidates = [&](size_t k, size_t i, std::span<const ElemId> df) {
-    const RulePlan& plan = plans_[st.rules[k]];
-    map.assign(plan.num_vars, kNoElem);
-    if (!BindArgs(plan.body[i], df, map)) return;
-    auto derive = [&](const std::vector<ElemId>& mm) {
-      WriteImage(plan.head, mm, head);
-      // Derivations of one seed that differ only in variables the head
-      // drops (a fan-in) tend to come back to back: queue their head
-      // once. Any other repeat is skipped by the memo at its visit.
-      const size_t n = candidates.size();
-      if (n == 0 || !(candidates[n - 1] == FactView{plan.head.pred, head})) {
-        candidates.Push(plan.head.pred, head);
-      }
-      return true;
-    };
-    MatchAtoms(plan, MatchOrder(plan, static_cast<int>(i)), 0, inst, removed,
-               true, run.join_probes, map, derive);
-  };
-  for (size_t k = 0; k < st.rules.size(); ++k) {
-    const RulePlan& plan = plans_[st.rules[k]];
-    for (size_t i = 0; i < plan.body.size(); ++i) {
-      ForEachRow(removed, plan.body[i].pred,
-                 [&](std::span<const ElemId> df) {
-                   seed_candidates(k, i, df);
-                 });
-    }
-  }
 
   // Proves the checked fact at memo id `g` and forward-chains: every
   // checked, unproved head of a derivation whose stratum atoms are all
@@ -838,13 +717,13 @@ void CompiledProgram::MaintainBF(size_t si, const Instance& base,
         const RulePlan& plan = plans_[st.rules[k]];
         for (int r : plan.recursive_atoms) {
           if (plan.body[r].pred != pred) continue;
-          map.assign(plan.num_vars, kNoElem);
-          if (!BindArgs(plan.body[r], seed, map)) continue;
-          auto chain = [&](const std::vector<ElemId>& mm) {
+          auto chain = [&](std::span<const ElemId> frame) {
             for (int j : plan.recursive_atoms) {
-              if (j != r && state_of(plan.body[j], mm) != kProved) return true;
+              if (j != r && state_of(plan.body[j], frame) != kProved) {
+                return true;
+              }
             }
-            WriteImage(plan.head, mm, head);
+            WriteImage(plan.head, frame, head);
             const uint32_t h = memo.FindFact(plan.head.pred, head);
             if (h != Instance::kNoFact && state[h] == kChecked) {
               state[h] = kProved;
@@ -852,8 +731,8 @@ void CompiledProgram::MaintainBF(size_t si, const Instance& base,
             }
             return true;
           };
-          MatchAtoms(plan, MatchOrder(plan, r), 0, inst, removed, false,
-                     run.join_probes, map, chain);
+          MatchKernel(*AtomSeatKernel(plan, r), inst, seed, &run.join_probes,
+                      chain);
         }
       }
     }
@@ -892,25 +771,24 @@ void CompiledProgram::MaintainBF(size_t si, const Instance& base,
           (skip_stratum_proof && !plan.recursive_atoms.empty())) {
         continue;
       }
-      map.assign(plan.num_vars, kNoElem);
-      if (!BindArgs(plan.head, f.args, map)) continue;
-      auto derivation = [&](const std::vector<ElemId>& mm) {
+      // Stops at the first derivation whose stratum atoms are all proved.
+      auto derivation = [&](std::span<const ElemId> frame) {
         bool all_proved = true;
         for (int r : plan.recursive_atoms) {
-          const uint8_t s = state_of(plan.body[r], mm);
+          const uint8_t s = state_of(plan.body[r], frame);
           if (s == kDisproved) return true;
           all_proved = all_proved && s == kProved;
         }
         if (all_proved) return false;
         for (int r : plan.recursive_atoms) {
-          if (state_of(plan.body[r], mm) == kUnvisited) {
+          if (state_of(plan.body[r], frame) == kUnvisited) {
             pending.Push(plan.body[r].pred, atom_args);
           }
         }
         return true;
       };
-      at_once = !MatchAtoms(plan, MatchOrder(plan, -1), 0, inst, removed,
-                            false, run.join_probes, map, derivation);
+      at_once = !MatchKernel(*AtomSeatKernel(plan, -1), inst, f.args,
+                             &run.join_probes, derivation);
     }
     if (at_once) {
       pending.Truncate(first);
@@ -924,10 +802,12 @@ void CompiledProgram::MaintainBF(size_t si, const Instance& base,
   // depth-first backward search that checks the stratum atoms of each
   // derivation in turn and leaves a fact once it is proved. When it
   // returns, every fact it checked and did not prove has no proof over
-  // the lower state and the facts not disproved: it is disproved, and
-  // the heads of old-state derivations through it become candidates.
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const FactView cand = candidates[c];
+  // the lower state and the facts not disproved: it is disproved, and,
+  // while it is still in the instance, seeds the heads of the derivations
+  // through it as candidates of this stratum and the ones above.
+  FactList& queue = candidates[si];
+  for (size_t c = 0; c < queue.size(); ++c) {
+    const FactView cand = queue[c];
     if (!inst.HasFact(cand.pred, cand.args)) continue;
     const uint32_t first = static_cast<uint32_t>(memo.num_facts());
     visit(cand.pred, cand.args);
@@ -944,14 +824,7 @@ void CompiledProgram::MaintainBF(size_t si, const Instance& base,
     for (uint32_t g = first; g < memo.num_facts(); ++g) {
       if (state[g] != kChecked) continue;
       state[g] = kDisproved;
-      const FactView f = memo.ViewAt(g);
-      for (size_t k = 0; k < st.rules.size(); ++k) {
-        const RulePlan& plan = plans_[st.rules[k]];
-        for (int r : plan.recursive_atoms) {
-          if (plan.body[r].pred != f.pred) continue;
-          seed_candidates(k, static_cast<size_t>(r), f.args);
-        }
-      }
+      SeedCandidates(si, memo.ViewAt(g), inst, candidates, run.join_probes);
     }
   }
 

@@ -74,8 +74,8 @@ struct StratumStats {
 /// harnesses do); `strata` gets one entry appended per stratum evaluated.
 /// Maintain fills the retraction counters (facts_retracted, overdeleted,
 /// rederived), which stay zero on the insert-only Eval path; its
-/// join_probes are the rows and membership probes of its deletion join
-/// plus the kernel probes of its continuation.
+/// join_probes are the kernel probes of its Backward/Forward joins and of
+/// its continuation.
 struct EvalStats {
   size_t iterations = 0;
   size_t facts_derived = 0;
@@ -167,12 +167,11 @@ struct JoinOrderDesc {
 /// Construct once and Eval many times; the per-rule plans and strata are
 /// reused across calls — and the same object serves the analyzer's plan
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
-/// identical plans. Eval, EvalFrom and Maintain's insertion join through
-/// compiled kernels (datalog/kernel.h), lowering each (rule, seat, join
-/// order) on first use into a cache this object keeps for its lifetime,
-/// and Maintain plans its deletion join's orders on first use the same
-/// way. They are const but fill those caches, so one object must not be
-/// evaluated or maintained from two threads at once.
+/// identical plans. Eval, EvalFrom and Maintain join through compiled
+/// kernels only (datalog/kernel.h), lowering each (rule, seat, join order)
+/// on first use into a cache this object keeps for its lifetime. They are
+/// const but fill that cache, so one object must not be evaluated or
+/// maintained from two threads at once.
 class CompiledProgram {
  public:
   explicit CompiledProgram(const Program& program);
@@ -213,18 +212,25 @@ class CompiledProgram {
   /// tests/maintenance_differential_test.cc). `base` is the
   /// already-mutated new base instance; `delta` lists its exact
   /// membership changes (see FactDelta).
-  /// A write deletes, then inserts. The EDB deletes go and the EDB
-  /// inserts are appended. Then every stratum a deletion reaches is
-  /// maintained by Backward/Forward (Motik, Nenov, Piro, Horrocks, AAAI
-  /// 2015), which only deletes: each fact that may have lost a derivation
-  /// is kept if a backward search finds it another proof over the new
-  /// EDB, the lower strata after their deletions and the stratum facts
-  /// not disproved, and disproved and removed otherwise. A write touches
-  /// the facts that lost a derivation and their proofs, not the whole
-  /// strongly connected closure. A non-recursive stratum is the case
-  /// without stratum atoms: a candidate stays if and only if the new base
-  /// holds it or one head-bound join over the lower strata finds a
-  /// derivation. Afterwards every derivation over the rows left has its
+  /// A write deletes, then inserts. Every stratum with a candidate, a
+  /// fact that may have lost a derivation, is maintained by
+  /// Backward/Forward (Motik, Nenov, Piro, Horrocks, AAAI 2015), which
+  /// only deletes: a candidate is kept if a backward search finds it
+  /// another proof over the new EDB, the lower strata after their
+  /// deletions and the stratum facts not disproved, and disproved and
+  /// removed otherwise. Candidates are read before the facts go, so no
+  /// join reads a removed fact: the base-deleted IDB facts; the heads of
+  /// the derivations through each EDB delete, joined while every EDB
+  /// delete is still in `inst` (then the EDB deletes go and the EDB
+  /// inserts are appended); and the heads of the derivations through
+  /// each disproved fact, in its stratum and the ones above, joined while
+  /// that fact is still in `inst` (a stratum's disproved facts leave at
+  /// the end of its pass). A write touches the facts that lost a
+  /// derivation and their proofs, not the whole strongly connected
+  /// closure. A non-recursive stratum is the case without stratum atoms:
+  /// a candidate stays if and only if the new base holds it or one
+  /// head-bound join over the lower strata finds a derivation. Afterwards
+  /// every derivation over the rows left has its
   /// head in the instance, so the IDB base inserts are appended and the
   /// stratum loop Eval runs continues the fixpoint from each predicate's
   /// new rows (RunStrata, at default options): all insertion runs on the
@@ -284,17 +290,14 @@ class CompiledProgram {
     // cache is never invalidated; list nodes keep the addresses a round's
     // work items hold stable while Eval appends.
     mutable std::list<LoweredKernel> kernels;
-    // The continuation's seats at non-recursive body atoms (EvalFrom's
-    // and Maintain's), by body index: the kernel seeded at that atom
-    // under its compile-time order, lowered on first use. Empty until the
-    // rule first needs one, then sized once, so the kernels' addresses
-    // stay put.
+    // The kernels seeded from one fact (see AtomSeatKernel), each under
+    // its seat's compile-time order and lowered on first use: [i] at body
+    // atom i (the continuation's seats at non-recursive atoms, and B/F's
+    // seed joins and forward chaining at any atom), then one more at the
+    // head (B/F's backward check). Empty until the rule first needs one,
+    // then sized once, so the kernels' addresses stay put and programs
+    // that are never continued or maintained lower none of them.
     mutable std::vector<std::optional<JoinKernel>> atom_seats;
-    // B/F's join orders (see MatchOrder): [0] for the backward check,
-    // [1 + i] for a join seeded at body atom i. Empty until B/F first
-    // joins the rule, then sized once, so evaluating programs that are
-    // never maintained plans none of them.
-    mutable std::vector<std::vector<uint32_t>> match_orders;
   };
   // Its rule indices are indices into plans_ (plan index == rule index).
   using Stratum = Stratification::Stratum;
@@ -318,8 +321,11 @@ class CompiledProgram {
                                   const SeatShape& shape, const Stats* stats,
                                   std::vector<double>* est_rows) const;
 
-  /// The kernel seeded at non-recursive body atom `atom` of `plan` under
-  /// the compile-time order: looked up in O(1), lowered on first use.
+  /// The kernel seeded at body atom `atom` of `plan`, or at its head for
+  /// `atom` -1, under the seat's compile-time order: the greedy order over
+  /// the seat's variables, EDB atoms first on ties, so B/F's work does not
+  /// depend on the order a rule's body is written in. Looked up in O(1),
+  /// lowered on first use.
   const JoinKernel* AtomSeatKernel(const RulePlan& plan, int atom) const;
 
   /// The stratum loop Eval, EvalFrom and Maintain share: evaluates every
@@ -339,37 +345,25 @@ class CompiledProgram {
                  std::chrono::steady_clock::time_point t_start,
                  EvalStats* stats) const;
 
-  /// B/F's join order for `plan` seeded at body atom `seat`, or for the
-  /// backward check (seat -1), planned like the compile-time orders
-  /// (MakeSeatShape/PlanOrder) with the seat's variables, or the head's,
-  /// bound: a greedy order over the bound variables, so B/F's work does
-  /// not depend on the order a rule's body is written in. Lists every
-  /// body atom but the seat. Every seat of the rule is planned on its
-  /// first call.
-  const std::vector<uint32_t>& MatchOrder(const RulePlan& plan,
-                                          int seat) const;
+  /// Facts back to back in one argument arena (eval_plan.cc).
+  class FactList;
 
-  /// Backward/Forward's join: matches the body atoms order[k..] of
-  /// `plan` in that order (the seat, whose variables `map` pre-binds, is
-  /// not in it) and calls `out(map)` once per complete match; `out`
-  /// returns false to stop the enumeration early (the backward search
-  /// stops at a derivation that proves its fact). Each atom reads `inst`,
-  /// a fully bound one by a single membership probe; with `replay` it
-  /// also reads its rows of `removed`, the facts the write has removed so
-  /// far. Adds each candidate row and each membership probe to `probes`.
-  /// Returns false iff some `out` call stopped the enumeration. Defined
-  /// and instantiated in eval_plan.cc only.
-  template <class Out>
-  bool MatchAtoms(const RulePlan& plan, std::span<const uint32_t> order,
-                  size_t k, const Instance& inst, const Instance& removed,
-                  bool replay, size_t& probes, std::vector<ElemId>& map,
-                  Out&& out) const;
+  /// Queues the candidates `fact` seeds before it goes: for every stratum
+  /// from `from` on, the head of each derivation over `inst` that uses
+  /// `fact` at a body atom of one of the stratum's rules, joined by that
+  /// atom's seat kernel, into `candidates` at the stratum's index. Adds
+  /// the joins' probes to `probes`.
+  void SeedCandidates(size_t from, const FactView& fact, const Instance& inst,
+                      std::vector<FactList>& candidates,
+                      size_t& probes) const;
 
-  /// Backward/Forward deletion in stratum `si` (see Maintain): removes
-  /// the stratum's disproved facts from `inst`, appends them to `removed`
-  /// in sorted fact order, and adds its join work and counters to `run`.
+  /// Backward/Forward deletion in stratum `si` (see Maintain): checks
+  /// `candidates[si]`, which grows as the facts it disproves seed their
+  /// own stratum and the ones above, then removes the disproved facts
+  /// from `inst`, appends them to `removed` in sorted fact order, and adds
+  /// its join work and counters to `run`.
   void MaintainBF(size_t si, const Instance& base,
-                  const std::vector<const Fact*>& base_del, Instance& inst,
+                  std::vector<FactList>& candidates, Instance& inst,
                   Instance& removed, EvalStats& run) const;
 
   Program program_;

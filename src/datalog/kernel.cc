@@ -13,7 +13,8 @@ namespace {
 /// How many trailing rows every kernel candidate enumeration drops: 0, or
 /// 1 with MONDET_FAULT=skip-kernel-row — the classic off-by-one a
 /// hand-rolled loop nest invites — which the eval-differential oracle
-/// must catch and shrink against the naive reference (NaiveFpEval).
+/// must catch and shrink against the naive reference (NaiveFpEval). It
+/// reaches Maintain's Backward/Forward joins as well.
 size_t FaultSkipKernelRow() {
   return FaultInjected("skip-kernel-row") ? 1 : 0;
 }
@@ -24,8 +25,28 @@ struct RunCtx {
   ElemId* frame;
   ElemId* scratch;  // k.scratch_size ElemIds for head / membership tuples
   size_t* probes;
-  DerivedBuffer* out;
   size_t fault_trim;
+};
+
+/// A kernel's frame, then its tuple scratch: on the stack when both fit
+/// in 64 ElemIds, on the heap otherwise.
+class FrameBuffer {
+ public:
+  explicit FrameBuffer(const JoinKernel& k) {
+    const size_t need = size_t{k.num_slots} + k.scratch_size;
+    if (need > std::size(stack_)) {
+      heap_.resize(need);
+      data_ = heap_.data();
+    }
+  }
+  FrameBuffer(const FrameBuffer&) = delete;
+  FrameBuffer& operator=(const FrameBuffer&) = delete;
+  ElemId* data() { return data_; }
+
+ private:
+  ElemId stack_[64];
+  std::vector<ElemId> heap_;
+  ElemId* data_ = stack_;
 };
 
 /// Copies the frame slots of ops [first, end), one per tuple position,
@@ -36,17 +57,6 @@ std::span<const ElemId> Gather(const RunCtx& ctx, size_t first, size_t end) {
     ctx.scratch[op.pos] = ctx.frame[op.slot];
   }
   return {ctx.scratch, end - first};
-}
-
-void EmitHead(RunCtx& ctx) {
-  const std::span<const ElemId> head = Gather(ctx, 0, ctx.k.head_arity);
-  // Facts already in the target are filtered here (one hash probe, no
-  // allocation); duplicates derived within the same round are
-  // deduplicated at the merge barrier.
-  if (!ctx.inst.HasFact(ctx.k.head_pred, head)) {
-    ctx.out->args.insert(ctx.out->args.end(), head.begin(), head.end());
-    ++ctx.out->count;
-  }
 }
 
 /// Applies ops [first, end) to a candidate row: equality checks against
@@ -66,11 +76,12 @@ inline bool ApplyOps(const KernelOp* first, const KernelOp* end,
   return true;
 }
 
-void RunSteps(RunCtx& ctx, size_t depth) {
-  if (depth == ctx.k.steps.size()) {
-    EmitHead(ctx);
-    return;
-  }
+/// The step walker both entry points share: matches the join steps from
+/// `depth` on and calls `leaf()` once per complete match. Returns false,
+/// having stopped, as soon as a leaf returns false.
+template <class Leaf>
+bool RunSteps(const RunCtx& ctx, size_t depth, Leaf& leaf) {
+  if (depth == ctx.k.steps.size()) return leaf();
   const KernelStep& st = ctx.k.steps[depth];
   const Instance& inst = ctx.inst;
   const KernelOp* ops = ctx.k.ops.data();
@@ -79,10 +90,8 @@ void RunSteps(RunCtx& ctx, size_t depth) {
     // Every position is pre-bound: one hash probe replaces a bucket
     // enumeration.
     ++*ctx.probes;
-    if (inst.HasFact(st.pred, Gather(ctx, st.first, st.end))) {
-      RunSteps(ctx, depth + 1);
-    }
-    return;
+    return !inst.HasFact(st.pred, Gather(ctx, st.first, st.end)) ||
+           RunSteps(ctx, depth + 1, leaf);
   }
 
   auto bucket = [&](size_t i) {
@@ -129,27 +138,30 @@ void RunSteps(RunCtx& ctx, size_t depth) {
     const size_t end =
         scan_rows > ctx.fault_trim ? scan_rows - ctx.fault_trim : 0;
     for (size_t r = 0; r < end; ++r) {
-      if (ApplyOps(check_from, ops_end, base + r * arity, ctx.frame)) {
-        RunSteps(ctx, depth + 1);
+      if (ApplyOps(check_from, ops_end, base + r * arity, ctx.frame) &&
+          !RunSteps(ctx, depth + 1, leaf)) {
+        return false;
       }
     }
-    return;
+    return true;
   }
   *ctx.probes += rows.size();
   const size_t end =
       rows.size() > ctx.fault_trim ? rows.size() - ctx.fault_trim : 0;
   for (size_t i = 0; i < end; ++i) {
     const ElemId* rp = base + static_cast<size_t>(rows[i]) * arity;
-    if (ApplyOps(check_from, ops_end, rp, ctx.frame)) {
-      RunSteps(ctx, depth + 1);
+    if (ApplyOps(check_from, ops_end, rp, ctx.frame) &&
+        !RunSteps(ctx, depth + 1, leaf)) {
+      return false;
     }
   }
+  return true;
 }
 
 }  // namespace
 
 JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
-                       size_t num_vars, int seat,
+                       size_t num_vars, const QAtom* seat,
                        const std::vector<uint32_t>& order) {
   JoinKernel k;
   k.head_pred = head.pred;
@@ -158,7 +170,7 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
   k.scratch_size = k.head_arity;
   // One op per head, seat and step position.
   size_t num_ops = head.args.size();
-  if (seat >= 0) num_ops += body[seat].args.size();
+  if (seat != nullptr) num_ops += seat->args.size();
   for (uint32_t bi : order) num_ops += body[bi].args.size();
   k.ops.reserve(num_ops);
   for (size_t pos = 0; pos < head.args.size(); ++pos) {
@@ -166,8 +178,8 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
   }
 
   std::vector<bool> bound(num_vars, false);
-  if (seat >= 0) {
-    const QAtom& a = body[seat];
+  if (seat != nullptr) {
+    const QAtom& a = *seat;
     k.seat_pred = a.pred;
     k.seat_arity = static_cast<uint32_t>(a.args.size());
     for (size_t pos = 0; pos < a.args.size(); ++pos) {
@@ -221,30 +233,48 @@ JoinKernel BuildKernel(const QAtom& head, const std::vector<QAtom>& body,
 
 void RunKernel(const JoinKernel& k, const Instance& target, uint32_t first,
                uint32_t end, size_t* probes, DerivedBuffer* out) {
-  // The frame, then the tuple scratch: on the stack when both fit in 64
-  // ElemIds, on the heap otherwise.
-  ElemId stack[64];
-  std::vector<ElemId> heap;
-  ElemId* frame = stack;
-  const size_t need = size_t{k.num_slots} + k.scratch_size;
-  if (need > std::size(stack)) {
-    heap.resize(need);
-    frame = heap.data();
-  }
-  RunCtx ctx{k, target, frame, frame + k.num_slots, probes, out,
-             FaultSkipKernelRow()};
+  FrameBuffer buf(k);
+  const RunCtx ctx{k, target, buf.data(), buf.data() + k.num_slots, probes,
+                   FaultSkipKernelRow()};
+  auto emit_head = [&] {
+    const std::span<const ElemId> head = Gather(ctx, 0, k.head_arity);
+    // Facts already in the target are filtered here (one hash probe, no
+    // allocation); duplicates derived within the same round are
+    // deduplicated at the merge barrier.
+    if (!target.HasFact(k.head_pred, head)) {
+      out->args.insert(out->args.end(), head.begin(), head.end());
+      ++out->count;
+    }
+    return true;
+  };
   if (k.seat_pred == kNoPred) {
-    RunSteps(ctx, 0);
+    RunSteps(ctx, 0, emit_head);
     return;
   }
   const KernelOp* seat = k.ops.data() + k.head_arity;
   const ElemId* base = target.FlatArgs(k.seat_pred).data();
   for (uint32_t row = first; row < end; ++row) {
     if (ApplyOps(seat, seat + k.seat_arity,
-                 base + size_t{row} * k.seat_arity, frame)) {
-      RunSteps(ctx, 0);
+                 base + size_t{row} * k.seat_arity, ctx.frame)) {
+      RunSteps(ctx, 0, emit_head);
     }
   }
+}
+
+bool MatchKernel(const JoinKernel& k, const Instance& inst,
+                 std::span<const ElemId> seed, size_t* probes, MatchFn fn) {
+  MONDET_CHECK(seed.size() == k.seat_arity);
+  FrameBuffer buf(k);
+  const RunCtx ctx{k, inst, buf.data(), buf.data() + k.num_slots, probes,
+                   FaultSkipKernelRow()};
+  const KernelOp* seat = k.ops.data() + k.head_arity;
+  if (!ApplyOps(seat, seat + k.seat_arity, seed.data(), ctx.frame)) {
+    return true;
+  }
+  auto report = [&] {
+    return fn(std::span<const ElemId>(ctx.frame, k.num_slots));
+  };
+  return RunSteps(ctx, 0, report);
 }
 
 }  // namespace mondet

@@ -2,13 +2,12 @@
 // a from-scratch ViewSet::Image of the mutated base after every batch of
 // a curated insert/delete schedule, and the monotonic-determinacy
 // verdict over the maintained object's views must equal the verdict
-// computed fresh — before, during, and after churn. Pins the
-// maintenance join's fully bound probe (old-state reads must keep
-// seeing the old state), its head-first join orders, atoms wider than
-// its stack buffers, and the exact fact and delta sequences of a
-// churn-shaped write stream. Also
-// covers ParseStream, the textual stream format feeding the CLI's
-// `.stream` section.
+// computed fresh — before, during, and after churn. Pins where
+// Backward/Forward seeds its candidates (from each fact while it is
+// still in the instance), its head-first join orders, rules wider than
+// the kernel frame's stack buffer, and the exact fact and delta
+// sequences of a churn-shaped write stream. Also covers ParseStream, the
+// textual stream format feeding the CLI's `.stream` section.
 
 #include <gtest/gtest.h>
 
@@ -214,11 +213,11 @@ std::string ResultLine(const Instance& m, const MaintainResult& res) {
          " r=" + std::to_string(res.rederived);
 }
 
-// A joint insert and a joint delete of both body facts of H(a): the
-// delete seeds candidates over the old state, which replays the removed
-// facts, so each seed finds the other fact among the deletions, and H(a)
-// is disproved and goes.
-TEST(MaintainJoin, OldStateReadsReplayTheRemovedFacts) {
+// A joint insert and a joint delete of both body facts of H(a): each EDB
+// delete seeds candidates while every EDB delete is still in the
+// instance, so each seed finds the other fact, and H(a) is disproved and
+// goes.
+TEST(MaintainJoin, JointDeleteSeedsBeforeEitherGoes) {
   auto vocab = MakeVocabulary();
   ParseResult pr = ParseProgram("H(x) :- A(x), B(x).", vocab);
   ASSERT_TRUE(pr.ok()) << pr.error;
@@ -237,11 +236,11 @@ TEST(MaintainJoin, OldStateReadsReplayTheRemovedFacts) {
   EXPECT_FALSE(m.HasFact(Fact(h, {x})));
 }
 
-// Backward/Forward seeds its candidates over the old state of the lower
-// strata: deleting A(a) and B(a) together must make T(a) a candidate
-// (each seed finds the other fact among the deletions), disprove it and
-// with it T(b). A current-state probe finds neither, checks nothing and
-// keeps both rows.
+// Backward/Forward seeds its candidates before the facts go: deleting
+// A(a) and B(a) together must make T(a) a candidate (each seed finds the
+// other fact, still in the instance), disprove it and with it T(b).
+// Seeding each delete after the deletes went finds neither, checks
+// nothing and keeps both rows.
 TEST(MaintainJoin, CandidateSeedsSeeJointDeletes) {
   auto vocab = MakeVocabulary();
   ParseResult pr = ParseProgram(R"(
@@ -268,6 +267,37 @@ TEST(MaintainJoin, CandidateSeedsSeeJointDeletes) {
   EXPECT_EQ(m.NumRows(t), 0u);
   EXPECT_EQ(res.overdeleted, 2u);
   EXPECT_EQ(res.rederived, 0u);
+}
+
+// One fact serves twice in one derivation, so a seed that reads the
+// instance must read it while that fact is still there:
+//   - H(x) :- A(x,y), A(y,x). over A(a,a): deleting A(a,a) seeds H(a)
+//     only if the join from the seat at A(x,y) still finds A(a,a) at
+//     A(y,x);
+//   - the same through a stratum, L(x,y) :- A(x,y). H(x) :- L(x,y),
+//     L(y,x).: the disproved L(a,a) seeds H(a) only before it leaves.
+// Either way H(a) stays behind when the fact goes before it seeds.
+TEST(MaintainJoin, SeedsWhileTheFactIsStillThere) {
+  for (const char* text :
+       {"H(x) :- A(x,y), A(y,x).",
+        "L(x,y) :- A(x,y).\nH(x) :- L(x,y), L(y,x)."}) {
+    auto vocab = MakeVocabulary();
+    ParseResult pr = ParseProgram(text, vocab);
+    ASSERT_TRUE(pr.ok()) << pr.error;
+    const PredId a = *vocab->FindPredicate("A");
+    CompiledProgram compiled(*pr.program);
+    Instance base(vocab);
+    const ElemId x = base.AddElement("a");
+    base.AddFact(a, {x, x});
+    Instance m = compiled.Eval(base);
+
+    MaintainResult res =
+        ApplyAndCheck(compiled, m, base, {}, {Fact(a, {x, x})}, text);
+    const bool layered = vocab->FindPredicate("L").has_value();
+    EXPECT_EQ(ResultLine(m, res), layered ? "-A(a,a)-L(a,a)-H(a) o=2 r=0"
+                                          : "-A(a,a)-H(a) o=1 r=0")
+        << text;
+  }
 }
 
 /// Reachability from Src over E.
@@ -378,15 +408,16 @@ TEST(MaintainJoin, DeepProofOffTheCallStack) {
 
 // Maintain joins each seat in a greedy order over its bound variables,
 // so the backward search, which binds the head, does not depend on the
-// order a rule's body is written in. Two shapes that body order makes
-// expensive:
+// order a rule's body is written in. The probes are kernel probes: each
+// probed bucket's size, plus one per membership probe. Two shapes that
+// body order makes expensive:
 //   - reachability with the recursive atom first, over a chain whose
 //     last edge is cut next to a bypass: the proof of the last node runs
 //     down the whole chain. Head first, each of its facts costs four
-//     probes (its Src probe, its in-edge row and its predecessor's
-//     membership in the check, its out-edge row in the forward chaining);
-//     body order scans every Reach row per fact instead, 31,991,999
-//     probes at n = 4,000;
+//     probes (its Src membership probe, its in-edge bucket and its
+//     predecessor's membership probe in the check, its out-edge bucket in
+//     the forward chaining); body order scans every Reach row per fact
+//     instead, 31,991,999 probes at n = 4,000;
 //   - a projection with fan-in, V(y) :- R(x,z), S(z,y).: head first, a
 //     delete joins only the R rows of the deleted S fact's middle, as
 //     derivation counting did (4,000 probes for 50 deletes); body order
@@ -459,28 +490,31 @@ TEST(MaintainJoin, BackwardSearchJoinsHeadFirst) {
   }
 }
 
-// "x1,x2,...,x16,<first>" with x1 renamed to `first`: seventeen
-// positions, sixteen distinct variables, the first one repeated last.
-std::string Args17(const std::string& first) {
+// "x1,x2,...,x32,<first>" with x1 renamed to `first`: 33 positions, 32
+// distinct variables, the first one repeated last.
+std::string Args33(const std::string& first) {
   std::string s = first;
-  for (int i = 2; i <= 16; ++i) s += ",x" + std::to_string(i);
+  for (int i = 2; i <= 32; ++i) s += ",x" + std::to_string(i);
   return s + "," + first;
 }
 
-// Atoms wider than the buffers Maintain's join keeps on the stack, with
-// a repeated variable, through a recursive stratum (W) and a
-// non-recursive one (V). The shape of
-// EvalRegression.WideRulesRunThroughKernels.
+// Rules wider than the kernel frame's 64 stack ElemIds, counting the
+// frame's slots (32 or 33 variables) and the tuple scratch (33
+// positions), with a repeated variable, through a recursive stratum (W)
+// and a non-recursive one (V): every join of Maintain, its
+// Backward/Forward joins and its continuation, runs on the heap frame.
+// The shape of EvalRegression.WideRulesRunThroughKernels' first
+// program, widened.
 TEST(MaintainJoin, WideRulesRoundTrip) {
   auto vocab = MakeVocabulary();
-  const PredId e = vocab->AddPredicate("E", 17);
-  const PredId f = vocab->AddPredicate("F", 17);
+  const PredId e = vocab->AddPredicate("E", 33);
+  const PredId f = vocab->AddPredicate("F", 33);
   const PredId s = vocab->AddPredicate("S", 2);
   ParseResult pr = ParseProgram(
-      "W(" + Args17("x1") + ") :- E(" + Args17("x1") + "), F(" +
-          Args17("x1") + ").\n" + "W(" + Args17("y") + ") :- W(" +
-          Args17("x1") + "), S(x1,y).\n" + "V(" + Args17("x1") +
-          ") :- W(" + Args17("x1") + "), F(" + Args17("x1") + ").\n",
+      "W(" + Args33("x1") + ") :- E(" + Args33("x1") + "), F(" +
+          Args33("x1") + ").\n" + "W(" + Args33("y") + ") :- W(" +
+          Args33("x1") + "), S(x1,y).\n" + "V(" + Args33("x1") +
+          ") :- W(" + Args33("x1") + "), F(" + Args33("x1") + ").\n",
       vocab);
   ASSERT_TRUE(pr.ok()) << pr.error;
   CompiledProgram compiled(*pr.program);
@@ -489,9 +523,9 @@ TEST(MaintainJoin, WideRulesRoundTrip) {
   std::vector<Fact> later;  // inserted, then deleted again
   for (ElemId i = 0; i < 12; ++i) {
     std::vector<ElemId> args;
-    for (ElemId j = 0; j < 17; ++j) args.push_back((i * 7 + j * 3) % 20);
+    for (ElemId j = 0; j < 33; ++j) args.push_back((i * 7 + j * 3) % 20);
     // Odd tuples break the repeated variable's equality.
-    if (i % 2 == 0) args[16] = args[0];
+    if (i % 2 == 0) args[32] = args[0];
     std::vector<Fact> facts{Fact(e, args)};
     if (i % 3 != 0) facts.emplace_back(f, args);
     for (Fact& fact : facts) {
