@@ -44,7 +44,8 @@
 #   which is unsound — inclusion verdicts flip to "included". The walk
 #   is the one NtaIncluded and Thm 5's DatalogContainedInUcq both run,
 #   so the fault reaches Thm 5 too; it is caught by the
-#   antichain-inclusion oracle's three-way agreement contract.
+#   antichain-inclusion oracle, whose NtaIncluded verdict must equal the
+#   explicit Complement+Product route's.
 #
 #   MONDET_FAULT=skip-prefix-eval makes the canonical-test walk of
 #   CheckMonotonicDeterminacy (src/core/test_walk.cc) prune every

@@ -71,9 +71,11 @@ fi
 # oracle (concrete fixpoint contained in the abstract one, dead rules
 # never fire, dropping subsumed rules keeps the fixpoint);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
-# Complement+Product route, the pinned Thm 5 counterexamples (each
-# decoded and checked against the query and the UCQ), the pinned walk
-# counters, and the antichain-inclusion oracle seed sweep;
+# Complement+Product route, the Thm 5 counterexamples, which the pruned
+# walk derives from its first bad pair (pinned ones and those over
+# RandomViewSpecs seeds 0-99, each decoded and checked against the query
+# and the UCQ), the pinned walk counters, and the antichain-inclusion
+# oracle seed sweep;
 # cq_automaton_test and mondet_check_test run the same
 # product walk (automata/product_walk.h) as Thm 5 does — contained and
 # not-contained DatalogContainedInUcq, the right-automaton contract the

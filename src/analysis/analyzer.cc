@@ -417,7 +417,6 @@ void PlanLintCheck(const ProgramAnalyzer::Input& in,
 
 void AlwaysEmptyPredicateCheck(const ProgramAnalyzer::Input& in,
                                std::vector<Diagnostic>* out) {
-  if (!in.options.dataflow) return;
   EmptinessResult emptiness = AnalyzeEmptiness(in.program);
   for (PredId p : emptiness.empty_idbs) {
     std::vector<size_t> rules = in.program.RulesFor(p);
@@ -439,7 +438,6 @@ void AlwaysEmptyPredicateCheck(const ProgramAnalyzer::Input& in,
 
 void DeadRuleCheck(const ProgramAnalyzer::Input& in,
                    std::vector<Diagnostic>* out) {
-  if (!in.options.dataflow) return;
   EmptinessResult emptiness = AnalyzeEmptiness(in.program);
   for (size_t ri = 0; ri < emptiness.rule_dead.size(); ++ri) {
     if (!emptiness.rule_dead[ri]) continue;
@@ -455,7 +453,6 @@ void DeadRuleCheck(const ProgramAnalyzer::Input& in,
 
 void SubsumedRuleCheck(const ProgramAnalyzer::Input& in,
                        std::vector<Diagnostic>* out) {
-  if (!in.options.dataflow) return;
   SubsumptionResult sub = AnalyzeSubsumption(in.program);
   for (size_t ri = 0; ri < sub.subsumed_by.size(); ++ri) {
     if (sub.subsumed_by[ri] < 0) continue;
@@ -472,7 +469,6 @@ void SubsumedRuleCheck(const ProgramAnalyzer::Input& in,
 
 void RedundantBodyAtomCheck(const ProgramAnalyzer::Input& in,
                             std::vector<Diagnostic>* out) {
-  if (!in.options.dataflow) return;
   SubsumptionResult sub = AnalyzeSubsumption(in.program);
   for (size_t ri = 0; ri < sub.redundant_atoms.size(); ++ri) {
     for (int ai : sub.redundant_atoms[ri]) {
@@ -492,7 +488,7 @@ void RedundantBodyAtomCheck(const ProgramAnalyzer::Input& in,
 
 void UnboundAdornmentCheck(const ProgramAnalyzer::Input& in,
                            std::vector<Diagnostic>* out) {
-  if (!in.options.dataflow || !in.options.goal) return;
+  if (!in.options.goal) return;
   const Program& program = in.program;
   if (!program.IsIdb(*in.options.goal)) return;  // "goal" check reports it
   AdornmentResult ad = AnalyzeAdornments(program, *in.options.goal);

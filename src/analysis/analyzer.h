@@ -72,10 +72,6 @@ struct AnalysisOptions {
   bool fragment_notes = true;
   /// Fragments the caller *requires*: violations become kError.
   std::vector<Fragment> required_fragments;
-  /// Run the abstract-interpretation dataflow checks (analysis/dataflow.h):
-  /// "always-empty-predicate", "dead-rule", "subsumed-rule",
-  /// "redundant-body-atom" and (goal-directed) "unbound-adornment".
-  bool dataflow = true;
 };
 
 struct AnalysisResult {

@@ -443,13 +443,12 @@ std::optional<Nta> DropOutsideUniverse(const Nta& a,
 }  // namespace
 
 NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
-                               const SymbolUniverse& universe,
-                               const NtaInclusionOptions& options) {
+                               const SymbolUniverse& universe) {
   MONDET_CHECK(a.width() == b.width());
   const std::optional<Nta> restricted = DropOutsideUniverse(a, universe);
   const Nta& left = restricted ? *restricted : a;
   LazySubsets subsets(b);
-  ProductWalkResult w = ProductWalk(left, subsets, options.antichain_prune);
+  ProductWalkResult w = ProductWalk(left, subsets);
   NtaInclusionResult result;
   result.pairs_explored = w.pairs.size();
   result.transition_visits = w.transition_visits;

@@ -64,23 +64,12 @@ SymbolUniverse SymbolsOf(const TreeCode& code);
 Nta Determinize(const Nta& a, const SymbolUniverse& universe);
 
 /// Complement relative to `universe` (determinize, then flip finals).
-/// This is the explicit-construction escape hatch: it materializes every
-/// reachable subset up front, which is exponential in the worst case.
-/// Inclusion checks should prefer `NtaIncluded`, which explores the same
-/// subsets lazily with antichain subsumption pruning and only falls back
-/// to this route for differential testing (the `antichain-inclusion`
-/// oracle checks both give the same answer).
+/// It materializes every reachable subset up front, which is exponential
+/// in the worst case. Inclusion checks should use `NtaIncluded`, which
+/// explores the same subsets lazily with antichain subsumption pruning;
+/// IsEmpty(Product(a, Complement(b, universe))) is the exact reference
+/// the `antichain-inclusion` oracle checks it against.
 Nta Complement(const Nta& a, const SymbolUniverse& universe);
-
-struct NtaInclusionOptions {
-  /// Antichain subsumption pruning: per a-state, keep only the ⊆-minimal
-  /// b-macrostates. Sound because DP continuations from a smaller
-  /// macrostate reject whenever those from a larger one do, so any
-  /// counterexample reachable through a pruned (superset) macrostate is
-  /// also reachable through the kept one. Off = the same lazy walk
-  /// without pruning (the escape hatch for differential testing).
-  bool antichain_prune = true;
-};
 
 /// Outcome of NtaIncluded. Counters describe the lazy search; `witness`
 /// is populated exactly when the inclusion fails.
@@ -93,7 +82,7 @@ struct NtaInclusionResult {
   /// larger.
   size_t macrostates_visited = 0;
   /// Candidate pairs discarded because a ⊆-smaller macrostate was
-  /// already visited for the same a-state (0 with pruning off).
+  /// already visited for the same a-state.
   size_t subsumption_prunes = 0;
   size_t transition_visits = 0;
   /// When !included: a code accepted by `a` and rejected by `b`.
@@ -103,14 +92,14 @@ struct NtaInclusionResult {
 /// Decides L(a) ⊆ L(b) over codes built from `universe` symbols, without
 /// materializing Determinize(b): runs ProductWalk (automata/product_walk.h)
 /// over a and an on-demand subset construction of b, pruning ⊆-dominated
-/// macrostates, and stops at the first pair witnessing non-inclusion
-/// (final in `a`, no final of `b` in the macrostate). Equivalent to
-/// IsEmpty(Product(a, Complement(b, universe))); transitions of `a` whose
-/// symbols fall outside `universe` do not participate, matching the
-/// explicit route.
+/// macrostates (per a-state only the ⊆-minimal ones are kept: successors
+/// are monotone and rejection is downward closed), and stops at the first
+/// pair witnessing non-inclusion (final in `a`, no final of `b` in the
+/// macrostate). Equivalent to IsEmpty(Product(a, Complement(b,
+/// universe))); transitions of `a` whose symbols fall outside `universe`
+/// do not participate, matching the explicit route.
 NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
-                               const SymbolUniverse& universe,
-                               const NtaInclusionOptions& options = {});
+                               const SymbolUniverse& universe);
 
 /// Removes states that are not inhabited (bottom-up reachable) or not
 /// co-reachable from a final state. Language-preserving.

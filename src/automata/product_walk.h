@@ -94,18 +94,21 @@ struct ProductWalkResult {
 /// with Leaf/Unary/Binary monotone along SubsetOf and Accepting upward
 /// closed along it, so rejection is downward closed.
 ///
-/// With `prune`, each NTA state keeps an antichain of the ⊆-minimal right
-/// states interned with it, and a candidate pair whose right state
-/// contains a kept one is discarded: every continuation of the candidate
-/// rejects whenever the kept pair's does, so no bad pair is lost (a
-/// pruned bad pair's kept pair was already bad when interned). The walk
-/// stops at its first bad pair, or runs to saturation when there is none.
+/// Each NTA state keeps an antichain of the ⊆-minimal right states
+/// interned with it, and a candidate pair whose right state contains a
+/// kept one is discarded: every continuation of the candidate rejects
+/// whenever the kept pair's does, so no bad pair is lost (a pruned bad
+/// pair's kept pair was already bad when interned). The walk stops at its
+/// first bad pair, or runs to saturation when there is none. A pair is
+/// interned only through a derivation over pairs interned before it, so
+/// BuildDerivedCode of the first bad pair is a code that `nta` accepts
+/// and `right` rejects.
 ///
 /// MONDET_FAULT=skip-antichain-prune makes the prune also discard
 /// candidates whose right state is a subset of a kept one, which is
 /// unsound (scripts/check_fuzz_fault.sh).
 template <typename Right>
-ProductWalkResult ProductWalk(const Nta& nta, Right& right, bool prune) {
+ProductWalkResult ProductWalk(const Nta& nta, Right& right) {
   ProductWalkResult w;
   const bool fault = FaultInjected("skip-antichain-prune");
   std::map<std::pair<State, uint32_t>, int> pair_id;
@@ -119,13 +122,12 @@ ProductWalkResult ProductWalk(const Nta& nta, Right& right, bool prune) {
   auto intern = [&](State q, uint32_t d, Derivation deriv) {
     auto key = std::make_pair(q, d);
     if (pair_id.count(key)) return;
-    if (prune) {
-      for (int old : frontier[q]) {
-        const uint32_t seen = w.pairs[old].second;
-        if (right.SubsetOf(seen, d) || (fault && right.SubsetOf(d, seen))) {
-          ++w.subsumption_prunes;
-          return;
-        }
+    auto& fr = frontier[q];
+    for (int old : fr) {
+      const uint32_t seen = w.pairs[old].second;
+      if (right.SubsetOf(seen, d) || (fault && right.SubsetOf(d, seen))) {
+        ++w.subsumption_prunes;
+        return;
       }
     }
     const int id = static_cast<int>(w.pairs.size());
@@ -133,15 +135,12 @@ ProductWalkResult ProductWalk(const Nta& nta, Right& right, bool prune) {
     w.pairs.push_back(key);
     w.derivs.push_back(deriv);
     pairs_by_state[q].push_back(id);
-    if (prune) {
-      auto& fr = frontier[q];
-      fr.erase(std::remove_if(fr.begin(), fr.end(),
-                              [&](int old) {
-                                return right.SubsetOf(d, w.pairs[old].second);
-                              }),
-               fr.end());
-      fr.push_back(id);
-    }
+    fr.erase(std::remove_if(fr.begin(), fr.end(),
+                            [&](int old) {
+                              return right.SubsetOf(d, w.pairs[old].second);
+                            }),
+             fr.end());
+    fr.push_back(id);
     worklist.push_back(id);
     if (w.first_bad < 0 && nta.finals().count(q) > 0 && !right.Accepting(d)) {
       w.first_bad = id;

@@ -136,53 +136,47 @@ ContainmentResult DatalogContainedInUcq(const DatalogQuery& query,
   ForwardResult fwd = ApproximationAutomaton(query);
   const Nta& nta = fwd.automaton;
 
-  // The verdict from the pruned walk, stopping at its first bad pair.
+  // One pruned walk decides and, on failure, yields the counterexample:
+  // the derivation of its first bad pair.
   UcqMatchAutomaton dp(ucq, fwd.width);
-  ProductWalkResult w = ProductWalk(nta, dp, /*prune=*/true);
+  ProductWalkResult w = ProductWalk(nta, dp);
   result.pairs_explored = w.pairs.size();
   result.transition_visits = w.transition_visits;
   result.subsumption_prunes = w.subsumption_prunes;
   result.macrostates_visited = dp.num_states();
   result.contained = w.first_bad < 0;
-  if (result.contained) return result;
-  // The witness comes from a second, unpruned walk to its first bad pair:
-  // the prune decides which pairs get interned, so only the unpruned
-  // walk's first bad pair is independent of it.
-  UcqMatchAutomaton dp_witness(ucq, fwd.width);
-  ProductWalkResult ww = ProductWalk(nta, dp_witness, /*prune=*/false);
-  MONDET_CHECK(ww.first_bad >= 0);
-  result.transition_visits += ww.transition_visits;
-  result.counterexample = BuildDerivedCode(nta, ww.derivs, ww.first_bad);
+  if (!result.contained) {
+    result.counterexample = BuildDerivedCode(nta, w.derivs, w.first_bad);
+  }
   return result;
 }
 
-Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views) {
-  MONDET_CHECK(query.free_vars().empty());
+DatalogQuery Thm5Query(const CQ& query, const ViewSet& views) {
   const VocabularyPtr& vocab = query.vocab();
-
-  // Q'' = Π_V ∪ { Goal'' ← V(Q) }: the views applied to Q's canonical
-  // database, read back as a query over the view schema, with the view
-  // definitions as rules.
   Instance canon = query.CanonicalDb();
   Instance image = views.Image(canon);
   Program program = views.CombinedProgram();
-  PredId goal2 = vocab->AddPredicate("Thm5.Goal", 0);
+  PredId goal = vocab->AddPredicate("Thm5.Goal", 0);
   Rule goal_rule;
   for (size_t e = 0; e < canon.num_elements(); ++e) {
     goal_rule.var_names.push_back(canon.element_name(static_cast<ElemId>(e)));
   }
-  goal_rule.head = QAtom(goal2, {});
+  goal_rule.head = QAtom(goal, {});
   for (uint32_t fg = 0; fg < image.num_facts(); ++fg) {
     const FactView f = image.ViewAt(fg);
     goal_rule.body.push_back(
         QAtom(f.pred, std::vector<VarId>(f.args.begin(), f.args.end())));
   }
   program.AddRule(std::move(goal_rule));
-  DatalogQuery q2(std::move(program), goal2);
+  return DatalogQuery(std::move(program), goal);
+}
 
-  UCQ target(vocab);
+Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views) {
+  MONDET_CHECK(query.free_vars().empty());
+  UCQ target(query.vocab());
   target.AddDisjunct(query);
-  ContainmentResult contained = DatalogContainedInUcq(q2, target);
+  ContainmentResult contained =
+      DatalogContainedInUcq(Thm5Query(query, views), target);
 
   Thm5Result out;
   out.determined = contained.contained;

@@ -100,8 +100,14 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
                                        const ViewSet& views,
                                        const MonDetOptions& options = {});
 
+/// Q'' = Π_V ∪ {Thm5.Goal ← V(Q)} for a Boolean CQ `query`: the view
+/// definitions plus one goal rule whose body is the view image of Q's
+/// canonical database, its elements read back as variables. Adds the
+/// nullary predicate `Thm5.Goal` to the vocabulary.
+DatalogQuery Thm5Query(const CQ& query, const ViewSet& views);
+
 /// Exact decision for a Boolean CQ query over arbitrary Datalog views
-/// (Thm 5, 2ExpTime): builds Q'' = Π_V ∪ {Goal'' ← V(Q)} and decides the
+/// (Thm 5, 2ExpTime): builds Q'' (Thm5Query) and decides the
 /// Datalog-in-CQ containment Q'' ⊑ Q via the approximation automaton
 /// (Prop. 3) intersected with the complement of the CQ-match evaluator.
 /// Returns a witness expansion of Q'' violating Q when not determined.
@@ -109,11 +115,10 @@ struct Thm5Result {
   bool determined = false;
   /// Number of (NTA state, DP state) pairs explored (2ExpTime witness).
   size_t pairs_explored = 0;
-  /// Transition applications performed by the containment walk,
-  /// including the witness pass on failure.
+  /// Transition applications performed by the containment walk.
   size_t transition_visits = 0;
-  /// Distinct DP macrostates materialized by the verdict pass: those it
-  /// reaches from kept pairs.
+  /// Distinct DP macrostates the walk computed: every candidate's state,
+  /// pruned candidates included.
   size_t macrostates_visited = 0;
   /// Pairs discarded by the antichain prune. Like the counters above this
   /// is work accounting, not part of the verdict and witness contract.
@@ -134,17 +139,18 @@ Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views);
 /// the pruned pair is also reachable through the kept one. DP states are
 /// bitsets over an interned match universe, so each inclusion test is a
 /// word-wise AND-NOT (docs/EVALUATION.md, "The Thm 5 path"). On failure
-/// a second, unpruned walk to its first bad pair derives the
-/// counterexample, so the witness does not depend on the prune.
+/// the counterexample is the derivation of the walk's first bad pair: a
+/// pair is interned only through pairs interned before it, so that code
+/// satisfies the query and no disjunct of `ucq`.
 struct ContainmentResult {
   bool contained = false;
   size_t pairs_explored = 0;
-  /// Transition applications performed by the walks: one per
-  /// (transition, pair) for unary and one per (transition, pair, partner
-  /// pair) for binary transitions. The worklist visits each combination
-  /// O(1) times; the naive re-scan visited them once per round.
+  /// Transition applications performed by the walk: one per (transition,
+  /// pair) for unary and one per (transition, pair, partner pair) for
+  /// binary transitions. The worklist visits each combination O(1)
+  /// times; the naive re-scan visited them once per round.
   size_t transition_visits = 0;
-  /// Distinct DP macrostates materialized by the verdict pass (see
+  /// Distinct DP macrostates the walk computed (see
   /// Thm5Result::macrostates_visited).
   size_t macrostates_visited = 0;
   /// Pairs discarded by the antichain prune.

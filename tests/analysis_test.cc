@@ -314,20 +314,6 @@ TEST(DataflowChecks, UnboundAdornmentNeedsBindingGoal) {
                   .empty());
 }
 
-TEST(DataflowChecks, DataflowOptionTurnsAllFiveOff) {
-  auto vocab = MakeVocabulary();
-  Program p = MustParse(kDeadRules, vocab);
-  AnalysisOptions options;
-  options.goal = vocab->FindPredicate("Query");
-  options.dataflow = false;
-  AnalysisResult result = AnalyzeProgram(p, options);
-  for (const char* id :
-       {"always-empty-predicate", "dead-rule", "subsumed-rule",
-        "redundant-body-atom", "unbound-adornment"}) {
-    EXPECT_TRUE(WithCheck(result.diagnostics, id).empty()) << id;
-  }
-}
-
 TEST(Analyzer, DisableCheckRecordsDisabledIds) {
   auto vocab = MakeVocabulary();
   Program p = MustParse(kDeadRules, vocab);

@@ -142,21 +142,6 @@ TEST(NtaIncluded, SubsumptionPruneFiresOnGrowingMacrostate) {
   EXPECT_EQ(r.pairs_explored, 1u);
 }
 
-TEST(NtaIncluded, PruningOffExploresNoFewerPairsAndNeverPrunes) {
-  NtaInclusionOptions off;
-  off.antichain_prune = false;
-  for (unsigned seed = 0; seed < 30; ++seed) {
-    Nta a = RandomNta(41000 + seed);
-    Nta b = RandomNta(43000 + seed);
-    SymbolUniverse u = MergedUniverse(a, b);
-    NtaInclusionResult anti = NtaIncluded(a, b, u);
-    NtaInclusionResult plain = NtaIncluded(a, b, u, off);
-    EXPECT_EQ(anti.included, plain.included) << "seed " << seed;
-    EXPECT_LE(anti.pairs_explored, plain.pairs_explored) << "seed " << seed;
-    EXPECT_EQ(plain.subsumption_prunes, 0u);
-  }
-}
-
 TEST(NtaIncluded, MacrostatesStrictlyBelowDeterminizedStates) {
   // The exponential family of generator.h: determinizing b over the chain
   // universe materializes ~2^(k+1) subset states, while the antichain walk
@@ -202,9 +187,11 @@ TEST(NtaIncluded, AgreesWithExplicitRouteOnEnumeration) {
 
 // --- Thm 5 / containment counterexample pins -------------------------------
 // The verdicts and counterexamples were captured while the full-fixpoint
-// route still ran beside the pruned walk and matched it byte for byte.
-// Each counterexample must also be genuine: its decoding satisfies the
-// Datalog query and no disjunct of the UCQ maps into it.
+// route still ran beside the pruned walk and matched it byte for byte;
+// the counterexamples, now the derivations of the pruned walk's first bad
+// pairs, are unchanged. Each counterexample must also be genuine: its
+// decoding satisfies the Datalog query and no disjunct of the UCQ maps
+// into it.
 
 void ExpectGenuineCounterexample(const DatalogQuery& query, const UCQ& ucq,
                                  const TreeCode& code,
@@ -282,8 +269,9 @@ TEST(ContainmentAntichain, Thm5CounterexamplePinnedOnGoldenCase) {
   target.AddDisjunct(*q);
   ExpectGenuineCounterexample(Thm5Query(*q, views), target, *r.counterexample,
                               "golden");
-  // Pinned work; the visits include the witness pass.
-  EXPECT_EQ(CountsOf(r), (Counts{2, 6, 3, 1}));
+  // Pinned work: one walk, stopped at its first bad pair. Its 3
+  // macrostates include the pruned candidate's.
+  EXPECT_EQ(CountsOf(r), (Counts{2, 3, 3, 1}));
 }
 
 TEST(ContainmentAntichain, Thm5PinnedOnRandomViewSets) {
@@ -312,6 +300,37 @@ TEST(ContainmentAntichain, Thm5PinnedOnRandomViewSets) {
   EXPECT_EQ(testing::Fnv1a(rendered), 0x66ca41cf7fe7bb79ull) << rendered;
 }
 
+TEST(ContainmentAntichain, Thm5CounterexamplesGenuineOnRandomViewSets) {
+  // Every refuted decision over RandomViewSpecs seeds 0-99 yields a
+  // genuine counterexample; the floor on refutations keeps the loop from
+  // passing vacuously. RandomViewSpecs cycles through three view sets
+  // (seed % 3), so the loop decides six distinct inputs, two of them
+  // refuted.
+  size_t refuted = 0;
+  for (const char* text :
+       {"Q() :- E1(x), E2(x,y).", "Q() :- E2(x,y), E2(y,z)."}) {
+    for (unsigned seed = 0; seed < 100; ++seed) {
+      testing::GenProfile profile = testing::EvalProfile();
+      ViewSet views = testing::BuildViews(
+          profile.vocab, testing::RandomViewSpecs(profile, seed));
+      std::string error;
+      auto q = ParseCq(text, profile.vocab, &error);
+      ASSERT_TRUE(q) << error;
+      Thm5Result r = CheckCqOverDatalogViews(*q, views);
+      const std::string what = std::string(text) + " seed " +
+                               std::to_string(seed);
+      ASSERT_EQ(r.counterexample.has_value(), !r.determined) << what;
+      if (r.determined) continue;
+      ++refuted;
+      UCQ target(profile.vocab);
+      target.AddDisjunct(*q);
+      ExpectGenuineCounterexample(Thm5Query(*q, views), target,
+                                  *r.counterexample, what);
+    }
+  }
+  EXPECT_GE(refuted, 60u);
+}
+
 // --- Work-counter pins ------------------------------------------------------
 // Every route's work counters, verdict and witness, pinned: a change to
 // the walk's visiting order, dedup or prune shows up here even when
@@ -331,10 +350,10 @@ TEST(WalkCounterPins, Thm5PathPlusUFamily) {
 }
 
 TEST(WalkCounterPins, NtaIncludedOverOracleSeeds) {
-  // One FNV-1a hash over (verdict, counters, witness) of both prune
-  // settings on the antichain-inclusion oracle's cases 0-31, then on the
-  // exponential family ChainOfANta(k + 1) vs NthBelowRootIsANta(k) in
-  // both directions (the not-included one prunes on every rung).
+  // One FNV-1a hash over (verdict, counters, witness) on the
+  // antichain-inclusion oracle's cases 0-31, then on the exponential
+  // family ChainOfANta(k + 1) vs NthBelowRootIsANta(k) in both
+  // directions (the not-included one prunes on every rung).
   const testing::Oracle* o = testing::FindOracle("antichain-inclusion");
   ASSERT_NE(o, nullptr);
   std::vector<std::pair<Nta, Nta>> cases;
@@ -346,23 +365,18 @@ TEST(WalkCounterPins, NtaIncludedOverOracleSeeds) {
     cases.emplace_back(ChainOfANta(k + 1), NthBelowRootIsANta(k));
     cases.emplace_back(NthBelowRootIsANta(k), ChainOfANta(k + 1));
   }
-  NtaInclusionOptions no_prune;
-  no_prune.antichain_prune = false;
   std::string rendered;
   for (size_t i = 0; i < cases.size(); ++i) {
     const auto& [a, b] = cases[i];
-    SymbolUniverse u = MergedUniverse(a, b);
-    for (const NtaInclusionOptions& opts : {NtaInclusionOptions{}, no_prune}) {
-      NtaInclusionResult r = NtaIncluded(a, b, u, opts);
-      rendered += std::to_string(i) + (r.included ? " in " : " out ") +
-                  std::to_string(r.pairs_explored) + "/" +
-                  std::to_string(r.transition_visits) + "/" +
-                  std::to_string(r.macrostates_visited) + "/" +
-                  std::to_string(r.subsumption_prunes) + " " +
-                  (r.witness ? RenderCode(*r.witness) : "-") + "\n";
-    }
+    NtaInclusionResult r = NtaIncluded(a, b, MergedUniverse(a, b));
+    rendered += std::to_string(i) + (r.included ? " in " : " out ") +
+                std::to_string(r.pairs_explored) + "/" +
+                std::to_string(r.transition_visits) + "/" +
+                std::to_string(r.macrostates_visited) + "/" +
+                std::to_string(r.subsumption_prunes) + " " +
+                (r.witness ? RenderCode(*r.witness) : "-") + "\n";
   }
-  EXPECT_EQ(testing::Fnv1a(rendered), 0x88b43c9aa56e9561ull) << rendered;
+  EXPECT_EQ(testing::Fnv1a(rendered), 0xfd03743e64ac5b79ull) << rendered;
 }
 
 // --- Oracle and corpus integration ------------------------------------------

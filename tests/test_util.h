@@ -8,7 +8,6 @@
 #include "base/symbol_table.h"
 #include "cq/cq.h"
 #include "datalog/parser.h"
-#include "datalog/program.h"
 #include "testing/generator.h"
 #include "views/view_set.h"
 
@@ -69,27 +68,6 @@ inline PathPlusU MakePathPlusU(const VocabularyPtr& vocab, int n) {
   views.AddView("VReach", *def);
   views.AddAtomicView("VR", r);
   return {std::move(q), std::move(views)};
-}
-
-/// Q'' = Π_V ∪ {Thm5.Goal ← V(Q)}, as CheckCqOverDatalogViews builds it.
-inline DatalogQuery Thm5Query(const CQ& query, const ViewSet& views) {
-  const VocabularyPtr& vocab = query.vocab();
-  Instance canon = query.CanonicalDb();
-  Instance image = views.Image(canon);
-  Program program = views.CombinedProgram();
-  PredId goal = vocab->AddPredicate("Thm5.Goal", 0);
-  Rule goal_rule;
-  for (size_t e = 0; e < canon.num_elements(); ++e) {
-    goal_rule.var_names.push_back(canon.element_name(static_cast<ElemId>(e)));
-  }
-  goal_rule.head = QAtom(goal, {});
-  for (uint32_t fg = 0; fg < image.num_facts(); ++fg) {
-    const FactView f = image.ViewAt(fg);
-    goal_rule.body.push_back(
-        QAtom(f.pred, std::vector<VarId>(f.args.begin(), f.args.end())));
-  }
-  program.AddRule(std::move(goal_rule));
-  return DatalogQuery(std::move(program), goal);
 }
 
 }  // namespace mondet
